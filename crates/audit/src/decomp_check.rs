@@ -12,52 +12,68 @@
 //! 3. **Hazard monotonicity** — `hazards(after) ⊆ hazards(before)`,
 //!    re-proved by the [`crate::monotone`] ladder.
 //!
-//! Per [`EquationCert`] it additionally re-derives, by an independent walk
-//! of the network, the expression the emitted gate tree realizes and
-//! requires it to be structurally identical to the certified result; and
+//! Per [`EquationCert`] it additionally walks the network from the output
+//! root and requires the emitted gate tree to realize the certified
+//! result node for node (as do assoc steps for their gate trees); and
 //! it requires every gate of the network to be covered by some equation's
 //! walk (no uncertified logic).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use asyncmap_bff::Expr;
-use asyncmap_cube::VarId;
 use asyncmap_network::{
     DecompTrace, EquationSet, GateOp, Network, NodeKind, RewriteRule, RewriteStep, SignalId,
 };
 
+use crate::cache::{AuditCache, Mark, Obligation};
 use crate::equiv::{prove_equal, EquivProof};
 use crate::monotone::recheck_monotone;
 use crate::report::{AuditReport, Severity};
-use crate::AuditCache;
 
-/// Re-derives the expression the gate tree rooted at `signal` realizes:
-/// inputs become variables (by input position), inverters become `Not`,
-/// AND/OR gates become the raw binary `Expr` nodes the certified
-/// balanced-tree regrouping claims. Every gate visited is recorded in
-/// `visited`.
-fn realized_expr(
+/// Walks the gate tree rooted at `signal` and checks that it realizes
+/// `expected` node for node: inputs are variables (by input position),
+/// inverters are `Not`, buffers are transparent and AND/OR gates are the
+/// raw `Expr` nodes over their fanins that the certified balanced-tree
+/// regrouping claims. `None` expects nothing and only walks. Every gate
+/// reached is marked in `visited`, whether or not it matches, so the
+/// no-uncertified-logic sweep sees the whole tree.
+fn realizes(
     net: &Network,
     signal: SignalId,
-    positions: &HashMap<SignalId, usize>,
-    visited: &mut HashSet<SignalId>,
-) -> Expr {
-    match net.node(signal) {
-        NodeKind::Input => Expr::Var(VarId(positions[&signal])),
-        NodeKind::Gate { op, fanin } => {
-            visited.insert(signal);
-            let mut args: Vec<Expr> = fanin
-                .iter()
-                .map(|&f| realized_expr(net, f, positions, visited))
-                .collect();
-            match op {
-                GateOp::Inv => args.pop().expect("inverter fanin").not(),
-                GateOp::Buf => args.pop().expect("buffer fanin"),
-                GateOp::And => Expr::And(args),
-                GateOp::Or => Expr::Or(args),
-            }
+    expected: Option<&Expr>,
+    positions: &[usize],
+    visited: &mut [bool],
+) -> bool {
+    let (op, fanin) = match net.node(signal) {
+        NodeKind::Input => {
+            return matches!(expected, Some(Expr::Var(v)) if v.index() == positions[signal.index()]);
+        }
+        NodeKind::Gate { op, fanin } => (*op, fanin),
+    };
+    visited[signal.index()] = true;
+    // The subexpressions the trailing fanins must realize: all of them
+    // for AND/OR, the last one for inverters and buffers. `None` on a
+    // shape mismatch, and then the fanins are walked for coverage only.
+    let operands: Option<&[Expr]> = match (op, expected) {
+        (GateOp::And, Some(Expr::And(es))) | (GateOp::Or, Some(Expr::Or(es)))
+            if es.len() == fanin.len() =>
+        {
+            Some(es)
+        }
+        (GateOp::Inv, Some(Expr::Not(e))) if !fanin.is_empty() => Some(std::slice::from_ref(&**e)),
+        (GateOp::Buf, Some(e)) if !fanin.is_empty() => Some(std::slice::from_ref(e)),
+        _ => None,
+    };
+    let skip = fanin.len() - operands.map_or(0, <[Expr]>::len);
+    let mut ok = operands.is_some();
+    for (i, &f) in fanin.iter().enumerate() {
+        let want = operands.and_then(|es| i.checked_sub(skip).map(|j| &es[j]));
+        let realized = realizes(net, f, want, positions, visited);
+        if want.is_some() {
+            ok &= realized;
         }
     }
+    ok
 }
 
 /// Greedy left-to-right fringe match: `true` iff splitting same-operator
@@ -127,7 +143,7 @@ fn check_monotone(
     candidate: &Expr,
     reference: &Expr,
     code: &'static str,
-    path: &str,
+    path: &impl Fn() -> String,
 ) {
     let out = recheck_monotone(candidate, reference);
     if out.partial {
@@ -136,7 +152,7 @@ fn check_monotone(
             report.push(
                 Severity::Info,
                 "decomp.hazard-partial",
-                path.to_owned(),
+                path(),
                 format!("hazard re-check degraded: {}", out.detail),
             );
         }
@@ -147,10 +163,62 @@ fn check_monotone(
         report.push(
             Severity::Error,
             code,
-            path.to_owned(),
+            path(),
             format!("hazards(after) ⊆ hazards(before) refuted ({})", out.detail),
         );
     }
+}
+
+/// Discharges one equivalence + hazard-monotonicity obligation
+/// (`candidate ≡ reference` and `hazards(candidate) ⊆
+/// hazards(reference)`) of a rewrite step (`rule`) or, with `rule` `None`,
+/// of an equation certificate — by reference to an identical stored
+/// verdict when `cache` has one. Returns `false` iff the two sides
+/// compute different functions.
+fn check_rewrite(
+    report: &mut AuditReport,
+    mut cache: Option<&mut AuditCache>,
+    rule: Option<RewriteRule>,
+    nvars: usize,
+    reference: &Expr,
+    candidate: &Expr,
+    path: &impl Fn() -> String,
+) -> bool {
+    let ob = match rule {
+        Some(rule) => Obligation::Step {
+            nvars,
+            rule,
+            before: reference,
+            after: candidate,
+        },
+        None => Obligation::Equation {
+            nvars,
+            source: reference,
+            result: candidate,
+        },
+    };
+    if let Some(c) = cache.as_deref_mut() {
+        if c.replay(&ob, report, path) {
+            return true;
+        }
+    }
+    let mark = Mark::of(report);
+    let (eq, proof) = prove_equal(reference, candidate, nvars);
+    count_proof(report, proof);
+    if !eq {
+        return false;
+    }
+    check_monotone(
+        report,
+        candidate,
+        reference,
+        "decomp.hazard-containment",
+        path,
+    );
+    if let Some(c) = cache {
+        c.record(&ob, report, mark);
+    }
+    true
 }
 
 /// Replays a [`DecompTrace`] against the network it claims to describe.
@@ -163,9 +231,11 @@ pub fn check_decomp_trace(net: &Network, trace: &DecompTrace) -> AuditReport {
 /// [`check_decomp_trace`] with reuse: the per-step and per-equation
 /// equivalence and hazard-monotonicity obligations — pure functions of
 /// the certified expressions alone — are skipped when an identical
-/// obligation already replayed clean under `cache`. Everything tied to
-/// *this* network (rule applicability, node realization walks, the
-/// no-uncertified-logic sweep, output-root checks) always runs in full.
+/// obligation already replayed without findings under `cache`, and its
+/// stored notes are re-emitted under this step's or equation's path.
+/// Everything tied to *this* network (rule applicability, node
+/// realization walks, the no-uncertified-logic sweep, output-root
+/// checks) always runs in full.
 pub fn check_decomp_trace_cached(
     net: &Network,
     trace: &DecompTrace,
@@ -182,16 +252,20 @@ fn check_decomp_trace_inner(
     let mut report = AuditReport::default();
     report.counters.rewrite_steps = trace.steps.len();
     report.counters.equations = trace.equations.len();
-    let positions = net.input_positions();
-    let mut visited: HashSet<SignalId> = HashSet::new();
+    let signals = net.len();
+    let mut positions = vec![usize::MAX; signals];
+    for (i, s) in net.inputs().iter().enumerate() {
+        positions[s.index()] = i;
+    }
+    let mut visited = vec![false; signals];
 
     for (i, step) in trace.steps.iter().enumerate() {
-        let path = format!("{}:step{}:{}", step.equation, i, step.rule.name());
+        let path = || format!("{}:step{}:{}", step.equation, i, step.rule.name());
         if !rule_applies(step) {
             report.push(
                 Severity::Error,
                 "decomp.rule-mismatch",
-                path.clone(),
+                path(),
                 format!(
                     "before/after pair is not an instance of {}",
                     step.rule.name()
@@ -218,12 +292,12 @@ fn check_decomp_trace_inner(
                     _ => false,
                 };
                 if ok {
-                    visited.insert(step.node);
+                    visited[step.node.index()] = true;
                 } else {
                     report.push(
                         Severity::Error,
                         "decomp.node-mismatch",
-                        path,
+                        path(),
                         format!(
                             "node {:?} is not an inverter over input {}",
                             step.node,
@@ -236,66 +310,42 @@ fn check_decomp_trace_inner(
             RewriteRule::AssocRegroup | RewriteRule::DeMorganPush => {
                 // The equivalence and monotonicity obligations depend only
                 // on (nvars, rule, before, after) — never on the network —
-                // so an identical obligation that already replayed clean
-                // discharges this one.
-                let key = cache.as_ref().map(|_| {
-                    format!(
-                        "{}|{}|{:?}|{:?}",
-                        trace.nvars,
-                        step.rule.name(),
-                        step.before,
-                        step.after
-                    )
-                });
-                let reused =
-                    matches!((&cache, &key), (Some(c), Some(k)) if c.clean_steps.contains(k));
-                if reused {
-                    report.counters.reused_steps += 1;
-                } else {
-                    let (f0, n0) = (report.findings.len(), report.notes.len());
-                    let (eq, proof) = prove_equal(&step.before, &step.after, trace.nvars);
-                    count_proof(&mut report, proof);
-                    if !eq {
-                        report.push(
-                            Severity::Error,
-                            "decomp.not-equivalent",
-                            path.clone(),
-                            "before and after compute different functions".to_owned(),
-                        );
-                        continue;
-                    }
-                    check_monotone(
-                        &mut report,
-                        &step.after,
-                        &step.before,
-                        "decomp.hazard-containment",
-                        &path,
+                // so an identical obligation that already replayed without
+                // findings discharges this one.
+                let equivalent = check_rewrite(
+                    &mut report,
+                    cache.as_deref_mut(),
+                    Some(step.rule),
+                    trace.nvars,
+                    &step.before,
+                    &step.after,
+                    &path,
+                );
+                if !equivalent {
+                    report.push(
+                        Severity::Error,
+                        "decomp.not-equivalent",
+                        path(),
+                        "before and after compute different functions".to_owned(),
                     );
-                    // Only perfectly quiet replays are reusable: a partial
-                    // hazard re-check note must re-appear on every audit.
-                    if report.findings.len() == f0 && report.notes.len() == n0 {
-                        if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                            c.clean_steps.insert(k);
-                        }
-                    }
+                    continue;
                 }
                 // Only assoc steps certify the final shape of their node's
                 // gate tree (a DeMorgan push is an intermediate rewrite;
                 // its node realizes the *fully pushed* form, covered by
                 // the equation certificate).
-                if step.rule == RewriteRule::AssocRegroup {
-                    let walked = realized_expr(net, step.node, &positions, &mut visited);
-                    if walked != step.after {
-                        report.push(
-                            Severity::Error,
-                            "decomp.node-mismatch",
-                            path,
-                            format!(
-                                "gate tree at {:?} does not realize the certified regrouping",
-                                step.node
-                            ),
-                        );
-                    }
+                if step.rule == RewriteRule::AssocRegroup
+                    && !realizes(net, step.node, Some(&step.after), &positions, &mut visited)
+                {
+                    report.push(
+                        Severity::Error,
+                        "decomp.node-mismatch",
+                        path(),
+                        format!(
+                            "gate tree at {:?} does not realize the certified regrouping",
+                            step.node
+                        ),
+                    );
                 }
             }
         }
@@ -307,14 +357,14 @@ fn check_decomp_trace_inner(
         .map(|(n, s)| (n.as_str(), *s))
         .collect();
     for cert in &trace.equations {
-        let path = format!("{}:equation", cert.name);
+        let path = || format!("{}:equation", cert.name);
         match outputs.get(cert.name.as_str()) {
             Some(&root) if root == cert.root => {}
             _ => {
                 report.push(
                     Severity::Error,
                     "decomp.output-mismatch",
-                    path.clone(),
+                    path(),
                     format!(
                         "network does not mark {:?} as output {:?}",
                         cert.root, cert.name
@@ -323,47 +373,29 @@ fn check_decomp_trace_inner(
                 continue;
             }
         }
-        let key = cache.as_ref().map(|_| {
-            format!(
-                "{}|equation|{:?}|{:?}",
-                trace.nvars, cert.source, cert.result
-            )
-        });
-        let reused = matches!((&cache, &key), (Some(c), Some(k)) if c.clean_equations.contains(k));
-        if reused {
-            report.counters.reused_equations += 1;
-        } else {
-            let (f0, n0) = (report.findings.len(), report.notes.len());
-            let (eq, proof) = prove_equal(&cert.source, &cert.result, trace.nvars);
-            count_proof(&mut report, proof);
-            if !eq {
-                report.push(
-                    Severity::Error,
-                    "decomp.not-equivalent",
-                    path.clone(),
-                    "decomposed result computes a different function than the source".to_owned(),
-                );
-                continue;
-            }
-            check_monotone(
-                &mut report,
-                &cert.result,
-                &cert.source,
-                "decomp.hazard-containment",
-                &path,
+        let equivalent = check_rewrite(
+            &mut report,
+            cache.as_deref_mut(),
+            None,
+            trace.nvars,
+            &cert.source,
+            &cert.result,
+            &path,
+        );
+        if !equivalent {
+            report.push(
+                Severity::Error,
+                "decomp.not-equivalent",
+                path(),
+                "decomposed result computes a different function than the source".to_owned(),
             );
-            if report.findings.len() == f0 && report.notes.len() == n0 {
-                if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                    c.clean_equations.insert(k);
-                }
-            }
+            continue;
         }
-        let walked = realized_expr(net, cert.root, &positions, &mut visited);
-        if walked != cert.result {
+        if !realizes(net, cert.root, Some(&cert.result), &positions, &mut visited) {
             report.push(
                 Severity::Error,
                 "decomp.node-mismatch",
-                path,
+                path(),
                 "network walk from the output root does not realize the certified expression"
                     .to_owned(),
             );
@@ -374,7 +406,7 @@ fn check_decomp_trace_inner(
     // walk (output roots expand through every cube tree and every shared
     // inverter).
     for s in net.signals() {
-        if matches!(net.node(s), NodeKind::Gate { .. }) && !visited.contains(&s) {
+        if matches!(net.node(s), NodeKind::Gate { .. }) && !visited[s.index()] {
             report.push(
                 Severity::Error,
                 "decomp.uncovered-gate",
@@ -535,6 +567,30 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.code == "decomp.source-mismatch"));
+    }
+
+    #[test]
+    fn refuted_obligation_is_never_reused() {
+        // Certify the equation as realizing the pruned cover: equivalent
+        // to the source, but with the static 1-hazard the consensus cube
+        // bc covers. The refutation must be re-derived on every pass.
+        let eqs = figure3();
+        let (net, mut trace) = async_tech_decomp_traced(&eqs);
+        let mut vars = VarTable::from_names(["a", "b", "c"]);
+        trace.equations[0].result = Expr::parse("a*b + a'*c", &mut vars).unwrap();
+        let mut cache = AuditCache::new();
+        for pass in 0..2 {
+            let report = check_decomp_trace_cached(&net, &trace, &mut cache);
+            assert!(
+                report
+                    .findings
+                    .iter()
+                    .any(|f| f.code == "decomp.hazard-containment" && f.path == "f:equation"),
+                "pass {pass}: {}",
+                report.render()
+            );
+            assert_eq!(report.counters.reused_equations, 0);
+        }
     }
 
     #[test]

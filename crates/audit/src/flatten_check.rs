@@ -26,6 +26,9 @@ use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
 use crate::monotone::product_estimate;
 use crate::report::{AuditReport, Severity};
 
+/// Path of every diagnostic about a collapse as a whole.
+pub(crate) const FLATTEN_PATH: &str = "flatten";
+
 fn is_nnf(e: &Expr) -> bool {
     match e {
         Expr::Const(_) | Expr::Var(_) => true,
@@ -60,7 +63,7 @@ fn image_expr(flat: &FlatSop) -> Expr {
 pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> AuditReport {
     let mut report = AuditReport::default();
     report.counters.flatten_traces = 1;
-    let path = "flatten".to_owned();
+    let path = FLATTEN_PATH.to_owned();
 
     if !is_nnf(&trace.nnf) {
         report.push(

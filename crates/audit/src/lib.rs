@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 pub mod decomp_check;
 pub mod equiv;
 pub mod flatten_check;
@@ -43,11 +44,13 @@ pub mod partition_check;
 pub mod report;
 pub mod spec_check;
 
+pub use cache::AuditCache;
 pub use decomp_check::{
     check_decomp, check_decomp_cached, check_decomp_trace, check_decomp_trace_cached,
 };
 pub use equiv::{prove_equal, EquivProof, TRUTH_VAR_LIMIT};
 pub use flatten_check::check_flatten;
+use flatten_check::FLATTEN_PATH;
 pub use monotone::{product_estimate, recheck_monotone, MonotoneOutcome, FLATTEN_REPLAY_CAP};
 pub use partition_check::check_partition;
 pub use report::{AuditCounters, AuditReport, Finding, Severity};
@@ -58,43 +61,7 @@ use asyncmap_network::{
     async_tech_decomp_traced, partition_traced, Cone, DecompTrace, EquationSet, Network,
     PartitionTrace,
 };
-use std::collections::HashSet;
-
-/// Reuse cache for the `_cached` audit entry points.
-///
-/// The expensive audit obligations — equivalence proofs, hazard-
-/// monotonicity ladders, flatten replays — are pure functions of the
-/// certified *expressions*, never of the network or design they came
-/// from. The cache remembers the exact obligations (rendered to canonical
-/// strings of their full inputs) that already replayed with **zero
-/// findings and zero notes**; an identical obligation in a later audit is
-/// discharged by reference and counted in the `reused_*` counters of
-/// [`AuditCounters`].
-///
-/// Everything that binds certificates to a *particular* network — rule
-/// applicability, gate-tree realization walks, the no-uncertified-logic
-/// sweep, output roots, source fidelity, the whole partition check —
-/// always runs in full, so a warm cache adds no trust assumption beyond
-/// "this exact obligation was discharged before". Obligations that
-/// produced any diagnostic (even an info note) are never cached.
-#[derive(Debug, Default)]
-pub struct AuditCache {
-    pub(crate) clean_steps: HashSet<String>,
-    pub(crate) clean_equations: HashSet<String>,
-    pub(crate) clean_flattens: HashSet<String>,
-}
-
-impl AuditCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total clean obligations remembered (steps + equations + flattens).
-    pub fn entries(&self) -> usize {
-        self.clean_steps.len() + self.clean_equations.len() + self.clean_flattens.len()
-    }
-}
+use cache::{Mark, Obligation};
 
 /// Audits the flatten collapse of every cone: replays
 /// [`multilevel_flatten_traced`] per cone and checks the resulting
@@ -105,9 +72,10 @@ pub fn audit_cone_flattens(net: &Network, cones: &[Cone]) -> AuditReport {
 }
 
 /// [`audit_cone_flattens`] with reuse: a cone whose expression (over the
-/// same leaf count) already replayed clean under `cache` is discharged by
-/// reference — the flatten is deterministic in the expression, so the
-/// replay would reproduce the prior result verbatim.
+/// same leaf count) already replayed without findings under `cache` is
+/// discharged by reference — the flatten is deterministic in the
+/// expression, so the replay would reproduce the stored verdict verbatim,
+/// and its notes are re-emitted.
 pub fn audit_cone_flattens_cached(
     net: &Network,
     cones: &[Cone],
@@ -124,19 +92,23 @@ fn audit_cone_flattens_inner(
     let mut report = AuditReport::default();
     for cone in cones {
         let (expr, vars) = cone.to_expr(net);
-        let path = format!("cone:{}", net.name(cone.root));
-        let key = cache.as_ref().map(|_| format!("{}|{:?}", vars.len(), expr));
-        if matches!((&cache, &key), (Some(c), Some(k)) if c.clean_flattens.contains(k)) {
-            report.counters.flatten_traces += 1;
-            report.counters.reused_flattens += 1;
-            continue;
+        let path = || format!("cone:{}", net.name(cone.root));
+        let ob = Obligation::Flatten {
+            leaves: vars.len(),
+            expr: &expr,
+        };
+        if let Some(c) = cache.as_deref_mut() {
+            if c.replay(&ob, &mut report, || FLATTEN_PATH.to_owned()) {
+                report.counters.flatten_traces += 1;
+                continue;
+            }
         }
         if product_estimate(&expr) > FLATTEN_REPLAY_CAP {
             report.counters.flatten_skipped += 1;
             report.push(
                 Severity::Info,
                 "flatten.replay-skipped",
-                path,
+                path(),
                 "product estimate over the replay cap".to_owned(),
             );
             continue;
@@ -146,17 +118,15 @@ fn audit_cone_flattens_inner(
             report.push(
                 Severity::Error,
                 "flatten.source-mismatch",
-                path,
+                path(),
                 "collapse trace does not start from the cone's expression".to_owned(),
             );
             continue;
         }
-        let (f0, n0) = (report.findings.len(), report.notes.len());
+        let mark = Mark::of(&report);
         report.merge(check_flatten(&flat, &trace, vars.len()));
-        if report.findings.len() == f0 && report.notes.len() == n0 {
-            if let (Some(c), Some(k)) = (cache.as_deref_mut(), key) {
-                c.clean_flattens.insert(k);
-            }
+        if let Some(c) = cache.as_deref_mut() {
+            c.record(&ob, &report, mark);
         }
     }
     report
@@ -241,29 +211,48 @@ mod tests {
         assert_eq!(report.counters.equations, 2);
     }
 
+    /// Every diagnostic of a report as `(severity, code, path, message)`,
+    /// sorted.
+    fn diagnostics(report: &AuditReport) -> Vec<(Severity, &'static str, String, String)> {
+        let mut all: Vec<_> = report
+            .findings
+            .iter()
+            .chain(&report.notes)
+            .map(|f| (f.severity, f.code, f.path.clone(), f.message.clone()))
+            .collect();
+        all.sort();
+        all
+    }
+
     #[test]
     fn warm_cache_discharges_every_quiet_obligation() {
+        // Figure 3, and a nine-variable function whose cone is too wide for
+        // the static-hazard sweep, so its flatten carries a partial note.
         let vars = VarTable::from_names(["a", "b", "c"]);
         let f = Cover::parse("ab + a'c + bc", &vars).unwrap();
-        let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
-        let mut cache = AuditCache::new();
-        let cold = audit_equations_cached(&eqs, &mut cache);
-        assert!(cold.is_clean(), "{}", cold.render());
-        assert!(cache.entries() > 0);
-        let warm = audit_equations_cached(&eqs, &mut cache);
-        assert!(warm.is_clean(), "{}", warm.render());
-        // Identical verdict, identical certificate accounting, identical
-        // diagnostics — only the discharge mechanism differs.
-        assert_eq!(
-            warm.counters.num_certificates(),
-            cold.counters.num_certificates()
-        );
-        assert_eq!(warm.findings.len(), cold.findings.len());
-        assert_eq!(warm.notes.len(), cold.notes.len());
-        // With no noisy obligations, every cacheable step (input-inverter
-        // realizations are network-bound and always re-checked), equation
-        // and flatten of the second pass is discharged by reference.
-        if cold.notes.is_empty() {
+        let figure3 = EquationSet::new(vars, vec![("f".to_owned(), f)]);
+        let vars = VarTable::from_names(["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
+        let g = Cover::parse("abc + d'ef + gh'i + a'd", &vars).unwrap();
+        let wide = EquationSet::new(vars, vec![("g".to_owned(), g)]);
+
+        for eqs in [figure3, wide] {
+            let mut cache = AuditCache::new();
+            let cold = audit_equations_cached(&eqs, &mut cache);
+            assert!(cold.is_clean(), "{}", cold.render());
+            assert!(cache.entries() > 0);
+            let warm = audit_equations_cached(&eqs, &mut cache);
+            assert!(warm.is_clean(), "{}", warm.render());
+            // Identical verdict, identical certificate and partial-check
+            // accounting, identical diagnostics — only the discharge
+            // mechanism differs.
+            assert_eq!(
+                warm.counters.num_certificates(),
+                cold.counters.num_certificates()
+            );
+            assert_eq!(diagnostics(&warm), diagnostics(&cold));
+            // Every cacheable step (input-inverter realizations are
+            // network-bound and always re-checked), equation and flatten of
+            // the second pass is discharged by reference, noted or not.
             let (_, dtrace) = async_tech_decomp_traced(&eqs);
             let cacheable = dtrace
                 .steps
@@ -274,14 +263,25 @@ mod tests {
             assert_eq!(warm.counters.reused_equations, warm.counters.equations);
             assert_eq!(warm.counters.reused_flattens, warm.counters.flatten_traces);
             assert_eq!(warm.counters.truth_proofs + warm.counters.bdd_proofs, 0);
+            // The cached run with a fresh cache agrees with the uncached one.
+            let reference = audit_equations(&eqs);
+            assert_eq!(
+                reference.counters.num_certificates(),
+                cold.counters.num_certificates()
+            );
+            assert_eq!(
+                reference.counters.hazard_partial,
+                cold.counters.hazard_partial
+            );
+            assert_eq!(diagnostics(&reference), diagnostics(&cold));
+            if eqs.inputs.len() > asyncmap_hazard::ORACLE_VAR_LIMIT {
+                assert!(warm
+                    .notes
+                    .iter()
+                    .any(|n| n.code == "flatten.hazard-partial"));
+                assert!(warm.counters.hazard_partial > 0);
+            }
         }
-        // The cached run with a fresh cache agrees with the uncached one.
-        let reference = audit_equations(&eqs);
-        assert_eq!(
-            reference.counters.num_certificates(),
-            cold.counters.num_certificates()
-        );
-        assert_eq!(reference.findings.len(), cold.findings.len());
     }
 
     #[test]
@@ -313,5 +313,71 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.code == "decomp.rule-mismatch"));
+    }
+
+    #[test]
+    fn warm_cache_does_not_mask_a_tampered_step_with_a_noted_verdict() {
+        use asyncmap_bff::Expr;
+        use asyncmap_network::{decompose_expr_demorgan, RewriteRule};
+        // (a₁b₁ + … + a₁₂b₁₂)' pushes to a product of twelve sums: both
+        // its DeMorgan step and the regrouping of that product are too
+        // wide for even the partial hazard re-check, so each stored
+        // verdict carries a `decomp.hazard-partial` note.
+        let names: Vec<String> = (0..24).map(|i| format!("x{i}")).collect();
+        let inputs = VarTable::from_names(names.iter().map(String::as_str));
+        let var = |i: usize| Expr::Var(asyncmap_cube::VarId(i));
+        let sum = Expr::Or(
+            (0..12)
+                .map(|i| Expr::And(vec![var(2 * i), var(2 * i + 1)]))
+                .collect(),
+        );
+        let (net, dtrace) = decompose_expr_demorgan(&inputs, &sum.not(), "f");
+        let noted = |s: &asyncmap_network::RewriteStep| {
+            s.rule == RewriteRule::AssocRegroup
+                && matches!(&s.before, Expr::And(es) if es.len() == 12)
+        };
+        let at = dtrace.steps.iter().position(noted).expect("wide regroup");
+
+        let mut cache = AuditCache::new();
+        let cold = check_decomp_trace_cached(&net, &dtrace, &mut cache);
+        assert!(cold.is_clean(), "{}", cold.render());
+        let step_path = format!("f:step{at}:assoc-regroup");
+        assert!(cold.notes.iter().any(|n| n.path == step_path));
+
+        // Point the step at another gate: its (rule, before, after) still
+        // hits the noted verdict, but the always-run realization walk must
+        // reject it.
+        let mut moved = dtrace.clone();
+        moved.steps[at].node = dtrace
+            .steps
+            .iter()
+            .map(|s| s.node)
+            .find(|&n| n != dtrace.steps[at].node)
+            .expect("another gate");
+        let report = check_decomp_trace_cached(&net, &moved, &mut cache);
+        let cacheable = dtrace
+            .steps
+            .iter()
+            .filter(|s| s.rule != RewriteRule::InputInverter)
+            .count();
+        assert_eq!(report.counters.reused_steps, cacheable);
+        assert!(report.notes.iter().any(|n| n.path == step_path));
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.code == "decomp.node-mismatch" && f.path == step_path));
+
+        // Commute the regroup's operands: the rule check must reject it
+        // before any verdict is consulted.
+        let mut commuted = dtrace.clone();
+        let Expr::And(es) = &mut commuted.steps[at].before else {
+            unreachable!("matched an AND regroup")
+        };
+        es.reverse();
+        let report = check_decomp_trace_cached(&net, &commuted, &mut cache);
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.code == "decomp.rule-mismatch" && f.path == step_path));
     }
 }

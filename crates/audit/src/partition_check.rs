@@ -9,7 +9,7 @@
 //! cones re-derived from the cut set alone are exactly the certified
 //! cones, with every gate in exactly one cone.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use asyncmap_network::{Cone, Network, NodeKind, PartitionTrace, SignalId};
 
@@ -17,28 +17,29 @@ use crate::report::{AuditReport, Severity};
 
 /// Independent re-derivation of one cone from the cut set: depth-first
 /// from `root`, stopping at inputs and at other cut signals, collecting
-/// leaves in first-visit order (deduplicated) and gates sorted.
+/// leaves in first-visit order (deduplicated) and gates sorted. `seen` is
+/// all-`false` scratch over the signals, and is left that way.
 fn rewalk_cone(
     net: &Network,
     root: SignalId,
-    cut_set: &HashSet<SignalId>,
+    is_cut: &[bool],
+    seen: &mut [bool],
 ) -> (Vec<SignalId>, Vec<SignalId>) {
     let mut leaves = Vec::new();
-    let mut seen = HashSet::new();
     let mut gates = Vec::new();
     fn go(
         net: &Network,
         signal: SignalId,
         root: SignalId,
-        cut_set: &HashSet<SignalId>,
+        is_cut: &[bool],
         leaves: &mut Vec<SignalId>,
-        seen: &mut HashSet<SignalId>,
+        seen: &mut [bool],
         gates: &mut Vec<SignalId>,
     ) {
-        if matches!(net.node(signal), NodeKind::Input)
-            || (signal != root && cut_set.contains(&signal))
+        if matches!(net.node(signal), NodeKind::Input) || (signal != root && is_cut[signal.index()])
         {
-            if seen.insert(signal) {
+            if !seen[signal.index()] {
+                seen[signal.index()] = true;
                 leaves.push(signal);
             }
             return;
@@ -46,11 +47,14 @@ fn rewalk_cone(
         gates.push(signal);
         if let NodeKind::Gate { fanin, .. } = net.node(signal) {
             for &f in fanin {
-                go(net, f, root, cut_set, leaves, seen, gates);
+                go(net, f, root, is_cut, leaves, seen, gates);
             }
         }
     }
-    go(net, root, root, cut_set, &mut leaves, &mut seen, &mut gates);
+    go(net, root, root, is_cut, &mut leaves, seen, &mut gates);
+    for l in &leaves {
+        seen[l.index()] = false;
+    }
     gates.sort();
     (leaves, gates)
 }
@@ -88,14 +92,14 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
         );
     }
 
-    let mut cut_set: HashSet<SignalId> = HashSet::new();
+    let mut is_cut = vec![false; net.len()];
     for cut in &trace.cuts {
-        let path = format!("cut:{}", net.name(cut.signal));
-        if !cut_set.insert(cut.signal) {
+        let path = || format!("cut:{}", net.name(cut.signal));
+        if std::mem::replace(&mut is_cut[cut.signal.index()], true) {
             report.push(
                 Severity::Error,
                 "partition.duplicate-cut",
-                path.clone(),
+                path(),
                 "signal is cut more than once".to_owned(),
             );
         }
@@ -103,7 +107,7 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
             report.push(
                 Severity::Error,
                 "partition.illegal-cut",
-                path.clone(),
+                path(),
                 "primary inputs are implicit cone leaves, never cut points".to_owned(),
             );
             continue;
@@ -113,7 +117,7 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
             report.push(
                 Severity::Error,
                 "partition.fanout-evidence",
-                path.clone(),
+                path(),
                 format!(
                     "certificate claims fanout {} {:?}, network has {} {:?}",
                     cut.fanout,
@@ -124,12 +128,12 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
             );
             continue;
         }
-        let actual_outputs = output_names.get(&cut.signal).cloned().unwrap_or_default();
+        let actual_outputs = output_names.get(&cut.signal).map_or(&[][..], Vec::as_slice);
         if cut.outputs != actual_outputs {
             report.push(
                 Severity::Error,
                 "partition.output-evidence",
-                path.clone(),
+                path(),
                 format!(
                     "certificate claims outputs {:?}, network drives {:?}",
                     cut.outputs, actual_outputs
@@ -141,7 +145,7 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
             report.push(
                 Severity::Error,
                 "partition.illegal-cut",
-                path,
+                path(),
                 "cut drives no primary output and fans out to fewer than two gate inputs"
                     .to_owned(),
             );
@@ -154,7 +158,7 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
             continue;
         }
         let legal = output_names.contains_key(&s) || consumers[s.index()].len() >= 2;
-        if legal && !cut_set.contains(&s) {
+        if legal && !is_cut[s.index()] {
             report.push(
                 Severity::Error,
                 "partition.missing-cut",
@@ -165,15 +169,16 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
     }
 
     // Cone fidelity: re-derive each cone from the cut set alone.
-    let mut covered: HashMap<SignalId, usize> = HashMap::new();
+    let mut covered = vec![0usize; net.len()];
+    let mut seen = vec![false; net.len()];
     for (i, cone) in cones.iter().enumerate() {
-        let path = format!("cone:{}", net.name(cone.root));
+        let path = || format!("cone:{}", net.name(cone.root));
         if let Some(cut) = trace.cuts.get(i) {
             if cut.signal != cone.root {
                 report.push(
                     Severity::Error,
                     "partition.cut-mismatch",
-                    path.clone(),
+                    path(),
                     format!(
                         "cut {} certifies {:?}, cone {} is rooted at {:?}",
                         i, cut.signal, i, cone.root
@@ -181,17 +186,17 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
                 );
             }
         }
-        let (leaves, gates) = rewalk_cone(net, cone.root, &cut_set);
+        let (leaves, gates) = rewalk_cone(net, cone.root, &is_cut, &mut seen);
         if leaves != cone.leaves || gates != cone.gates {
             report.push(
                 Severity::Error,
                 "partition.cone-mismatch",
-                path,
+                path(),
                 "cone does not match the independent re-walk from the cut set".to_owned(),
             );
         }
         for &g in &cone.gates {
-            *covered.entry(g).or_insert(0) += 1;
+            covered[g.index()] += 1;
         }
     }
 
@@ -200,7 +205,7 @@ pub fn check_partition(net: &Network, cones: &[Cone], trace: &PartitionTrace) ->
         if !matches!(net.node(s), NodeKind::Gate { .. }) {
             continue;
         }
-        match covered.get(&s).copied().unwrap_or(0) {
+        match covered[s.index()] {
             1 => {}
             n => report.push(
                 Severity::Error,
