@@ -19,8 +19,8 @@
 //!    Theorem 4.3 promises preservation, not mere containment.
 
 use asyncmap_bff::{Expr, FlatSop, FlattenTrace};
-use asyncmap_cube::{Bits, Phase};
-use asyncmap_hazard::{wave_eval, ORACLE_VAR_LIMIT};
+use asyncmap_cube::Phase;
+use asyncmap_hazard::{sweep_words, wave_eval_word, ORACLE_VAR_LIMIT};
 
 use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
 use crate::monotone::product_estimate;
@@ -137,27 +137,25 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         let src = compact_onto(&trace.source, &support);
         let img = compact_onto(&image, &support);
         'sweep: for a in 0..(1usize << k) {
-            for b in 0..(1usize << k) {
-                if a == b {
-                    continue;
-                }
-                let from = index_bits(k, a);
-                let to = index_bits(k, b);
-                let sw = wave_eval(&src, &from, &to);
-                let iw = wave_eval(&img, &from, &to);
-                if sw.is_static_hazard() != iw.is_static_hazard() {
+            for word in 0..sweep_words(k) {
+                let sw = wave_eval_word(&src, k, a, word);
+                let iw = wave_eval_word(&img, k, a, word);
+                let diverging = sw.static_hazard() ^ iw.static_hazard();
+                if diverging != 0 {
+                    let lane = diverging.trailing_zeros() as usize;
+                    let b = 64 * word + lane;
                     report.push(
                         Severity::Error,
                         "flatten.static-hazard-divergence",
                         path.clone(),
                         format!(
                             "transition {a:#b} → {b:#b}: source {} a static hazard, SOP {}",
-                            if sw.is_static_hazard() {
+                            if sw.lane(lane).is_static_hazard() {
                                 "has"
                             } else {
                                 "lacks"
                             },
-                            if iw.is_static_hazard() {
+                            if iw.lane(lane).is_static_hazard() {
                                 "has one"
                             } else {
                                 "does not"
@@ -185,14 +183,6 @@ fn count_proof(report: &mut AuditReport, proof: EquivProof) {
         EquivProof::Truth => report.counters.truth_proofs += 1,
         EquivProof::Bdd => report.counters.bdd_proofs += 1,
     }
-}
-
-fn index_bits(nvars: usize, m: usize) -> Bits {
-    let mut bits = Bits::new(nvars);
-    for v in 0..nvars {
-        bits.set(v, (m >> v) & 1 == 1);
-    }
-    bits
 }
 
 #[cfg(test)]
@@ -242,6 +232,30 @@ mod tests {
         trace.nnf = trace.source.clone().not();
         let report = check_flatten(&flat, &trace, nvars);
         assert!(!report.is_clean());
+    }
+
+    #[test]
+    fn dropped_consensus_cube_is_a_static_hazard_divergence() {
+        // Same function, but without the consensus b*c the image has a
+        // static-1 hazard on a's change with b = c = 1 that the source
+        // structure lacks. The first diverging transition in a-major
+        // order is reported.
+        let (mut flat, trace, nvars) = traced("a*b + a'*c + b*c");
+        let kept: Vec<_> = flat.cover.cubes()[..2].to_vec();
+        assert_eq!(flat.cover.len(), 3);
+        flat.cover = asyncmap_cube::Cover::from_cubes(nvars, kept);
+        let report = check_flatten(&flat, &trace, nvars);
+        let divergence: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.code == "flatten.static-hazard-divergence")
+            .collect();
+        assert_eq!(divergence.len(), 1, "{}", report.render());
+        assert_eq!(divergence[0].path, "flatten");
+        assert_eq!(
+            divergence[0].message,
+            "transition 0b110 → 0b111: source lacks a static hazard, SOP has one"
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! so a CI run of this bench doubles as an equivalence smoke test. The
 //! `simd_kernels` group extends the gate to every 4-lane [`U64x4`]-widened
 //! kernel (fused cube ops, delta-swap permuters): each is cross-checked
-//! against its scalar twin before being timed.
+//! against its scalar twin before being timed. The `exhaustive_sweep`
+//! group does the same for the bit-sliced hazard-containment sweep: it
+//! must reach the verdict of a per-transition `wave_eval` loop on every
+//! seeded pair before either is timed.
 
 use asyncmap_bench::design_fingerprint;
 use asyncmap_bff::Expr;
@@ -20,7 +23,8 @@ use asyncmap_core::{
 };
 use asyncmap_cube::simd;
 use asyncmap_cube::{Cover, Cube, Phase, VarId};
-use asyncmap_hazard::find_mic_dyn_haz_2level;
+use asyncmap_hazard::oracle::index_bits;
+use asyncmap_hazard::{find_mic_dyn_haz_2level, hazards_subset_exhaustive, wave_eval};
 use asyncmap_library::builtin;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -256,12 +260,63 @@ fn bench_hazard_search(c: &mut Criterion) {
     g.finish();
 }
 
+/// `hazards(candidate) ⊆ hazards(reference)` one ordered transition at a
+/// time: the reference the bit-sliced sweep is gated against.
+fn subset_per_transition(candidate: &Expr, reference: &Expr, nvars: usize) -> bool {
+    for a in 0..1usize << nvars {
+        let from = index_bits(nvars, a);
+        for b in 0..1usize << nvars {
+            if a == b {
+                continue;
+            }
+            let to = index_bits(nvars, b);
+            if wave_eval(candidate, &from, &to).hazard && !wave_eval(reference, &from, &to).hazard {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+fn bench_exhaustive_sweep(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exhaustive_sweep");
+    for n in [4, 6, 8] {
+        let mut rng = StdRng::seed_from_u64(0x5EE9 ^ (n as u64));
+        // Divergence gate: the bit-sliced sweep must agree with the
+        // per-transition loop on every seeded pair, else the bench (and
+        // CI) fails.
+        for _ in 0..16 {
+            let candidate = random_expr(n, 3, &mut rng);
+            let reference = random_expr(n, 3, &mut rng);
+            for (l, r) in [(&candidate, &reference), (&candidate, &candidate)] {
+                assert_eq!(
+                    hazards_subset_exhaustive(l, r, n),
+                    subset_per_transition(l, r, n),
+                    "bit-sliced/per-transition sweep divergence at n={n} on {l:?} ⊆ {r:?}"
+                );
+            }
+        }
+        // Timed case: a clean sweep of a 2n-cube SOP against itself (every
+        // pair examined, the reference evaluated wherever the candidate
+        // glitches).
+        let expr = Expr::from_cover(&random_cover(n, 2 * n, 0x5EE9));
+        g.bench_function(format!("bit_sliced/n{n}"), |b| {
+            b.iter(|| hazards_subset_exhaustive(black_box(&expr), &expr, n))
+        });
+        g.bench_function(format!("per_transition/n{n}"), |b| {
+            b.iter(|| subset_per_transition(black_box(&expr), &expr, n))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     kernels,
     bench_cover_kernels,
     bench_truth_tables,
     bench_cut_enumeration,
     bench_simd_kernels,
-    bench_hazard_search
+    bench_hazard_search,
+    bench_exhaustive_sweep
 );
 criterion_main!(kernels);

@@ -15,9 +15,10 @@ use crate::compare::EXHAUSTIVE_VAR_LIMIT;
 use crate::dynamic2l::find_mic_dyn_haz_2level;
 use crate::function::{disjoint, dynamic_function_hazard_free};
 use crate::multilevel::find_mic_dyn_haz_multilevel;
+use crate::oracle::index_bits;
 use crate::sic::find_sic_hazards;
 use crate::static1::{static_1_analysis, static_1_complete};
-use crate::wave::wave_eval;
+use crate::wave::{sweep_words, wave_eval_word};
 use crate::{Hazard, HazardReport};
 use asyncmap_bff::{flatten, Expr};
 use asyncmap_cube::{Bits, Cover, Cube, VarId};
@@ -83,44 +84,43 @@ pub fn analyze_cover_fast(f: &Cover) -> HazardReport {
 
 /// Sweeps every transition pair and appends hazards not represented by an
 /// existing descriptor. Function-hazardous transitions are skipped: they
-/// are implementation-independent and never logic hazards.
+/// are implementation-independent and never logic hazards. The sweep is
+/// bit-sliced: only the hazardous lanes of each word are classified, in
+/// the same `(a, b)` order as a pair-by-pair loop.
 fn sweep_residual(expr: &Expr, nvars: usize, report: &mut HazardReport) {
-    let size = 1usize << nvars;
-    for a in 0..size {
+    for a in 0..1usize << nvars {
         let ba = index_bits(nvars, a);
         let fa = report.flat.eval(&ba);
-        for b in (a + 1)..size {
-            let bb = index_bits(nvars, b);
-            let w = wave_eval(expr, &ba, &bb);
-            if !w.hazard {
-                continue;
+        for word in a / 64..sweep_words(nvars) {
+            let mut lanes = wave_eval_word(expr, nvars, a, word).hazard;
+            if word == a / 64 {
+                lanes &= (!0u64 << (a % 64)) << 1; // b > a only
             }
-            let fb = report.flat.eval(&bb);
-            let span = Cube::minterm(&ba).supercube(&Cube::minterm(&bb));
-            if fa == fb {
-                // Static transition: function-hazard-free iff f is constant
-                // on the span.
-                if fa {
-                    if !report.flat.covers_cube(&span) {
-                        continue;
-                    }
-                    // Static-1 hazards are complete by construction (the
-                    // uncovered span lies in an uncovered prime), so the
-                    // span is already captured; nothing to add.
-                } else {
-                    if !disjoint(&report.flat, &span) {
-                        continue;
-                    }
-                    add_static0_residual(report, &ba, &bb, nvars);
-                }
-            } else {
-                if !dynamic_function_hazard_free(&report.flat, &ba, &bb) {
-                    continue;
-                }
-                let (zero, one) = if fa { (&bb, &ba) } else { (&ba, &bb) };
-                add_dynamic_residual(report, zero, one, nvars);
+            while lanes != 0 {
+                let b = 64 * word + lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                classify_residual(report, &ba, fa, &index_bits(nvars, b), nvars);
             }
         }
+    }
+}
+
+/// Records the hazardous transition `ba → bb` if it is a logic hazard no
+/// existing descriptor represents.
+fn classify_residual(report: &mut HazardReport, ba: &Bits, fa: bool, bb: &Bits, nvars: usize) {
+    let fb = report.flat.eval(bb);
+    let span = Cube::minterm(ba).supercube(&Cube::minterm(bb));
+    if fa == fb {
+        // Static transition: function-hazard-free iff f is constant on the
+        // span. Static-1 hazards are complete by construction (the
+        // uncovered span lies in an uncovered prime), so only static-0
+        // residuals are added.
+        if !fa && disjoint(&report.flat, &span) {
+            add_static0_residual(report, ba, bb, nvars);
+        }
+    } else if dynamic_function_hazard_free(&report.flat, ba, bb) {
+        let (zero, one) = if fa { (bb, ba) } else { (ba, bb) };
+        add_dynamic_residual(report, zero, one, nvars);
     }
 }
 
@@ -178,14 +178,6 @@ fn add_dynamic_residual(report: &mut HazardReport, zero: &Bits, one: &Bits, _nva
         zero_end: zero_cube,
         one_end: one_cube,
     });
-}
-
-fn index_bits(nvars: usize, m: usize) -> Bits {
-    let mut b = Bits::new(nvars);
-    for v in 0..nvars {
-        b.set(v, (m >> v) & 1 == 1);
-    }
-    b
 }
 
 #[cfg(test)]

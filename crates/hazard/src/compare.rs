@@ -4,13 +4,15 @@
 //! only if `hazards(element) ⊆ hazards(subnetwork)`.
 
 use crate::static1::static1_subset;
-use crate::wave::wave_eval;
+use crate::wave::{sweep_words, wave_eval, wave_eval_word};
 use crate::HazardReport;
 use asyncmap_bff::{flatten, Expr};
-use asyncmap_cube::{Bits, Cube};
+use asyncmap_cube::Cube;
 
 /// Variable-count limit for the exhaustive transition sweep
-/// ([`hazards_subset_exhaustive`]); `4^n` transition pairs are examined.
+/// ([`hazards_subset_exhaustive`]): all `4^n` ordered transition pairs are
+/// decided, in `4^n / 64` bit-sliced word evaluations (`2^n` below six
+/// variables, where one word holds every `β`).
 pub const EXHAUSTIVE_VAR_LIMIT: usize = 8;
 
 /// Per-descriptor minterm-pair cap for the guided comparison.
@@ -37,6 +39,11 @@ pub fn hazards_subset(candidate: &Expr, reference: &Expr, nvars: usize) -> bool 
 /// compute the same function), so the comparison effectively ranges over
 /// logic hazards.
 ///
+/// The sweep is bit-sliced ([`wave_eval_word`]): each `α` is evaluated
+/// against 64 `β` at once, `4^n / 64` word evaluations in all (`2^n`
+/// below six variables), and `reference` is evaluated only for words
+/// where `candidate` has a hazardous lane.
+///
 /// # Panics
 ///
 /// Panics if `nvars > EXHAUSTIVE_VAR_LIMIT`.
@@ -45,21 +52,13 @@ pub fn hazards_subset_exhaustive(candidate: &Expr, reference: &Expr, nvars: usiz
         nvars <= EXHAUSTIVE_VAR_LIMIT,
         "exhaustive sweep limited to {EXHAUSTIVE_VAR_LIMIT} variables"
     );
-    let size = 1usize << nvars;
-    for a in 0..size {
-        let from = index_bits(nvars, a);
-        for b in 0..size {
-            if a == b {
-                continue;
-            }
-            let to = index_bits(nvars, b);
-            let wc = wave_eval(candidate, &from, &to);
-            if wc.hazard && !wave_eval(reference, &from, &to).hazard {
-                return false;
-            }
-        }
-    }
-    true
+    let words = sweep_words(nvars);
+    (0..1usize << nvars).all(|from| {
+        (0..words).all(|word| {
+            let hazards = wave_eval_word(candidate, nvars, from, word).hazard;
+            hazards == 0 || hazards & !wave_eval_word(reference, nvars, from, word).hazard == 0
+        })
+    })
 }
 
 /// Descriptor-guided form: checks each hazard descriptor of `candidate`
@@ -136,14 +135,6 @@ fn pairs_subset(candidate: &Expr, reference: &Expr, zero_end: &Cube, one_end: &C
         }
     }
     true
-}
-
-fn index_bits(nvars: usize, m: usize) -> Bits {
-    let mut b = Bits::new(nvars);
-    for v in 0..nvars {
-        b.set(v, (m >> v) & 1 == 1);
-    }
-    b
 }
 
 #[cfg(test)]

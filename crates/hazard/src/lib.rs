@@ -26,7 +26,8 @@
 //! per-transition oracle for tree-structured expressions under the
 //! arbitrary pure-delay model; the fast algorithms are cross-validated
 //! against it (and against the brute-force [`oracle`] module) in the test
-//! suite.
+//! suite. Its bit-sliced form ([`WavePlanes`], [`wave_eval_word`])
+//! evaluates 64 bursts per tree walk and carries every exhaustive sweep.
 //!
 //! # Examples
 //!
@@ -88,4 +89,4 @@ pub use static1::{
     is_static_1_hazard_free, static1_subset, static_1_analysis, static_1_complete, static_1_free_on,
 };
 pub use ternary_sim::{has_static_hazard, ternary_transition, TernaryOutcome};
-pub use wave::{transition_has_hazard, wave_eval, Wave};
+pub use wave::{sweep_words, transition_has_hazard, wave_eval, wave_eval_word, Wave, WavePlanes};

@@ -18,6 +18,13 @@
 //! algebra (cf. Brzozowski & Seger; Beister's unified treatment, the
 //! paper's ref. [16]); the paper's `findMicDynHazMultiLevel` step 3 uses it
 //! to discard false hazards reported by the flattened two-level filter.
+//!
+//! Exhaustive sweeps over all `4^n` bursts of a small support use the
+//! bit-sliced form [`WavePlanes`]: three `u64` planes (start, end, hazard)
+//! whose lane `j` holds one burst, with the same rules applied bitwise.
+//! [`wave_eval_word`] evaluates one fixed `from` assignment against 64
+//! `to` assignments at once, so a sweep costs `4^n / 64` tree walks
+//! (`2^n` below six variables) instead of `4^n`.
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::Bits;
@@ -167,6 +174,177 @@ pub fn transition_has_hazard(expr: &Expr, from: &Bits, to: &Bits) -> bool {
     wave_eval(expr, from, to).hazard
 }
 
+/// 64 waveform classes side by side: lane `j` of each plane is one
+/// burst's [`Wave`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WavePlanes {
+    /// Settled values before the burst.
+    pub start: u64,
+    /// Settled values after the burst.
+    pub end: u64,
+    /// Lanes where extra transitions are possible.
+    pub hazard: u64,
+}
+
+impl WavePlanes {
+    /// Constant 0 in every lane.
+    pub const C0: WavePlanes = WavePlanes::splat(Wave::C0);
+    /// Constant 1 in every lane.
+    pub const C1: WavePlanes = WavePlanes::splat(Wave::C1);
+
+    /// `wave` in every lane.
+    const fn splat(wave: Wave) -> WavePlanes {
+        WavePlanes {
+            start: all_lanes(wave.start),
+            end: all_lanes(wave.end),
+            hazard: all_lanes(wave.hazard),
+        }
+    }
+
+    /// The class in lane `j` (`j < 64`).
+    pub fn lane(self, j: usize) -> Wave {
+        let bit = |plane: u64| (plane >> j) & 1 == 1;
+        Wave::new(bit(self.start), bit(self.end), bit(self.hazard))
+    }
+
+    /// Lanes holding a static hazard (steady value, possible glitch).
+    pub fn static_hazard(self) -> u64 {
+        !(self.start ^ self.end) & self.hazard
+    }
+
+    /// Lanes where the two operands change in opposite directions: the
+    /// overlap [`Wave::and`] and [`Wave::or`] turn into a created hazard.
+    fn created(self, other: WavePlanes) -> u64 {
+        (self.start ^ self.end) & (other.start ^ other.end) & (self.start ^ other.start)
+    }
+
+    /// [`Wave::and`] in every lane: a constant-0 operand masks the lane.
+    pub fn and(self, other: WavePlanes) -> WavePlanes {
+        let c0 = |p: WavePlanes| !(p.start | p.end | p.hazard);
+        let masked = c0(self) | c0(other);
+        WavePlanes {
+            start: self.start & other.start,
+            end: self.end & other.end,
+            hazard: (self.hazard | other.hazard | self.created(other)) & !masked,
+        }
+    }
+
+    /// [`Wave::or`] in every lane: a constant-1 operand masks the lane.
+    pub fn or(self, other: WavePlanes) -> WavePlanes {
+        let c1 = |p: WavePlanes| p.start & p.end & !p.hazard;
+        let masked = c1(self) | c1(other);
+        WavePlanes {
+            start: self.start | other.start,
+            end: self.end | other.end,
+            hazard: (self.hazard | other.hazard | self.created(other)) & !masked,
+        }
+    }
+
+    /// [`Wave::not`] in every lane.
+    #[allow(clippy::should_implement_trait)]
+    pub fn not(self) -> WavePlanes {
+        WavePlanes {
+            start: !self.start,
+            end: !self.end,
+            hazard: self.hazard,
+        }
+    }
+}
+
+/// `bit` in all 64 lanes.
+const fn all_lanes(bit: bool) -> u64 {
+    0u64.wrapping_sub(bit as u64)
+}
+
+/// Bit `j` of `LANE_VARS[v]` is bit `v` of `j`: the `to` values of the six
+/// low variables across one word's 64 lanes.
+const LANE_VARS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Number of 64-lane words that hold the `2^nvars` `to` assignments of a
+/// sweep over `nvars` variables.
+pub fn sweep_words(nvars: usize) -> usize {
+    (1usize << nvars).div_ceil(64)
+}
+
+/// Evaluates `expr` for the 64 bursts `from → to` with
+/// `to = 64·word + j` in lane `j`, assignments indexed as in a truth
+/// table (bit `v` of the index is variable `v`). Variables below 6 take
+/// the lane pattern, higher ones are constant across the word. Lanes at
+/// or beyond `2^nvars` read as clean constant 0, and the `from == to`
+/// lane never carries a hazard (every leaf is constant there).
+///
+/// Lane for lane the result equals [`wave_eval`] on the same burst.
+///
+/// # Examples
+///
+/// ```
+/// use asyncmap_bff::Expr;
+/// use asyncmap_cube::VarTable;
+/// use asyncmap_hazard::wave_eval_word;
+///
+/// // ab + a'b glitches when a changes with b = 1 held.
+/// let mut vars = VarTable::new();
+/// let e = Expr::parse("a*b + a'*b", &mut vars)?;
+/// let planes = wave_eval_word(&e, 2, 0b10, 0);
+/// assert_eq!(planes.static_hazard(), 1 << 0b11);
+/// # Ok::<(), asyncmap_bff::ParseBffError>(())
+/// ```
+pub fn wave_eval_word(expr: &Expr, nvars: usize, from: usize, word: usize) -> WavePlanes {
+    debug_assert!(word < sweep_words(nvars), "word {word} out of range");
+    let live = if nvars >= 6 {
+        !0
+    } else {
+        (1u64 << (1 << nvars)) - 1
+    };
+    let p = planes_of(expr, from, word);
+    WavePlanes {
+        start: p.start & live,
+        end: p.end & live,
+        hazard: p.hazard & live,
+    }
+}
+
+fn planes_of(expr: &Expr, from: usize, word: usize) -> WavePlanes {
+    match expr {
+        Expr::Const(b) => {
+            if *b {
+                WavePlanes::C1
+            } else {
+                WavePlanes::C0
+            }
+        }
+        Expr::Var(v) => {
+            let bit = |index: usize, shift: usize| all_lanes((index >> shift) & 1 == 1);
+            let v = v.index();
+            WavePlanes {
+                start: bit(from, v),
+                end: if v < 6 {
+                    LANE_VARS[v]
+                } else {
+                    bit(word, v - 6)
+                },
+                hazard: 0,
+            }
+        }
+        Expr::Not(e) => planes_of(e, from, word).not(),
+        Expr::And(es) => es
+            .iter()
+            .map(|e| planes_of(e, from, word))
+            .fold(WavePlanes::C1, WavePlanes::and),
+        Expr::Or(es) => es
+            .iter()
+            .map(|e| planes_of(e, from, word))
+            .fold(WavePlanes::C0, WavePlanes::or),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,6 +451,79 @@ mod tests {
         let w = wave_eval(&e, &alpha, &beta);
         assert!(w.is_static_hazard());
         assert!(!w.start && !w.end);
+    }
+
+    /// All eight classes: the four clean ones and their hazardous
+    /// `0*`, `1*`, `R*`, `F*` twins.
+    fn all_classes() -> [Wave; 8] {
+        let mut classes = [Wave::C0; 8];
+        for (i, w) in classes.iter_mut().enumerate() {
+            *w = Wave::new(i & 1 == 1, i & 2 == 2, i & 4 == 4);
+        }
+        classes
+    }
+
+    /// Planes whose lane `j` holds `pick(j)`.
+    fn planes(pick: impl Fn(usize) -> Wave) -> WavePlanes {
+        let mut p = WavePlanes::C0;
+        for j in 0..64 {
+            let w = pick(j);
+            p.start |= u64::from(w.start) << j;
+            p.end |= u64::from(w.end) << j;
+            p.hazard |= u64::from(w.hazard) << j;
+        }
+        p
+    }
+
+    #[test]
+    fn planes_apply_wave_rules_in_every_lane() {
+        // Lane j pairs class j % 8 with class j / 8: all 64 ordered pairs
+        // in one word.
+        let classes = all_classes();
+        let left = planes(|j| classes[j % 8]);
+        let right = planes(|j| classes[j / 8]);
+        let (and, or, not) = (left.and(right), left.or(right), left.not());
+        for j in 0..64 {
+            let (l, r) = (classes[j % 8], classes[j / 8]);
+            assert_eq!(and.lane(j), l.and(r), "{l} AND {r}");
+            assert_eq!(or.lane(j), l.or(r), "{l} OR {r}");
+            assert_eq!(not.lane(j), l.not(), "NOT {l}");
+        }
+        for w in classes {
+            assert_eq!(WavePlanes::splat(w).lane(63), w);
+        }
+    }
+
+    #[test]
+    fn word_evaluation_matches_wave_eval_lane_by_lane() {
+        // One-word spaces with masked lanes (n < 6), exactly one word
+        // (n = 6) and two words (n = 7); unused variables, constant
+        // leaves, single-child gates and complemented gates.
+        let mut vars = VarTable::new();
+        let sop = Expr::parse("a*b + a'*c + b*c", &mut vars).unwrap();
+        let nested = Expr::parse("(a + b*(c + d'))' + a*d", &mut vars).unwrap();
+        let wide = Expr::parse("(a*b*c + d*e*f)*(a' + f') + g", &mut vars).unwrap();
+        let odd = Expr::Or(vec![
+            Expr::And(vec![sop.clone()]).not(),
+            Expr::And(vec![Expr::Const(true), nested.clone()]),
+            Expr::Const(false),
+        ]);
+        for (e, n) in [(&sop, 3), (&nested, 5), (&odd, 6), (&wide, 7)] {
+            for from in [0, (1 << n) - 1, 0b1010101 & ((1 << n) - 1)] {
+                for word in 0..sweep_words(n) {
+                    let p = wave_eval_word(e, n, from, word);
+                    for j in 0..64 {
+                        let to = 64 * word + j;
+                        let want = if to < 1 << n {
+                            wave_eval(e, &bits(n, from), &bits(n, to))
+                        } else {
+                            Wave::C0
+                        };
+                        assert_eq!(p.lane(j), want, "{e:?}: {from:#b} -> {to:#b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
