@@ -1,20 +1,23 @@
 //! The verdict store behind the `_cached` audit entry points.
 //!
 //! Keys are exact: an injective preorder byte encoding of everything an
-//! expression-pure obligation depends on, built in one reusable buffer
-//! and probed as `&[u8]`, so a warm lookup allocates nothing. A verdict
-//! is the obligation's info notes (without paths) and the partial hazard
+//! obligation depends on, built in one reusable buffer and probed as
+//! `&[u8]`, so a warm lookup allocates nothing. A verdict is the
+//! obligation's info notes (without paths) and the partial hazard
 //! re-checks they report; replaying it re-emits the notes under the
-//! current obligation's path.
+//! current obligation's path. An equation audit's verdict is the whole
+//! share one equation adds to a report (see [`crate::equation`]).
 
 use std::collections::HashMap;
 
 use asyncmap_bff::Expr;
+use asyncmap_cube::{Cover, Phase};
 use asyncmap_network::RewriteRule;
 
+use crate::equation::EquationVerdict;
 use crate::report::{AuditReport, Severity};
 
-/// Reuse cache for the `_cached` audit entry points.
+/// Reuse cache for [`audit_equations_cached`](crate::audit_equations_cached).
 ///
 /// The expensive audit obligations — equivalence proofs, hazard-
 /// monotonicity ladders, flatten replays — are pure functions of the
@@ -29,23 +32,56 @@ use crate::report::{AuditReport, Severity};
 /// [`AuditCounters`](crate::AuditCounters) — and its notes are re-emitted
 /// under the new obligation's path, together with the partial hazard
 /// re-checks they report, so the warm report lists exactly the
-/// diagnostics a cold one would.
+/// diagnostics a cold one would. Obligations that produced a finding are
+/// never stored.
 ///
-/// Everything that binds certificates to a *particular* network — rule
-/// applicability, gate-tree realization walks, the no-uncertified-logic
-/// sweep, output roots, source fidelity, input-inverter steps, the whole
-/// partition check — always re-runs in full, so a warm cache adds no
-/// trust assumption beyond "this exact obligation was discharged before".
-/// Obligations that produced a finding are never stored.
-#[derive(Debug, Default)]
+/// One more kind of entry, the **equation audit**, discharges a whole
+/// unchanged equation in one lookup. Its key is the exact encoding of
+/// `nvars`, the equation's name, its cover (cube order and literal order
+/// included) and its inverter context: for each input the equation uses
+/// negated, whether it emits that input's inverter (it is the first
+/// user) and whether that inverter is a cone root of the whole design
+/// (fanout ≥ 2, or itself an output). The context is read off all the
+/// covers in one pass, with no decomposition. Its value is everything the
+/// equation adds to a report when each of its step, certificate and
+/// flatten obligations is discharged by reference: the counters, and the
+/// notes with their step index and cone root relative to the equation, so
+/// a replay names the same paths as a whole-design run.
+///
+/// Trust. The design-level checks run on every call: output names must
+/// be distinct, every cover must fit the decomposition, and each
+/// inverter the covers show to be a cone root (by its fanout or output
+/// evidence) gets its cone and flatten obligation. An edited equation is
+/// decomposed alone in its whole-design context and audited by the same
+/// step-level checks, which bind its certificates to the gates it
+/// produced; its gate and step counts must be the ones the context
+/// predicts, and its cone must match an independent re-walk. If any
+/// finding appears, the audit falls back to the whole-network step-level
+/// path, so findings and their paths are exactly a cold audit's. A warm
+/// cache
+/// therefore rests on "this exact obligation was discharged before" and
+/// on exactly one further assumption: the front end's output for an
+/// equation — its gates, steps, certificate and cone — is a function of
+/// its equation-audit key. A differential test (`equation::tests`)
+/// holds the code to it.
+#[derive(Debug, Clone, Default)]
 pub struct AuditCache {
-    verdicts: HashMap<Box<[u8]>, Verdict>,
+    verdicts: HashMap<Box<[u8]>, Entry>,
     /// Reusable key buffer.
     key: Vec<u8>,
 }
 
+/// A stored verdict, by obligation kind.
+#[derive(Debug, Clone)]
+enum Entry {
+    /// A step, certificate or flatten obligation.
+    Obligation(Verdict),
+    /// An equation audit.
+    Equation(Box<EquationVerdict>),
+}
+
 /// What replaying a stored obligation adds back to a report.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Verdict {
     /// `(code, message)` of each info note, in emission order.
     notes: Box<[(&'static str, String)]>,
@@ -70,14 +106,23 @@ pub(crate) enum Obligation<'a> {
     },
     /// A cone's flatten replay.
     Flatten { leaves: usize, expr: &'a Expr },
+    /// One equation's whole share of a design audit. `inverters` holds
+    /// one byte per input the cover uses negated, in first-use order: bit
+    /// 0 set iff the equation emits that input's inverter, bit 1 iff the
+    /// inverter is a cone root of the whole design.
+    EquationAudit {
+        nvars: usize,
+        name: &'a str,
+        cover: &'a Cover,
+        inverters: &'a [u8],
+    },
 }
 
 impl Obligation<'_> {
-    /// Writes the exact key into `out` (cleared first). A kind byte leads
-    /// and every later field is self-delimiting, so distinct obligations
-    /// never share a key.
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.clear();
+    /// Appends the exact key to `out`. A kind byte leads and every later
+    /// field is self-delimiting, so distinct obligations never share a
+    /// key.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         match *self {
             Obligation::Step {
                 nvars,
@@ -110,6 +155,29 @@ impl Obligation<'_> {
                 put_varint(out, leaves as u64);
                 encode_expr(expr, out);
             }
+            Obligation::EquationAudit {
+                nvars,
+                name,
+                cover,
+                inverters,
+            } => {
+                out.push(3);
+                put_varint(out, nvars as u64);
+                put_varint(out, name.len() as u64);
+                out.extend_from_slice(name.as_bytes());
+                put_varint(out, cover.len() as u64);
+                for cube in cover.cubes() {
+                    put_varint(out, u64::from(cube.num_literals()));
+                    for (v, phase) in cube.literals() {
+                        put_varint(
+                            out,
+                            (v.index() as u64) << 1 | u64::from(phase == Phase::Neg),
+                        );
+                    }
+                }
+                put_varint(out, inverters.len() as u64);
+                out.extend_from_slice(inverters);
+            }
         }
     }
 }
@@ -138,7 +206,8 @@ impl AuditCache {
         Self::default()
     }
 
-    /// Total verdicts remembered (steps + equations + flattens).
+    /// Total verdicts remembered (steps + equation certificates +
+    /// flattens + equation audits).
     pub fn entries(&self) -> usize {
         self.verdicts.len()
     }
@@ -153,8 +222,9 @@ impl AuditCache {
         report: &mut AuditReport,
         path: impl Fn() -> String,
     ) -> bool {
+        self.key.clear();
         ob.encode(&mut self.key);
-        let Some(verdict) = self.verdicts.get(self.key.as_slice()) else {
+        let Some(Entry::Obligation(verdict)) = self.verdicts.get(self.key.as_slice()) else {
             return false;
         };
         for (code, message) in verdict.notes.iter() {
@@ -166,6 +236,7 @@ impl AuditCache {
             Obligation::Step { .. } => k.reused_steps += 1,
             Obligation::Equation { .. } => k.reused_equations += 1,
             Obligation::Flatten { .. } => k.reused_flattens += 1,
+            Obligation::EquationAudit { .. } => unreachable!("equation audits replay as a whole"),
         }
         true
     }
@@ -188,14 +259,30 @@ impl AuditCache {
         } else {
             report.counters.hazard_partial - mark.hazard_partial
         };
+        self.key.clear();
         ob.encode(&mut self.key);
         self.verdicts.insert(
             self.key.as_slice().into(),
-            Verdict {
+            Entry::Obligation(Verdict {
                 notes,
                 hazard_partial,
-            },
+            }),
         );
+    }
+
+    /// The equation audit stored under `key`, an
+    /// [`Obligation::EquationAudit`] encoding.
+    pub(crate) fn equation(&self, key: &[u8]) -> Option<&EquationVerdict> {
+        match self.verdicts.get(key) {
+            Some(Entry::Equation(verdict)) => Some(verdict),
+            _ => None,
+        }
+    }
+
+    /// Stores an equation audit under `key`.
+    pub(crate) fn record_equation(&mut self, key: &[u8], verdict: EquationVerdict) {
+        self.verdicts
+            .insert(key.into(), Entry::Equation(Box::new(verdict)));
     }
 }
 
@@ -337,6 +424,13 @@ mod tests {
     #[test]
     fn obligation_keys_separate_kinds_and_fields() {
         let (x, y) = (var(0), var(1));
+        // A cover, its cubes swapped, and one of its cubes alone: names,
+        // cube order, cubes and inverter context all enter an
+        // equation-audit key.
+        let vars = asyncmap_cube::VarTable::from_names(["a", "b"]);
+        let ab = Cover::parse("a'b + a", &vars).unwrap();
+        let ba = Cover::parse("a + a'b", &vars).unwrap();
+        let a_b = Cover::parse("a'b", &vars).unwrap();
         let keys = [
             Obligation::Step {
                 nvars: 2,
@@ -373,6 +467,36 @@ mod tests {
             Obligation::Flatten {
                 leaves: 1,
                 expr: &x,
+            },
+            Obligation::EquationAudit {
+                nvars: 2,
+                name: "f",
+                cover: &ab,
+                inverters: &[1],
+            },
+            Obligation::EquationAudit {
+                nvars: 2,
+                name: "g",
+                cover: &ab,
+                inverters: &[1],
+            },
+            Obligation::EquationAudit {
+                nvars: 2,
+                name: "f",
+                cover: &ab,
+                inverters: &[3],
+            },
+            Obligation::EquationAudit {
+                nvars: 2,
+                name: "f",
+                cover: &ba,
+                inverters: &[1],
+            },
+            Obligation::EquationAudit {
+                nvars: 2,
+                name: "f",
+                cover: &a_b,
+                inverters: &[1],
             },
         ]
         .map(|ob| {

@@ -236,7 +236,8 @@ pub fn check_decomp_trace(net: &Network, trace: &DecompTrace) -> AuditReport {
 /// Everything tied to *this* network (rule applicability, node
 /// realization walks, the no-uncertified-logic sweep, output-root
 /// checks) always runs in full.
-pub fn check_decomp_trace_cached(
+#[cfg(test)]
+pub(crate) fn check_decomp_trace_cached(
     net: &Network,
     trace: &DecompTrace,
     cache: &mut AuditCache,
@@ -426,9 +427,10 @@ pub fn check_decomp(eqs: &EquationSet, net: &Network, trace: &DecompTrace) -> Au
     check_decomp_inner(eqs, net, trace, None)
 }
 
-/// [`check_decomp`] over [`check_decomp_trace_cached`]: same reuse rules,
-/// and source fidelity is always checked in full.
-pub fn check_decomp_cached(
+/// [`check_decomp`] with reuse under `cache`: step and certificate
+/// obligations are discharged as in `check_decomp_trace_cached`, and
+/// source fidelity is always checked in full.
+pub(crate) fn check_decomp_cached(
     eqs: &EquationSet,
     net: &Network,
     trace: &DecompTrace,

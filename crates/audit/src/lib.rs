@@ -37,6 +37,7 @@
 
 mod cache;
 pub mod decomp_check;
+mod equation;
 pub mod equiv;
 pub mod flatten_check;
 pub mod monotone;
@@ -45,9 +46,7 @@ pub mod report;
 pub mod spec_check;
 
 pub use cache::AuditCache;
-pub use decomp_check::{
-    check_decomp, check_decomp_cached, check_decomp_trace, check_decomp_trace_cached,
-};
+pub use decomp_check::{check_decomp, check_decomp_trace};
 pub use equiv::{prove_equal, EquivProof, TRUTH_VAR_LIMIT};
 pub use flatten_check::check_flatten;
 use flatten_check::FLATTEN_PATH;
@@ -56,12 +55,14 @@ pub use partition_check::check_partition;
 pub use report::{AuditCounters, AuditReport, Finding, Severity};
 pub use spec_check::check_spec;
 
+use asyncmap_bff::Expr;
 use asyncmap_hazard::multilevel_flatten_traced;
 use asyncmap_network::{
     async_tech_decomp_traced, partition_traced, Cone, DecompTrace, EquationSet, Network,
     PartitionTrace,
 };
 use cache::{Mark, Obligation};
+use decomp_check::check_decomp_cached;
 
 /// Audits the flatten collapse of every cone: replays
 /// [`multilevel_flatten_traced`] per cone and checks the resulting
@@ -76,7 +77,7 @@ pub fn audit_cone_flattens(net: &Network, cones: &[Cone]) -> AuditReport {
 /// discharged by reference — the flatten is deterministic in the
 /// expression, so the replay would reproduce the stored verdict verbatim,
 /// and its notes are re-emitted.
-pub fn audit_cone_flattens_cached(
+pub(crate) fn audit_cone_flattens_cached(
     net: &Network,
     cones: &[Cone],
     cache: &mut AuditCache,
@@ -92,44 +93,66 @@ fn audit_cone_flattens_inner(
     let mut report = AuditReport::default();
     for cone in cones {
         let (expr, vars) = cone.to_expr(net);
-        let path = || format!("cone:{}", net.name(cone.root));
-        let ob = Obligation::Flatten {
-            leaves: vars.len(),
-            expr: &expr,
-        };
-        if let Some(c) = cache.as_deref_mut() {
-            if c.replay(&ob, &mut report, || FLATTEN_PATH.to_owned()) {
-                report.counters.flatten_traces += 1;
-                continue;
-            }
-        }
-        if product_estimate(&expr) > FLATTEN_REPLAY_CAP {
-            report.counters.flatten_skipped += 1;
-            report.push(
-                Severity::Info,
-                "flatten.replay-skipped",
-                path(),
-                "product estimate over the replay cap".to_owned(),
-            );
-            continue;
-        }
-        let (flat, trace) = multilevel_flatten_traced(&expr, vars.len());
-        if trace.source != expr {
-            report.push(
-                Severity::Error,
-                "flatten.source-mismatch",
-                path(),
-                "collapse trace does not start from the cone's expression".to_owned(),
-            );
-            continue;
-        }
-        let mark = Mark::of(&report);
-        report.merge(check_flatten(&flat, &trace, vars.len()));
-        if let Some(c) = cache.as_deref_mut() {
-            c.record(&ob, &report, mark);
-        }
+        audit_flatten(&mut report, cache.as_deref_mut(), &expr, vars.len(), || {
+            format!("cone:{}", net.name(cone.root))
+        });
     }
     report
+}
+
+/// How [`audit_flatten`] discharged a cone's flatten obligation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Discharge {
+    /// By reference to a stored verdict.
+    Reused,
+    /// Not at all: the product estimate is over the replay cap.
+    Skipped,
+    /// By replaying the collapse.
+    Checked,
+}
+
+/// Audits the flatten collapse of one cone's expression over `leaves`
+/// leaves into `report`; `path` names the cone.
+pub(crate) fn audit_flatten(
+    report: &mut AuditReport,
+    mut cache: Option<&mut AuditCache>,
+    expr: &Expr,
+    leaves: usize,
+    path: impl Fn() -> String,
+) -> Discharge {
+    let ob = Obligation::Flatten { leaves, expr };
+    if let Some(c) = cache.as_deref_mut() {
+        if c.replay(&ob, report, || FLATTEN_PATH.to_owned()) {
+            report.counters.flatten_traces += 1;
+            return Discharge::Reused;
+        }
+    }
+    if product_estimate(expr) > FLATTEN_REPLAY_CAP {
+        report.counters.flatten_skipped += 1;
+        report.push(
+            Severity::Info,
+            "flatten.replay-skipped",
+            path(),
+            "product estimate over the replay cap".to_owned(),
+        );
+        return Discharge::Skipped;
+    }
+    let (flat, trace) = multilevel_flatten_traced(expr, leaves);
+    if trace.source != *expr {
+        report.push(
+            Severity::Error,
+            "flatten.source-mismatch",
+            path(),
+            "collapse trace does not start from the cone's expression".to_owned(),
+        );
+        return Discharge::Checked;
+    }
+    let mark = Mark::of(report);
+    report.merge(check_flatten(&flat, &trace, leaves));
+    if let Some(c) = cache {
+        c.record(&ob, report, mark);
+    }
+    Discharge::Checked
 }
 
 /// Checks a full front-end run — decomposition, partition and per-cone
@@ -150,7 +173,7 @@ pub fn check_pipeline(
 /// [`check_pipeline`] with reuse of expression-pure obligations under
 /// `cache` (see [`AuditCache`]). The partition check and every
 /// network-bound obligation run in full.
-pub fn check_pipeline_cached(
+pub(crate) fn check_pipeline_cached(
     eqs: &EquationSet,
     net: &Network,
     dtrace: &DecompTrace,
@@ -171,23 +194,35 @@ pub fn check_pipeline_cached(
 pub fn audit_equations(eqs: &EquationSet) -> AuditReport {
     let (net, dtrace) = async_tech_decomp_traced(eqs);
     let (cones, ptrace) = partition_traced(&net);
-    check_pipeline(eqs, &net, &dtrace, &cones, &ptrace)
+    let mut report = check_pipeline(eqs, &net, &dtrace, &cones, &ptrace);
+    report.counters.decomposed_equations = eqs.equations.len();
+    report
 }
 
 /// [`audit_equations`] with reuse under `cache`: the entry point for
 /// incremental (ECO) flows, where successive audits share almost every
-/// certificate. On a fresh cache the verdict and diagnostics are
-/// identical to [`audit_equations`]'s; only the work counters differ.
+/// certificate. An equation whose equation audit is stored (see
+/// [`AuditCache`]) is discharged by one lookup and not decomposed; the
+/// others are decomposed alone, in their whole-design context, and
+/// audited step by step. If that finds anything, the whole network is
+/// decomposed and audited step by step instead. On a fresh cache the
+/// verdict and diagnostics are identical to [`audit_equations`]'s; only
+/// the work counters differ.
 pub fn audit_equations_cached(eqs: &EquationSet, cache: &mut AuditCache) -> AuditReport {
-    let (net, dtrace) = async_tech_decomp_traced(eqs);
-    let (cones, ptrace) = partition_traced(&net);
-    check_pipeline_cached(eqs, &net, &dtrace, &cones, &ptrace, cache)
+    equation::audit(eqs, cache).unwrap_or_else(|| {
+        let (net, dtrace) = async_tech_decomp_traced(eqs);
+        let (cones, ptrace) = partition_traced(&net);
+        let mut report = check_pipeline_cached(eqs, &net, &dtrace, &cones, &ptrace, cache);
+        report.counters.decomposed_equations = eqs.equations.len();
+        report
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use asyncmap_cube::{Cover, VarTable};
+    use decomp_check::check_decomp_trace_cached;
 
     #[test]
     fn figure3_pipeline_audits_clean() {

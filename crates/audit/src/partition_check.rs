@@ -19,7 +19,7 @@ use crate::report::{AuditReport, Severity};
 /// from `root`, stopping at inputs and at other cut signals, collecting
 /// leaves in first-visit order (deduplicated) and gates sorted. `seen` is
 /// all-`false` scratch over the signals, and is left that way.
-fn rewalk_cone(
+pub(crate) fn rewalk_cone(
     net: &Network,
     root: SignalId,
     is_cut: &[bool],

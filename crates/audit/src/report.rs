@@ -7,7 +7,7 @@ pub use asyncmap_report::{Finding, Severity};
 use asyncmap_report::{Report, Totals};
 
 /// What the audit examined, for report context.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditCounters {
     /// Decomposition rewrite steps replayed.
     pub rewrite_steps: usize,
@@ -46,6 +46,10 @@ pub struct AuditCounters {
     /// Flatten collapses likewise discharged by reuse (counted inside
     /// [`AuditCounters::flatten_traces`]).
     pub reused_flattens: usize,
+    /// Equations the audit ran through the decomposition front end: all
+    /// of them on a whole-design audit, only those without a stored
+    /// equation audit on a warm cached one.
+    pub decomposed_equations: usize,
 }
 
 impl AuditCounters {
@@ -99,6 +103,7 @@ impl asyncmap_report::Counters for AuditCounters {
         self.reused_steps += other.reused_steps;
         self.reused_equations += other.reused_equations;
         self.reused_flattens += other.reused_flattens;
+        self.decomposed_equations += other.decomposed_equations;
     }
 }
 

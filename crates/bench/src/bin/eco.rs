@@ -15,14 +15,19 @@
 //! and on the 50k design the stitched output must additionally pass the
 //! independent lint pass and the transformation audit.
 //!
+//! For one edit on the 50k design it also times the warm audit:
+//! `audit_equations_cached` of the edited equations on a clone of an
+//! `AuditCache` warmed by the base design, with the same discipline.
+//!
 //! Usage: `eco [--runs N] [--out PATH] [--large]` (defaults: 9 runs,
 //! `BENCH_eco.json`, 50k design only; `--large` adds gen200000-s7).
 
+use asyncmap_audit::{audit_equations_cached, AuditCache};
 use asyncmap_bench::{
     apply_edits, design_fingerprint, generate, generate_edits, header, host_cpus, secs,
     time_median, write_json, BenchRecord, GenSpec, WARMUP_RUNS,
 };
-use asyncmap_core::{async_tmap, EcoSession, MapOptions};
+use asyncmap_core::{async_tmap, EcoSession, MapOptions, PhaseTimes};
 use asyncmap_library::builtin;
 use std::time::{Duration, Instant};
 
@@ -128,6 +133,7 @@ fn main() {
                 "{}/edit{edit_count}: eco remap diverged from cold map",
                 spec.name()
             );
+            let mut audit_record = None;
             if spec.target_gates <= 50_000 && edit_count == 1 {
                 // The reuse-aware verification passes, caches warmed on the
                 // base design — the full ECO loop, not just the remap.
@@ -145,9 +151,9 @@ fn main() {
                     spec.name(),
                     lint.render()
                 );
-                let mut audit_cache = asyncmap_audit::AuditCache::new();
-                asyncmap_audit::audit_equations_cached(&eqs, &mut audit_cache);
-                let audit = asyncmap_audit::audit_equations_cached(&edited, &mut audit_cache);
+                let mut base_audit = AuditCache::new();
+                audit_equations_cached(&eqs, &mut base_audit);
+                let audit = audit_equations_cached(&edited, &mut base_audit.clone());
                 assert!(
                     audit.is_clean(),
                     "{}: transformation audit rejected the edited pipeline\n{}",
@@ -164,6 +170,25 @@ fn main() {
                     ac.reused_steps + ac.reused_equations + ac.reused_flattens,
                     audit.counters.num_certificates()
                 );
+                let audit_t = time_median_prepared(
+                    gen_runs,
+                    || base_audit.clone(),
+                    |mut cache| {
+                        let report = audit_equations_cached(&edited, &mut cache);
+                        (cache, report)
+                    },
+                );
+                println!("{}: warm audit of the edit {}", spec.name(), secs(audit_t));
+                audit_record = Some(BenchRecord {
+                    name: format!("{}/eco-audit-edit{edit_count}", spec.name()),
+                    median: audit_t,
+                    threads: 1,
+                    host_cpus: cpus,
+                    cache_hit_rate: None,
+                    npn_hit_rate: None,
+                    phases: PhaseTimes::default(),
+                    speedup_vs_seq: None,
+                });
             }
 
             let cold_t = time_median(gen_runs, || {
@@ -208,6 +233,7 @@ fn main() {
                 phases: eco_out.design.stats.phases,
                 speedup_vs_seq: Some(1.0 / fraction.max(1e-9)),
             });
+            records.extend(audit_record);
         }
     }
 

@@ -12,6 +12,7 @@ use crate::certificate::{DecompTrace, EquationCert, RewriteRule, RewriteStep};
 use crate::{GateOp, Network, SignalId};
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Cover, Phase, VarTable};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A technology-independent design: named output equations (two-level SOP
@@ -114,83 +115,113 @@ fn decompose(eqs: &EquationSet, simplify: bool, mut trace: Option<&mut DecompTra
     let mut inverters: HashMap<SignalId, SignalId> = HashMap::new();
     for (name, cover) in &eqs.equations {
         let cover = if simplify {
-            cover.irredundant()
+            Cow::Owned(cover.irredundant())
         } else {
-            cover.clone()
+            Cow::Borrowed(cover)
         };
-        let mut cube_signals = Vec::with_capacity(cover.len());
-        let mut cube_exprs: Vec<Expr> = Vec::new();
-        for cube in cover.cubes() {
-            let mut literal_signals = Vec::new();
-            let mut literal_exprs: Vec<Expr> = Vec::new();
-            for (v, phase) in cube.literals() {
-                let sig = input_ids[v.index()];
-                let sig = match phase {
-                    Phase::Pos => sig,
-                    Phase::Neg => match inverters.get(&sig) {
-                        Some(&inv) => inv,
-                        None => {
-                            let inv = net.add_gate(GateOp::Inv, [sig]);
-                            inverters.insert(sig, inv);
-                            if let Some(t) = trace.as_deref_mut() {
-                                let lit = Expr::literal(v, Phase::Neg);
-                                t.steps.push(RewriteStep {
-                                    rule: RewriteRule::InputInverter,
-                                    equation: name.clone(),
-                                    node: inv,
-                                    before: lit.clone(),
-                                    after: lit,
-                                });
-                            }
-                            inv
+        decompose_equation(
+            &mut net,
+            &input_ids,
+            &mut inverters,
+            name,
+            &cover,
+            trace.as_deref_mut(),
+        );
+    }
+    net
+}
+
+/// Decomposes one equation into `net` with the associative law only and
+/// marks its root as output `name`: one balanced AND tree per cube, then a
+/// balanced OR tree over the cubes. A negative literal reads the inverter
+/// `inverters` maps its input to, and adds one (recorded there) only when
+/// there is none yet, so an equation's gates depend on its cover and on
+/// which inputs already have an inverter — nothing else. `inputs[i]` is
+/// the signal of cover variable `i`. With `trace`, appends the equation's
+/// rewrite steps and its end-to-end certificate. Returns the root.
+///
+/// [`async_tech_decomp`] is this function applied to each equation in
+/// order over one shared inverter map.
+pub fn decompose_equation(
+    net: &mut Network,
+    inputs: &[SignalId],
+    inverters: &mut HashMap<SignalId, SignalId>,
+    name: &str,
+    cover: &Cover,
+    mut trace: Option<&mut DecompTrace>,
+) -> SignalId {
+    let mut cube_signals = Vec::with_capacity(cover.len());
+    let mut cube_exprs: Vec<Expr> = Vec::new();
+    for cube in cover.cubes() {
+        let mut literal_signals = Vec::new();
+        let mut literal_exprs: Vec<Expr> = Vec::new();
+        for (v, phase) in cube.literals() {
+            let sig = inputs[v.index()];
+            let sig = match phase {
+                Phase::Pos => sig,
+                Phase::Neg => match inverters.get(&sig) {
+                    Some(&inv) => inv,
+                    None => {
+                        let inv = net.add_gate(GateOp::Inv, [sig]);
+                        inverters.insert(sig, inv);
+                        if let Some(t) = trace.as_deref_mut() {
+                            let lit = Expr::literal(v, Phase::Neg);
+                            t.steps.push(RewriteStep {
+                                rule: RewriteRule::InputInverter,
+                                equation: name.to_owned(),
+                                node: inv,
+                                before: lit.clone(),
+                                after: lit,
+                            });
                         }
-                    },
-                };
-                literal_signals.push(sig);
-                if trace.is_some() {
-                    literal_exprs.push(Expr::literal(v, phase));
-                }
+                        inv
+                    }
+                },
+            };
+            literal_signals.push(sig);
+            if trace.is_some() {
+                literal_exprs.push(Expr::literal(v, phase));
             }
-            let arity = literal_signals.len();
-            let and_root = balanced_tree(&mut net, GateOp::And, literal_signals);
-            if let Some(t) = trace.as_deref_mut() {
-                let tree = balanced_tree_expr(literal_exprs.clone(), GateOp::And);
-                if arity >= 2 {
-                    t.steps.push(RewriteStep {
-                        rule: RewriteRule::AssocRegroup,
-                        equation: name.clone(),
-                        node: and_root,
-                        before: Expr::And(literal_exprs),
-                        after: tree.clone(),
-                    });
-                }
-                cube_exprs.push(tree);
-            }
-            cube_signals.push(and_root);
         }
-        let n_cubes = cube_signals.len();
-        let root = balanced_tree(&mut net, GateOp::Or, cube_signals);
+        let arity = literal_signals.len();
+        let and_root = balanced_tree(net, GateOp::And, literal_signals);
         if let Some(t) = trace.as_deref_mut() {
-            let tree = balanced_tree_expr(cube_exprs.clone(), GateOp::Or);
-            if n_cubes >= 2 {
+            let tree = balanced_tree_expr(literal_exprs.clone(), GateOp::And);
+            if arity >= 2 {
                 t.steps.push(RewriteStep {
                     rule: RewriteRule::AssocRegroup,
-                    equation: name.clone(),
-                    node: root,
-                    before: Expr::Or(cube_exprs),
+                    equation: name.to_owned(),
+                    node: and_root,
+                    before: Expr::And(literal_exprs),
                     after: tree.clone(),
                 });
             }
-            t.equations.push(EquationCert {
-                name: name.clone(),
-                root,
-                source: Expr::from_cover(&cover),
-                result: tree,
+            cube_exprs.push(tree);
+        }
+        cube_signals.push(and_root);
+    }
+    let n_cubes = cube_signals.len();
+    let root = balanced_tree(net, GateOp::Or, cube_signals);
+    if let Some(t) = trace {
+        let tree = balanced_tree_expr(cube_exprs.clone(), GateOp::Or);
+        if n_cubes >= 2 {
+            t.steps.push(RewriteStep {
+                rule: RewriteRule::AssocRegroup,
+                equation: name.to_owned(),
+                node: root,
+                before: Expr::Or(cube_exprs),
+                after: tree.clone(),
             });
         }
-        net.mark_output(name, root);
+        t.equations.push(EquationCert {
+            name: name.to_owned(),
+            root,
+            source: Expr::from_cover(cover),
+            result: tree,
+        });
     }
-    net
+    net.mark_output(name, root);
+    root
 }
 
 /// Decomposes a single factored-form expression (over the primary inputs of

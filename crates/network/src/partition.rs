@@ -70,7 +70,7 @@ pub fn partition(net: &Network) -> Vec<Cone> {
     let root_set: HashSet<SignalId> = roots.iter().copied().collect();
     roots
         .iter()
-        .map(|&root| build_cone(net, root, &root_set))
+        .map(|&root| cone_at(net, root, &root_set))
         .collect()
 }
 
@@ -106,12 +106,17 @@ pub fn partition_traced(net: &Network) -> (Vec<Cone>, PartitionTrace) {
     let root_set: HashSet<SignalId> = roots.iter().copied().collect();
     let cones = roots
         .iter()
-        .map(|&root| build_cone(net, root, &root_set))
+        .map(|&root| cone_at(net, root, &root_set))
         .collect();
     (cones, PartitionTrace { cuts })
 }
 
-fn build_cone(net: &Network, root: SignalId, root_set: &HashSet<SignalId>) -> Cone {
+/// The cone [`partition`] builds at `root` when `root_set` is its cut set:
+/// the gates reached from `root` without passing a primary input or
+/// another member of `root_set`, which become its leaves. Exposed so
+/// that a checker auditing one equation of a larger design can cut its
+/// cone where the whole design's partition would.
+pub fn cone_at(net: &Network, root: SignalId, root_set: &HashSet<SignalId>) -> Cone {
     let mut leaves = Vec::new();
     let mut seen_leaves = HashSet::new();
     let mut gates = Vec::new();

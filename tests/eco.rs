@@ -3,10 +3,27 @@
 //! produce a design fingerprint-identical to mapping the edited equations
 //! cold, and the stitched output must pass the reuse-aware lint and audit
 //! passes — the two external checkers that share no code with the mapper.
+//! The warm audit must also report exactly the diagnostics of a fresh,
+//! uncached audit of the same equations.
 
 use asyncmap::bench::{apply_edits, design_fingerprint, generate, generate_edits, GenSpec};
 use asyncmap::prelude::*;
 use proptest::prelude::*;
+
+/// Every diagnostic of an audit as `(severity, code, path, message)`,
+/// sorted.
+fn diagnostics(
+    report: &asyncmap::audit::AuditReport,
+) -> Vec<(asyncmap::audit::Severity, &'static str, String, String)> {
+    let mut all: Vec<_> = report
+        .findings
+        .iter()
+        .chain(&report.notes)
+        .map(|f| (f.severity, f.code, f.path.clone(), f.message.clone()))
+        .collect();
+    all.sort();
+    all
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -55,6 +72,8 @@ proptest! {
             prop_assert!(lint.is_clean(), "{}", lint.render());
             let audit = asyncmap::audit::audit_equations_cached(&current, &mut audit_cache);
             prop_assert!(audit.is_clean(), "{}", audit.render());
+            let fresh = asyncmap::audit::audit_equations(&current);
+            prop_assert_eq!(diagnostics(&audit), diagnostics(&fresh));
         }
     }
 }
