@@ -3,29 +3,28 @@
 //! `is_tautology`), the matcher's truth-table construction, and the
 //! two-level dynamic-hazard search, each at input widths 4, 8 and 16.
 //!
-//! The truth-table benchmarks also cross-check the word-parallel fast
-//! path against the scalar generic path and abort on divergence, and the
-//! cut-enumeration benchmark maps `dme` with the dominance-pruned and the
-//! legacy enumerator and aborts on any mapped-design fingerprint mismatch,
-//! so a CI run of this bench doubles as an equivalence smoke test. The
-//! `simd_kernels` group extends the gate to every 4-lane [`U64x4`]-widened
-//! kernel (fused cube ops, delta-swap permuters): each is cross-checked
-//! against its scalar twin before being timed. The `exhaustive_sweep`
-//! group does the same for the bit-sliced hazard-containment sweep: it
-//! must reach the verdict of a per-transition `wave_eval` loop on every
-//! seeded pair before either is timed.
+//! Each timed kernel is first cross-checked against its reference oracle
+//! and the bench aborts on divergence, so a CI run of this bench doubles as
+//! an equivalence smoke test. The truth-table group checks the
+//! word-parallel table builder against the generic path and the
+//! delta-swap permuters against their minterm loops; the cut-enumeration
+//! group covers every cone of `dme` under Actel with the dominance-pruned
+//! cut enumerator and with the legacy recursive enumerator and requires
+//! identical covers; the `exhaustive_sweep` group requires the bit-sliced
+//! hazard-containment sweep to reach the verdict of a per-transition
+//! `wave_eval` loop on every seeded pair.
 
-use asyncmap_bench::design_fingerprint;
 use asyncmap_bff::Expr;
 use asyncmap_core::truth;
 use asyncmap_core::{
-    async_tmap, truth_table_of, truth_table_of_generic, ClusterLimits, MapOptions,
+    cover_cone_legacy, cover_cone_with, truth_table_of, truth_table_of_generic, ClusterLimits,
+    HazardPolicy, Matcher, Objective,
 };
-use asyncmap_cube::simd;
 use asyncmap_cube::{Cover, Cube, Phase, VarId};
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::{find_mic_dyn_haz_2level, hazards_subset_exhaustive, wave_eval};
 use asyncmap_library::builtin;
+use asyncmap_network::{async_tech_decomp, partition};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,135 +115,81 @@ fn bench_truth_tables(c: &mut Criterion) {
             b.iter(|| truth_table_of_generic(black_box(&expr), w))
         });
     }
+    // Divergence gate: the delta-swap permuters the match memo
+    // canonicalizes with must agree with their minterm-loop oracles on
+    // one-word and four-word tables.
+    let mut rng = StdRng::seed_from_u64(0x51D5);
+    for n in 1..=8 {
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.random_range(0..i + 1));
+        }
+        if n <= 6 {
+            let t: u64 = rng.random::<u64>() & truth::full_mask(n);
+            assert_eq!(
+                truth::apply_perm6(t, &perm, n),
+                truth::apply_perm6_generic(t, &perm, n),
+                "delta-swap/minterm divergence in apply_perm6 at n={n}"
+            );
+        } else {
+            let mut t = [0u64; 4];
+            for w in t.iter_mut().take((1usize << n) / 64) {
+                *w = rng.random();
+            }
+            assert_eq!(
+                truth::apply_perm_wide(t, &perm, n),
+                truth::apply_perm_wide_generic(t, &perm, n),
+                "delta-swap/minterm divergence in apply_perm_wide at n={n}"
+            );
+        }
+    }
     g.finish();
 }
 
 fn bench_cut_enumeration(c: &mut Criterion) {
     let mut actel = builtin::actel();
     actel.annotate_hazards();
-    let eqs = asyncmap_burst::benchmark("dme");
-    let new_opts = MapOptions {
-        threads: 1,
-        ..MapOptions::default()
-    };
-    let legacy_opts = MapOptions {
-        threads: 1,
-        limits: ClusterLimits {
-            legacy_enum: true,
-            ..ClusterLimits::default()
-        },
-        ..MapOptions::default()
-    };
-    // Divergence gate: the dominance-pruned interned enumerator must map
-    // to the exact design the legacy recursive enumerator produces, else
-    // the bench (and CI) fails.
-    let new_design = async_tmap(&eqs, &actel, &new_opts).expect("mappable");
-    let legacy_design = async_tmap(&eqs, &actel, &legacy_opts).expect("mappable");
-    assert_eq!(
-        design_fingerprint(&new_design),
-        design_fingerprint(&legacy_design),
-        "cut/legacy enumerator divergence on dme"
-    );
+    let net = async_tech_decomp(&asyncmap_burst::benchmark("dme"));
+    let cones = partition(&net);
+    // Separate matchers, so neither path replays the other's match memo
+    // or hazard verdicts.
+    let cut_matcher = Matcher::new(&actel, HazardPolicy::SubsetCheck);
+    let legacy_matcher = Matcher::new(&actel, HazardPolicy::SubsetCheck);
+    let limits = ClusterLimits::default();
+    let cover_cut = |cone| cover_cone_with(&net, cone, &cut_matcher, &limits, Objective::Area);
+    let cover_legacy =
+        |cone| cover_cone_legacy(&net, cone, &legacy_matcher, &limits, Objective::Area);
+    // Divergence gate: on every cone the dominance-pruned interned
+    // enumerator must select the exact cover the legacy recursive
+    // enumerator does, else the bench (and CI) fails. Assembly is a
+    // deterministic function of the covers, so this pins the mapped design.
+    for cone in &cones {
+        let cut = cover_cut(cone).expect("mappable");
+        let legacy = cover_legacy(cone).expect("mappable");
+        let divergence = format!("cut/legacy enumerator divergence on dme cone {}", cut.root);
+        assert_eq!(cut.root, legacy.root, "{divergence}");
+        assert_eq!(cut.area.to_bits(), legacy.area.to_bits(), "{divergence}");
+        assert_eq!(cut.instances.len(), legacy.instances.len(), "{divergence}");
+        for (x, y) in cut.instances.iter().zip(&legacy.instances) {
+            assert_eq!(x.cell_index, y.cell_index, "{divergence}");
+            assert_eq!(x.output, y.output, "{divergence}");
+            assert_eq!(x.inputs, y.inputs, "{divergence}");
+        }
+    }
     let mut g = c.benchmark_group("map_dme");
-    g.bench_function("cut_enum", |b| {
-        b.iter(|| async_tmap(black_box(&eqs), &actel, &new_opts).expect("mappable"))
+    g.bench_function("cut", |b| {
+        b.iter(|| {
+            for cone in black_box(&cones) {
+                cover_cut(cone).expect("mappable");
+            }
+        })
     });
-    g.bench_function("legacy_enum", |b| {
-        b.iter(|| async_tmap(black_box(&eqs), &actel, &legacy_opts).expect("mappable"))
-    });
-    g.finish();
-}
-
-fn bench_simd_kernels(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(0x51D5);
-    // Deterministic word blocks, sized past the 4-lane width so the tail
-    // path is exercised too.
-    let nwords = 11usize;
-    let gen_block = |rng: &mut StdRng| -> (Vec<u64>, Vec<u64>) {
-        let used: Vec<u64> = (0..nwords).map(|_| rng.random()).collect();
-        let phase: Vec<u64> = used.iter().map(|&u| u & rng.random::<u64>()).collect();
-        (used, phase)
-    };
-    let (u1, p1) = gen_block(&mut rng);
-    let (u2, p2) = gen_block(&mut rng);
-    // Divergence gates: every lane-widened kernel must agree with its
-    // scalar twin on the same block, else the bench (and CI) fails.
-    assert_eq!(
-        simd::contains_words(&u1, &p1, &u2, &p2),
-        simd::contains_words_scalar(&u1, &p1, &u2, &p2),
-        "SIMD/scalar divergence in contains_words"
-    );
-    assert_eq!(
-        simd::distance_words(&u1, &p1, &u2, &p2),
-        simd::distance_words_scalar(&u1, &p1, &u2, &p2),
-        "SIMD/scalar divergence in distance_words"
-    );
-    assert_eq!(
-        simd::conflicts_any_words(&u1, &p1, &u2, &p2),
-        simd::conflicts_any_words_scalar(&u1, &p1, &u2, &p2),
-        "SIMD/scalar divergence in conflicts_any_words"
-    );
-    assert_eq!(
-        simd::eval_words(&u1, &p1, &u2),
-        simd::eval_words_scalar(&u1, &p1, &u2),
-        "SIMD/scalar divergence in eval_words"
-    );
-    assert_eq!(
-        simd::subset_words(&u1, &u2),
-        simd::subset_words_scalar(&u1, &u2),
-        "SIMD/scalar divergence in subset_words"
-    );
-    assert_eq!(
-        simd::disjoint_words(&u1, &u2),
-        simd::disjoint_words_scalar(&u1, &u2),
-        "SIMD/scalar divergence in disjoint_words"
-    );
-    for n in 1..=6 {
-        let t: u64 = rng.random::<u64>() & truth::full_mask(n);
-        let mut perm: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            perm.swap(i, rng.random_range(0..i + 1));
-        }
-        assert_eq!(
-            truth::apply_perm6(t, &perm, n),
-            truth::apply_perm6_generic(t, &perm, n),
-            "SIMD/scalar divergence in apply_perm6 at n={n}"
-        );
-    }
-    for n in 7..=8 {
-        let live_words = (1usize << n) / 64;
-        let mut t = [0u64; 4];
-        for w in t.iter_mut().take(live_words) {
-            *w = rng.random();
-        }
-        let mut perm: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            perm.swap(i, rng.random_range(0..i + 1));
-        }
-        assert_eq!(
-            truth::apply_perm_wide(t, &perm, n),
-            truth::apply_perm_wide_generic(t, &perm, n),
-            "SIMD/scalar divergence in apply_perm_wide at n={n}"
-        );
-    }
-    let mut g = c.benchmark_group("simd_kernels");
-    g.bench_function("contains_words/simd", |b| {
-        b.iter(|| simd::contains_words(black_box(&u1), &p1, &u2, &p2))
-    });
-    g.bench_function("contains_words/scalar", |b| {
-        b.iter(|| simd::contains_words_scalar(black_box(&u1), &p1, &u2, &p2))
-    });
-    g.bench_function("distance_words/simd", |b| {
-        b.iter(|| simd::distance_words(black_box(&u1), &p1, &u2, &p2))
-    });
-    g.bench_function("distance_words/scalar", |b| {
-        b.iter(|| simd::distance_words_scalar(black_box(&u1), &p1, &u2, &p2))
-    });
-    g.bench_function("subset_words/simd", |b| {
-        b.iter(|| simd::subset_words(black_box(&u1), &u2))
-    });
-    g.bench_function("subset_words/scalar", |b| {
-        b.iter(|| simd::subset_words_scalar(black_box(&u1), &u2))
+    g.bench_function("legacy", |b| {
+        b.iter(|| {
+            for cone in black_box(&cones) {
+                cover_legacy(cone).expect("mappable");
+            }
+        })
     });
     g.finish();
 }
@@ -315,7 +260,6 @@ criterion_group!(
     bench_cover_kernels,
     bench_truth_tables,
     bench_cut_enumeration,
-    bench_simd_kernels,
     bench_hazard_search,
     bench_exhaustive_sweep
 );

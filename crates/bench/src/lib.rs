@@ -128,10 +128,9 @@ pub struct BenchRecord {
     /// a rate of a zero-lookup cache is meaningless, not zero.
     pub cache_hit_rate: Option<f64>,
     /// Fraction of match-memo lookups served from the NPN memo; `None`
-    /// when the memo is disabled or saw no lookups.
+    /// when the memo saw no lookups.
     pub npn_hit_rate: Option<f64>,
-    /// Per-phase time breakdown of one representative run (zero when the
-    /// profiler is compiled out).
+    /// Per-phase time breakdown of one representative run.
     pub phases: PhaseTimes,
     /// Sequential-over-this-configuration time ratio (>1 means this
     /// configuration is faster than the sequential baseline); `None` for

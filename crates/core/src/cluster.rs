@@ -26,7 +26,7 @@
 //!   fallback).
 //! * [`enumerate_clusters_legacy`] — the original per-root recursive
 //!   enumerator, kept verbatim as the reference semantics for the
-//!   equivalence proptests and the CI fingerprint gate.
+//!   equivalence proptests and the `kernels` bench's per-cone gate.
 //!
 //! The new enumerator reproduces the legacy pipeline order exactly
 //! (cross-product → lexicographic sort → dedup → trivial cut first →
@@ -75,9 +75,6 @@ pub struct ClusterLimits {
     /// the flag while the matcher's hazard filter is live (the dominated
     /// pair's cluster expressions differ, so hazard verdicts could too).
     pub prune_dominated: bool,
-    /// Route enumeration through the legacy per-root recursive enumerator
-    /// (reference semantics, slower). Off by default.
-    pub legacy_enum: bool,
 }
 
 impl Default for ClusterLimits {
@@ -87,7 +84,6 @@ impl Default for ClusterLimits {
             max_leaves: 8,
             max_cuts_per_gate: 200,
             prune_dominated: true,
-            legacy_enum: false,
         }
     }
 }
@@ -95,18 +91,14 @@ impl Default for ClusterLimits {
 /// Enumerates the clusters rooted at every gate of `cone`, keyed by root
 /// signal.
 ///
-/// Uses the dominance-pruned interned-cut enumerator unless
-/// [`ClusterLimits::legacy_enum`] asks for the reference path; both yield
-/// clusters in the same deterministic order (trivial cut first, then
-/// lexicographic by sorted leaf set).
+/// Uses the dominance-pruned interned-cut enumerator. Clusters come in a
+/// deterministic order (trivial cut first, then lexicographic by sorted
+/// leaf set), the same order [`enumerate_clusters_legacy`] yields.
 pub fn enumerate_clusters(
     net: &Network,
     cone: &Cone,
     limits: &ClusterLimits,
 ) -> HashMap<SignalId, Vec<Cluster>> {
-    if limits.legacy_enum {
-        return enumerate_clusters_legacy(net, cone, limits);
-    }
     let cuts = enumerate_cuts(net, cone, limits);
     cone.gates
         .iter()
@@ -118,7 +110,7 @@ pub fn enumerate_clusters(
 }
 
 /// The original recursive enumerator, kept as the reference semantics for
-/// equivalence tests and the CI fingerprint gate. Ignores
+/// equivalence tests and the `kernels` bench's per-cone gate. Ignores
 /// [`ClusterLimits::prune_dominated`].
 #[doc(hidden)]
 pub fn enumerate_clusters_legacy(
@@ -916,8 +908,8 @@ fn enumerate_cuts_in(
 ///
 /// The bloom popcount lower bound on the union size (distinct signals can
 /// only collide in the bloom word, never split) rejects most over-wide
-/// pairs before the merge; the sub-cut spans are screened four lanes at a
-/// time with [`U64x4`] so the filter runs word-parallel.
+/// pairs before the merge; the sub-cut spans are screened four candidates
+/// at a time so the filter runs word-parallel.
 #[allow(clippy::too_many_arguments)]
 fn cross_pairs(
     arena: &mut LeafArena,
@@ -936,33 +928,14 @@ fn cross_pairs(
         out.push(arena.intern(merge));
     }
     let subs = &cut_data[r1.0 as usize..(r1.0 + r1.1) as usize];
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        use asyncmap_cube::simd::{U64x4, LANES};
-        let sa4 = U64x4::splat(sa);
-        for chunk in subs.chunks(LANES) {
-            // Gather the candidates' bloom words; padding lanes get all
-            // ones (popcount 64, never under any real leaf bound).
-            let sg = U64x4(std::array::from_fn(|i| {
-                chunk.get(i).map_or(!0u64, |&c| arena.sigs[c as usize])
-            }));
-            let counts = (sa4 | sg).count_ones_per_lane();
-            for (i, &c) in chunk.iter().enumerate() {
-                if counts[i] as usize > max_leaves {
-                    continue;
-                }
-                if !arena.merge_bounded(a, c, max_leaves, merge) {
-                    continue;
-                }
-                out.push(arena.intern(merge));
-            }
-        }
-    }
-    #[cfg(feature = "scalar-kernels")]
-    {
-        for &c in subs {
-            let lb = (sa | arena.sigs[c as usize]).count_ones();
-            if lb as usize > max_leaves {
+    for chunk in subs.chunks(4) {
+        // Gather the candidates' bloom words; padding lanes get all ones
+        // (popcount 64, never under any real leaf bound).
+        let sg: [u64; 4] =
+            std::array::from_fn(|i| chunk.get(i).map_or(!0u64, |&c| arena.sigs[c as usize]));
+        let counts = sg.map(|w| (sa | w).count_ones());
+        for (i, &c) in chunk.iter().enumerate() {
+            if counts[i] as usize > max_leaves {
                 continue;
             }
             if !arena.merge_bounded(a, c, max_leaves, merge) {
@@ -1054,43 +1027,21 @@ fn walk_truth(
     Some(words)
 }
 
-// 4-word table combiners for the walk: one `U64x4` op per fold step on the
-// lane-widened build, a plain per-word loop on the scalar fallback.
+// 4-word table combiners for the walk.
 
 #[inline]
 fn and4(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        (asyncmap_cube::U64x4(a) & asyncmap_cube::U64x4(b)).to_array()
-    }
-    #[cfg(feature = "scalar-kernels")]
-    {
-        std::array::from_fn(|i| a[i] & b[i])
-    }
+    std::array::from_fn(|i| a[i] & b[i])
 }
 
 #[inline]
 fn or4(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        (asyncmap_cube::U64x4(a) | asyncmap_cube::U64x4(b)).to_array()
-    }
-    #[cfg(feature = "scalar-kernels")]
-    {
-        std::array::from_fn(|i| a[i] | b[i])
-    }
+    std::array::from_fn(|i| a[i] | b[i])
 }
 
 #[inline]
 fn not4(a: [u64; 4]) -> [u64; 4] {
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        (!asyncmap_cube::U64x4(a)).to_array()
-    }
-    #[cfg(feature = "scalar-kernels")]
-    {
-        a.map(|x| !x)
-    }
+    a.map(|x| !x)
 }
 
 #[cfg(test)]

@@ -110,9 +110,6 @@ pub fn cover_cone_with(
     limits: &ClusterLimits,
     objective: Objective,
 ) -> Result<ConeCover, CoverError> {
-    if limits.legacy_enum {
-        return cover_cone_legacy(net, cone, matcher, limits, objective);
-    }
     let limits = &effective_limits(limits, matcher);
     let cuts = {
         let _t = profile::timer(MapPhase::ClusterEnum);
@@ -201,10 +198,16 @@ pub fn cover_cone_with(
     Ok(cover)
 }
 
-/// The reference DP over the legacy enumerator's eager clusters. Selected
-/// by [`ClusterLimits::legacy_enum`]; the CI fingerprint gate diffs its
-/// mapped designs against the cut-based path's.
-fn cover_cone_legacy(
+/// The reference DP over the legacy enumerator's eager clusters, kept as
+/// the oracle for [`cover_cone_with`]: the cut-enumeration equivalence
+/// proptests and the `kernels` bench's per-cone divergence gate compare
+/// its covers against the cut-based path's.
+///
+/// # Errors
+///
+/// Returns [`CoverError`] if some gate admits no match.
+#[doc(hidden)]
+pub fn cover_cone_legacy(
     net: &Network,
     cone: &Cone,
     matcher: &Matcher<'_>,

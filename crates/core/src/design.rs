@@ -31,10 +31,10 @@ pub struct MapStats {
     /// run (cache misses).
     pub cache_misses: usize,
     /// Match-memo lookups served from the memo (raw-truth or
-    /// canonical-class level). Zero when `ASYNCMAP_NPN_MEMO=0`.
+    /// canonical-class level).
     pub npn_hits: usize,
     /// Match-memo lookups that fell through to the full permutation
-    /// search. Zero when `ASYNCMAP_NPN_MEMO=0`.
+    /// search.
     pub npn_misses: usize,
     /// Gates whose cut list was truncated at
     /// [`crate::ClusterLimits::max_cuts_per_gate`].

@@ -60,6 +60,8 @@ pub mod truth;
 #[doc(hidden)]
 pub use cluster::enumerate_clusters_legacy;
 pub use cluster::{enumerate_clusters, Cluster, ClusterLimits};
+#[doc(hidden)]
+pub use cover::cover_cone_legacy;
 pub use cover::{cover_cone, cover_cone_with, hand_cover, ConeCover, CoverError, Instance};
 pub use design::{
     assemble, bdd_of_expr, mapped_cone_expr, verify_cone_function, MapStats, MappedDesign,
@@ -77,6 +79,6 @@ pub use profile::{MapPhase, PhaseTimes};
 pub use report::{cell_usage, render_report, CellUsage};
 pub use tmap::{
     async_tmap, async_tmap_cached, hand_map, set_post_analyze_hook, set_post_map_hook,
-    set_post_transform_hook, set_pre_map_hook, tmap, MapOptions, Objective, PostAnalyzeHook,
-    PostMapHook, PostTransformHook, PreMapHook,
+    set_post_transform_hook, set_pre_map_hook, threads_from_env_capped, tmap, MapOptions,
+    Objective, PostAnalyzeHook, PostMapHook, PostTransformHook, PreMapHook,
 };

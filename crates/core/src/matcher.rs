@@ -113,17 +113,11 @@ pub struct Matcher<'lib> {
     cache: Arc<HazardCache>,
     hazard_checks: AtomicUsize,
     hazard_rejects: AtomicUsize,
-    /// P-class match memo (`None` when disabled via `ASYNCMAP_NPN_MEMO=0`).
-    /// Memoizes the pre-hazard-filter match list per projected truth table
-    /// and per canonical class, so structurally repeated clusters skip the
-    /// permutation search entirely.
+    /// P-class match memo (`None` only when a test turns it off through
+    /// [`Matcher::set_npn_memo_enabled`]). Memoizes the pre-hazard-filter
+    /// match list per projected truth table and per canonical class, so
+    /// structurally repeated clusters skip the permutation search entirely.
     memo: Option<MatchMemo>,
-}
-
-/// The match memo defaults to on; `ASYNCMAP_NPN_MEMO=0` disables it (an
-/// escape hatch for A/B runs and for debugging canonicalization).
-fn npn_memo_enabled() -> bool {
-    std::env::var("ASYNCMAP_NPN_MEMO").map_or(true, |v| v.trim() != "0")
 }
 
 impl<'lib> Matcher<'lib> {
@@ -196,7 +190,7 @@ impl<'lib> Matcher<'lib> {
             cache,
             hazard_checks: AtomicUsize::new(0),
             hazard_rejects: AtomicUsize::new(0),
-            memo: npn_memo_enabled().then(MatchMemo::new),
+            memo: Some(MatchMemo::new()),
         }
     }
 
@@ -263,7 +257,9 @@ impl<'lib> Matcher<'lib> {
         self.memo.as_ref().map_or(0, MatchMemo::misses)
     }
 
-    /// Test hook: force the memo on or off regardless of the environment.
+    /// Test hook: turn the memo on or off (it is on for every matcher the
+    /// library builds). The memo-off matcher is the reference the memo
+    /// equivalence tests compare against.
     #[doc(hidden)]
     pub fn set_npn_memo_enabled(&mut self, enabled: bool) {
         self.memo = enabled.then(MatchMemo::new);

@@ -7,11 +7,11 @@
 //! one run; `ASYNCMAP_PROFILE=1` additionally dumps the breakdown to
 //! stderr when the run finishes.
 //!
-//! The profiler is compiled in under the `profile` cargo feature (on by
-//! default); without it every call here is a no-op and the timers are
-//! zero-sized. Phases nest — a matching call happens inside cover
-//! selection — so outer timers [`PhaseTimer::pause`] around inner phases,
-//! keeping the per-phase totals disjoint and summable.
+//! The timers are always compiled in; an idle timer costs two
+//! `Instant::now` calls and two relaxed atomic adds. Phases nest — a
+//! matching call happens inside cover selection — so outer timers
+//! [`PhaseTimer::pause`] around inner phases, keeping the per-phase totals
+//! disjoint and summable.
 //!
 //! Totals are process-global: if several mapping runs execute
 //! concurrently on different threads, each run's delta includes the
@@ -19,6 +19,8 @@
 //! the (default) one-run-at-a-time usage.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// A pipeline phase, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,142 +153,86 @@ impl fmt::Display for PhaseTimes {
     }
 }
 
-#[cfg(feature = "profile")]
-mod imp {
-    use super::{MapPhase, PhaseTimes, NUM_PHASES};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Instant;
+// `[const { ... }; N]` array-repeat initialization of the atomics.
+static NANOS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
+static COUNTS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
 
-    // `[const { ... }; N]` array-repeat initialization of the atomics.
-    static NANOS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
-    static COUNTS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
+/// Times one phase from construction to drop; [`PhaseTimer::pause`]
+/// excludes nested phases from the lap.
+#[derive(Debug)]
+pub struct PhaseTimer {
+    idx: usize,
+    acc: u64,
+    start: Option<Instant>,
+}
 
-    /// Times one phase from construction to drop; [`PhaseTimer::pause`]
-    /// excludes nested phases from the lap.
-    #[derive(Debug)]
-    pub struct PhaseTimer {
-        idx: usize,
-        acc: u64,
-        start: Option<Instant>,
-    }
-
-    impl PhaseTimer {
-        /// Stops the clock (e.g. before handing off to an inner phase).
-        pub fn pause(&mut self) {
-            if let Some(s) = self.start.take() {
-                self.acc += s.elapsed().as_nanos() as u64;
-            }
-        }
-
-        /// Restarts the clock after a [`PhaseTimer::pause`].
-        pub fn resume(&mut self) {
-            if self.start.is_none() {
-                self.start = Some(Instant::now());
-            }
+impl PhaseTimer {
+    /// Stops the clock (e.g. before handing off to an inner phase).
+    pub fn pause(&mut self) {
+        if let Some(s) = self.start.take() {
+            self.acc += s.elapsed().as_nanos() as u64;
         }
     }
 
-    impl Drop for PhaseTimer {
-        fn drop(&mut self) {
-            self.pause();
-            NANOS[self.idx].fetch_add(self.acc, Ordering::Relaxed);
-            COUNTS[self.idx].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn timer(phase: MapPhase) -> PhaseTimer {
-        PhaseTimer {
-            idx: phase as usize,
-            acc: 0,
-            start: Some(Instant::now()),
-        }
-    }
-
-    pub fn snapshot() -> PhaseTimes {
-        let mut out = PhaseTimes::default();
-        for i in 0..NUM_PHASES {
-            out.nanos[i] = NANOS[i].load(Ordering::Relaxed);
-            out.counts[i] = COUNTS[i].load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    static ENUM_CONES: AtomicU64 = AtomicU64::new(0);
-    static ENUM_WARM: AtomicU64 = AtomicU64::new(0);
-    static ENUM_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub fn record_enum_cone(alloc_events: u64) {
-        ENUM_CONES.fetch_add(1, Ordering::Relaxed);
-        if alloc_events == 0 {
-            ENUM_WARM.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ENUM_ALLOCS.fetch_add(alloc_events, Ordering::Relaxed);
-        }
-    }
-
-    pub fn enum_alloc_snapshot() -> super::EnumAllocStats {
-        super::EnumAllocStats {
-            cones: ENUM_CONES.load(Ordering::Relaxed),
-            warm_cones: ENUM_WARM.load(Ordering::Relaxed),
-            alloc_events: ENUM_ALLOCS.load(Ordering::Relaxed),
+    /// Restarts the clock after a [`PhaseTimer::pause`].
+    pub fn resume(&mut self) {
+        if self.start.is_none() {
+            self.start = Some(Instant::now());
         }
     }
 }
 
-#[cfg(not(feature = "profile"))]
-mod imp {
-    use super::{MapPhase, PhaseTimes};
-
-    /// No-op stand-in when the `profile` feature is disabled.
-    #[derive(Debug)]
-    pub struct PhaseTimer;
-
-    impl PhaseTimer {
-        /// No-op.
-        pub fn pause(&mut self) {}
-        /// No-op.
-        pub fn resume(&mut self) {}
-    }
-
-    pub fn timer(_phase: MapPhase) -> PhaseTimer {
-        PhaseTimer
-    }
-
-    pub fn snapshot() -> PhaseTimes {
-        PhaseTimes::default()
-    }
-
-    pub fn record_enum_cone(_alloc_events: u64) {}
-
-    pub fn enum_alloc_snapshot() -> super::EnumAllocStats {
-        super::EnumAllocStats::default()
+impl Drop for PhaseTimer {
+    fn drop(&mut self) {
+        self.pause();
+        NANOS[self.idx].fetch_add(self.acc, Ordering::Relaxed);
+        COUNTS[self.idx].fetch_add(1, Ordering::Relaxed);
     }
 }
-
-pub use imp::PhaseTimer;
 
 /// Starts timing `phase`; the lap is committed to the global totals when
-/// the returned timer drops. With the `profile` feature disabled this is a
-/// no-op.
+/// the returned timer drops.
 pub fn timer(phase: MapPhase) -> PhaseTimer {
-    imp::timer(phase)
+    PhaseTimer {
+        idx: phase as usize,
+        acc: 0,
+        start: Some(Instant::now()),
+    }
 }
 
 /// Current global per-phase totals (all runs since process start).
 pub fn snapshot() -> PhaseTimes {
-    imp::snapshot()
+    let mut out = PhaseTimes::default();
+    for i in 0..NUM_PHASES {
+        out.nanos[i] = NANOS[i].load(Ordering::Relaxed);
+        out.counts[i] = COUNTS[i].load(Ordering::Relaxed);
+    }
+    out
 }
 
+static ENUM_CONES: AtomicU64 = AtomicU64::new(0);
+static ENUM_WARM: AtomicU64 = AtomicU64::new(0);
+static ENUM_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
 /// Records one enumerated cone and the number of scratch-buffer growth
-/// events it incurred. No-op with the `profile` feature disabled.
+/// events it incurred.
 pub fn record_enum_cone(alloc_events: u64) {
-    imp::record_enum_cone(alloc_events)
+    ENUM_CONES.fetch_add(1, Ordering::Relaxed);
+    if alloc_events == 0 {
+        ENUM_WARM.fetch_add(1, Ordering::Relaxed);
+    } else {
+        ENUM_ALLOCS.fetch_add(alloc_events, Ordering::Relaxed);
+    }
 }
 
 /// Current global enumeration-allocation totals (all runs since process
 /// start); difference two snapshots for per-run numbers.
 pub fn enum_alloc_snapshot() -> EnumAllocStats {
-    imp::enum_alloc_snapshot()
+    EnumAllocStats {
+        cones: ENUM_CONES.load(Ordering::Relaxed),
+        warm_cones: ENUM_WARM.load(Ordering::Relaxed),
+        alloc_events: ENUM_ALLOCS.load(Ordering::Relaxed),
+    }
 }
 
 /// `true` when the `ASYNCMAP_PROFILE` environment switch asks for
@@ -356,12 +302,8 @@ mod tests {
             t.resume();
         }
         let d = snapshot().delta(&before);
-        if cfg!(feature = "profile") {
-            assert!(d.count(MapPhase::Match) >= 1);
-        } else {
-            assert!(d.is_zero());
-        }
-        // Display renders one line per phase either way.
+        assert!(d.count(MapPhase::Match) >= 1);
+        // Display renders one line per phase.
         assert_eq!(format!("{d}").lines().count(), NUM_PHASES);
     }
 

@@ -206,6 +206,14 @@ fn effective_threads(threads: usize, jobs: usize) -> usize {
     requested.min(jobs).max(1)
 }
 
+/// The worker count `ASYNCMAP_THREADS` asks for, resolved against the
+/// machine: unset or unparsable is `1`, `0` is one per available core, and
+/// any other value is capped at the core count. For the checking passes
+/// that parallelize over cones without going through [`MapOptions`].
+pub fn threads_from_env_capped() -> usize {
+    effective_threads(threads_from_env(), usize::MAX)
+}
+
 /// The synchronous mapping procedure (paper §3.1 `tmap`):
 /// simplifying decomposition, partitioning, Boolean matching and
 /// minimum-area covering — no hazard awareness.

@@ -13,8 +13,6 @@
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::Bits;
-#[cfg(not(feature = "scalar-kernels"))]
-use asyncmap_cube::U64x4;
 
 /// `MASKS[v]` packs the value of variable `v` across the 64 assignments of
 /// a block: bit `m` is set iff bit `v` of `m` is set.
@@ -125,43 +123,36 @@ pub fn input_signature6(truth: u64, n: usize, v: usize) -> u32 {
 /// transpositions, each applied to the whole table at once as a
 /// delta swap (§4.1.1's word-parallel trick applied to table
 /// reindexing) — O(n) word ops instead of a bit-gather per set minterm.
-/// Building with the `scalar-kernels` feature selects the minterm-loop
-/// reference [`apply_perm6_generic`] instead; both are bit-identical.
+/// [`apply_perm6_generic`] is the minterm-loop oracle it is tested
+/// against.
 pub fn apply_perm6(truth: u64, perm: &[usize], n: usize) -> u64 {
-    #[cfg(feature = "scalar-kernels")]
-    {
-        apply_perm6_generic(truth, perm, n)
-    }
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        debug_assert!(n <= 6 && perm.len() >= n);
-        let mut t = truth & full_mask(n);
-        let mut occupant = [0usize, 1, 2, 3, 4, 5]; // position -> variable
-        let mut pos_of = [0usize, 1, 2, 3, 4, 5]; // variable -> position
-        for v in 0..n {
-            let target = perm[v];
-            let cur = pos_of[v];
-            if cur == target {
-                continue;
-            }
-            let other = occupant[target];
-            let (a, b) = if cur < target {
-                (cur, target)
-            } else {
-                (target, cur)
-            };
-            t = swap_vars6(t, a, b);
-            occupant[cur] = other;
-            pos_of[other] = cur;
-            occupant[target] = v;
-            pos_of[v] = target;
+    debug_assert!(n <= 6 && perm.len() >= n);
+    let mut t = truth & full_mask(n);
+    let mut occupant = [0usize, 1, 2, 3, 4, 5]; // position -> variable
+    let mut pos_of = [0usize, 1, 2, 3, 4, 5]; // variable -> position
+    for v in 0..n {
+        let target = perm[v];
+        let cur = pos_of[v];
+        if cur == target {
+            continue;
         }
-        t
+        let other = occupant[target];
+        let (a, b) = if cur < target {
+            (cur, target)
+        } else {
+            (target, cur)
+        };
+        t = swap_vars6(t, a, b);
+        occupant[cur] = other;
+        pos_of[other] = cur;
+        occupant[target] = v;
+        pos_of[v] = target;
     }
+    t
 }
 
 /// Minterm-loop reference for [`apply_perm6`]: a bit gather per set
-/// minterm. Kept as the scalar fallback and the equivalence-test oracle.
+/// minterm. Kept as the equivalence-test oracle.
 #[doc(hidden)]
 pub fn apply_perm6_generic(truth: u64, perm: &[usize], n: usize) -> u64 {
     debug_assert!(n <= 6 && perm.len() >= n);
@@ -182,7 +173,6 @@ pub fn apply_perm6_generic(truth: u64, perm: &[usize], n: usize) -> u64 {
 /// Exchanges the roles of variables `a < b < 6` across a packed table:
 /// entries at minterms with `x_a = 1, x_b = 0` swap with their partners
 /// at `x_a = 0, x_b = 1`, all 64 at once via a delta swap.
-#[cfg(not(feature = "scalar-kernels"))]
 #[inline]
 fn swap_vars6(t: u64, a: usize, b: usize) -> u64 {
     debug_assert!(a < b && b < 6);
@@ -193,45 +183,36 @@ fn swap_vars6(t: u64, a: usize, b: usize) -> u64 {
 }
 
 /// [`apply_perm6`] for wide (7–8 variable) tables stored as the cut
-/// enumerator's 4-word blocks: low-variable transpositions run as 4-lane
-/// [`U64x4`] delta swaps in lockstep over all blocks, a low↔high
-/// transposition is a masked cross-word exchange, and a high↔high
-/// transposition swaps whole blocks. Only the first `2^(n-6)` words are
-/// meaningful; the rest must be zero and stay zero.
-///
-/// Under `scalar-kernels` this is the minterm-loop reference
-/// [`apply_perm_wide_generic`].
+/// enumerator's 4-word blocks: a low-variable transposition is the same
+/// delta swap applied to every block, a low↔high transposition is a
+/// masked cross-word exchange, and a high↔high transposition swaps whole
+/// blocks. Only the first `2^(n-6)` words are meaningful; the rest must be
+/// zero and stay zero. [`apply_perm_wide_generic`] is the minterm-loop
+/// oracle it is tested against.
 pub fn apply_perm_wide(words: [u64; 4], perm: &[usize], n: usize) -> [u64; 4] {
-    #[cfg(feature = "scalar-kernels")]
-    {
-        apply_perm_wide_generic(words, perm, n)
-    }
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        debug_assert!((7..=8).contains(&n) && perm.len() >= n);
-        let mut t = words;
-        let mut occupant = [0usize, 1, 2, 3, 4, 5, 6, 7];
-        let mut pos_of = [0usize, 1, 2, 3, 4, 5, 6, 7];
-        for v in 0..n {
-            let target = perm[v];
-            let cur = pos_of[v];
-            if cur == target {
-                continue;
-            }
-            let other = occupant[target];
-            let (a, b) = if cur < target {
-                (cur, target)
-            } else {
-                (target, cur)
-            };
-            t = swap_vars_wide(t, a, b, n);
-            occupant[cur] = other;
-            pos_of[other] = cur;
-            occupant[target] = v;
-            pos_of[v] = target;
+    debug_assert!((7..=8).contains(&n) && perm.len() >= n);
+    let mut t = words;
+    let mut occupant = [0usize, 1, 2, 3, 4, 5, 6, 7];
+    let mut pos_of = [0usize, 1, 2, 3, 4, 5, 6, 7];
+    for v in 0..n {
+        let target = perm[v];
+        let cur = pos_of[v];
+        if cur == target {
+            continue;
         }
-        t
+        let other = occupant[target];
+        let (a, b) = if cur < target {
+            (cur, target)
+        } else {
+            (target, cur)
+        };
+        t = swap_vars_wide(t, a, b, n);
+        occupant[cur] = other;
+        pos_of[other] = cur;
+        occupant[target] = v;
+        pos_of[v] = target;
     }
+    t
 }
 
 /// Minterm-loop reference for [`apply_perm_wide`].
@@ -253,19 +234,14 @@ pub fn apply_perm_wide_generic(words: [u64; 4], perm: &[usize], n: usize) -> [u6
 }
 
 /// Variable transposition `a < b` on a wide 4-word table.
-#[cfg(not(feature = "scalar-kernels"))]
 #[inline]
 fn swap_vars_wide(t: [u64; 4], a: usize, b: usize, n: usize) -> [u64; 4] {
     debug_assert!(a < b && b < n && (7..=8).contains(&n));
     if b < 6 {
-        // Both variables live inside every 64-minterm block: one 4-lane
-        // delta swap handles all blocks in lockstep (unused blocks are
-        // zero and map to zero).
-        let shift = (1u32 << b) - (1u32 << a);
-        let mask = U64x4::splat(MASKS[a] & !MASKS[b]);
-        let v = U64x4(t);
-        let x = ((v >> shift) ^ v) & mask;
-        (v ^ x ^ (x << shift)).to_array()
+        // Both variables live inside every 64-minterm block: the same
+        // delta swap on each block (unused blocks are zero and map to
+        // zero).
+        t.map(|w| swap_vars6(w, a, b))
     } else if a < 6 {
         // Low/high exchange: within each block pair differing at block
         // bit b-6, entries with x_a = 1 of the low block swap with

@@ -5,7 +5,9 @@
 //! agreement through the covering API.
 
 use asyncmap_core::truth;
-use asyncmap_core::{cover_cone_with, ClusterLimits, HazardPolicy, Matcher, Objective};
+use asyncmap_core::{
+    cover_cone_legacy, cover_cone_with, ClusterLimits, HazardPolicy, Matcher, Objective,
+};
 use asyncmap_cube::{Cover, Cube, Phase, VarId, VarTable};
 use asyncmap_library::builtin;
 use asyncmap_network::{async_tech_decomp, partition, EquationSet};
@@ -54,8 +56,7 @@ proptest! {
         let eqs = EquationSet::new(vars, vec![("f".to_owned(), cover.clone())]);
         let net = async_tech_decomp(&eqs);
         let objective = if delay_objective { Objective::Delay } else { Objective::Area };
-        let new_limits = ClusterLimits::default();
-        let legacy_limits = ClusterLimits { legacy_enum: true, ..ClusterLimits::default() };
+        let limits = ClusterLimits::default();
         // SubsetCheck exercises the hazard filter (which disables pruning);
         // Ignore exercises dominance pruning itself.
         for (mut lib, policy) in [
@@ -67,8 +68,8 @@ proptest! {
             lib.annotate_hazards();
             let matcher = Matcher::new(&lib, policy);
             for cone in &partition(&net) {
-                let a = cover_cone_with(&net, cone, &matcher, &new_limits, objective);
-                let b = cover_cone_with(&net, cone, &matcher, &legacy_limits, objective);
+                let a = cover_cone_with(&net, cone, &matcher, &limits, objective);
+                let b = cover_cone_legacy(&net, cone, &matcher, &limits, objective);
                 match (a, b) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(a.root, b.root);

@@ -1,10 +1,8 @@
-//! SIMD-vs-scalar equivalence for the core-side lane-widened kernels: the
-//! delta-swap truth-table permuters against their minterm-loop references,
-//! and the word-parallel bloom popcount screen the cut enumerator uses
-//! against the one-candidate-at-a-time scalar filter.
+//! Equivalence of the delta-swap truth-table permuters the match memo
+//! canonicalizes with against their minterm-loop oracles, on one-word
+//! (≤ 6 variable) and four-word (7–8 variable) tables.
 
 use asyncmap_core::truth;
-use asyncmap_cube::simd::{U64x4, LANES};
 use proptest::prelude::*;
 
 /// Permutation of `0..n` driven by a proptest byte stream (Fisher–Yates).
@@ -53,33 +51,5 @@ proptest! {
             truth::apply_perm_wide(t, &perm, n),
             truth::apply_perm_wide_generic(t, &perm, n)
         );
-    }
-
-    #[test]
-    fn bloom_screen_matches_scalar(
-        sa in any::<u64>(),
-        cands in prop::collection::vec(any::<u64>(), 0..11),
-        max_leaves in 1usize..9,
-    ) {
-        // Mirror of the enumerator's cross-product screen: candidate
-        // bloom words are unioned with the accumulated set's word four
-        // lanes at a time, padding lanes filled with all ones so they
-        // can never pass the popcount bound.
-        let mut simd_keep = Vec::new();
-        let sa4 = U64x4::splat(sa);
-        for chunk in cands.chunks(LANES) {
-            let sg = U64x4(std::array::from_fn(|i| {
-                chunk.get(i).copied().unwrap_or(!0u64)
-            }));
-            let counts = (sa4 | sg).count_ones_per_lane();
-            for (&count, _) in counts.iter().zip(chunk) {
-                simd_keep.push(count as usize <= max_leaves);
-            }
-        }
-        let scalar_keep: Vec<bool> = cands
-            .iter()
-            .map(|&c| ((sa | c).count_ones() as usize) <= max_leaves)
-            .collect();
-        prop_assert_eq!(simd_keep, scalar_keep);
     }
 }

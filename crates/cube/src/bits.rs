@@ -244,14 +244,16 @@ impl Bits {
     #[inline]
     pub fn is_subset(&self, other: &Bits) -> bool {
         debug_assert_eq!(self.len, other.len);
-        crate::simd::subset_words(self.words(), other.words())
+        let (a, b) = (self.words(), other.words());
+        a.iter().zip(b).all(|(x, y)| x & !y == 0)
     }
 
     /// `true` if `self` and `other` share no set bit.
     #[inline]
     pub fn is_disjoint(&self, other: &Bits) -> bool {
         debug_assert_eq!(self.len, other.len);
-        crate::simd::disjoint_words(self.words(), other.words())
+        let (a, b) = (self.words(), other.words());
+        a.iter().zip(b).all(|(x, y)| x & y == 0)
     }
 
     #[inline]

@@ -200,7 +200,7 @@ impl Cube {
         let (u1, p1) = (self.used.words(), self.phase.words());
         let (u2, p2) = (other.used.words(), other.phase.words());
         debug_assert_eq!(u1.len(), u2.len());
-        crate::simd::contains_words(u1, p1, u2, p2)
+        (0..u1.len()).all(|i| u1[i] & !u2[i] == 0 && (p1[i] ^ p2[i]) & u1[i] == 0)
     }
 
     /// Number of conflicting variables: used in both cubes with opposite
@@ -210,7 +210,9 @@ impl Cube {
         let (u1, p1) = (self.used.words(), self.phase.words());
         let (u2, p2) = (other.used.words(), other.phase.words());
         debug_assert_eq!(u1.len(), u2.len());
-        crate::simd::distance_words(u1, p1, u2, p2)
+        (0..u1.len())
+            .map(|i| ((u1[i] & u2[i]) & (p1[i] ^ p2[i])).count_ones())
+            .sum()
     }
 
     /// The paper's `CONFLICTS` vector:
@@ -229,7 +231,7 @@ impl Cube {
         let (u1, p1) = (self.used.words(), self.phase.words());
         let (u2, p2) = (other.used.words(), other.phase.words());
         debug_assert_eq!(u1.len(), u2.len());
-        crate::simd::conflicts_any_words(u1, p1, u2, p2)
+        (0..u1.len()).any(|i| (u1[i] & u2[i]) & (p1[i] ^ p2[i]) != 0)
     }
 
     /// Intersection of two cubes, or `None` if they conflict (the
@@ -371,7 +373,7 @@ impl Cube {
     pub fn eval(&self, assignment: &Bits) -> bool {
         debug_assert_eq!(assignment.len(), self.nvars());
         let (u, p, a) = (self.used.words(), self.phase.words(), assignment.words());
-        crate::simd::eval_words(u, p, a)
+        (0..u.len()).all(|i| (p[i] ^ a[i]) & u[i] == 0)
     }
 
     /// Number of minterms the cube contains.

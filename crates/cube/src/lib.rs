@@ -40,12 +40,10 @@ mod cover;
 #[allow(clippy::module_inception)]
 mod cube;
 mod parse;
-pub mod simd;
 mod var;
 
 pub use bits::{Bits, IterOnes};
 pub use cover::{Cover, DisplayCover};
 pub use cube::{Cube, DisplayCube, Minterms, Phase};
 pub use parse::{parse_cube_letters, parse_cube_tokens, ParseSopError};
-pub use simd::U64x4;
 pub use var::{VarId, VarTable};

@@ -1,6 +1,7 @@
 //! Property-based tests for the cube/cover algebra: every structural
 //! operation is checked against brute-force minterm semantics on small
-//! variable counts.
+//! variable counts, and the word-walking cube and bit-set kernels are
+//! checked against their per-variable definitions on multi-word widths.
 
 use asyncmap_cube::{Bits, Cover, Cube, Phase, VarId};
 use proptest::prelude::*;
@@ -198,5 +199,106 @@ proptest! {
         for m in 0..(1usize << NVARS) {
             prop_assert_eq!(tt.get(m), f.eval(&assignment(m)));
         }
+    }
+}
+
+/// Widths that put cubes in inline 2-word, heap 3-word and heap 5-word
+/// storage.
+const WIDE: [usize; 3] = [70, 130, 300];
+
+/// Per-variable literal codes: 0 is a negative literal, 1 a positive one,
+/// anything else a don't-care (so about a quarter of the variables are
+/// bound).
+fn literal_of(code: u8) -> Option<Phase> {
+    match code {
+        0 => Some(Phase::Neg),
+        1 => Some(Phase::Pos),
+        _ => None,
+    }
+}
+
+fn cube_of(nvars: usize, lits: &[Option<Phase>]) -> Cube {
+    Cube::from_literals(
+        nvars,
+        lits.iter()
+            .enumerate()
+            .filter_map(|(v, l)| l.map(|p| (VarId(v), p))),
+    )
+}
+
+fn bits_of(nvars: usize, set: impl Fn(usize) -> bool) -> Bits {
+    let mut b = Bits::new(nvars);
+    for v in 0..nvars {
+        b.set(v, set(v));
+    }
+    b
+}
+
+proptest! {
+    #[test]
+    fn wide_word_kernels_match_per_variable_definitions(
+        width in 0usize..3,
+        codes_a in prop::collection::vec(0u8..8, 300..301),
+        codes_b in prop::collection::vec(0u8..8, 300..301),
+        edits in prop::collection::vec((0usize..300, 0u8..3), 0..3),
+    ) {
+        let nvars = WIDE[width];
+        // `b` binds every literal of `a` plus its own, so `a ⊇ b` and the
+        // two agree until the edits flip, drop or add literals in `b`
+        // (anywhere, including the upper words).
+        let la: Vec<Option<Phase>> = codes_a[..nvars].iter().map(|&c| literal_of(c)).collect();
+        let mut lb: Vec<Option<Phase>> = la
+            .iter()
+            .zip(&codes_b)
+            .map(|(&l, &c)| l.or(literal_of(c)))
+            .collect();
+        let mut assignment_flips = Vec::new();
+        for &(pos, kind) in &edits {
+            let v = pos % nvars;
+            match kind {
+                0 => lb[v] = lb[v].map(Phase::flipped),
+                1 => lb[v] = None,
+                _ => assignment_flips.push(v),
+            }
+        }
+        let (a, b) = (cube_of(nvars, &la), cube_of(nvars, &lb));
+
+        let contains = |x: &[Option<Phase>], y: &[Option<Phase>]| {
+            x.iter().zip(y).all(|(l, m)| l.is_none() || l == m)
+        };
+        prop_assert_eq!(a.contains(&b), contains(&la, &lb));
+        prop_assert_eq!(b.contains(&a), contains(&lb, &la));
+
+        let conflicts = la
+            .iter()
+            .zip(&lb)
+            .filter(|(l, m)| matches!((l, m), (Some(p), Some(q)) if p != q))
+            .count() as u32;
+        prop_assert_eq!(a.distance(&b), conflicts);
+        prop_assert_eq!(b.distance(&a), conflicts);
+        prop_assert_eq!(a.conflicts_with(&b), conflicts > 0);
+
+        // An assignment inside `a` (don't-cares from `codes_b`), then
+        // perturbed at the edit positions.
+        let asg = bits_of(nvars, |v| {
+            la[v].map_or(codes_b[v] & 1 == 1, Phase::is_pos) ^ assignment_flips.contains(&v)
+        });
+        for (c, l) in [(&a, &la), (&b, &lb)] {
+            let want = (0..nvars).all(|v| l[v].is_none_or(|p| asg.get(v) == p.is_pos()));
+            prop_assert_eq!(c.eval(&asg), want);
+        }
+
+        let (ua, ub) = (a.used(), b.used());
+        prop_assert_eq!(ua.is_subset(ub), (0..nvars).all(|v| !ua.get(v) || ub.get(v)));
+        prop_assert_eq!(ub.is_subset(ua), (0..nvars).all(|v| !ub.get(v) || ua.get(v)));
+        // `a`'s don't-cares plus the edit positions: disjoint from `a`'s
+        // literals unless an edit landed on one.
+        let free = bits_of(nvars, |v| {
+            la[v].is_none() || edits.iter().any(|&(p, _)| p % nvars == v)
+        });
+        prop_assert_eq!(
+            ua.is_disjoint(&free),
+            (0..nvars).all(|v| !(ua.get(v) && free.get(v)))
+        );
     }
 }

@@ -211,26 +211,13 @@ pub fn analyze_design_with_spec_cached(
     analyze_inner(design, library, Some(spec), Some(cache))
 }
 
-fn threads_from_env() -> usize {
-    let requested = std::env::var("ASYNCMAP_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if requested == 0 {
-        cores
-    } else {
-        requested.min(cores).max(1)
-    }
-}
-
 fn analyze_inner(
     design: &MappedDesign,
     library: &Library,
     spec: Option<&BurstSpec>,
     cache: Option<&mut FmaCache>,
 ) -> FmaReport {
-    let threads = threads_from_env();
+    let threads = asyncmap_core::threads_from_env_capped();
     let mut report = FmaReport::default();
     report.counters.cones = design.cones.len();
     report.counters.instances = design.num_instances();
