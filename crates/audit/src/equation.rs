@@ -58,7 +58,7 @@ impl Site {
         match self {
             Site::Step(i, rule) => format!("{name}:step{}:{}", layout.step_base + i, rule.name()),
             Site::Equation => format!("{name}:equation"),
-            Site::Flatten => FLATTEN_PATH.to_owned(),
+            Site::Flatten => format!("{}:{FLATTEN_PATH}", Site::Cone.path(name, layout)),
             // `_g{id}` is the name `Network::add_gate` gives gate `id`.
             Site::Cone => format!("cone:_g{}", layout.gate_base + layout.gates - 1),
         }

@@ -112,7 +112,9 @@ pub(crate) enum Discharge {
 }
 
 /// Audits the flatten collapse of one cone's expression over `leaves`
-/// leaves into `report`; `path` names the cone.
+/// leaves into `report`; `path` names the cone. Every diagnostic
+/// [`check_flatten`] returns is filed under the cone:
+/// `{cone}:flatten` (and `{cone}:flatten:vacuous{i}`).
 pub(crate) fn audit_flatten(
     report: &mut AuditReport,
     mut cache: Option<&mut AuditCache>,
@@ -122,7 +124,7 @@ pub(crate) fn audit_flatten(
 ) -> Discharge {
     let ob = Obligation::Flatten { leaves, expr };
     if let Some(c) = cache.as_deref_mut() {
-        if c.replay(&ob, report, || FLATTEN_PATH.to_owned()) {
+        if c.replay(&ob, report, || format!("{}:{FLATTEN_PATH}", path())) {
             report.counters.flatten_traces += 1;
             return Discharge::Reused;
         }
@@ -148,7 +150,14 @@ pub(crate) fn audit_flatten(
         return Discharge::Checked;
     }
     let mark = Mark::of(report);
-    report.merge(check_flatten(&flat, &trace, leaves));
+    let mut replay = check_flatten(&flat, &trace, leaves);
+    if !(replay.findings.is_empty() && replay.notes.is_empty()) {
+        let cone = path();
+        for f in replay.findings.iter_mut().chain(&mut replay.notes) {
+            f.path = format!("{cone}:{}", f.path);
+        }
+    }
+    report.merge(replay);
     if let Some(c) = cache {
         c.record(&ob, report, mark);
     }
@@ -316,6 +325,38 @@ mod tests {
                     .any(|n| n.code == "flatten.hazard-partial"));
                 assert!(warm.counters.hazard_partial > 0);
             }
+        }
+    }
+
+    #[test]
+    fn flatten_notes_name_their_cone() {
+        // Two wide equations, so two cones carry a partial flatten note;
+        // cold, warm and uncached audits all file each under its cone.
+        let vars = VarTable::from_names(["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
+        let g = Cover::parse("abc + d'ef + gh'i + a'd", &vars).unwrap();
+        let h = Cover::parse("ab'c + def' + g'hi + ai", &vars).unwrap();
+        let eqs = EquationSet::new(vars, vec![("g".to_owned(), g), ("h".to_owned(), h)]);
+        let (net, _) = async_tech_decomp_traced(&eqs);
+        let (cones, _) = partition_traced(&net);
+        let mut want: Vec<String> = cones
+            .iter()
+            .filter(|c| c.leaves.len() > asyncmap_hazard::ORACLE_VAR_LIMIT)
+            .map(|c| format!("cone:{}:{FLATTEN_PATH}", net.name(c.root)))
+            .collect();
+        want.sort();
+        assert_eq!(want.len(), 2);
+        let mut cache = AuditCache::new();
+        let cold = audit_equations_cached(&eqs, &mut cache);
+        let warm = audit_equations_cached(&eqs, &mut cache);
+        for report in [audit_equations(&eqs), cold, warm] {
+            let mut paths: Vec<String> = report
+                .notes
+                .iter()
+                .filter(|n| n.code == "flatten.hazard-partial")
+                .map(|n| n.path.clone())
+                .collect();
+            paths.sort();
+            assert_eq!(paths, want, "{}", report.render());
         }
     }
 

@@ -13,6 +13,12 @@
 //!   Cache misses equal actual `hazards_subset` evaluations, so the warm
 //!   run must show strictly fewer.
 //!
+//! * **Standalone preflight** — `scsi` on each built-in library: the full
+//!   preflight qualification against a sequential `async_tmap`, both on
+//!   the same annotated library, sampled alternately. Records
+//!   `scsi-{lib}/seq` and `scsi-{lib}/preflight`; the printed ratio is
+//!   preflight over map time.
+//!
 //! * **Generated large design** — a seeded 50 000-gate multi-cone design
 //!   from the workload generator (`gen50000-s7`), sequential vs N worker
 //!   threads, timed with fewer samples (each map runs orders of magnitude
@@ -28,7 +34,9 @@ use asyncmap_bench::{
     design_fingerprint, header, host_cpus, secs, time_median, time_median_pair, write_json,
     BenchRecord, GenSpec,
 };
-use asyncmap_core::{async_tmap, async_tmap_cached, HazardCache, MapOptions, MappedDesign};
+use asyncmap_core::{
+    async_tmap, async_tmap_cached, HazardCache, MapOptions, MappedDesign, PhaseTimes,
+};
 use asyncmap_library::builtin;
 use std::sync::Arc;
 
@@ -141,6 +149,59 @@ fn main() {
             phases: par_design.stats.phases,
             speedup_vs_seq: (!oversubscribed).then_some(ratio),
         });
+    }
+
+    header(
+        "Standalone preflight vs sequential map (scsi)",
+        &format!(
+            "{:12} {:>12} {:>12} {:>14}",
+            "Library", "Map", "Preflight", "Preflight/map"
+        ),
+    );
+    {
+        let eqs = asyncmap_burst::benchmark("scsi");
+        let seq_opts = MapOptions {
+            threads: 1,
+            ..MapOptions::default()
+        };
+        for mut lib in builtin::all_libraries() {
+            lib.annotate_hazards();
+            let seq_design = async_tmap(&eqs, &lib, &seq_opts).expect("mappable");
+            let (seq_t, pre_t) = time_median_pair(
+                runs,
+                || async_tmap(&eqs, &lib, &seq_opts).expect("mappable"),
+                || asyncmap_preflight::preflight(&eqs, &lib),
+            );
+            let ratio = pre_t.as_secs_f64() / seq_t.as_secs_f64().max(1e-9);
+            println!(
+                "{:12} {:>12} {:>12} {:>13.2}x",
+                lib.name(),
+                secs(seq_t),
+                secs(pre_t),
+                ratio
+            );
+            let design = format!("scsi-{}", lib.name().to_ascii_lowercase());
+            records.push(BenchRecord {
+                name: format!("{design}/seq"),
+                median: seq_t,
+                threads: 1,
+                host_cpus: cpus,
+                cache_hit_rate: hit_rate(&seq_design),
+                npn_hit_rate: npn_rate(&seq_design),
+                phases: seq_design.stats.phases,
+                speedup_vs_seq: None,
+            });
+            records.push(BenchRecord {
+                name: format!("{design}/preflight"),
+                median: pre_t,
+                threads: 1,
+                host_cpus: cpus,
+                cache_hit_rate: None,
+                npn_hit_rate: None,
+                phases: PhaseTimes::default(),
+                speedup_vs_seq: Some(seq_t.as_secs_f64() / pre_t.as_secs_f64().max(1e-9)),
+            });
+        }
     }
 
     header(

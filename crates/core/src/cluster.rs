@@ -10,8 +10,8 @@
 //!
 //! Two enumerators live here:
 //!
-//! * [`enumerate_clusters`] (default) — a bottom-up dynamic program in the
-//!   k-feasible-cut style: sorted leaf sets are interned in a per-cone
+//! * the interned-cut enumerator (default) — a bottom-up dynamic program in
+//!   the k-feasible-cut style: sorted leaf sets are interned in a per-cone
 //!   [`LeafArena`] (set equality is id equality, subset tests are a
 //!   one-word bloom filter plus a merge scan), each gate's cut list is
 //!   computed once from its fanins' interned lists (over-wide unions —
@@ -23,7 +23,10 @@
 //!   single walk that produces the packed truth table directly (one word
 //!   up to 6 leaves, four words up to 8) — the cluster `Expr` is only
 //!   built lazily, on first use (hazard-check interning or the >8-leaf
-//!   fallback).
+//!   fallback). Covering materializes every gate's list; root
+//!   qualification ([`crate::qualify_cone_root`]) only the cone root's.
+//!   [`enumerate_clusters`] is its eager public view, with an `Expr` per
+//!   cluster, for tests.
 //! * [`enumerate_clusters_legacy`] — the original per-root recursive
 //!   enumerator, kept verbatim as the reference semantics for the
 //!   equivalence proptests and the `kernels` bench's per-cone gate.
@@ -94,6 +97,13 @@ impl Default for ClusterLimits {
 /// Uses the dominance-pruned interned-cut enumerator. Clusters come in a
 /// deterministic order (trivial cut first, then lexicographic by sorted
 /// leaf set), the same order [`enumerate_clusters_legacy`] yields.
+///
+/// This is the eager view: it builds an `Expr` for every cut of every
+/// gate. The mapper ([`crate::cover_cone_with`]) and root qualification
+/// ([`crate::qualify_cone_root`]) match the cuts directly and build an
+/// expression only when a hazard check needs one, so the only callers of
+/// this function are tests and reference loops that feed
+/// [`crate::Matcher::find_matches`].
 pub fn enumerate_clusters(
     net: &Network,
     cone: &Cone,
@@ -655,7 +665,25 @@ thread_local! {
 /// All working storage comes from the thread-local [`EnumScratch`], so in
 /// steady state the dynamic program allocates only its output.
 pub(crate) fn enumerate_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits) -> ConeCuts {
-    SCRATCH.with(|s| enumerate_cuts_in(&mut s.borrow_mut(), net, cone, limits))
+    SCRATCH.with(|s| enumerate_cuts_in(&mut s.borrow_mut(), net, cone, limits, Materialize::Every))
+}
+
+/// [`enumerate_cuts`] for a caller that reads only the cone root's list:
+/// the dynamic program still builds every gate's interned cut-id list
+/// (the root's cross-products consume them), but the materialization walk
+/// and dominance pruning run at the root alone. Every other gate's list is
+/// empty.
+pub(crate) fn enumerate_root_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits) -> ConeCuts {
+    SCRATCH.with(|s| enumerate_cuts_in(&mut s.borrow_mut(), net, cone, limits, Materialize::Root))
+}
+
+/// Which gates' match-candidate lists [`enumerate_cuts_in`] materializes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Materialize {
+    /// Every gate's (covering).
+    Every,
+    /// The cone root's only (root qualification).
+    Root,
 }
 
 fn enumerate_cuts_in(
@@ -663,6 +691,7 @@ fn enumerate_cuts_in(
     net: &Network,
     cone: &Cone,
     limits: &ClusterLimits,
+    materialize: Materialize,
 ) -> ConeCuts {
     let caps_before = scr.capacities();
     scr.arena.reset();
@@ -791,6 +820,10 @@ fn enumerate_cuts_in(
         let start = u32::try_from(cut_data.len()).expect("cut CSR overflow");
         cut_data.extend_from_slice(gate_buf);
         cut_spans.push((start, gate_buf.len() as u32));
+        if materialize == Materialize::Root && g != cone.root {
+            lists.push(Vec::new());
+            continue;
+        }
         // Materialize (depth filter happens in the walk), then prune
         // dominated candidates: a cut whose leaf set strictly contains a
         // surviving cut's covers strictly fewer gates — drop it. The
@@ -1224,6 +1257,38 @@ mod tests {
                     });
                     assert!(dominated, "{text}: dropped cluster is not dominated");
                 }
+            }
+        }
+    }
+
+    /// Root-only materialization gives the root exactly the list full
+    /// materialization gives it, pruning included, and nothing elsewhere.
+    #[test]
+    fn root_only_mode_materializes_the_same_root_list() {
+        for (text, names) in [
+            ("ab + a'c + bc", vec!["a", "b", "c"]),
+            ("ab' + cd + a'd'", vec!["a", "b", "c", "d"]),
+            ("ab + ab'", vec!["a", "b"]),
+            ("abc + a'b'c'", vec!["a", "b", "c"]),
+            (
+                "ab + cd + ef + gh",
+                vec!["a", "b", "c", "d", "e", "f", "g", "h"],
+            ),
+        ] {
+            let (net, cone) = cone_of(text, &names);
+            let limits = ClusterLimits::default();
+            let full = enumerate_cuts(&net, &cone, &limits);
+            let root_only = enumerate_root_cuts(&net, &cone, &limits);
+            let view = |c: &CutCluster| (c.leaves.clone(), c.num_gates, c.truth6, c.twords);
+            let want: Vec<_> = full.clusters(cone.root).iter().map(view).collect();
+            let got: Vec<_> = root_only.clusters(cone.root).iter().map(view).collect();
+            assert_eq!(got, want, "{text}: root list differs");
+            assert_eq!(root_only.truncations, full.truncations, "{text}");
+            for &g in cone.gates.iter().filter(|&&g| g != cone.root) {
+                assert!(
+                    root_only.clusters(g).is_empty(),
+                    "{text}: gate {g} materialized"
+                );
             }
         }
     }

@@ -7,7 +7,9 @@
 //! gate is the cheapest match rooted there plus the best costs of the
 //! match's gate leaves.
 
-use crate::cluster::{enumerate_clusters_legacy, enumerate_cuts, ClusterLimits, CutCluster};
+use crate::cluster::{
+    enumerate_clusters_legacy, enumerate_cuts, enumerate_root_cuts, ClusterLimits, CutCluster,
+};
 use crate::matcher::Matcher;
 use crate::profile::{self, MapPhase};
 use crate::tmap::Objective;
@@ -15,6 +17,7 @@ use asyncmap_network::{Cone, Network, SignalId};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// One chosen cell instance of a cone cover.
 #[derive(Debug, Clone)]
@@ -196,6 +199,58 @@ pub fn cover_cone_with(
     let cover = reconstruct(cone, &gate_idx, &best, cuts.truncations);
     drop(t_select);
     Ok(cover)
+}
+
+/// What [`qualify_cone_root`] found at a cone root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RootQualification {
+    /// Match-candidate clusters enumerated at the root.
+    pub clusters: usize,
+    /// Some root cluster matches some cell functionally (pin-permutation
+    /// exact, before the hazard filter). Without one, covering the cone is
+    /// guaranteed to fail: interior gates can ride inside an ancestor's
+    /// cluster, but the root cannot.
+    pub functional: bool,
+    /// Some root cluster has a match that survives the matcher's hazard
+    /// filter.
+    pub hazard_ok: bool,
+}
+
+/// Qualifies the root of `cone` for covering, stopping before cover: are
+/// there functional matches at the root, and does one of them survive
+/// `matcher`'s hazard filter?
+///
+/// Only the root's cut list is materialized, and `limits` are used as
+/// given (dominance pruning included, unlike [`cover_cone_with`], which
+/// turns pruning off while the hazard filter is live). The clusters are
+/// visited in enumeration order; a cluster is functional when its
+/// pre-hazard-filter candidate list is non-empty, and the first candidate
+/// the filter accepts ends the scan. A cluster's `Expr` is built only if
+/// a hazard check needs it. Under [`crate::HazardPolicy::Ignore`] every
+/// functional candidate is accepted, so `hazard_ok == functional`.
+pub fn qualify_cone_root(
+    net: &Network,
+    cone: &Cone,
+    limits: &ClusterLimits,
+    matcher: &Matcher<'_>,
+) -> RootQualification {
+    let cuts = enumerate_root_cuts(net, cone, limits);
+    let clusters = cuts.clusters(cone.root);
+    let mut q = RootQualification {
+        clusters: clusters.len(),
+        functional: false,
+        hazard_ok: false,
+    };
+    for cluster in clusters {
+        q.functional |= matcher.visit_matches_cut(cluster, net, |_, _| {
+            q.hazard_ok = true;
+            ControlFlow::Break(())
+        });
+        if q.hazard_ok {
+            break;
+        }
+    }
+    q
 }
 
 /// The reference DP over the legacy enumerator's eager clusters, kept as

@@ -62,7 +62,10 @@ pub use cluster::enumerate_clusters_legacy;
 pub use cluster::{enumerate_clusters, Cluster, ClusterLimits};
 #[doc(hidden)]
 pub use cover::cover_cone_legacy;
-pub use cover::{cover_cone, cover_cone_with, hand_cover, ConeCover, CoverError, Instance};
+pub use cover::{
+    cover_cone, cover_cone_with, hand_cover, qualify_cone_root, ConeCover, CoverError, Instance,
+    RootQualification,
+};
 pub use design::{
     assemble, bdd_of_expr, mapped_cone_expr, verify_cone_function, MapStats, MappedDesign,
 };

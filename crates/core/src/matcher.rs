@@ -23,6 +23,7 @@ use asyncmap_hazard::hazards_subset;
 use asyncmap_library::Library;
 use asyncmap_network::Network;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -287,6 +288,26 @@ impl<'lib> Matcher<'lib> {
     /// Both produce the exact match list of the original scalar
     /// implementation (see `find_matches_generic`).
     pub fn find_matches(&self, cluster: &Cluster) -> Vec<Match> {
+        let mut out = Vec::new();
+        self.visit_matches(cluster, |cell_index, pin_to_leaf| {
+            out.push(Match {
+                cell_index,
+                pin_to_leaf: pin_to_leaf.to_vec(),
+            });
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// Visitor form of [`Matcher::find_matches`]: calls `f(cell_index,
+    /// pin_to_leaf)` for each acceptable match, in list order, until `f`
+    /// breaks. Returns whether the cluster had any candidate before the
+    /// hazard filter, i.e. whether it matches some cell functionally.
+    fn visit_matches(
+        &self,
+        cluster: &Cluster,
+        mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
+    ) -> bool {
         let mut t_match = profile::timer(MapPhase::Match);
         let nleaves = cluster.leaves.len();
         // Support + projected truth table, packed in one u64 when the
@@ -315,7 +336,7 @@ impl<'lib> Matcher<'lib> {
             }
         }
         if support.is_empty() {
-            return Vec::new(); // constant cluster: nothing to match
+            return false; // constant cluster: nothing to match
         }
         let n = support.len();
         let (onset, sigs): (u32, Vec<u32>) = match (&small, &big) {
@@ -335,11 +356,11 @@ impl<'lib> Matcher<'lib> {
         // bijection. Buckets keep library order, so the surviving match
         // list is identical to the old full scan's.
         let Some(bucket) = self.sig_index.get(&sig_key(n, onset, &sigs)) else {
-            return Vec::new();
+            return false;
         };
         // Interned lazily: only clusters that reach a hazard check pay it.
         let mut cluster_id: Option<u32> = None;
-        let mut out = Vec::new();
+        let mut functional = false;
         for &e in bucket {
             let entry = &self.entries[e];
             let pin_to_local = match &small {
@@ -363,41 +384,28 @@ impl<'lib> Matcher<'lib> {
             let Some(pin_to_local) = pin_to_local else {
                 continue;
             };
-            let cell_index = entry.index;
+            functional = true;
             // Map pins to the cluster's full leaf indices.
             let pin_to_leaf: Vec<usize> = pin_to_local.iter().map(|&l| support[l]).collect();
-            if self.policy == HazardPolicy::SubsetCheck && entry.hazardous {
-                self.hazard_checks.fetch_add(1, Ordering::Relaxed);
+            if self.checks_hazards(entry) {
                 t_match.pause();
-                let ok = {
-                    let _t_hazard = profile::timer(MapPhase::HazardCheck);
-                    let id = *cluster_id.get_or_insert_with(|| self.cache.intern(&cluster.expr));
-                    match self.cache.key(cell_index, &pin_to_leaf, id, nleaves) {
-                        Some(key) => self.cache.verdict(key, || {
-                            let candidate =
-                                instantiate(self.library.cells()[cell_index].bff(), &pin_to_leaf);
-                            hazards_subset(&candidate, &cluster.expr, nleaves)
-                        }),
-                        // Unpackable binding (>15 pins): check without caching.
-                        None => {
-                            let candidate =
-                                instantiate(self.library.cells()[cell_index].bff(), &pin_to_leaf);
-                            hazards_subset(&candidate, &cluster.expr, nleaves)
-                        }
-                    }
-                };
+                let ok = self.hazard_verdict(
+                    entry.index,
+                    &pin_to_leaf,
+                    nleaves,
+                    || &cluster.expr,
+                    &mut cluster_id,
+                );
                 t_match.resume();
                 if !ok {
-                    self.hazard_rejects.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
             }
-            out.push(Match {
-                cell_index,
-                pin_to_leaf,
-            });
+            if f(entry.index, &pin_to_leaf).is_break() {
+                break;
+            }
         }
-        out
+        functional
     }
 
     /// Cut-enumeration entry point: matches an arena-backed [`CutCluster`]
@@ -420,29 +428,40 @@ impl<'lib> Matcher<'lib> {
 
     /// Visitor form of [`Matcher::find_matches_cut`]: calls `f(cell_index,
     /// pin_to_leaf)` for each acceptable match, in the same order the list
-    /// form returns them. On the packed (≤6-leaf) path the pin binding
-    /// lives in a stack buffer, so visiting allocates nothing — the
-    /// covering DP scores candidates through this and materializes only
-    /// each gate's winner.
+    /// form returns them. The pin binding lives in a stack buffer (up to 8
+    /// leaves), so visiting allocates nothing — the covering DP scores
+    /// candidates through this and materializes only each gate's winner.
     pub(crate) fn for_each_match_cut(
         &self,
         cluster: &CutCluster,
         net: &Network,
         mut f: impl FnMut(usize, &[usize]),
     ) {
+        self.visit_matches_cut(cluster, net, |cell_index, pin_to_leaf| {
+            f(cell_index, pin_to_leaf);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// Early-exit form of [`Matcher::for_each_match_cut`]: visits the
+    /// acceptable matches until `f` breaks, and returns whether the
+    /// cluster had any candidate before the hazard filter, i.e. whether it
+    /// matches some cell functionally. Hazard checks run only for the
+    /// candidates visited before the break.
+    pub(crate) fn visit_matches_cut(
+        &self,
+        cluster: &CutCluster,
+        net: &Network,
+        mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
+    ) -> bool {
         let Some(full) = cluster.truth6 else {
             // Wide cluster (7–8 leaves): match on the 4-word table the
             // enumeration walk produced, no `Expr` needed. Beyond 8 leaves
             // fall back to the generic path on a materialized view.
-            let wide = if let Some(words) = cluster.twords {
-                self.find_matches_wide(cluster, words, net)
-            } else {
-                self.find_matches(&cluster.to_cluster(net))
+            return match cluster.twords {
+                Some(words) => self.visit_matches_wide(cluster, words, net, f),
+                None => self.visit_matches(&cluster.to_cluster(net), f),
             };
-            for m in wide {
-                f(m.cell_index, &m.pin_to_leaf);
-            }
-            return;
         };
         let mut t_match = profile::timer(MapPhase::Match);
         let nleaves = cluster.leaves.len();
@@ -455,7 +474,7 @@ impl<'lib> Matcher<'lib> {
             }
         }
         if n == 0 {
-            return; // constant cluster: nothing to match
+            return false; // constant cluster: nothing to match
         }
         let support = &support[..n];
         let t = truth::project6(full, support);
@@ -510,41 +529,68 @@ impl<'lib> Matcher<'lib> {
         let mut cluster_id: Option<u32> = None;
         for &(e, packed) in bindings.iter() {
             let entry = &self.entries[e as usize];
-            let cell_index = entry.index;
             let mut pins = [0usize; 6];
             for (p, pin) in pins.iter_mut().enumerate().take(n) {
                 *pin = support[packed[p] as usize];
             }
             let pin_to_leaf = &pins[..n];
-            if self.policy == HazardPolicy::SubsetCheck && entry.hazardous {
-                self.hazard_checks.fetch_add(1, Ordering::Relaxed);
+            if self.checks_hazards(entry) {
                 t_match.pause();
-                let ok = {
-                    let _t_hazard = profile::timer(MapPhase::HazardCheck);
-                    let expr = cluster.expr(net);
-                    let id = *cluster_id.get_or_insert_with(|| self.cache.intern(expr));
-                    match self.cache.key(cell_index, pin_to_leaf, id, nleaves) {
-                        Some(key) => self.cache.verdict(key, || {
-                            let candidate =
-                                instantiate(self.library.cells()[cell_index].bff(), pin_to_leaf);
-                            hazards_subset(&candidate, expr, nleaves)
-                        }),
-                        // Unpackable binding (>15 pins): check without caching.
-                        None => {
-                            let candidate =
-                                instantiate(self.library.cells()[cell_index].bff(), pin_to_leaf);
-                            hazards_subset(&candidate, expr, nleaves)
-                        }
-                    }
-                };
+                let ok = self.hazard_verdict(
+                    entry.index,
+                    pin_to_leaf,
+                    nleaves,
+                    || cluster.expr(net),
+                    &mut cluster_id,
+                );
                 t_match.resume();
                 if !ok {
-                    self.hazard_rejects.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
             }
-            f(cell_index, pin_to_leaf);
+            if f(entry.index, pin_to_leaf).is_break() {
+                break;
+            }
         }
+        !bindings.is_empty()
+    }
+
+    /// Whether a candidate on `entry` must pass the hazard filter: the
+    /// policy is [`HazardPolicy::SubsetCheck`] and the cell is hazardous.
+    fn checks_hazards(&self, entry: &CellEntry) -> bool {
+        self.policy == HazardPolicy::SubsetCheck && entry.hazardous
+    }
+
+    /// The hazard filter of §3.2.2 on one candidate: `true` iff
+    /// `hazards(cell) ⊆ hazards(cluster)` under the pin binding. The
+    /// cluster expression is fetched (and interned into `cluster_id`) on
+    /// first use; verdicts go through the shared cache. Counts the check,
+    /// and the reject if there is one.
+    fn hazard_verdict<'e>(
+        &self,
+        cell_index: usize,
+        pin_to_leaf: &[usize],
+        nleaves: usize,
+        expr: impl FnOnce() -> &'e Expr,
+        cluster_id: &mut Option<u32>,
+    ) -> bool {
+        self.hazard_checks.fetch_add(1, Ordering::Relaxed);
+        let _t_hazard = profile::timer(MapPhase::HazardCheck);
+        let expr = expr();
+        let id = *cluster_id.get_or_insert_with(|| self.cache.intern(expr));
+        let check = || {
+            let candidate = instantiate(self.library.cells()[cell_index].bff(), pin_to_leaf);
+            hazards_subset(&candidate, expr, nleaves)
+        };
+        let ok = match self.cache.key(cell_index, pin_to_leaf, id, nleaves) {
+            Some(key) => self.cache.verdict(key, check),
+            // Unpackable binding (>15 pins): check without caching.
+            None => check(),
+        };
+        if !ok {
+            self.hazard_rejects.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
     }
 
     /// Full signature-bucket permutation scan on a packed table. Returns
@@ -576,14 +622,16 @@ impl<'lib> Matcher<'lib> {
     /// Wide-cluster (7–8 leaf) matching on the enumeration walk's 4-word
     /// table: the raw wide memo level first, then a signature-bucket scan
     /// on the word-blocked table. The cluster `Expr` is built lazily and
-    /// only if a hazard check fires. Produces the exact match list
-    /// [`Matcher::find_matches`] yields on the materialized cluster.
-    fn find_matches_wide(
+    /// only if a hazard check fires. Visits the exact match list
+    /// [`Matcher::find_matches`] yields on the materialized cluster, with
+    /// [`Matcher::visit_matches_cut`]'s early exit and return value.
+    fn visit_matches_wide(
         &self,
         cluster: &CutCluster,
         words: [u64; 4],
         net: &Network,
-    ) -> Vec<Match> {
+        mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
+    ) -> bool {
         let mut t_match = profile::timer(MapPhase::Match);
         let nleaves = cluster.leaves.len();
         let bindings: Arc<Vec<WideBinding>> = match &self.memo {
@@ -601,47 +649,32 @@ impl<'lib> Matcher<'lib> {
             None => Arc::new(self.scan_wide(words, nleaves)),
         };
         let mut cluster_id: Option<u32> = None;
-        let mut out = Vec::with_capacity(bindings.len());
         for &(e, packed) in bindings.iter() {
             let entry = &self.entries[e as usize];
-            let cell_index = entry.index;
-            let pin_to_leaf: Vec<usize> = packed[..entry.ninputs]
-                .iter()
-                .map(|&l| l as usize)
-                .collect();
-            if self.policy == HazardPolicy::SubsetCheck && entry.hazardous {
-                self.hazard_checks.fetch_add(1, Ordering::Relaxed);
+            let mut pins = [0usize; 8];
+            for (pin, &l) in pins.iter_mut().zip(&packed[..entry.ninputs]) {
+                *pin = l as usize;
+            }
+            let pin_to_leaf = &pins[..entry.ninputs];
+            if self.checks_hazards(entry) {
                 t_match.pause();
-                let ok = {
-                    let _t_hazard = profile::timer(MapPhase::HazardCheck);
-                    let expr = cluster.expr(net);
-                    let id = *cluster_id.get_or_insert_with(|| self.cache.intern(expr));
-                    match self.cache.key(cell_index, &pin_to_leaf, id, nleaves) {
-                        Some(key) => self.cache.verdict(key, || {
-                            let candidate =
-                                instantiate(self.library.cells()[cell_index].bff(), &pin_to_leaf);
-                            hazards_subset(&candidate, expr, nleaves)
-                        }),
-                        // Unpackable binding (>15 pins): check without caching.
-                        None => {
-                            let candidate =
-                                instantiate(self.library.cells()[cell_index].bff(), &pin_to_leaf);
-                            hazards_subset(&candidate, expr, nleaves)
-                        }
-                    }
-                };
+                let ok = self.hazard_verdict(
+                    entry.index,
+                    pin_to_leaf,
+                    nleaves,
+                    || cluster.expr(net),
+                    &mut cluster_id,
+                );
                 t_match.resume();
                 if !ok {
-                    self.hazard_rejects.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
             }
-            out.push(Match {
-                cell_index,
-                pin_to_leaf,
-            });
+            if f(entry.index, pin_to_leaf).is_break() {
+                break;
+            }
         }
-        out
+        !bindings.is_empty()
     }
 
     /// Full signature-bucket scan for a wide cluster: support reduction,

@@ -25,12 +25,18 @@
 //!   multiply-driven nets, combinational cycles, unsupported latches,
 //!   unused logic, support widths past the cluster leaf cap;
 //! * **pair** ([`preflight_pair`]) — the design is decomposed and
-//!   partitioned exactly as the mapper would, clusters are enumerated at
-//!   every cone root, and each root's sampled cut functions are matched
-//!   against the library: a root none of whose clusters match any cell is
-//!   a *guaranteed* cover failure (`pair.unmappable`, error); a root that
+//!   partitioned exactly as the mapper would, and every cone root is
+//!   qualified by the mapper's own cut enumeration and matcher
+//!   ([`asyncmap_core::qualify_cone_root`]: only the root's cuts are
+//!   materialized, and one hazard-filtering matcher answers both
+//!   questions): a root none of whose clusters match any cell is a
+//!   *guaranteed* cover failure (`pair.unmappable`, error); a root that
 //!   matches functionally but loses every match to the hazard filter is
 //!   flagged `pair.hazard-limited` (warning).
+//!
+//! Cells are characterized once: the library pass reads a cell's stored
+//! hazard annotation when there is one, and the pair pass clones and
+//! annotates the library only when the caller's is not annotated.
 //!
 //! Exit policy mirrors the other passes: gate on [`Report::num_errors`],
 //! tolerate warnings.
@@ -49,6 +55,7 @@ pub use pair::preflight_pair;
 use asyncmap_library::Library;
 use asyncmap_network::EquationSet;
 use asyncmap_report::{Counters, Report, Totals};
+use std::borrow::Cow;
 
 /// Work counters of a preflight run.
 #[derive(Debug, Default, Clone, Copy)]
@@ -99,12 +106,26 @@ impl Counters for PreflightCounters {
 pub type PreflightReport = Report<PreflightCounters>;
 
 /// Runs the full qualification: library checks, design checks and the
-/// pair-wise mapability check, merged into one report.
+/// pair-wise mapability check, merged into one report. An unannotated
+/// `library` is annotated once, on a clone, for both the library and the
+/// pair checks.
 pub fn preflight(design: &EquationSet, library: &Library) -> PreflightReport {
-    let mut report = preflight_library(library);
+    let library = annotated(library);
+    let mut report = preflight_library(&library);
     report.merge(preflight_design(design));
-    report.merge(preflight_pair(design, library));
+    report.merge(preflight_pair(design, &library));
     report
+}
+
+/// `library` itself when it is hazard-annotated, else an annotated clone.
+fn annotated(library: &Library) -> Cow<'_, Library> {
+    if library.is_annotated() {
+        Cow::Borrowed(library)
+    } else {
+        let mut copy = library.clone();
+        copy.annotate_hazards();
+        Cow::Owned(copy)
+    }
 }
 
 #[cfg(test)]

@@ -34,7 +34,9 @@ fn has_full_support(truth: u64, n: usize) -> bool {
 
 /// Checks a converted [`Library`]: vacuous pins, duplicate and dominated
 /// cells, base-class coverage gaps, ≤4-input P-class coverage stats and
-/// per-cell hazard characterization.
+/// per-cell hazard characterization. A cell's stored hazard annotation is
+/// read when present and derived otherwise, so an annotated and an
+/// unannotated copy of a library get the same report.
 pub fn preflight_library(library: &Library) -> PreflightReport {
     let mut report = PreflightReport::default();
     report.counters.cells = library.len();
@@ -81,7 +83,16 @@ pub fn preflight_library(library: &Library) -> PreflightReport {
         }
         by_class.entry(class_key(truth, n)).or_default().push(i);
 
-        let hazards = cell.compute_hazards();
+        // The load-time annotation when there is one (§3.2.1: once per
+        // library element); an unannotated cell is characterized here.
+        let derived;
+        let hazards = match cell.hazards() {
+            Some(stored) => stored,
+            None => {
+                derived = cell.compute_hazards();
+                &derived
+            }
+        };
         if !hazards.is_hazard_free() {
             report.counters.hazardous_cells += 1;
             report.push(
@@ -216,7 +227,8 @@ fn all_classes_up_to_4() -> &'static [Vec<(u64, bool)>; 4] {
 /// Checks a parsed genlib library: declared-SOP-vs-derived-function and
 /// declared-phase-vs-unateness cross-checks, skipped-statement notes,
 /// then all [`preflight_library`] checks on the conversion. Returns the
-/// converted [`Library`] so callers qualify and map the same object.
+/// converted [`Library`], hazard-annotated, so callers qualify and map the
+/// same object without characterizing its cells again.
 pub fn preflight_genlib(genlib: &GenlibLibrary) -> (PreflightReport, Library) {
     let mut report = PreflightReport::default();
     for skipped in &genlib.skipped {
@@ -227,7 +239,8 @@ pub fn preflight_genlib(genlib: &GenlibLibrary) -> (PreflightReport, Library) {
             format!("line {}: {} — not converted", skipped.line, skipped.reason),
         );
     }
-    let library = genlib.to_library();
+    let mut library = genlib.to_library();
+    library.annotate_hazards();
     for cell in &genlib.cells {
         let Some(converted) = library.cell(&cell.name) else {
             continue;

@@ -1,9 +1,9 @@
 //! Pair-wise qualification: decompose and partition the design exactly as
-//! the mapper would, then check every cone root's sampled cut functions
-//! for a realizable match.
+//! the mapper would, then qualify every cone root with the mapper's own
+//! cut enumeration and matcher ([`qualify_cone_root`]).
 
 use crate::PreflightReport;
-use asyncmap_core::{enumerate_clusters, ClusterLimits, HazardPolicy, Matcher};
+use asyncmap_core::{qualify_cone_root, ClusterLimits, HazardPolicy, Matcher};
 use asyncmap_library::Library;
 use asyncmap_network::{async_tech_decomp, partition, EquationSet};
 use asyncmap_report::Severity;
@@ -19,6 +19,11 @@ use asyncmap_report::Severity;
 /// the hazard-containment filter reports `pair.hazard-limited` at warning
 /// severity: the mapper's buffer insertion or objective choice may still
 /// find a legal cover, but the pair deserves a look.
+///
+/// One hazard-filtering [`Matcher`] answers both questions. It needs the
+/// cells' hazard annotations: an annotated `library` is used as is, an
+/// unannotated one is annotated on a clone, so the caller's object is
+/// untouched either way.
 pub fn preflight_pair(eqs: &EquationSet, library: &Library) -> PreflightReport {
     let mut report = PreflightReport::default();
     if library.is_empty() || eqs.equations.is_empty() {
@@ -28,33 +33,14 @@ pub fn preflight_pair(eqs: &EquationSet, library: &Library) -> PreflightReport {
     let cones = partition(&net);
     report.counters.cones = cones.len();
 
-    let functional = Matcher::new(library, HazardPolicy::Ignore);
-    // Hazard filtering needs annotated cells; annotate a clone so the
-    // caller's library object is untouched.
-    let mut annotated = library.clone();
-    annotated.annotate_hazards();
-    let hazard = Matcher::new(&annotated, HazardPolicy::SubsetCheck);
-
+    let annotated = crate::annotated(library);
+    let matcher = Matcher::new(&annotated, HazardPolicy::SubsetCheck);
     let limits = ClusterLimits::default();
     for cone in &cones {
-        let clusters = enumerate_clusters(&net, cone, &limits);
-        let Some(rooted) = clusters.get(&cone.root) else {
-            continue;
-        };
-        report.counters.clusters += rooted.len();
-        let mut functional_ok = false;
-        let mut hazard_ok = false;
-        for cluster in rooted {
-            if !functional.find_matches(cluster).is_empty() {
-                functional_ok = true;
-            }
-            if !hazard.find_matches(cluster).is_empty() {
-                hazard_ok = true;
-                break;
-            }
-        }
+        let q = qualify_cone_root(&net, cone, &limits, &matcher);
+        report.counters.clusters += q.clusters;
         let root_name = net.name(cone.root);
-        if !functional_ok {
+        if !q.functional {
             report.counters.unmappable_roots += 1;
             report.push(
                 Severity::Error,
@@ -63,11 +49,11 @@ pub fn preflight_pair(eqs: &EquationSet, library: &Library) -> PreflightReport {
                 format!(
                     "none of the {} cluster(s) rooted here matches any cell of \
                      {}: covering is guaranteed to fail",
-                    rooted.len(),
+                    q.clusters,
                     library.name()
                 ),
             );
-        } else if !hazard_ok {
+        } else if !q.hazard_ok {
             report.push(
                 Severity::Warning,
                 "pair.hazard-limited",

@@ -593,7 +593,9 @@ fn cmd_preflight(args: &[String]) -> ExitCode {
                 .map_err(|e| format!("{lib_arg}: {e}"))?;
             asyncmap::preflight::preflight_genlib(&parsed)
         } else {
-            let library = asyncmap::load_library_auto(lib_arg)?;
+            let mut library = asyncmap::load_library_auto(lib_arg)?;
+            // Characterize the cells once, for the library and pair checks.
+            library.annotate_hazards();
             (asyncmap::preflight::preflight_library(&library), library)
         };
 
