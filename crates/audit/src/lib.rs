@@ -26,11 +26,10 @@
 //!   set and distinguishability properties, collecting every violation
 //!   ([`check_spec`]).
 //!
-//! Deliberately **not** a dependency of `asyncmap-core`: the mapper can
-//! be pointed at this checker through a hook (see the `ASYNCMAP_AUDIT`
-//! environment variable on the CLI), but nothing here is consulted on the
-//! mapping fast path, and nothing in the crates being audited depends on
-//! the auditor.
+//! Deliberately **not** a dependency of `asyncmap-core`: callers run the
+//! checker by explicit call (`map --audit` on the CLI), nothing here is
+//! consulted on the mapping fast path, and nothing in the crates being
+//! audited depends on the auditor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

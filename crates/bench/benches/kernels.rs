@@ -8,8 +8,8 @@
 //! an equivalence smoke test. The truth-table group checks the
 //! word-parallel table builder against the generic path and the
 //! delta-swap permuters against their minterm loops; the cut-enumeration
-//! group covers every cone of `dme` under Actel with the dominance-pruned
-//! cut enumerator and with the legacy recursive enumerator and requires
+//! group covers every cone of `dme` under Actel with the interned-cut
+//! enumerator and with the legacy recursive enumerator and requires
 //! identical covers; the `exhaustive_sweep` group requires the bit-sliced
 //! hazard-containment sweep to reach the verdict of a per-transition
 //! `wave_eval` loop on every seeded pair.
@@ -159,8 +159,7 @@ fn bench_cut_enumeration(c: &mut Criterion) {
     let cover_cut = |cone| cover_cone_with(&net, cone, &cut_matcher, &limits, Objective::Area);
     let cover_legacy =
         |cone| cover_cone_legacy(&net, cone, &legacy_matcher, &limits, Objective::Area);
-    // Divergence gate: on every cone the dominance-pruned interned
-    // enumerator must select the exact cover the legacy recursive
+    // Divergence gate: on every cone the interned-cut enumerator must select the exact cover the legacy recursive
     // enumerator does, else the bench (and CI) fails. Assembly is a
     // deterministic function of the covers, so this pins the mapped design.
     for cone in &cones {

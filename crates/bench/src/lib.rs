@@ -130,7 +130,10 @@ pub struct BenchRecord {
     /// Fraction of match-memo lookups served from the NPN memo; `None`
     /// when the memo saw no lookups.
     pub npn_hit_rate: Option<f64>,
-    /// Per-phase time breakdown of one representative run.
+    /// Per-phase time breakdown of one representative run. For a
+    /// parallel (`threads > 1`) record the phase times are summed over
+    /// the cover workers, so they measure time spent per phase and can
+    /// exceed the record's wall-clock median.
     pub phases: PhaseTimes,
     /// Sequential-over-this-configuration time ratio (>1 means this
     /// configuration is faster than the sequential baseline); `None` for

@@ -12,15 +12,11 @@
 //!
 //! * the interned-cut enumerator (default) — a bottom-up dynamic program in
 //!   the k-feasible-cut style: sorted leaf sets are interned in a per-cone
-//!   [`LeafArena`] (set equality is id equality, subset tests are a
-//!   one-word bloom filter plus a merge scan), each gate's cut list is
+//!   [`LeafArena`] (set equality is id equality), each gate's cut list is
 //!   computed once from its fanins' interned lists (over-wide unions —
 //!   the bulk of the cross product in wide cones — are rejected by a
-//!   bloom popcount bound or an early-aborting merge before anything is
-//!   hashed), dominated cuts (superset leaf set — which in a tree cone
-//!   implies strictly fewer covered gates) are pruned from the
-//!   match-candidate list, and the surviving cuts are materialized by a
-//!   single walk that produces the packed truth table directly (one word
+//!   one-word bloom popcount bound or an early-aborting merge before
+//!   anything is hashed), and the cuts are materialized by a single walk that produces the packed truth table directly (one word
 //!   up to 6 leaves, four words up to 8) — the cluster `Expr` is only
 //!   built lazily, on first use (hazard-check interning or the >8-leaf
 //!   fallback). Covering materializes every gate's list; root
@@ -33,11 +29,8 @@
 //!
 //! The new enumerator reproduces the legacy pipeline order exactly
 //! (cross-product → lexicographic sort → dedup → trivial cut first →
-//! `max_cuts_per_gate` truncation → depth filter), and downstream gates
-//! consume the *unpruned* truncated lists, so dominance pruning only
-//! removes match candidates whose leaf sets are supersets of another
-//! candidate at the same root — the mapped designs stay bit-identical on
-//! the evaluation benchmarks.
+//! `max_cuts_per_gate` truncation → depth filter), so both yield equal
+//! cluster lists and the mapped designs are bit-identical.
 
 use crate::truth::{self, MASKS};
 use asyncmap_bff::Expr;
@@ -69,15 +62,6 @@ pub struct ClusterLimits {
     pub max_leaves: usize,
     /// Cap on cuts kept per gate (guards pathological cones).
     pub max_cuts_per_gate: usize,
-    /// Prune match-equivalent dominated cuts from each gate's candidate
-    /// list: a cut whose leaf set strictly contains another cut's, with
-    /// the same support-signal sequence and the same support-projected
-    /// truth table, covers strictly fewer gates at no smaller cost and is
-    /// dropped before matching. Selection-safe by construction, so mapped
-    /// designs are unchanged. On by default; the covering layer ignores
-    /// the flag while the matcher's hazard filter is live (the dominated
-    /// pair's cluster expressions differ, so hazard verdicts could too).
-    pub prune_dominated: bool,
 }
 
 impl Default for ClusterLimits {
@@ -86,7 +70,6 @@ impl Default for ClusterLimits {
             max_depth: 5,
             max_leaves: 8,
             max_cuts_per_gate: 200,
-            prune_dominated: true,
         }
     }
 }
@@ -94,9 +77,9 @@ impl Default for ClusterLimits {
 /// Enumerates the clusters rooted at every gate of `cone`, keyed by root
 /// signal.
 ///
-/// Uses the dominance-pruned interned-cut enumerator. Clusters come in a
-/// deterministic order (trivial cut first, then lexicographic by sorted
-/// leaf set), the same order [`enumerate_clusters_legacy`] yields.
+/// Uses the interned-cut enumerator. Clusters come in a deterministic
+/// order (trivial cut first, then lexicographic by sorted leaf set), and
+/// the lists equal [`enumerate_clusters_legacy`]'s.
 ///
 /// This is the eager view: it builds an `Expr` for every cut of every
 /// gate. The mapper ([`crate::cover_cone_with`]) and root qualification
@@ -120,8 +103,7 @@ pub fn enumerate_clusters(
 }
 
 /// The original recursive enumerator, kept as the reference semantics for
-/// equivalence tests and the `kernels` bench's per-cone gate. Ignores
-/// [`ClusterLimits::prune_dominated`].
+/// equivalence tests and the `kernels` bench's per-cone gate.
 #[doc(hidden)]
 pub fn enumerate_clusters_legacy(
     net: &Network,
@@ -456,32 +438,6 @@ impl LeafArena {
         out.extend_from_slice(&ys[j..]);
         true
     }
-
-    /// `true` iff set `a` ⊆ set `b` (bloom prefilter, then a merge scan).
-    fn is_subset(&self, a: u32, b: u32) -> bool {
-        if a == b {
-            return true;
-        }
-        if self.len_of(a) > self.len_of(b) || self.sigs[a as usize] & !self.sigs[b as usize] != 0 {
-            return false;
-        }
-        let (xs, ys) = (self.slice(a), self.slice(b));
-        let mut j = 0;
-        'outer: for &x in xs {
-            while j < ys.len() {
-                match ys[j].cmp(&x) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        j += 1;
-                        continue 'outer;
-                    }
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
-    }
 }
 
 /// A materialized cut: the matcher-facing view of one cluster, carrying
@@ -545,8 +501,8 @@ impl CutCluster {
     }
 }
 
-/// The cut sets of one cone, enumerated bottom-up with interned leaf sets
-/// and dominance pruning. Storage is dense: one cluster list per cone
+/// The cut sets of one cone, enumerated bottom-up with interned leaf
+/// sets. Storage is dense: one cluster list per cone
 /// gate, aligned with the cone's (ascending) gate order — no per-cone hash
 /// map.
 #[derive(Debug)]
@@ -598,22 +554,13 @@ struct EnumScratch {
     merge: Vec<SignalId>,
     /// Sorted/deduped trivial-cut buffer.
     trivial_buf: Vec<SignalId>,
-    /// Interned ids of the current gate's materialized clusters (parallel
-    /// to the list under construction), for the dominance subset tests.
-    mat_ids: Vec<u32>,
-    /// Dominance-key support signals, concatenated; keys hold spans.
-    key_sigs: Vec<SignalId>,
-    /// Dominance keys: `(start, len)` into `key_sigs` plus the projected
-    /// truth table; `None` for wide (>6-leaf) cuts.
-    keys: Vec<Option<(u32, u32, u64)>>,
-    keep: Vec<bool>,
 }
 
 /// Capacity snapshot of every [`EnumScratch`] buffer, for counting
 /// allocation (capacity-growth) events per cone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ScratchCaps {
-    caps: [usize; 12],
+    caps: [usize; 10],
 }
 
 impl EnumScratch {
@@ -630,8 +577,6 @@ impl EnumScratch {
                 self.gate_buf.capacity(),
                 self.merge.capacity(),
                 self.trivial_buf.capacity(),
-                self.key_sigs.capacity(),
-                self.keys.capacity(),
             ],
         }
     }
@@ -658,9 +603,7 @@ thread_local! {
 
 /// Bottom-up cut enumeration over `cone`: one pass over the gates in
 /// topological order, each gate's cut list built from its fanins' interned
-/// lists. Downstream gates consume the truncated-but-unpruned lists (the
-/// exact legacy sets); dominance pruning applies to the materialized
-/// match-candidate lists only.
+/// lists (the exact legacy sets).
 ///
 /// All working storage comes from the thread-local [`EnumScratch`], so in
 /// steady state the dynamic program allocates only its output.
@@ -671,8 +614,7 @@ pub(crate) fn enumerate_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits)
 /// [`enumerate_cuts`] for a caller that reads only the cone root's list:
 /// the dynamic program still builds every gate's interned cut-id list
 /// (the root's cross-products consume them), but the materialization walk
-/// and dominance pruning run at the root alone. Every other gate's list is
-/// empty.
+/// runs at the root alone. Every other gate's list is empty.
 pub(crate) fn enumerate_root_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits) -> ConeCuts {
     SCRATCH.with(|s| enumerate_cuts_in(&mut s.borrow_mut(), net, cone, limits, Materialize::Root))
 }
@@ -724,10 +666,6 @@ fn enumerate_cuts_in(
         gate_buf,
         merge,
         trivial_buf,
-        mat_ids,
-        key_sigs,
-        keys,
-        keep,
     } = scr;
     let generation = *generation;
     // Sub-cut span of fanin `f`: its CSR range when `f` is a cone gate
@@ -824,13 +762,8 @@ fn enumerate_cuts_in(
             lists.push(Vec::new());
             continue;
         }
-        // Materialize (depth filter happens in the walk), then prune
-        // dominated candidates: a cut whose leaf set strictly contains a
-        // surviving cut's covers strictly fewer gates — drop it. The
-        // trivial cut (index 0) is never pruned: it guarantees every gate
-        // stays coverable by a base cell.
+        // Materialize; the depth filter happens in the walk.
         let mut list: Vec<CutCluster> = Vec::with_capacity(gate_buf.len());
-        mat_ids.clear();
         for &id in gate_buf.iter() {
             let mut leaves = Vec::with_capacity(arena.len_of(id));
             let mut num_gates = 0usize;
@@ -851,7 +784,6 @@ fn enumerate_cuts_in(
             } else {
                 None
             };
-            mat_ids.push(id);
             list.push(CutCluster {
                 root: g,
                 leaves,
@@ -861,68 +793,6 @@ fn enumerate_cuts_in(
                 max_depth: limits.max_depth,
                 expr: OnceCell::new(),
             });
-        }
-        if limits.prune_dominated && list.len() > 1 {
-            // Match-equivalent dominance: cut B is dominated by cut A when
-            // leaves(A) ⊊ leaves(B) and both present the matcher with the
-            // very same candidate — identical support-signal sequence and
-            // identical support-projected truth table. The two then yield
-            // identical match lists and pin bindings, and B's candidates
-            // carry a superset of A's gate leaves, so B can never win the
-            // covering DP (extra gate leaves cost strictly positive area;
-            // an exact tie means the candidates are interchangeable).
-            // Naive leaf-set dominance is NOT selection-safe: the smaller
-            // cut's function may have no library match while the larger
-            // one's does, which the equal-truth condition rules out. The
-            // trivial cut (index 0) is never pruned.
-            key_sigs.clear();
-            keys.clear();
-            for c in &list {
-                keys.push((|| {
-                    let t = c.truth6?;
-                    let n = c.leaves.len();
-                    let mut sup = [0usize; 6];
-                    let mut ns = 0usize;
-                    for v in 0..n {
-                        if truth::depends6(t, n, v) {
-                            sup[ns] = v;
-                            ns += 1;
-                        }
-                    }
-                    let start = key_sigs.len() as u32;
-                    for &v in &sup[..ns] {
-                        key_sigs.push(c.leaves[v]);
-                    }
-                    let proj = truth::project6(t, &sup[..ns]);
-                    Some((start, ns as u32, proj))
-                })());
-            }
-            keep.clear();
-            keep.resize(list.len(), true);
-            let key_eq = |x: &(u32, u32, u64), y: &(u32, u32, u64)| {
-                x.2 == y.2
-                    && key_sigs[x.0 as usize..(x.0 + x.1) as usize]
-                        == key_sigs[y.0 as usize..(y.0 + y.1) as usize]
-            };
-            for j in 1..list.len() {
-                let Some(kj) = &keys[j] else { continue };
-                for i in 0..list.len() {
-                    if i == j || !keep[i] {
-                        continue;
-                    }
-                    let Some(ki) = &keys[i] else { continue };
-                    if key_eq(ki, kj) && arena.is_subset(mat_ids[i], mat_ids[j]) {
-                        debug_assert!(
-                            list[i].num_gates > list[j].num_gates,
-                            "a sub-cut covers strictly more gates"
-                        );
-                        keep[j] = false;
-                        break;
-                    }
-                }
-            }
-            let mut it = keep.iter();
-            list.retain(|_| *it.next().expect("keep mask aligned"));
         }
         lists.push(list);
     }
@@ -1170,19 +1040,14 @@ mod tests {
     }
 
     #[test]
-    fn arena_interns_once_and_tests_subsets() {
+    fn arena_interns_once_and_merges_bounded() {
         let mut arena = LeafArena::default();
         let s = |i: usize| SignalId(i);
         let a = arena.intern(&[s(1), s(3)]);
         let b = arena.intern(&[s(1), s(2), s(3)]);
         assert_eq!(arena.intern(&[s(1), s(3)]), a, "re-intern returns the id");
-        assert!(arena.is_subset(a, b));
-        assert!(!arena.is_subset(b, a));
-        assert!(arena.is_subset(a, a));
-        // Bloom collisions (64 apart) still answer correctly.
+        // Bloom collisions (64 apart) still merge correctly.
         let c = arena.intern(&[s(65)]);
-        let d = arena.intern(&[s(1)]);
-        assert!(!arena.is_subset(c, d));
         let mut merged = Vec::new();
         assert!(arena.merge_bounded(a, c, 8, &mut merged));
         assert_eq!(merged, vec![s(1), s(3), s(65)]);
@@ -1194,12 +1059,10 @@ mod tests {
         );
     }
 
-    /// The pruned enumerator yields a subset of the legacy clusters: every
-    /// surviving cluster exists verbatim in the legacy list, every legacy
-    /// cluster that was dropped is dominated by a surviving one, and with
-    /// pruning disabled the two lists are identical.
+    /// The interned-cut enumerator yields exactly the legacy clusters, in
+    /// the legacy order.
     #[test]
-    fn pruned_enumeration_is_a_dominance_subset_of_legacy() {
+    fn enumeration_equals_legacy() {
         for (text, names) in [
             ("ab + a'c + bc", vec!["a", "b", "c"]),
             ("ab' + cd + a'd'", vec!["a", "b", "c", "d"]),
@@ -1209,60 +1072,17 @@ mod tests {
             let limits = ClusterLimits::default();
             let new = enumerate_clusters(&net, &cone, &limits);
             let legacy = enumerate_clusters_legacy(&net, &cone, &limits);
-            let unpruned = enumerate_clusters(
-                &net,
-                &cone,
-                &ClusterLimits {
-                    prune_dominated: false,
-                    ..limits
-                },
-            );
             for g in &cone.gates {
                 let key = |c: &Cluster| (c.leaves.clone(), c.num_gates, format!("{:?}", c.expr));
                 let new_keys: Vec<_> = new[g].iter().map(key).collect();
                 let legacy_keys: Vec<_> = legacy[g].iter().map(key).collect();
-                let unpruned_keys: Vec<_> = unpruned[g].iter().map(key).collect();
-                assert_eq!(unpruned_keys, legacy_keys, "{text}: unpruned != legacy");
-                // Pruned list is an ordered subset…
-                let mut it = legacy_keys.iter();
-                for k in &new_keys {
-                    assert!(
-                        it.any(|l| l == k),
-                        "{text}: pruned cluster not in legacy order"
-                    );
-                }
-                // …and everything dropped is match-equivalent dominated by
-                // a survivor: subset leaves, same support-signal sequence,
-                // same support-projected truth.
-                let match_key = |c: &Cluster| {
-                    let n = c.leaves.len();
-                    let t = truth::truth6_of(&c.expr, n);
-                    let support: Vec<usize> =
-                        (0..n).filter(|&v| truth::depends6(t, n, v)).collect();
-                    let sigs: Vec<SignalId> = support.iter().map(|&v| c.leaves[v]).collect();
-                    (sigs, truth::project6(t, &support))
-                };
-                for dropped in legacy[g].iter().filter(|c| {
-                    let k = key(c);
-                    !new_keys.contains(&k)
-                }) {
-                    let mut d_set = dropped.leaves.clone();
-                    d_set.sort();
-                    let dominated = new[g].iter().any(|kept| {
-                        let mut k_set = kept.leaves.clone();
-                        k_set.sort();
-                        kept.num_gates > dropped.num_gates
-                            && k_set.iter().all(|s| d_set.binary_search(s).is_ok())
-                            && match_key(kept) == match_key(dropped)
-                    });
-                    assert!(dominated, "{text}: dropped cluster is not dominated");
-                }
+                assert_eq!(new_keys, legacy_keys, "{text}: gate {g}");
             }
         }
     }
 
     /// Root-only materialization gives the root exactly the list full
-    /// materialization gives it, pruning included, and nothing elsewhere.
+    /// materialization gives it, and nothing elsewhere.
     #[test]
     fn root_only_mode_materializes_the_same_root_list() {
         for (text, names) in [

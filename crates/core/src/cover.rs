@@ -113,7 +113,6 @@ pub fn cover_cone_with(
     limits: &ClusterLimits,
     objective: Objective,
 ) -> Result<ConeCover, CoverError> {
-    let limits = &effective_limits(limits, matcher);
     let cuts = {
         let _t = profile::timer(MapPhase::ClusterEnum);
         enumerate_cuts(net, cone, limits)
@@ -220,12 +219,10 @@ pub struct RootQualification {
 /// there functional matches at the root, and does one of them survive
 /// `matcher`'s hazard filter?
 ///
-/// Only the root's cut list is materialized, and `limits` are used as
-/// given (dominance pruning included, unlike [`cover_cone_with`], which
-/// turns pruning off while the hazard filter is live). The clusters are
-/// visited in enumeration order; a cluster is functional when its
-/// pre-hazard-filter candidate list is non-empty, and the first candidate
-/// the filter accepts ends the scan. A cluster's `Expr` is built only if
+/// Only the root's cut list is materialized. The clusters are visited in
+/// enumeration order; a cluster is functional when its pre-hazard-filter
+/// candidate list is non-empty, and the first candidate the filter
+/// accepts ends the scan. A cluster's `Expr` is built only if
 /// a hazard check needs it. Under [`crate::HazardPolicy::Ignore`] every
 /// functional candidate is accepted, so `hazard_ok == functional`.
 pub fn qualify_cone_root(
@@ -341,7 +338,7 @@ pub fn hand_cover(
 ) -> Result<ConeCover, CoverError> {
     let cuts = {
         let _t = profile::timer(MapPhase::ClusterEnum);
-        enumerate_cuts(net, cone, &effective_limits(limits, matcher))
+        enumerate_cuts(net, cone, limits)
     };
     let mut t_select = profile::timer(MapPhase::CoverSelect);
     let in_cone = |s: SignalId| cone.gates.binary_search(&s).is_ok();
@@ -390,16 +387,6 @@ pub fn hand_cover(
         area,
         cut_truncations: cuts.truncations,
     })
-}
-
-/// Dominance pruning trades on match-list interchangeability, which the
-/// hazard filter breaks (verdicts depend on the cluster expression, not
-/// just its projected function): force it off while the filter is live.
-fn effective_limits(limits: &ClusterLimits, matcher: &Matcher<'_>) -> ClusterLimits {
-    ClusterLimits {
-        prune_dominated: limits.prune_dominated && !matcher.hazard_filtering_active(),
-        ..*limits
-    }
 }
 
 fn reconstruct(

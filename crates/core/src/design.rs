@@ -14,7 +14,8 @@ use std::collections::HashMap;
 /// Every field is **per-run**: repeated `map` calls — including repeated
 /// [`crate::async_tmap_cached`] calls sharing one verdict cache — each
 /// report only their own run's checks, memo traffic and phase times, never
-/// an accumulation over earlier runs. (A [`crate::Matcher`] held directly
+/// an accumulation over earlier runs, and concurrent runs on other threads
+/// never leak into each other's counts. (A [`crate::Matcher`] held directly
 /// by the caller *does* accumulate; see [`crate::Matcher::counters`] /
 /// [`crate::Matcher::reset_counters`] for per-run accounting there.)
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,12 +42,12 @@ pub struct MapStats {
     pub cut_truncations: usize,
     /// Cones whose cut enumeration ran entirely out of the pre-sized
     /// thread-local scratch — zero heap allocations beyond the returned
-    /// cut lists. In steady state this tracks [`MapStats::cones`]. Zero
-    /// when the `profile` feature is disabled.
+    /// cut lists. In steady state this tracks the number of cones
+    /// enumerated ([`MapPhase::ClusterEnum`](crate::MapPhase) calls).
     pub enum_warm_cones: usize,
     /// Scratch-buffer capacity-growth events during cut enumeration (each
     /// at least one heap allocation; cold-start sizing plus any later
-    /// regrowth). Zero when the `profile` feature is disabled.
+    /// regrowth).
     pub enum_alloc_events: usize,
     /// Cones mapped.
     pub cones: usize,
@@ -60,14 +61,8 @@ pub struct MapStats {
     pub subject_gates: usize,
     /// Fanout buffers added.
     pub buffers: usize,
-    /// Translation-validation certificates replayed by the post-transform
-    /// audit hook (`ASYNCMAP_AUDIT=1`); zero when the audit did not run.
-    pub audit_certificates: usize,
-    /// Cones analyzed clean by the post-map fundamental-mode analysis
-    /// hook (`ASYNCMAP_FMA=1`); zero when the analyzer did not run.
-    pub fma_cones: usize,
-    /// Per-phase wall-clock breakdown of the run (all zero when the
-    /// `profile` feature is disabled).
+    /// Per-phase wall-clock breakdown of the run. With several cover
+    /// worker threads, the covering phases are summed over the workers.
     pub phases: crate::profile::PhaseTimes,
 }
 

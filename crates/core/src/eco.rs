@@ -31,16 +31,15 @@
 //! cover for each of them independently).
 
 use crate::cover::{cover_cone_with, ConeCover, CoverError, Instance};
-use crate::design::{assemble, MapStats, MappedDesign};
+use crate::design::MappedDesign;
 use crate::hcache::HazardCache;
 use crate::matcher::{HazardPolicy, Matcher, MatcherCounters};
-use crate::profile::{self, MapPhase};
-use crate::tmap::MapOptions;
+use crate::profile::{self, MapPhase, Tally};
+use crate::tmap::{MapOptions, RunMeter};
 use asyncmap_library::Library;
 use asyncmap_network::{
-    async_tech_decomp, async_tech_decomp_traced, build_partition_dag, cone_shape_key, partition,
-    partition_traced, propagate_dirty, Cone, ConeLocalMap, ConeShapeKey, EquationSet, Network,
-    ShapeKeyScratch,
+    async_tech_decomp, build_partition_dag, cone_shape_key, partition, propagate_dirty, Cone,
+    ConeLocalMap, ConeShapeKey, EquationSet, Network, ShapeKeyScratch,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -72,7 +71,7 @@ struct StoredCover {
 }
 
 /// Reuse accounting of one [`EcoSession::map`] call, alongside the
-/// design's ordinary [`MapStats`].
+/// design's ordinary [`MapStats`](crate::MapStats).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EcoStats {
     /// Cones in the partition of this map's subject network.
@@ -145,28 +144,18 @@ impl<'lib> EcoSession<'lib> {
     /// [`crate::async_tmap`] of the same equations under the session's
     /// options.
     ///
-    /// Honors the same `ASYNCMAP_LINT` / `ASYNCMAP_AUDIT` hook switches as
-    /// [`crate::async_tmap`].
-    ///
     /// # Errors
     ///
     /// Returns [`CoverError`] if some gate admits no match.
     ///
     /// # Panics
     ///
-    /// Panics if the session's library has not been hazard-annotated, or
-    /// if an enabled lint/audit hook reports findings.
+    /// Panics if the session's library has not been hazard-annotated.
     pub fn map(&mut self, eqs: &EquationSet) -> Result<EcoOutcome, CoverError> {
-        let phases_before = profile::snapshot();
-        let audit = crate::tmap::audit_hook();
-        let (subject, dtrace) = {
+        let meter = RunMeter::start(&self.cache);
+        let subject = {
             let _t = profile::timer(MapPhase::Decompose);
-            if audit.is_some() {
-                let (net, trace) = async_tech_decomp_traced(eqs);
-                (net, Some(trace))
-            } else {
-                (async_tech_decomp(eqs), None)
-            }
+            async_tech_decomp(eqs)
         };
         let cones = {
             let _t = profile::timer(MapPhase::Partition);
@@ -201,10 +190,6 @@ impl<'lib> EcoSession<'lib> {
             HazardPolicy::SubsetCheck,
             Arc::clone(&self.cache),
         );
-        let matcher_before = matcher.counters();
-        let hits_before = self.cache.hits();
-        let misses_before = self.cache.misses();
-        let alloc_before = profile::enum_alloc_snapshot();
         let mut remapped = 0usize;
         for (cone, range) in cones.iter().zip(&ranges) {
             let words = &arena[range.clone()];
@@ -249,36 +234,11 @@ impl<'lib> EcoSession<'lib> {
                 .collect()
         };
 
-        let phases = profile::snapshot().delta(&phases_before);
-        profile::maybe_dump(&phases);
-        let cut_truncations = covers.iter().map(|c| c.cut_truncations).sum();
-        let counters = matcher.counters().delta(&matcher_before);
-        let alloc = profile::enum_alloc_snapshot().delta(&alloc_before);
-        profile::maybe_dump_counters(
-            cut_truncations,
-            counters.npn_hits,
-            counters.npn_misses,
-            &alloc,
-        );
         // Hazard totals are the per-cone sums over *all* cones (stored
         // per-shape counts), exactly what a cold sequential run
-        // accumulates; cache/memo/alloc counters describe this run's real
-        // work and are deltas like everywhere else.
-        let stats = MapStats {
-            hazard_checks: stored.iter().map(|s| s.hazard_checks).sum(),
-            hazard_rejects: stored.iter().map(|s| s.hazard_rejects).sum(),
-            cache_hits: self.cache.hits() - hits_before,
-            cache_misses: self.cache.misses() - misses_before,
-            npn_hits: counters.npn_hits,
-            npn_misses: counters.npn_misses,
-            cut_truncations,
-            enum_warm_cones: alloc.warm_cones as usize,
-            enum_alloc_events: alloc.alloc_events as usize,
-            cones_reused: cones.len() - remapped,
-            cones_remapped: remapped,
-            phases,
-            ..MapStats::default()
-        };
+        // accumulates; every other counter describes this run's real work.
+        let hazard_checks = stored.iter().map(|s| s.hazard_checks).sum();
+        let hazard_rejects = stored.iter().map(|s| s.hazard_rejects).sum();
         let eco = EcoStats {
             cones_total: cones.len(),
             cones_reused: cones.len() - remapped,
@@ -286,23 +246,18 @@ impl<'lib> EcoSession<'lib> {
             cones_downstream_dirty: downstream_dirty,
             store_entries: self.store.len(),
         };
-        let mut design = assemble(
-            self.library,
+        let mut design = meter.finish(
+            &matcher,
+            Tally::default(),
             subject,
             cones,
             covers,
-            stats,
             self.options.add_buffers,
         );
-        crate::tmap::post_map_check(&design, self.library);
-        crate::tmap::post_analyze_check(&mut design, self.library);
-        if let (Some(hook), Some(dtrace)) = (audit, dtrace) {
-            let (cones, ptrace) = partition_traced(&design.subject);
-            match hook(eqs, &design.subject, &dtrace, &cones, &ptrace) {
-                Ok(certificates) => design.stats.audit_certificates = certificates,
-                Err(report) => panic!("ASYNCMAP_AUDIT=1: transformation audit failed\n{report}"),
-            }
-        }
+        design.stats.hazard_checks = hazard_checks;
+        design.stats.hazard_rejects = hazard_rejects;
+        design.stats.cones_reused = eco.cones_reused;
+        design.stats.cones_remapped = eco.cones_remapped;
         Ok(EcoOutcome { design, eco })
     }
 }

@@ -81,7 +81,5 @@ pub use matcher::{instantiate, truth_table_of, HazardPolicy, Match, Matcher, Mat
 pub use profile::{MapPhase, PhaseTimes};
 pub use report::{cell_usage, render_report, CellUsage};
 pub use tmap::{
-    async_tmap, async_tmap_cached, hand_map, set_post_analyze_hook, set_post_map_hook,
-    set_post_transform_hook, set_pre_map_hook, threads_from_env_capped, tmap, MapOptions,
-    Objective, PostAnalyzeHook, PostMapHook, PostTransformHook, PreMapHook,
+    async_tmap, async_tmap_cached, hand_map, threads_from_env_capped, tmap, MapOptions, Objective,
 };

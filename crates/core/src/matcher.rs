@@ -266,15 +266,6 @@ impl<'lib> Matcher<'lib> {
         self.memo = enabled.then(MatchMemo::new);
     }
 
-    /// Whether matching can consult the hazard filter: the policy is
-    /// [`HazardPolicy::SubsetCheck`] and some library cell is hazardous.
-    /// Dominance pruning is disabled while this holds — a dominated cut's
-    /// cluster expression differs from its dominator's, so their hazard
-    /// verdicts (unlike their match lists) are not interchangeable.
-    pub fn hazard_filtering_active(&self) -> bool {
-        self.policy == HazardPolicy::SubsetCheck && self.entries.iter().any(|e| e.hazardous)
-    }
-
     /// Finds all acceptable matches for `cluster` (paper
     /// `asyncmatchingroutine` when the policy is
     /// [`HazardPolicy::SubsetCheck`]).

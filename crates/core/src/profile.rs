@@ -2,24 +2,21 @@
 //!
 //! Each phase of a mapping run (decomposition, partitioning, cluster
 //! enumeration, Boolean matching, hazard checking, cover selection)
-//! accumulates elapsed nanoseconds and an invocation count into global
-//! relaxed atomics. [`crate::MapStats::phases`] reports the delta across
-//! one run; `ASYNCMAP_PROFILE=1` additionally dumps the breakdown to
-//! stderr when the run finishes.
+//! accumulates elapsed nanoseconds and an invocation count into a
+//! **thread-local** tally, next to the cut enumerator's scratch-allocation
+//! counts. A mapping run differences its own thread's tally around the
+//! run, and every parallel cover worker hands its own delta back with its
+//! results, so [`crate::MapStats`] counts exactly the run's work even
+//! while other runs execute concurrently on other threads.
 //!
 //! The timers are always compiled in; an idle timer costs two
-//! `Instant::now` calls and two relaxed atomic adds. Phases nest — a
+//! `Instant::now` calls and one thread-local add. Phases nest — a
 //! matching call happens inside cover selection — so outer timers
 //! [`PhaseTimer::pause`] around inner phases, keeping the per-phase totals
 //! disjoint and summable.
-//!
-//! Totals are process-global: if several mapping runs execute
-//! concurrently on different threads, each run's delta includes the
-//! others' work during its window. Per-run attribution is only exact for
-//! the (default) one-run-at-a-time usage.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A pipeline phase, in execution order.
@@ -43,13 +40,10 @@ pub enum MapPhase {
     /// ECO remap: translating stored covers onto the new network's
     /// signals.
     ReuseStitch,
-    /// Whole-design fundamental-mode analysis (the `asyncmap-fma` pass,
-    /// run standalone or through the `ASYNCMAP_FMA=1` hook).
-    Analyze,
 }
 
 /// Number of phases in [`MapPhase`].
-pub const NUM_PHASES: usize = 9;
+pub const NUM_PHASES: usize = 8;
 
 /// Short stable names, indexed by `MapPhase as usize` (used in reports and
 /// the benchmark JSON).
@@ -62,7 +56,6 @@ pub const PHASE_NAMES: [&str; NUM_PHASES] = [
     "cover_select",
     "dirty_mark",
     "reuse_stitch",
-    "analyze",
 ];
 
 /// Accumulated per-phase wall-clock time and invocation counts.
@@ -73,6 +66,11 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
+    const ZERO: PhaseTimes = PhaseTimes {
+        nanos: [0; NUM_PHASES],
+        counts: [0; NUM_PHASES],
+    };
+
     /// Phase-wise difference `self - earlier` (saturating), for the
     /// snapshot-before / snapshot-after accounting of one run.
     pub fn delta(&self, earlier: &PhaseTimes) -> PhaseTimes {
@@ -82,6 +80,14 @@ impl PhaseTimes {
             out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
         }
         out
+    }
+
+    /// Phase-wise sum, for merging the tallies of several threads.
+    fn add(&mut self, other: &PhaseTimes) {
+        for i in 0..NUM_PHASES {
+            self.nanos[i] += other.nanos[i];
+            self.counts[i] += other.counts[i];
+        }
     }
 
     /// Seconds spent in `phase`.
@@ -100,8 +106,8 @@ impl PhaseTimes {
         self.nanos.iter().sum::<u64>() as f64 * 1e-9
     }
 
-    /// `true` when nothing was recorded (profiler compiled out, or an
-    /// unprofiled code path).
+    /// `true` when nothing was recorded (an unprofiled code path, or a
+    /// default-constructed value).
     pub fn is_zero(&self) -> bool {
         self.counts.iter().all(|&c| c == 0) && self.nanos.iter().all(|&n| n == 0)
     }
@@ -109,35 +115,6 @@ impl PhaseTimes {
     /// Iterates `(name, seconds, count)` per phase, in pipeline order.
     pub fn entries(&self) -> impl Iterator<Item = (&'static str, f64, u64)> + '_ {
         (0..NUM_PHASES).map(|i| (PHASE_NAMES[i], self.nanos[i] as f64 * 1e-9, self.counts[i]))
-    }
-}
-
-/// Allocation accounting of the cut enumerator's reusable scratch (see
-/// `cluster::EnumScratch`): how many cones were enumerated, how many of
-/// them ran entirely out of pre-sized buffers, and how many buffer-growth
-/// (heap allocation) events occurred in total. In steady state
-/// `warm_cones` tracks `cones` and `alloc_events` stays flat.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnumAllocStats {
-    /// Cones enumerated.
-    pub cones: u64,
-    /// Cones whose enumeration grew no scratch buffer (zero allocations
-    /// beyond the returned cut lists).
-    pub warm_cones: u64,
-    /// Scratch-buffer capacity-growth events (each at least one heap
-    /// allocation).
-    pub alloc_events: u64,
-}
-
-impl EnumAllocStats {
-    /// Component-wise difference `self - earlier` (saturating), for
-    /// per-run accounting.
-    pub fn delta(&self, earlier: &EnumAllocStats) -> EnumAllocStats {
-        EnumAllocStats {
-            cones: self.cones.saturating_sub(earlier.cones),
-            warm_cones: self.warm_cones.saturating_sub(earlier.warm_cones),
-            alloc_events: self.alloc_events.saturating_sub(earlier.alloc_events),
-        }
     }
 }
 
@@ -153,9 +130,51 @@ impl fmt::Display for PhaseTimes {
     }
 }
 
-// `[const { ... }; N]` array-repeat initialization of the atomics.
-static NANOS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
-static COUNTS: [AtomicU64; NUM_PHASES] = [const { AtomicU64::new(0) }; NUM_PHASES];
+/// Everything one thread has recorded: phase times plus the cut
+/// enumerator's allocation accounting (see `cluster::EnumScratch`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    pub(crate) phases: PhaseTimes,
+    /// Cones whose enumeration grew no scratch buffer.
+    pub(crate) warm_cones: u64,
+    /// Scratch-buffer capacity-growth events (each at least one heap
+    /// allocation).
+    pub(crate) alloc_events: u64,
+}
+
+impl Tally {
+    const ZERO: Tally = Tally {
+        phases: PhaseTimes::ZERO,
+        warm_cones: 0,
+        alloc_events: 0,
+    };
+
+    /// Component-wise `self - earlier` (saturating).
+    pub(crate) fn delta(&self, earlier: &Tally) -> Tally {
+        Tally {
+            phases: self.phases.delta(&earlier.phases),
+            warm_cones: self.warm_cones.saturating_sub(earlier.warm_cones),
+            alloc_events: self.alloc_events.saturating_sub(earlier.alloc_events),
+        }
+    }
+
+    /// Component-wise sum.
+    pub(crate) fn add(&mut self, other: &Tally) {
+        self.phases.add(&other.phases);
+        self.warm_cones += other.warm_cones;
+        self.alloc_events += other.alloc_events;
+    }
+}
+
+thread_local! {
+    static TALLY: RefCell<Tally> = const { RefCell::new(Tally::ZERO) };
+}
+
+/// This thread's running tally (everything recorded on it since it
+/// started); difference two reads for one run's share.
+pub(crate) fn tally() -> Tally {
+    TALLY.with(|t| *t.borrow())
+}
 
 /// Times one phase from construction to drop; [`PhaseTimer::pause`]
 /// excludes nested phases from the lap.
@@ -185,13 +204,18 @@ impl PhaseTimer {
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
         self.pause();
-        NANOS[self.idx].fetch_add(self.acc, Ordering::Relaxed);
-        COUNTS[self.idx].fetch_add(1, Ordering::Relaxed);
+        // `try_with`: a timer dropped while the thread's locals are torn
+        // down loses its lap rather than panicking inside `drop`.
+        let _ = TALLY.try_with(|t| {
+            let phases = &mut t.borrow_mut().phases;
+            phases.nanos[self.idx] += self.acc;
+            phases.counts[self.idx] += 1;
+        });
     }
 }
 
-/// Starts timing `phase`; the lap is committed to the global totals when
-/// the returned timer drops.
+/// Starts timing `phase`; the lap is committed to this thread's tally
+/// when the returned timer drops.
 pub fn timer(phase: MapPhase) -> PhaseTimer {
     PhaseTimer {
         idx: phase as usize,
@@ -200,93 +224,23 @@ pub fn timer(phase: MapPhase) -> PhaseTimer {
     }
 }
 
-/// Current global per-phase totals (all runs since process start).
+/// This thread's per-phase totals (all timers dropped on it since it
+/// started); difference two snapshots for the work in between.
 pub fn snapshot() -> PhaseTimes {
-    let mut out = PhaseTimes::default();
-    for i in 0..NUM_PHASES {
-        out.nanos[i] = NANOS[i].load(Ordering::Relaxed);
-        out.counts[i] = COUNTS[i].load(Ordering::Relaxed);
-    }
-    out
+    tally().phases
 }
-
-static ENUM_CONES: AtomicU64 = AtomicU64::new(0);
-static ENUM_WARM: AtomicU64 = AtomicU64::new(0);
-static ENUM_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one enumerated cone and the number of scratch-buffer growth
 /// events it incurred.
-pub fn record_enum_cone(alloc_events: u64) {
-    ENUM_CONES.fetch_add(1, Ordering::Relaxed);
-    if alloc_events == 0 {
-        ENUM_WARM.fetch_add(1, Ordering::Relaxed);
-    } else {
-        ENUM_ALLOCS.fetch_add(alloc_events, Ordering::Relaxed);
-    }
-}
-
-/// Current global enumeration-allocation totals (all runs since process
-/// start); difference two snapshots for per-run numbers.
-pub fn enum_alloc_snapshot() -> EnumAllocStats {
-    EnumAllocStats {
-        cones: ENUM_CONES.load(Ordering::Relaxed),
-        warm_cones: ENUM_WARM.load(Ordering::Relaxed),
-        alloc_events: ENUM_ALLOCS.load(Ordering::Relaxed),
-    }
-}
-
-/// `true` when the `ASYNCMAP_PROFILE` environment switch asks for
-/// phase-time output (any nonempty value other than `0`).
-pub fn dump_enabled() -> bool {
-    std::env::var("ASYNCMAP_PROFILE").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
-}
-
-/// Dumps `times` to stderr when `ASYNCMAP_PROFILE=1` is set.
-pub fn maybe_dump(times: &PhaseTimes) {
-    if dump_enabled() && !times.is_zero() {
-        eprintln!(
-            "asyncmap phase profile ({:.2} ms total):\n{times}",
-            times.total_secs() * 1e3
-        );
-    }
-}
-
-/// Dumps the run's enumeration/matching counters to stderr when
-/// `ASYNCMAP_PROFILE=1` is set: cut-list truncation events (silent pruning
-/// that can cost cover quality), the NPN match-memo hit/miss split, and
-/// the enumeration-scratch allocation accounting (warm cones allocate
-/// nothing beyond their output).
-pub fn maybe_dump_counters(
-    cut_truncations: usize,
-    npn_hits: usize,
-    npn_misses: usize,
-    alloc: &EnumAllocStats,
-) {
-    if !dump_enabled() {
-        return;
-    }
-    let lookups = npn_hits + npn_misses;
-    if lookups > 0 {
-        eprintln!(
-            "asyncmap npn memo: {npn_hits} hits / {lookups} lookups ({:.1}%)",
-            npn_hits as f64 / lookups as f64 * 100.0
-        );
-    }
-    if cut_truncations > 0 {
-        eprintln!("asyncmap cut enumeration: {cut_truncations} gates hit max_cuts_per_gate");
-    }
-    if alloc.cones > 0 {
-        eprintln!(
-            "asyncmap enum scratch: {}/{} warm cones ({:.1}%), {} alloc events",
-            alloc.warm_cones,
-            alloc.cones,
-            alloc.warm_cones as f64 / alloc.cones as f64 * 100.0,
-            alloc.alloc_events
-        );
-    }
+pub(crate) fn record_enum_cone(alloc_events: u64) {
+    TALLY.with(|t| {
+        let mut t = t.borrow_mut();
+        if alloc_events == 0 {
+            t.warm_cones += 1;
+        } else {
+            t.alloc_events += alloc_events;
+        }
+    });
 }
 
 #[cfg(test)]
@@ -302,9 +256,27 @@ mod tests {
             t.resume();
         }
         let d = snapshot().delta(&before);
-        assert!(d.count(MapPhase::Match) >= 1);
+        assert_eq!(d.count(MapPhase::Match), 1);
         // Display renders one line per phase.
         assert_eq!(format!("{d}").lines().count(), NUM_PHASES);
+    }
+
+    #[test]
+    fn tallies_are_per_thread() {
+        let before = tally();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _t = timer(MapPhase::Decompose);
+                record_enum_cone(3);
+            });
+        });
+        // The other thread's timer and enumeration never reach this one.
+        assert_eq!(tally(), before);
+        let _ = timer(MapPhase::Decompose);
+        record_enum_cone(0);
+        let d = tally().delta(&before);
+        assert_eq!(d.phases.count(MapPhase::Decompose), 1);
+        assert_eq!((d.warm_cones, d.alloc_events), (1, 0));
     }
 
     #[test]

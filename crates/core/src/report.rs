@@ -99,31 +99,6 @@ pub fn render_report(design: &MappedDesign, library: &Library) -> String {
             design.stats.cut_truncations
         );
     }
-    if design.stats.audit_certificates > 0 {
-        let _ = writeln!(
-            out,
-            "transformation audit: {} certificate(s) replayed clean",
-            design.stats.audit_certificates
-        );
-    }
-    if design.stats.fma_cones > 0 {
-        let _ = writeln!(
-            out,
-            "fundamental-mode analysis: {} cone(s) analyzed clean",
-            design.stats.fma_cones
-        );
-    }
-    // Wall-clock phase times vary run to run, so they are opt-in via the
-    // same switch as the stderr dump — default report output stays
-    // byte-reproducible across runs and thread counts.
-    if crate::profile::dump_enabled() && !design.stats.phases.is_zero() {
-        let _ = writeln!(
-            out,
-            "phase breakdown ({:.1} ms profiled):",
-            design.stats.phases.total_secs() * 1e3
-        );
-        let _ = writeln!(out, "{}", design.stats.phases);
-    }
     let _ = writeln!(out, "{:12} {:>6} {:>10}", "cell", "count", "area");
     for u in cell_usage(design, library) {
         let _ = writeln!(out, "{:12} {:>6} {:>10.1}", u.name, u.count, u.area);

@@ -7,142 +7,13 @@ use crate::cover::{cover_cone_with, hand_cover, ConeCover, CoverError};
 use crate::design::{assemble, MapStats, MappedDesign};
 use crate::hcache::HazardCache;
 use crate::matcher::{HazardPolicy, Matcher};
-use crate::profile::{self, MapPhase, PhaseTimes};
+use crate::profile::{self, MapPhase, Tally};
 use asyncmap_library::Library;
 use asyncmap_network::{
-    async_tech_decomp, async_tech_decomp_traced, partition, partition_traced, sync_tech_decomp,
-    Cone, DecompTrace, EquationSet, Network, PartitionTrace,
+    async_tech_decomp, partition, sync_tech_decomp, Cone, EquationSet, Network,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// A post-map verification callback: inspects the finished design and
-/// returns `Err` with a rendered report when it is unacceptable.
-pub type PostMapHook = fn(&MappedDesign, &Library) -> Result<(), String>;
-
-static POST_MAP_HOOK: OnceLock<PostMapHook> = OnceLock::new();
-
-/// A pre-map qualification callback: statically qualifies the
-/// (design, library) pair before any mapping work and returns `Err` with
-/// a rendered report when the pair is disqualified (e.g. a guaranteed
-/// cover failure).
-pub type PreMapHook = fn(&EquationSet, &Library) -> Result<(), String>;
-
-static PRE_MAP_HOOK: OnceLock<PreMapHook> = OnceLock::new();
-
-/// Installs the process-wide pre-map qualification hook. The hook runs at
-/// the top of every [`async_tmap`]/[`async_tmap_cached`] call when the
-/// `ASYNCMAP_PREFLIGHT=1` environment variable is set; a failing hook
-/// panics with the hook's report before any mapping work starts. The
-/// first installation wins; later calls are ignored.
-///
-/// Mirrors [`set_post_map_hook`]: the core crate cannot depend on the
-/// preflight crate (the qualification analyzer must be independent of the
-/// mapper's code paths), so the facade installs it through this
-/// indirection.
-pub fn set_pre_map_hook(hook: PreMapHook) {
-    let _ = PRE_MAP_HOOK.set(hook);
-}
-
-pub(crate) fn pre_map_check(eqs: &EquationSet, library: &Library) {
-    if !std::env::var("ASYNCMAP_PREFLIGHT").is_ok_and(|v| v.trim() == "1") {
-        return;
-    }
-    if let Some(hook) = PRE_MAP_HOOK.get() {
-        if let Err(report) = hook(eqs, library) {
-            panic!("ASYNCMAP_PREFLIGHT=1: pre-map qualification failed\n{report}");
-        }
-    }
-}
-
-/// A post-transform audit callback: replays the front end's certificate
-/// trail (decomposition steps, partition cuts) against the subject
-/// network and the source equations. Returns the number of certificates
-/// checked, or `Err` with a rendered report when any certificate fails.
-pub type PostTransformHook =
-    fn(&EquationSet, &Network, &DecompTrace, &[Cone], &PartitionTrace) -> Result<usize, String>;
-
-static POST_TRANSFORM_HOOK: OnceLock<PostTransformHook> = OnceLock::new();
-
-/// Installs the process-wide transformation audit hook. The hook runs
-/// after every successful [`async_tmap`]/[`async_tmap_cached`] call when
-/// the `ASYNCMAP_AUDIT=1` environment variable is set; a failing hook
-/// panics with the hook's report. The first installation wins; later
-/// calls are ignored.
-///
-/// Mirrors [`set_post_map_hook`]: the core crate cannot depend on the
-/// audit crate (the checker must share no code with the transformations
-/// it certifies), so the facade installs the checker through this
-/// indirection.
-pub fn set_post_transform_hook(hook: PostTransformHook) {
-    let _ = POST_TRANSFORM_HOOK.set(hook);
-}
-
-/// The audit hook to run, when `ASYNCMAP_AUDIT=1` and one is installed.
-pub(crate) fn audit_hook() -> Option<PostTransformHook> {
-    if !std::env::var("ASYNCMAP_AUDIT").is_ok_and(|v| v.trim() == "1") {
-        return None;
-    }
-    POST_TRANSFORM_HOOK.get().copied()
-}
-
-/// Installs the process-wide post-map verification hook. The hook runs
-/// after every successful [`async_tmap`]/[`async_tmap_cached`] call when
-/// the `ASYNCMAP_LINT=1` environment variable is set; a failing hook
-/// panics with the hook's report. The first installation wins; later
-/// calls are ignored.
-///
-/// The core crate cannot depend on the lint crate (the lint pass must be
-/// independent of the mapper's code paths), so the facade installs the
-/// lint pass through this indirection.
-pub fn set_post_map_hook(hook: PostMapHook) {
-    let _ = POST_MAP_HOOK.set(hook);
-}
-
-pub(crate) fn post_map_check(design: &MappedDesign, library: &Library) {
-    if !std::env::var("ASYNCMAP_LINT").is_ok_and(|v| v.trim() == "1") {
-        return;
-    }
-    if let Some(hook) = POST_MAP_HOOK.get() {
-        if let Err(report) = hook(design, library) {
-            panic!("ASYNCMAP_LINT=1: post-map verification failed\n{report}");
-        }
-    }
-}
-
-/// A post-map fundamental-mode analysis callback: runs the whole-design
-/// analyzer over the finished design and returns the number of cones it
-/// analyzed, or `Err` with a rendered report when the design violates the
-/// fundamental-mode operating assumption.
-pub type PostAnalyzeHook = fn(&MappedDesign, &Library) -> Result<usize, String>;
-
-static POST_ANALYZE_HOOK: OnceLock<PostAnalyzeHook> = OnceLock::new();
-
-/// Installs the process-wide post-map fundamental-mode analysis hook. The
-/// hook runs after every successful [`async_tmap`]/[`async_tmap_cached`]
-/// (and ECO remap) when the `ASYNCMAP_FMA=1` environment variable is set;
-/// a failing hook panics with the hook's report. The first installation
-/// wins; later calls are ignored.
-///
-/// Mirrors [`set_post_map_hook`]: the core crate cannot depend on the
-/// analyzer crate (the analysis must be independent of the mapper's code
-/// paths), so the facade installs it through this indirection.
-pub fn set_post_analyze_hook(hook: PostAnalyzeHook) {
-    let _ = POST_ANALYZE_HOOK.set(hook);
-}
-
-pub(crate) fn post_analyze_check(design: &mut MappedDesign, library: &Library) {
-    if !std::env::var("ASYNCMAP_FMA").is_ok_and(|v| v.trim() == "1") {
-        return;
-    }
-    if let Some(hook) = POST_ANALYZE_HOOK.get() {
-        let _t = profile::timer(MapPhase::Analyze);
-        match hook(&*design, library) {
-            Ok(cones) => design.stats.fma_cones = cones,
-            Err(report) => panic!("ASYNCMAP_FMA=1: fundamental-mode analysis failed\n{report}"),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// The covering objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -226,18 +97,12 @@ pub fn tmap(
     library: &Library,
     options: &MapOptions,
 ) -> Result<MappedDesign, CoverError> {
-    let phases_before = profile::snapshot();
-    let subject = {
-        let _t = profile::timer(MapPhase::Decompose);
-        sync_tech_decomp(eqs)
-    };
-    run(
-        subject,
+    map_run(
+        eqs,
         library,
-        HazardPolicy::Ignore,
         options,
-        false,
-        phases_before,
+        Flow::Sync,
+        &Arc::new(HazardCache::new()),
     )
 }
 
@@ -282,37 +147,7 @@ pub fn async_tmap_cached(
     options: &MapOptions,
     cache: &Arc<HazardCache>,
 ) -> Result<MappedDesign, CoverError> {
-    let phases_before = profile::snapshot();
-    pre_map_check(eqs, library);
-    let audit = audit_hook();
-    let (subject, dtrace) = {
-        let _t = profile::timer(MapPhase::Decompose);
-        if audit.is_some() {
-            let (net, trace) = async_tech_decomp_traced(eqs);
-            (net, Some(trace))
-        } else {
-            (async_tech_decomp(eqs), None)
-        }
-    };
-    let mut design = run_with_cache(
-        subject,
-        library,
-        HazardPolicy::SubsetCheck,
-        options,
-        false,
-        cache,
-        phases_before,
-    )?;
-    if let (Some(hook), Some(dtrace)) = (audit, dtrace) {
-        // Re-partitioning is deterministic and cheap relative to covering;
-        // running it traced here keeps the mapping fast path untouched.
-        let (cones, ptrace) = partition_traced(&design.subject);
-        match hook(eqs, &design.subject, &dtrace, &cones, &ptrace) {
-            Ok(certificates) => design.stats.audit_certificates = certificates,
-            Err(report) => panic!("ASYNCMAP_AUDIT=1: transformation audit failed\n{report}"),
-        }
-    }
-    Ok(design)
+    map_run(eqs, library, options, Flow::Async, cache)
 }
 
 /// A "designer-style" structural mapping without hazard filtering: the
@@ -327,113 +162,136 @@ pub fn hand_map(
     library: &Library,
     options: &MapOptions,
 ) -> Result<MappedDesign, CoverError> {
-    let phases_before = profile::snapshot();
+    map_run(
+        eqs,
+        library,
+        options,
+        Flow::Hand,
+        &Arc::new(HazardCache::new()),
+    )
+}
+
+/// Which procedure a run follows. All three share [`map_run`]'s pipeline
+/// and differ only in the decomposition, the hazard filter on matching and
+/// the cover selection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    /// [`tmap`]: simplifying decomposition, no hazard filter.
+    Sync,
+    /// [`async_tmap`]: hazard-preserving decomposition, Theorem 3.2
+    /// filter.
+    Async,
+    /// [`hand_map`]: hazard-preserving decomposition, no filter, greedy
+    /// cover, no fanout buffers.
+    Hand,
+}
+
+/// The mapping pipeline: decompose → partition → cover → per-run stats →
+/// assemble.
+fn map_run(
+    eqs: &EquationSet,
+    library: &Library,
+    options: &MapOptions,
+    flow: Flow,
+    cache: &Arc<HazardCache>,
+) -> Result<MappedDesign, CoverError> {
+    let meter = RunMeter::start(cache);
     let subject = {
         let _t = profile::timer(MapPhase::Decompose);
-        async_tech_decomp(eqs)
+        match flow {
+            Flow::Sync => sync_tech_decomp(eqs),
+            Flow::Async | Flow::Hand => async_tech_decomp(eqs),
+        }
     };
-    run(
-        subject,
-        library,
-        HazardPolicy::Ignore,
-        options,
-        true,
-        phases_before,
-    )
-}
-
-fn run(
-    subject: asyncmap_network::Network,
-    library: &Library,
-    policy: HazardPolicy,
-    options: &MapOptions,
-    greedy: bool,
-    phases_before: PhaseTimes,
-) -> Result<MappedDesign, CoverError> {
-    run_with_cache(
-        subject,
-        library,
-        policy,
-        options,
-        greedy,
-        &Arc::new(HazardCache::new()),
-        phases_before,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_with_cache(
-    subject: asyncmap_network::Network,
-    library: &Library,
-    policy: HazardPolicy,
-    options: &MapOptions,
-    greedy: bool,
-    cache: &Arc<HazardCache>,
-    phases_before: PhaseTimes,
-) -> Result<MappedDesign, CoverError> {
     let cones = {
         let _t = profile::timer(MapPhase::Partition);
         partition(&subject)
     };
+    let policy = match flow {
+        Flow::Async => HazardPolicy::SubsetCheck,
+        Flow::Sync | Flow::Hand => HazardPolicy::Ignore,
+    };
     let matcher = Matcher::with_cache(library, policy, Arc::clone(cache));
-    // Every counter in MapStats is per-run: matcher counters and process
-    // phase timers are snapshot-deltas around this run, and the shared
-    // cache's totals are differenced the same way.
-    let matcher_before = matcher.counters();
-    let hits_before = cache.hits();
-    let misses_before = cache.misses();
-    let alloc_before = profile::enum_alloc_snapshot();
-    let threads = effective_threads(options.threads, cones.len());
-    let cover_one = |cone| {
-        if greedy {
-            hand_cover(&subject, cone, &matcher, &options.limits)
-        } else {
+    let cover_one = |cone| match flow {
+        Flow::Hand => hand_cover(&subject, cone, &matcher, &options.limits),
+        Flow::Sync | Flow::Async => {
             cover_cone_with(&subject, cone, &matcher, &options.limits, options.objective)
         }
     };
-    let covers = if threads <= 1 {
+    let threads = effective_threads(options.threads, cones.len());
+    let (covers, workers) = if threads <= 1 {
         let mut covers: Vec<ConeCover> = Vec::with_capacity(cones.len());
         for cone in &cones {
             covers.push(cover_one(cone)?);
         }
-        covers
+        (covers, Tally::default())
     } else {
         cover_parallel(&cones, threads, &cover_one)?
     };
-    let phases = profile::snapshot().delta(&phases_before);
-    profile::maybe_dump(&phases);
-    let cut_truncations = covers.iter().map(|c| c.cut_truncations).sum();
-    let counters = matcher.counters().delta(&matcher_before);
-    let alloc = profile::enum_alloc_snapshot().delta(&alloc_before);
-    profile::maybe_dump_counters(
-        cut_truncations,
-        counters.npn_hits,
-        counters.npn_misses,
-        &alloc,
-    );
-    let stats = MapStats {
-        hazard_checks: counters.hazard_checks,
-        hazard_rejects: counters.hazard_rejects,
-        cache_hits: cache.hits() - hits_before,
-        cache_misses: cache.misses() - misses_before,
-        npn_hits: counters.npn_hits,
-        npn_misses: counters.npn_misses,
-        cut_truncations,
-        enum_warm_cones: alloc.warm_cones as usize,
-        enum_alloc_events: alloc.alloc_events as usize,
-        phases,
-        ..MapStats::default()
-    };
-    let add_buffers = options.add_buffers && !greedy;
-    let mut design = assemble(library, subject, cones, covers, stats, add_buffers);
-    // Opt-in post-map verification, only for the hazard-filtered flow: a
-    // synchronous or hand-mapped design legitimately fails the Theorem 3.2
-    // re-check (and the fundamental-mode analysis assumes it).
-    if matches!(policy, HazardPolicy::SubsetCheck) && !greedy {
-        post_map_check(&design, library);
-        post_analyze_check(&mut design, library);
+    let add_buffers = options.add_buffers && flow != Flow::Hand;
+    Ok(meter.finish(&matcher, workers, subject, cones, covers, add_buffers))
+}
+
+/// The counter baselines of one mapping run, taken before any of its
+/// work: the calling thread's profiler tally and the verdict cache's
+/// running totals. [`RunMeter::finish`] differences them into the run's
+/// [`MapStats`], so every counter describes this run alone — however warm
+/// the shared cache, and whatever other runs do on other threads.
+pub(crate) struct RunMeter {
+    tally: Tally,
+    cache_hits: usize,
+    cache_misses: usize,
+}
+
+impl RunMeter {
+    pub(crate) fn start(cache: &HazardCache) -> Self {
+        RunMeter {
+            tally: profile::tally(),
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+        }
     }
-    Ok(design)
+
+    /// The stats-and-assemble stage shared by every mapping run.
+    /// `matcher` is the run's own (fresh) matcher, so its counters are the
+    /// run's; `workers` is the summed tally of the run's cover worker
+    /// threads, if any, so with several workers the phase times are
+    /// summed over them (time spent, not wall time).
+    pub(crate) fn finish(
+        self,
+        matcher: &Matcher<'_>,
+        workers: Tally,
+        subject: Network,
+        cones: Vec<Cone>,
+        covers: Vec<ConeCover>,
+        add_buffers: bool,
+    ) -> MappedDesign {
+        let mut run = profile::tally().delta(&self.tally);
+        run.add(&workers);
+        let counters = matcher.counters();
+        let cache = matcher.cache();
+        let stats = MapStats {
+            hazard_checks: counters.hazard_checks,
+            hazard_rejects: counters.hazard_rejects,
+            cache_hits: cache.hits() - self.cache_hits,
+            cache_misses: cache.misses() - self.cache_misses,
+            npn_hits: counters.npn_hits,
+            npn_misses: counters.npn_misses,
+            cut_truncations: covers.iter().map(|c| c.cut_truncations).sum(),
+            enum_warm_cones: run.warm_cones as usize,
+            enum_alloc_events: run.alloc_events as usize,
+            phases: run.phases,
+            ..MapStats::default()
+        };
+        assemble(
+            matcher.library(),
+            subject,
+            cones,
+            covers,
+            stats,
+            add_buffers,
+        )
+    }
 }
 
 /// Covers every cone on `threads` scoped workers pulling cone indices from
@@ -444,37 +302,46 @@ fn run_with_cache(
 /// would have hit first.
 ///
 /// The only shared state is the lock-free work counter; each worker keeps
-/// its `(index, result)` pairs locally and hands them back through its
-/// join handle, so no thread ever blocks on another.
+/// its `(index, result)` pairs and its own profiler tally locally and
+/// hands them back through its join handle, so no thread ever blocks on
+/// another. Returns the covers and the workers' summed tally.
 fn cover_parallel<'a>(
-    cones: &'a [asyncmap_network::Cone],
+    cones: &'a [Cone],
     threads: usize,
-    cover_one: &(dyn Fn(&'a asyncmap_network::Cone) -> Result<ConeCover, CoverError> + Sync),
-) -> Result<Vec<ConeCover>, CoverError> {
+    cover_one: &(dyn Fn(&'a Cone) -> Result<ConeCover, CoverError> + Sync),
+) -> Result<(Vec<ConeCover>, Tally), CoverError> {
     let next = AtomicUsize::new(0);
-    let mut results: Vec<(usize, Result<ConeCover, CoverError>)> = std::thread::scope(|scope| {
+    let mut results: Vec<(usize, Result<ConeCover, CoverError>)> = Vec::with_capacity(cones.len());
+    let mut workers = Tally::default();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let start = profile::tally();
                     let mut local: Vec<(usize, Result<ConeCover, CoverError>)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(cone) = cones.get(i) else { break };
                         local.push((i, cover_one(cone)));
                     }
-                    local
+                    (local, profile::tally().delta(&start))
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("cone worker panicked"))
-            .collect()
+        for h in handles {
+            let (local, tally) = h.join().expect("cone worker panicked");
+            results.extend(local);
+            workers.add(&tally);
+        }
     });
     debug_assert_eq!(results.len(), cones.len());
     results.sort_by_key(|&(i, _)| i);
     // First error in partition order, exactly as the sequential loop.
-    results.into_iter().map(|(_, r)| r).collect()
+    let covers = results
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect::<Result<_, _>>()?;
+    Ok((covers, workers))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Equivalence of the dominance-pruned interned-cut enumerator against the
+//! Equivalence of the interned-cut enumerator against the
 //! legacy recursive enumerator — per root, after cover selection the chosen
 //! instances must be identical — plus round-trip properties of the NPN/P
 //! canonical form backing the match memo, and memo-on vs memo-off match
@@ -57,8 +57,8 @@ proptest! {
         let net = async_tech_decomp(&eqs);
         let objective = if delay_objective { Objective::Delay } else { Objective::Area };
         let limits = ClusterLimits::default();
-        // SubsetCheck exercises the hazard filter (which disables pruning);
-        // Ignore exercises dominance pruning itself.
+        // SubsetCheck exercises the hazard filter; Ignore the plain
+        // functional match lists.
         for (mut lib, policy) in [
             (builtin::lsi9k(), HazardPolicy::SubsetCheck),
             (builtin::actel(), HazardPolicy::SubsetCheck),

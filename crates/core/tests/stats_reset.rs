@@ -2,18 +2,23 @@
 //!
 //! [`MapStats`] must be per-run: repeated mapping calls on a shared
 //! verdict cache (the reused-engine pattern) each report only their own
-//! run's hazard checks, memo traffic and phase times. A directly-held
-//! [`Matcher`], by contrast, accumulates — explicitly, with a snapshot /
-//! delta / reset API.
+//! run's hazard checks, memo traffic and phase times, and runs executing
+//! concurrently on other threads never leak into each other's counts. A
+//! directly-held [`Matcher`], by contrast, accumulates — explicitly, with
+//! a snapshot / delta / reset API.
+//!
+//! The tests here run in parallel with each other on purpose: each one
+//! maps or matches while the others do, which is exactly the interference
+//! per-run counters must be immune to.
 
 use asyncmap_core::{
     async_tmap_cached, enumerate_clusters, ClusterLimits, HazardCache, HazardPolicy, MapOptions,
-    Matcher,
+    MapStats, Matcher,
 };
 use asyncmap_cube::{Cover, VarTable};
-use asyncmap_library::builtin;
+use asyncmap_library::{builtin, Library};
 use asyncmap_network::{async_tech_decomp, partition, EquationSet};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn figure3_eqs() -> EquationSet {
     let vars = VarTable::from_names(["a", "b", "c"]);
@@ -50,9 +55,9 @@ fn repeated_runs_on_shared_cache_report_per_run_stats() {
         second.stats.hazard_checks
     );
 
-    // Phase timers are process-global atomics; MapStats must carry the
-    // run's delta, not the running total. Counts are deterministic
-    // per-run, so equality (not growth) is the proof.
+    // MapStats must carry the run's phase delta, not the thread's running
+    // total. Counts are deterministic per run, so equality (not growth) is
+    // the proof.
     for ((phase1, _, count1), (phase3, _, count3)) in first
         .stats
         .phases
@@ -110,4 +115,93 @@ fn reused_matcher_accumulates_until_reset() {
     let after_reset = matcher.counters();
     assert_eq!(after_reset.hazard_checks, after_one.hazard_checks);
     assert_eq!(after_reset.hazard_rejects, after_one.hazard_rejects);
+}
+
+/// The deterministic counters of one run: hazard-filter work, match-memo
+/// lookups and per-phase call counts. With `exact_split`, also the memo's
+/// and the verdict cache's hit/miss splits — those are only deterministic
+/// with one cover worker, since several workers of one run share its memo
+/// and cache, and which of them misses a key first depends on scheduling
+/// even when the run is alone.
+fn run_counts(stats: &MapStats, exact_split: bool) -> Vec<(String, u64)> {
+    let mut counts = vec![
+        ("hazard_checks".to_owned(), stats.hazard_checks as u64),
+        ("hazard_rejects".to_owned(), stats.hazard_rejects as u64),
+        (
+            "npn_lookups".to_owned(),
+            (stats.npn_hits + stats.npn_misses) as u64,
+        ),
+    ];
+    if exact_split {
+        counts.push(("npn_hits".to_owned(), stats.npn_hits as u64));
+        counts.push(("npn_misses".to_owned(), stats.npn_misses as u64));
+        counts.push(("cache_hits".to_owned(), stats.cache_hits as u64));
+        counts.push(("cache_misses".to_owned(), stats.cache_misses as u64));
+    }
+    for (phase, _, calls) in stats.phases.entries() {
+        counts.push((format!("{phase} calls"), calls));
+    }
+    counts
+}
+
+/// Two designs mapped at the same time, each with its own verdict cache,
+/// report exactly the counts each reports when mapped alone — with one
+/// cover worker per run and with four (capped at the machine's cores).
+/// Profiler tallies are per thread, and every cover worker hands its own
+/// tally back to its run, so neither run sees the other's work.
+#[test]
+fn concurrent_runs_report_exactly_their_own_counts() {
+    let mut lib = builtin::actel();
+    lib.annotate_hazards();
+    let designs = [
+        asyncmap_burst::benchmark("pe-send-ifc"),
+        asyncmap_burst::benchmark("dme-fast-opt"),
+    ];
+    let map = |eqs: &EquationSet, lib: &Library, threads: usize| -> MapStats {
+        let options = MapOptions {
+            threads,
+            ..MapOptions::default()
+        };
+        let cache = Arc::new(HazardCache::new());
+        async_tmap_cached(eqs, lib, &options, &cache)
+            .expect("benchmark maps")
+            .stats
+    };
+    for threads in [1, 4] {
+        let exact_split = threads == 1;
+        let solo: Vec<_> = designs
+            .iter()
+            .map(|eqs| run_counts(&map(eqs, &lib, threads), exact_split))
+            .collect();
+        assert!(
+            solo.iter().all(|counts| counts[0].1 > 0),
+            "both designs check hazards on Actel"
+        );
+        for round in 0..3 {
+            let start = Barrier::new(designs.len());
+            let together: Vec<Vec<(String, u64)>> = std::thread::scope(|s| {
+                let handles: Vec<_> = designs
+                    .iter()
+                    .map(|eqs| {
+                        let (lib, start) = (&lib, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            run_counts(&map(eqs, lib, threads), exact_split)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("mapping thread panicked"))
+                    .collect()
+            });
+            for (k, (alone, concurrent)) in solo.iter().zip(&together).enumerate() {
+                assert_eq!(
+                    concurrent, alone,
+                    "design {k}, threads {threads}, round {round}: a concurrent run's \
+                     counts differ from its solo run's"
+                );
+            }
+        }
+    }
 }

@@ -8,7 +8,7 @@ use asyncmap_cube::{VarId, VarTable};
 use asyncmap_genlib::{parse_sop, GenlibLibrary, PinPhase};
 use asyncmap_library::{Cell, Library};
 use asyncmap_report::Severity;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Class analysis and hazard characterization are skipped for cells wider
@@ -51,7 +51,9 @@ pub fn preflight_library(library: &Library) -> PreflightReport {
     }
 
     // Pass 1: per-cell structure, collecting class keys of usable cells.
-    let mut by_class: HashMap<ClassKey, Vec<usize>> = HashMap::new();
+    // Ordered by key, so pass 2 emits its notes in the same order on every
+    // call.
+    let mut by_class: BTreeMap<ClassKey, Vec<usize>> = BTreeMap::new();
     for (i, cell) in library.cells().iter().enumerate() {
         let n = cell.num_inputs();
         if n > MAX_CLASS_INPUTS {

@@ -242,14 +242,35 @@ fn consensus_mux_root_is_hazard_limited() {
     assert_eq!(want.findings.len(), 1);
 }
 
-/// [`contents`] with findings and notes sorted: the library pass finds its
-/// class notes in hash-map order, which differs from call to call (the
-/// render sorts them).
-fn sorted_contents(report: &PreflightReport) -> (Vec<Entry>, Vec<Entry>, [usize; 6], String) {
-    let (mut findings, mut notes, counters, render) = contents(report);
-    findings.sort();
-    notes.sort();
-    (findings, notes, counters, render)
+/// The library pass emits its class notes in class order, so repeated
+/// calls return equal `notes` vectors, not just equal renders.
+#[test]
+fn library_notes_come_in_the_same_order_every_call() {
+    let mut libs = builtin::all_libraries();
+    libs.push(genlib(&fixture("mcnc_like.genlib"), "mcnc_like"));
+    let mut with_duplicates = 0;
+    for lib in libs {
+        let first = preflight_library(&lib);
+        if first
+            .notes
+            .iter()
+            .any(|n| n.code == "library.duplicate-cell")
+        {
+            with_duplicates += 1;
+        }
+        for _ in 0..4 {
+            assert_eq!(
+                contents(&preflight_library(&lib)).1,
+                contents(&first).1,
+                "{}: notes order",
+                lib.name()
+            );
+        }
+    }
+    assert!(
+        with_duplicates >= 2,
+        "too few libraries with classes to order"
+    );
 }
 
 #[test]
@@ -263,8 +284,8 @@ fn library_and_full_preflight_ignore_annotation_state() {
         let name = fresh.name().to_owned();
         let cold = preflight_library(&fresh);
         assert_eq!(
-            sorted_contents(&cold),
-            sorted_contents(&preflight_library(&annotated)),
+            contents(&cold),
+            contents(&preflight_library(&annotated)),
             "{name}: preflight_library"
         );
         assert_eq!(
@@ -273,8 +294,8 @@ fn library_and_full_preflight_ignore_annotation_state() {
             "{name}: hazardous cells"
         );
         assert_eq!(
-            sorted_contents(&preflight(&eqs, &fresh)),
-            sorted_contents(&preflight(&eqs, &annotated)),
+            contents(&preflight(&eqs, &fresh)),
+            contents(&preflight(&eqs, &annotated)),
             "{name}: preflight"
         );
         assert!(

@@ -77,93 +77,6 @@ pub mod prelude {
     pub use asyncmap_preflight::{preflight, PreflightReport};
 }
 
-/// Installs the independent lint pass ([`lint::lint_mapped_design`]) as the
-/// mapper's post-map hook, so `ASYNCMAP_LINT=1` makes every
-/// [`prelude::async_tmap`] call verify its own output and panic with the
-/// rendered report on any finding. Idempotent.
-///
-/// The hook indirection exists because `asyncmap-core` cannot depend on
-/// `asyncmap-lint`: the lint pass is only trustworthy while it shares no
-/// code with the mapper it checks.
-pub fn install_lint_hook() {
-    asyncmap_core::set_post_map_hook(|design, library| {
-        let report = asyncmap_lint::lint_mapped_design(design, library);
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(report.render())
-        }
-    });
-}
-
-/// Installs the translation-validation checker
-/// ([`audit::check_pipeline`]) as the mapper's post-transform hook, so
-/// `ASYNCMAP_AUDIT=1` makes every [`prelude::async_tmap`] call replay the
-/// front end's certificate trail (decomposition rewrite steps, partition
-/// cuts, cone flatten traces) and panic with the rendered report on any
-/// failing certificate. Idempotent.
-///
-/// The hook indirection exists because `asyncmap-core` cannot depend on
-/// `asyncmap-audit`: the replay only certifies the transformations while
-/// it shares no code with them.
-pub fn install_audit_hook() {
-    asyncmap_core::set_post_transform_hook(|eqs, net, dtrace, cones, ptrace| {
-        let report = asyncmap_audit::check_pipeline(eqs, net, dtrace, cones, ptrace);
-        if report.is_clean() {
-            Ok(report.counters.num_certificates())
-        } else {
-            Err(report.render())
-        }
-    });
-}
-
-/// Installs the whole-design fundamental-mode analyzer
-/// ([`fma::analyze_design`]) as the mapper's post-analyze hook, so
-/// `ASYNCMAP_FMA=1` makes every [`prelude::async_tmap`] and
-/// [`prelude::EcoSession`] remap statically analyze its own output —
-/// instance-graph structure and cross-cone hazard containment — and
-/// panic with the rendered report on any error-severity finding.
-/// Idempotent.
-///
-/// The hook shares one process-wide [`fma::FmaCache`], so an ECO loop's
-/// re-analyses reuse every cone whose (shape, cover) already analyzed
-/// clean. The hook indirection exists for the same reason as the lint
-/// one: `asyncmap-core` cannot depend on the checker that judges it.
-pub fn install_fma_hook() {
-    asyncmap_core::set_post_analyze_hook(|design, library| {
-        static CACHE: std::sync::Mutex<Option<asyncmap_fma::FmaCache>> =
-            std::sync::Mutex::new(None);
-        let mut guard = CACHE.lock().expect("fma hook cache poisoned");
-        let cache = guard.get_or_insert_with(asyncmap_fma::FmaCache::new);
-        let report = asyncmap_fma::analyze_design_cached(design, library, cache);
-        if report.num_errors() == 0 {
-            Ok(report.counters.cones)
-        } else {
-            Err(report.render())
-        }
-    });
-}
-
-/// Installs the static qualification analyzer ([`preflight::preflight`])
-/// as the mapper's pre-map hook, so `ASYNCMAP_PREFLIGHT=1` makes every
-/// [`prelude::async_tmap`] call qualify its (design, library) pair before
-/// any mapping work and panic with the rendered report on any
-/// error-severity finding (warnings are tolerated, matching the
-/// `preflight` subcommand's exit gate). Idempotent.
-///
-/// The hook indirection exists for the same reason as the lint one:
-/// `asyncmap-core` cannot depend on the analyzer that judges its inputs.
-pub fn install_preflight_hook() {
-    asyncmap_core::set_pre_map_hook(|eqs, library| {
-        let report = asyncmap_preflight::preflight(eqs, library);
-        if report.num_errors() == 0 {
-            Ok(())
-        } else {
-            Err(report.render())
-        }
-    });
-}
-
 /// Loads a library from any supported source, by extension: `.genlib`
 /// files go through the genlib frontend ([`genlib::parse_genlib`]),
 /// `.lib` files through the native [`library::Library::parse`] format,

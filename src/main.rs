@@ -30,14 +30,12 @@
 //! `.bms` and benchmark sources carry a burst-mode spec; the others are
 //! processed structurally.
 //!
-//! Setting `ASYNCMAP_LINT=1` makes every `map`
-//! run lint its own output as well, panicking on findings;
-//! `ASYNCMAP_AUDIT=1` makes every hazard-aware map replay the front end's
-//! translation-validation certificates the same way; `ASYNCMAP_FMA=1`
-//! runs the whole-design fundamental-mode analyzer after every
-//! hazard-aware map and ECO remap, panicking on error findings;
-//! `ASYNCMAP_PREFLIGHT=1` statically qualifies every (design, library)
-//! pair before mapping, panicking on error-severity findings.
+//! The checkers run by explicit request only: `map --lint --audit`,
+//! `gen --map --lint --audit`, `lint`, `audit`, `analyze`, `preflight`
+//! and `eco --verify`. Setting `ASYNCMAP_PROFILE` (to anything but empty
+//! or `0`) makes `map`, `gen --map` and `eco` print each mapping run's
+//! phase breakdown and enumeration counters to stderr; stdout is the same
+//! either way. `ASYNCMAP_THREADS` sets the covering worker count.
 //!
 //! `gen --edit K` derives K cumulative single-cube edits from the
 //! generator seed and prints them as `set <name> = <cubes>` lines (or
@@ -45,28 +43,28 @@
 //! dump from `gen --emit`, a `.bms` file, or a builtin benchmark name),
 //! applies such an edit script, remaps incrementally, and with `--verify`
 //! cross-checks the stitched design against a cold map plus the
-//! cache-warmed lint and audit passes.
+//! cache-warmed lint, audit and fundamental-mode analysis passes.
 
 use asyncmap::burst::{expand, hazard_free_cover, parse_bms, to_dot};
-use asyncmap::mapper::{render_report, to_verilog, Objective};
+use asyncmap::mapper::{render_report, to_verilog, MapPhase, MapStats, Objective};
 use asyncmap::prelude::*;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    asyncmap::install_lint_hook();
-    asyncmap::install_audit_hook();
-    asyncmap::install_fma_hook();
-    asyncmap::install_preflight_hook();
+    let profile = std::env::var("ASYNCMAP_PROFILE").is_ok_and(|v| {
+        let v = v.trim();
+        !v.is_empty() && v != "0"
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("audit") => return cmd_audit(&args[1..]),
         Some("synth") => cmd_synth(&args[1..]),
-        Some("map") => cmd_map(&args[1..]),
+        Some("map") => cmd_map(&args[1..], profile),
         Some("lint") => return cmd_lint(&args[1..]),
         Some("analyze") => return cmd_analyze(&args[1..]),
         Some("preflight") => return cmd_preflight(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("eco") => cmd_eco(&args[1..]),
+        Some("gen") => cmd_gen(&args[1..], profile),
+        Some("eco") => cmd_eco(&args[1..], profile),
         _ => {
             eprintln!(
                 "usage: asyncmap <audit|synth|map|lint|analyze|preflight|gen|eco> \
@@ -81,6 +79,44 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Prints one mapping run's phase breakdown and enumeration counters to
+/// stderr (the `ASYNCMAP_PROFILE` output): the per-phase times, the NPN
+/// match-memo hit rate, cut-list truncations (silent pruning that can
+/// cost cover quality) and the enumeration-scratch allocation accounting
+/// (warm cones allocate nothing beyond their output).
+fn print_profile(stats: &MapStats) {
+    let phases = &stats.phases;
+    if !phases.is_zero() {
+        eprintln!(
+            "asyncmap phase profile ({:.2} ms total):\n{phases}",
+            phases.total_secs() * 1e3
+        );
+    }
+    let lookups = stats.npn_hits + stats.npn_misses;
+    if lookups > 0 {
+        eprintln!(
+            "asyncmap npn memo: {} hits / {lookups} lookups ({:.1}%)",
+            stats.npn_hits,
+            stats.npn_hits as f64 / lookups as f64 * 100.0
+        );
+    }
+    if stats.cut_truncations > 0 {
+        eprintln!(
+            "asyncmap cut enumeration: {} gates hit max_cuts_per_gate",
+            stats.cut_truncations
+        );
+    }
+    let enumerated = phases.count(MapPhase::ClusterEnum);
+    if enumerated > 0 {
+        eprintln!(
+            "asyncmap enum scratch: {}/{enumerated} warm cones ({:.1}%), {} alloc events",
+            stats.enum_warm_cones,
+            stats.enum_warm_cones as f64 / enumerated as f64 * 100.0,
+            stats.enum_alloc_events
+        );
     }
 }
 
@@ -185,7 +221,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_map(args: &[String]) -> Result<(), String> {
+fn cmd_map(args: &[String], profile: bool) -> Result<(), String> {
     let design_arg = args
         .first()
         .ok_or("map: missing design (.blif, .bms, dump path, or benchmark)")?;
@@ -233,6 +269,9 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
         _ => async_tmap(&eqs, &lib, &options),
     }
     .map_err(|e| e.to_string())?;
+    if profile {
+        print_profile(&design.stats);
+    }
     if !design.verify_function(&lib) {
         return Err("internal error: mapped design is not equivalent".into());
     }
@@ -281,7 +320,7 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
 /// size, and optionally maps / lints / audits it. A single `gen --map
 /// --lint --audit` run is the CI large-design smoke test: it exits
 /// nonzero on any mapping error, lint finding, or audit finding.
-fn cmd_gen(args: &[String]) -> Result<(), String> {
+fn cmd_gen(args: &[String], profile: bool) -> Result<(), String> {
     let gates: usize = args
         .first()
         .ok_or("gen: missing target gate count")?
@@ -383,6 +422,9 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let mut lib = asyncmap::load_library_auto(&lib_arg)?;
     lib.annotate_hazards();
     let design = async_tmap(&eqs, &lib, &MapOptions::default()).map_err(|e| e.to_string())?;
+    if profile {
+        print_profile(&design.stats);
+    }
     println!(
         "mapped to {}: {} instances, area {:.1}, delay {:.1}, {} cones",
         lib.name(),
@@ -405,10 +447,10 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 /// script (`set <name> = <cubes>` lines, as emitted by `gen --edit`),
 /// then remaps reusing every cover whose cone shape survived the edit.
 /// `--verify` additionally cold-maps the edited design and requires a
-/// fingerprint-identical result, then runs the reuse-aware lint and audit
-/// passes (caches warmed on the base design) on the stitched output,
-/// failing on any finding.
-fn cmd_eco(args: &[String]) -> Result<(), String> {
+/// fingerprint-identical result, then runs the reuse-aware lint, audit
+/// and fundamental-mode analysis passes (caches warmed on the base
+/// design) on the stitched output, failing on any finding.
+fn cmd_eco(args: &[String], profile: bool) -> Result<(), String> {
     let base_arg = args.first().ok_or("eco: missing base design")?;
     let edits_arg = args.get(1).ok_or("eco: missing edits file")?;
     let lib_arg = args.get(2).ok_or("eco: missing library path or name")?;
@@ -445,6 +487,10 @@ fn cmd_eco(args: &[String]) -> Result<(), String> {
     let mut session = EcoSession::new(&lib, options.clone());
     let base = session.map(&eqs).map_err(|e| e.to_string())?;
     let out = session.map(&edited).map_err(|e| e.to_string())?;
+    if profile {
+        print_profile(&base.design.stats);
+        print_profile(&out.design.stats);
+    }
     let eco = out.eco;
     println!(
         "eco: {} edit(s), {} of {} cone(s) reused, {} re-covered, \
@@ -479,14 +525,26 @@ fn cmd_eco(args: &[String]) -> Result<(), String> {
             print!("{}", audit.render());
             return Err("eco: audit findings on the edited pipeline".into());
         }
+        let mut fma_cache = asyncmap::fma::FmaCache::new();
+        let fma_base = asyncmap::fma::analyze_design_cached(&base.design, &lib, &mut fma_cache);
+        let fma = asyncmap::fma::analyze_design_cached(&out.design, &lib, &mut fma_cache);
+        for report in [&fma_base, &fma] {
+            if report.num_errors() > 0 {
+                print!("{}", report.render());
+                return Err("eco: fundamental-mode analysis errors".into());
+            }
+        }
         let ac = &audit.counters;
         println!(
             "verify: fingerprint identical to cold map; lint clean ({} of {} cone(s) reused); \
-             audit clean ({} of {} certificate(s) reused)",
+             audit clean ({} of {} certificate(s) reused); \
+             fma clean ({} of {} cone(s) reused)",
             lint.counters.cones_reused,
             lint.counters.cones,
             ac.reused_steps + ac.reused_equations + ac.reused_flattens,
             audit.counters.num_certificates(),
+            fma.counters.cones_reused,
+            fma.counters.cones,
         );
     }
     Ok(())

@@ -40,16 +40,3 @@ fn eco_warm_reanalysis_reuses_at_least_ninety_percent() {
         "warm analysis reused {reused} of {total} cone(s) (< 90%)"
     );
 }
-
-/// `ASYNCMAP_FMA=1` makes the mapper run the analyzer on its own output
-/// and record the cone count in the design's stats.
-#[test]
-fn fma_hook_analyzes_mapped_output() {
-    asyncmap::install_fma_hook();
-    std::env::set_var("ASYNCMAP_FMA", "1");
-    let eqs = asyncmap::burst::benchmark("dme-fast");
-    let mut lib = builtin::lsi9k();
-    lib.annotate_hazards();
-    let design = async_tmap(&eqs, &lib, &MapOptions::default()).expect("map with analyzer hook");
-    assert_eq!(design.stats.fma_cones, design.cones.len());
-}
