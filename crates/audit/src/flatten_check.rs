@@ -20,10 +20,9 @@
 
 use asyncmap_bff::{Expr, FlatSop, FlattenTrace};
 use asyncmap_cube::Phase;
-use asyncmap_hazard::{sweep_words, wave_eval_word, ORACLE_VAR_LIMIT};
+use asyncmap_hazard::{product_estimate, sweep_words, wave_eval_word, ORACLE_VAR_LIMIT};
 
 use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
-use crate::monotone::product_estimate;
 use crate::report::{AuditReport, Severity};
 
 /// Path of every diagnostic about a collapse as a whole.

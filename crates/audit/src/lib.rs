@@ -44,18 +44,18 @@ pub mod partition_check;
 pub mod report;
 pub mod spec_check;
 
+pub use asyncmap_hazard::{product_estimate, FLATTEN_REPLAY_CAP};
 pub use cache::AuditCache;
 pub use decomp_check::{check_decomp, check_decomp_trace};
 pub use equiv::{prove_equal, EquivProof, TRUTH_VAR_LIMIT};
 pub use flatten_check::check_flatten;
 use flatten_check::FLATTEN_PATH;
-pub use monotone::{product_estimate, recheck_monotone, MonotoneOutcome, FLATTEN_REPLAY_CAP};
+pub use monotone::{recheck_monotone, MonotoneOutcome};
 pub use partition_check::check_partition;
 pub use report::{AuditCounters, AuditReport, Finding, Severity};
 pub use spec_check::check_spec;
 
-use asyncmap_bff::Expr;
-use asyncmap_hazard::multilevel_flatten_traced;
+use asyncmap_bff::{flatten_traced, Expr};
 use asyncmap_network::{
     async_tech_decomp_traced, partition_traced, Cone, DecompTrace, EquationSet, Network,
     PartitionTrace,
@@ -64,7 +64,8 @@ use cache::{Mark, Obligation};
 use decomp_check::check_decomp_cached;
 
 /// Audits the flatten collapse of every cone: replays
-/// [`multilevel_flatten_traced`] per cone and checks the resulting
+/// [`asyncmap_bff::flatten_traced`] (the collapse step of the paper's
+/// multi-level hazard procedure) per cone and checks the resulting
 /// certificate, skipping (with an info note) cones whose independent
 /// product estimate exceeds [`FLATTEN_REPLAY_CAP`].
 pub fn audit_cone_flattens(net: &Network, cones: &[Cone]) -> AuditReport {
@@ -138,7 +139,7 @@ pub(crate) fn audit_flatten(
         );
         return Discharge::Skipped;
     }
-    let (flat, trace) = multilevel_flatten_traced(expr, leaves);
+    let (flat, trace) = flatten_traced(expr, leaves);
     if trace.source != *expr {
         report.push(
             Severity::Error,

@@ -14,14 +14,11 @@
 //!   necessary condition for full containment.
 
 use asyncmap_bff::{flatten, Expr};
-use asyncmap_hazard::{reverify_containment, static1_subset, ORACLE_VAR_LIMIT};
+use asyncmap_hazard::{
+    product_estimate, reverify_containment, static1_subset, FLATTEN_REPLAY_CAP, ORACLE_VAR_LIMIT,
+};
 
 use crate::equiv::{compact_onto, union_support};
-
-/// Upper bound on the independently-estimated product count above which a
-/// flatten replay (and the partial hazard check that rides on it) is
-/// skipped rather than risk an exponential distribution.
-pub const FLATTEN_REPLAY_CAP: u64 = 4096;
 
 /// Outcome of one monotonicity re-check.
 #[derive(Debug, Clone)]
@@ -34,32 +31,6 @@ pub struct MonotoneOutcome {
     pub skipped: bool,
     /// Human-readable description of what ran.
     pub detail: &'static str,
-}
-
-/// Number of products that hazard-preserving distribution of `expr`
-/// produces, computed by independent arithmetic over the expression shape
-/// (Or under even negations sums, And multiplies; the dual under odd
-/// negations), saturating at `u64::MAX`.
-pub fn product_estimate(expr: &Expr) -> u64 {
-    fn go(e: &Expr, neg: bool) -> u64 {
-        match e {
-            Expr::Const(b) => {
-                if *b != neg {
-                    1
-                } else {
-                    0
-                }
-            }
-            Expr::Var(_) => 1,
-            Expr::Not(inner) => go(inner, !neg),
-            Expr::And(es) if !neg => es.iter().fold(1u64, |p, e| p.saturating_mul(go(e, neg))),
-            Expr::Or(es) if neg => es.iter().fold(1u64, |p, e| p.saturating_mul(go(e, neg))),
-            Expr::And(es) | Expr::Or(es) => {
-                es.iter().fold(0u64, |s, e| s.saturating_add(go(e, neg)))
-            }
-        }
-    }
-    go(expr, false)
 }
 
 /// Re-proves `hazards(candidate) ⊆ hazards(reference)` as deeply as the

@@ -19,32 +19,36 @@
 //!
 //! Hazard-filter counters are part of the fingerprint
 //! (`stats.hazard_rejects`), so the session also stores each shape's
-//! per-cone `(hazard_checks, hazard_rejects)` — these are
-//! shape-deterministic (the match memo stores *pre*-hazard-filter
-//! candidate lists, so every cone performs its own checks in a cold run
-//! regardless of memo or verdict-cache warmth) and the stitched totals are
-//! the per-cone sums, exactly as a cold run accumulates them.
+//! per-cone `(hazard_checks, hazard_rejects)`, counted by the cone's own
+//! cover job — these are shape-deterministic (the match memo stores
+//! *pre*-hazard-filter candidate lists, so every cone performs its own
+//! checks in a cold run regardless of memo or verdict-cache warmth) and
+//! the stitched totals are the per-cone sums, exactly as a cold run
+//! accumulates them.
+//!
+//! A remap is an ordinary [`map_run`] with the session's store as its
+//! reuse argument: decompose and partition the whole design, dirty-mark
+//! every cone against the store, cover the misses, stitch every cone.
 //!
 //! The session's first [`EcoSession::map`] call is the base map: every
 //! shape misses the store and is covered; duplicate shapes within the run
 //! already reuse the first instance's cover (a cold map computes the same
 //! cover for each of them independently).
 
-use crate::cover::{cover_cone_with, ConeCover, CoverError, Instance};
-use crate::design::MappedDesign;
+use crate::cover::{ConeCover, Instance};
+use crate::fxhash::FxBuildHasher;
 use crate::hcache::HazardCache;
-use crate::matcher::{HazardPolicy, Matcher, MatcherCounters};
-use crate::profile::{self, MapPhase, Tally};
-use crate::tmap::{MapOptions, RunMeter};
+use crate::profile::{self, HazardCounts, MapPhase};
+use crate::tmap::{map_run, Flow, MapOptions};
+use crate::{CoverError, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_network::{
-    async_tech_decomp, build_partition_dag, cone_shape_key, partition, propagate_dirty, Cone,
-    ConeLocalMap, ConeShapeKey, EquationSet, Network, ShapeKeyScratch,
+    build_partition_dag, cone_shape_key, propagate_dirty, Cone, ConeLocalMap, ConeShapeKey,
+    EquationSet, Network, ShapeKeyScratch,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
-
-use crate::fxhash::FxBuildHasher;
 
 /// A cover in cone-local coordinates: instance outputs are gate positions,
 /// instance inputs are [`ConeLocalMap`] references. Valid for every cone
@@ -60,19 +64,22 @@ struct LocalInstance {
 }
 
 #[derive(Debug, Clone)]
-struct StoredCover {
+pub(crate) struct StoredCover {
     instances: Vec<LocalInstance>,
     area: f64,
     cut_truncations: usize,
-    /// Hazard-containment checks a cold covering of this shape performs.
-    hazard_checks: usize,
-    /// Matches the hazard filter rejects on this shape.
-    hazard_rejects: usize,
+    /// Hazard-filter work a cold covering of this shape performs.
+    hazard: HazardCounts,
 }
+
+/// The shape-keyed cover store of an [`EcoSession`], the reuse argument
+/// of [`map_run`]. Fx-hashed: shape keys are process-built words, never
+/// untrusted input, and every run probes the store once or twice per cone.
+pub(crate) type CoverStore = HashMap<ConeShapeKey, StoredCover, FxBuildHasher>;
 
 /// Reuse accounting of one [`EcoSession::map`] call, alongside the
 /// design's ordinary [`MapStats`](crate::MapStats).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EcoStats {
     /// Cones in the partition of this map's subject network.
     pub cones_total: usize,
@@ -104,10 +111,9 @@ pub struct EcoOutcome {
 ///
 /// Successive [`EcoSession::map`] calls share the hazard-verdict cache and
 /// a store of covers keyed by [`ConeShapeKey`]; only cones whose shape is
-/// new since the previous maps are re-covered. Covering runs sequentially
-/// (per-cone counter attribution requires it), so `MapOptions::threads` is
-/// ignored here — the incremental path's cost is proportional to the edit,
-/// where thread-level parallelism has nothing to win.
+/// new since the previous maps are re-covered, on `MapOptions::threads`
+/// workers as in a cold run. Each cover job counts its own hazard-filter
+/// work, so the result is the same at any thread count.
 ///
 /// Cloning a session deep-copies the cover store but *shares* the
 /// hazard-verdict cache (it is behaviorally transparent: warmth changes
@@ -117,9 +123,7 @@ pub struct EcoSession<'lib> {
     library: &'lib Library,
     options: MapOptions,
     cache: Arc<HazardCache>,
-    // Fx-hashed: shape keys are process-built words, never untrusted
-    // input, and every map() probes the store once or twice per cone.
-    store: HashMap<ConeShapeKey, StoredCover, FxBuildHasher>,
+    store: CoverStore,
 }
 
 impl<'lib> EcoSession<'lib> {
@@ -152,117 +156,92 @@ impl<'lib> EcoSession<'lib> {
     ///
     /// Panics if the session's library has not been hazard-annotated.
     pub fn map(&mut self, eqs: &EquationSet) -> Result<EcoOutcome, CoverError> {
-        let meter = RunMeter::start(&self.cache);
-        let subject = {
-            let _t = profile::timer(MapPhase::Decompose);
-            async_tech_decomp(eqs)
-        };
-        let cones = {
-            let _t = profile::timer(MapPhase::Partition);
-            partition(&subject)
-        };
-
-        // Dirty marking: shape-key every cone into a shared word arena
-        // (no per-cone allocation), classify against the store by slice
-        // probe, and measure the blast radius over the partition DAG.
-        let mut arena: Vec<u32> = Vec::with_capacity(cones.len() * 12);
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(cones.len());
-        let downstream_dirty = {
-            let _t = profile::timer(MapPhase::DirtyMark);
-            let mut scratch = ShapeKeyScratch::new();
-            let mut blast: Vec<bool> = Vec::with_capacity(cones.len());
-            for cone in &cones {
-                let range = scratch.append_key(&subject, cone, &mut arena);
-                blast.push(!self.store.contains_key(&arena[range.clone()]));
-                ranges.push(range);
-            }
-            let dag = build_partition_dag(&cones);
-            propagate_dirty(&dag, &mut blast);
-            blast.iter().filter(|&&d| d).count()
-        };
-
-        // Re-cover store misses, sequentially, attributing the matcher's
-        // hazard counters to each cone by snapshot/delta. A miss stores its
-        // cover immediately, so later cones of the same (new) shape reuse
-        // it within this very run.
-        let matcher = Matcher::with_cache(
+        map_run(
+            eqs,
             self.library,
-            HazardPolicy::SubsetCheck,
-            Arc::clone(&self.cache),
-        );
-        let mut remapped = 0usize;
-        for (cone, range) in cones.iter().zip(&ranges) {
-            let words = &arena[range.clone()];
-            if self.store.contains_key(words) {
-                continue;
-            }
-            let before = matcher.counters();
-            let cover = cover_cone_with(
-                &subject,
-                cone,
-                &matcher,
-                &self.options.limits,
-                self.options.objective,
-            )?;
-            let delta = matcher.counters().delta(&before);
-            self.store.insert(
-                ConeShapeKey::from_words(words.to_vec()),
-                localize(cone, &cover, &delta),
-            );
-            remapped += 1;
-        }
-
-        // One final probe per cone; `stored[i]` serves the stitch pass and
-        // the per-cone hazard totals below.
-        let stored: Vec<&StoredCover> = ranges
-            .iter()
-            .map(|range| {
-                self.store
-                    .get(&arena[range.clone()])
-                    .expect("every cone covered or reused")
-            })
-            .collect();
-
-        // Stitch: translate every cone's stored cover onto this subject
-        // network's signals.
-        let covers: Vec<ConeCover> = {
-            let _t = profile::timer(MapPhase::ReuseStitch);
-            cones
-                .iter()
-                .zip(&stored)
-                .map(|(cone, s)| delocalize(cone, s))
-                .collect()
-        };
-
-        // Hazard totals are the per-cone sums over *all* cones (stored
-        // per-shape counts), exactly what a cold sequential run
-        // accumulates; every other counter describes this run's real work.
-        let hazard_checks = stored.iter().map(|s| s.hazard_checks).sum();
-        let hazard_rejects = stored.iter().map(|s| s.hazard_rejects).sum();
-        let eco = EcoStats {
-            cones_total: cones.len(),
-            cones_reused: cones.len() - remapped,
-            cones_remapped: remapped,
-            cones_downstream_dirty: downstream_dirty,
-            store_entries: self.store.len(),
-        };
-        let mut design = meter.finish(
-            &matcher,
-            Tally::default(),
-            subject,
-            cones,
-            covers,
-            self.options.add_buffers,
-        );
-        design.stats.hazard_checks = hazard_checks;
-        design.stats.hazard_rejects = hazard_rejects;
-        design.stats.cones_reused = eco.cones_reused;
-        design.stats.cones_remapped = eco.cones_remapped;
-        Ok(EcoOutcome { design, eco })
+            &self.options,
+            Flow::Async,
+            &self.cache,
+            Some(&mut self.store),
+        )
     }
 }
 
-fn localize(cone: &Cone, cover: &ConeCover, counters: &MatcherCounters) -> StoredCover {
+/// Dirty marking of one run against a [`CoverStore`]: every cone's shape
+/// key (appended into one shared word arena, no per-cone allocation), the
+/// cones to cover, and the edit's blast radius over the partition DAG.
+pub(crate) struct DirtyMarks {
+    arena: Vec<u32>,
+    ranges: Vec<Range<usize>>,
+    /// Cones to cover, in partition order: the first cone of each shape
+    /// the store lacks. Later cones of the same new shape reuse its cover.
+    pub(crate) misses: Vec<usize>,
+    downstream_dirty: usize,
+}
+
+impl DirtyMarks {
+    pub(crate) fn new(store: &CoverStore, subject: &Network, cones: &[Cone]) -> Self {
+        let _t = profile::timer(MapPhase::DirtyMark);
+        let mut arena: Vec<u32> = Vec::with_capacity(cones.len() * 12);
+        let mut ranges = Vec::with_capacity(cones.len());
+        let mut blast = Vec::with_capacity(cones.len());
+        let mut scratch = ShapeKeyScratch::new();
+        for cone in cones {
+            let range = scratch.append_key(subject, cone, &mut arena);
+            blast.push(!store.contains_key(&arena[range.clone()]));
+            ranges.push(range);
+        }
+        let mut new_shapes: HashSet<&[u32], FxBuildHasher> = HashSet::default();
+        let misses = (0..cones.len())
+            .filter(|&i| blast[i] && new_shapes.insert(&arena[ranges[i].clone()]))
+            .collect();
+        let dag = build_partition_dag(cones);
+        propagate_dirty(&dag, &mut blast);
+        DirtyMarks {
+            downstream_dirty: blast.iter().filter(|&&d| d).count(),
+            arena,
+            ranges,
+            misses,
+        }
+    }
+
+    /// Stores the covers of the missed shapes (`covered`, aligned with
+    /// [`DirtyMarks::misses`]) in cone-local coordinates, then stitches
+    /// every cone's cover from the store onto this run's signals. The
+    /// hazard totals are the stored per-cone counts summed over *all*
+    /// cones, exactly what a cold run accumulates.
+    pub(crate) fn stitch(
+        self,
+        store: &mut CoverStore,
+        cones: &[Cone],
+        covered: Vec<(ConeCover, HazardCounts)>,
+    ) -> (Vec<ConeCover>, HazardCounts, EcoStats) {
+        for (&i, (cover, hazard)) in self.misses.iter().zip(covered) {
+            let key = ConeShapeKey::from_words(self.arena[self.ranges[i].clone()].to_vec());
+            store.insert(key, localize(&cones[i], &cover, hazard));
+        }
+        let t = profile::timer(MapPhase::ReuseStitch);
+        let (covers, hazard): (Vec<ConeCover>, Vec<HazardCounts>) = cones
+            .iter()
+            .zip(&self.ranges)
+            .map(|(cone, range)| {
+                let stored = &store[&self.arena[range.clone()]];
+                (delocalize(cone, stored), stored.hazard)
+            })
+            .unzip();
+        drop(t);
+        let eco = EcoStats {
+            cones_total: cones.len(),
+            cones_reused: cones.len() - self.misses.len(),
+            cones_remapped: self.misses.len(),
+            cones_downstream_dirty: self.downstream_dirty,
+            store_entries: store.len(),
+        };
+        (covers, hazard.into_iter().sum(), eco)
+    }
+}
+
+fn localize(cone: &Cone, cover: &ConeCover, hazard: HazardCounts) -> StoredCover {
     let map = ConeLocalMap::new(cone);
     let instances = cover
         .instances
@@ -286,8 +265,7 @@ fn localize(cone: &Cone, cover: &ConeCover, counters: &MatcherCounters) -> Store
         instances,
         area: cover.area,
         cut_truncations: cover.cut_truncations,
-        hazard_checks: counters.hazard_checks,
-        hazard_rejects: counters.hazard_rejects,
+        hazard,
     }
 }
 
@@ -319,6 +297,29 @@ pub fn cone_cover_words(net: &Network, cone: &Cone, cover: &ConeCover) -> Option
         }
     }
     Some(words)
+}
+
+/// The cones a checker found clean under one library: the reuse set of
+/// the lint and fundamental-mode analysis caches.
+#[derive(Debug, Clone, Default)]
+pub struct CleanCones {
+    library: Option<String>,
+    /// The clean cones' [`cone_cover_words`].
+    pub keys: HashSet<Vec<u32>>,
+}
+
+impl CleanCones {
+    /// Binds the set to `library`. A set bound to another library (or to
+    /// none yet) is emptied and `true` is returned, so the caller can
+    /// reset its own library-bound state too.
+    pub fn bind(&mut self, library: &Library) -> bool {
+        if self.library.as_deref() == Some(library.name()) {
+            return false;
+        }
+        self.library = Some(library.name().to_owned());
+        self.keys.clear();
+        true
+    }
 }
 
 fn delocalize(cone: &Cone, stored: &StoredCover) -> ConeCover {

@@ -66,7 +66,7 @@ pub fn hdc_tmap(
             covers.push(cover_cone(&subject, cone, &strict, &options.limits)?);
         }
     }
-    stats.hazard_checks = strict.hazard_checks() + cones.len() * transitions.len();
+    stats.hazard_checks = strict.counters().hazard_checks + cones.len() * transitions.len();
     Ok(assemble(
         library,
         subject,

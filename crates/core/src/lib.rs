@@ -69,7 +69,7 @@ pub use cover::{
 pub use design::{
     assemble, bdd_of_expr, mapped_cone_expr, verify_cone_function, MapStats, MappedDesign,
 };
-pub use eco::{cone_cover_words, EcoOutcome, EcoSession, EcoStats};
+pub use eco::{cone_cover_words, CleanCones, EcoOutcome, EcoSession, EcoStats};
 pub use export::to_verilog;
 pub use hcache::HazardCache;
 pub use hdc::{cone_certified, hdc_tmap, Transition};
@@ -81,5 +81,6 @@ pub use matcher::{instantiate, truth_table_of, HazardPolicy, Match, Matcher, Mat
 pub use profile::{MapPhase, PhaseTimes};
 pub use report::{cell_usage, render_report, CellUsage};
 pub use tmap::{
-    async_tmap, async_tmap_cached, hand_map, threads_from_env_capped, tmap, MapOptions, Objective,
+    async_tmap, async_tmap_cached, hand_map, par_indexed, threads_from_env_capped, tmap,
+    MapOptions, Objective,
 };

@@ -67,8 +67,8 @@ pub enum HazardPolicy {
     SubsetCheck,
 }
 
-/// A snapshot of a matcher's accumulating counters (see
-/// [`Matcher::counters`]).
+/// A snapshot of a matcher's counters, which accumulate over its
+/// lifetime (see [`Matcher::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatcherCounters {
     /// Hazard-containment checks performed.
@@ -79,20 +79,6 @@ pub struct MatcherCounters {
     pub npn_hits: usize,
     /// Match-memo lookups that fell through to the permutation search.
     pub npn_misses: usize,
-}
-
-impl MatcherCounters {
-    /// Counter increments since `earlier` (saturating, so a
-    /// [`Matcher::reset_counters`] between the snapshots yields zeros
-    /// rather than wrapping).
-    pub fn delta(&self, earlier: &MatcherCounters) -> MatcherCounters {
-        MatcherCounters {
-            hazard_checks: self.hazard_checks.saturating_sub(earlier.hazard_checks),
-            hazard_rejects: self.hazard_rejects.saturating_sub(earlier.hazard_rejects),
-            npn_hits: self.npn_hits.saturating_sub(earlier.npn_hits),
-            npn_misses: self.npn_misses.saturating_sub(earlier.npn_misses),
-        }
-    }
 }
 
 /// The matcher: owns per-cell signatures, a signature index over the
@@ -205,32 +191,23 @@ impl<'lib> Matcher<'lib> {
         &self.cache
     }
 
-    /// Number of hazard-containment checks performed (for the overhead
-    /// accounting of Table 4). Counted before any cache lookup, so the
-    /// value is independent of cache warmth and thread count.
-    ///
-    /// Like every matcher counter, this **accumulates** over the matcher's
-    /// lifetime. For per-run numbers on a reused matcher, snapshot
-    /// [`Matcher::counters`] before the run and [`MatcherCounters::delta`]
-    /// after it, or call [`Matcher::reset_counters`] between runs.
-    pub fn hazard_checks(&self) -> usize {
-        self.hazard_checks.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of every accumulating counter. The counters are monotone
-    /// for the matcher's lifetime (until [`Matcher::reset_counters`]), so
-    /// per-run accounting on a reused matcher is
-    /// `after.delta(&before)`.
+    /// Snapshot of every counter: hazard-containment checks and rejects
+    /// (counted before any cache lookup, so independent of cache warmth
+    /// and thread count) and match-memo hits and misses (zero when the
+    /// memo is disabled). The counters accumulate over the matcher's
+    /// lifetime, until [`Matcher::reset_counters`]; a mapping run's
+    /// [`crate::MapStats`] are its own, whatever matcher it used.
     pub fn counters(&self) -> MatcherCounters {
+        let memo = |count: fn(&MatchMemo) -> usize| self.memo.as_ref().map_or(0, count);
         MatcherCounters {
-            hazard_checks: self.hazard_checks(),
-            hazard_rejects: self.hazard_rejects(),
-            npn_hits: self.npn_hits(),
-            npn_misses: self.npn_misses(),
+            hazard_checks: self.hazard_checks.load(Ordering::Relaxed),
+            hazard_rejects: self.hazard_rejects.load(Ordering::Relaxed),
+            npn_hits: memo(MatchMemo::hits),
+            npn_misses: memo(MatchMemo::misses),
         }
     }
 
-    /// Zeroes every accumulating counter. Accounting only: the match memo's
+    /// Zeroes every counter. Accounting only: the match memo's
     /// contents and the shared verdict cache are untouched, so subsequent
     /// match lists are bit-identical to what they would have been.
     pub fn reset_counters(&self) {
@@ -239,23 +216,6 @@ impl<'lib> Matcher<'lib> {
         if let Some(memo) = &self.memo {
             memo.reset_counters();
         }
-    }
-
-    /// Number of matches rejected by the hazard filter.
-    pub fn hazard_rejects(&self) -> usize {
-        self.hazard_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Number of match-memo lookups served from the memo (raw-truth or
-    /// canonical-class level). Zero when the memo is disabled.
-    pub fn npn_hits(&self) -> usize {
-        self.memo.as_ref().map_or(0, MatchMemo::hits)
-    }
-
-    /// Number of match-memo lookups that fell through to the full
-    /// permutation search. Zero when the memo is disabled.
-    pub fn npn_misses(&self) -> usize {
-        self.memo.as_ref().map_or(0, MatchMemo::misses)
     }
 
     /// Test hook: turn the memo on or off (it is on for every matcher the
@@ -580,6 +540,7 @@ impl<'lib> Matcher<'lib> {
         };
         if !ok {
             self.hazard_rejects.fetch_add(1, Ordering::Relaxed);
+            profile::record_hazard_reject();
         }
         ok
     }
@@ -768,25 +729,16 @@ impl<'lib> Matcher<'lib> {
             };
             let cell_index = entry.index;
             let pin_to_leaf: Vec<usize> = pin_to_local.iter().map(|&l| support[l]).collect();
-            if self.policy == HazardPolicy::SubsetCheck && entry.hazardous {
-                self.hazard_checks.fetch_add(1, Ordering::Relaxed);
-                let id = *cluster_id.get_or_insert_with(|| self.cache.intern(&cluster.expr));
-                let ok = match self.cache.key(cell_index, &pin_to_leaf, id, nleaves) {
-                    Some(key) => self.cache.verdict(key, || {
-                        let candidate =
-                            instantiate(self.library.cells()[cell_index].bff(), &pin_to_leaf);
-                        hazards_subset(&candidate, &cluster.expr, nleaves)
-                    }),
-                    None => {
-                        let candidate =
-                            instantiate(self.library.cells()[cell_index].bff(), &pin_to_leaf);
-                        hazards_subset(&candidate, &cluster.expr, nleaves)
-                    }
-                };
-                if !ok {
-                    self.hazard_rejects.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
+            if self.checks_hazards(entry)
+                && !self.hazard_verdict(
+                    cell_index,
+                    &pin_to_leaf,
+                    nleaves,
+                    || &cluster.expr,
+                    &mut cluster_id,
+                )
+            {
+                continue;
             }
             out.push(Match {
                 cell_index,
@@ -1230,7 +1182,7 @@ mod tests {
             .map(|m| lib.cells()[m.cell_index].name())
             .collect();
         assert!(!async_names.contains(&"MUX2"), "async: {async_names:?}");
-        assert!(async_m.hazard_rejects() > 0);
+        assert!(async_m.counters().hazard_rejects > 0);
     }
 
     #[test]

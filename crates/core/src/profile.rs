@@ -3,11 +3,13 @@
 //! Each phase of a mapping run (decomposition, partitioning, cluster
 //! enumeration, Boolean matching, hazard checking, cover selection)
 //! accumulates elapsed nanoseconds and an invocation count into a
-//! **thread-local** tally, next to the cut enumerator's scratch-allocation
-//! counts. A mapping run differences its own thread's tally around the
-//! run, and every parallel cover worker hands its own delta back with its
-//! results, so [`crate::MapStats`] counts exactly the run's work even
-//! while other runs execute concurrently on other threads.
+//! **thread-local** tally, next to the hazard filter's reject count and
+//! the cut enumerator's scratch-allocation counts. A mapping run
+//! differences its own thread's tally around the run, and every cone's
+//! cover job differences the tally of the thread it ran on around that
+//! cone, so [`crate::MapStats`] counts exactly the run's work even while
+//! other runs execute concurrently on other threads, and the hazard
+//! counts are per-cone sums.
 //!
 //! The timers are always compiled in; an idle timer costs two
 //! `Instant::now` calls and one thread-local add. Phases nest — a
@@ -130,11 +132,15 @@ impl fmt::Display for PhaseTimes {
     }
 }
 
-/// Everything one thread has recorded: phase times plus the cut
-/// enumerator's allocation accounting (see `cluster::EnumScratch`).
+/// Everything one thread has recorded: phase times, the matches the
+/// hazard filter rejected, and the cut enumerator's allocation accounting
+/// (see `cluster::EnumScratch`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Tally {
     pub(crate) phases: PhaseTimes,
+    /// Matches the hazard filter rejected (each one also a
+    /// [`MapPhase::HazardCheck`] call).
+    pub(crate) hazard_rejects: u64,
     /// Cones whose enumeration grew no scratch buffer.
     pub(crate) warm_cones: u64,
     /// Scratch-buffer capacity-growth events (each at least one heap
@@ -145,6 +151,7 @@ pub(crate) struct Tally {
 impl Tally {
     const ZERO: Tally = Tally {
         phases: PhaseTimes::ZERO,
+        hazard_rejects: 0,
         warm_cones: 0,
         alloc_events: 0,
     };
@@ -153,6 +160,7 @@ impl Tally {
     pub(crate) fn delta(&self, earlier: &Tally) -> Tally {
         Tally {
             phases: self.phases.delta(&earlier.phases),
+            hazard_rejects: self.hazard_rejects.saturating_sub(earlier.hazard_rejects),
             warm_cones: self.warm_cones.saturating_sub(earlier.warm_cones),
             alloc_events: self.alloc_events.saturating_sub(earlier.alloc_events),
         }
@@ -161,8 +169,27 @@ impl Tally {
     /// Component-wise sum.
     pub(crate) fn add(&mut self, other: &Tally) {
         self.phases.add(&other.phases);
+        self.hazard_rejects += other.hazard_rejects;
         self.warm_cones += other.warm_cones;
         self.alloc_events += other.alloc_events;
+    }
+}
+
+/// Hazard-filter work of one cone's covering (or, summed, of a run):
+/// containment checks and the matches they rejected, independent of
+/// cache warmth and scheduling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct HazardCounts {
+    pub(crate) checks: usize,
+    pub(crate) rejects: usize,
+}
+
+impl std::iter::Sum for HazardCounts {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, c| HazardCounts {
+            checks: a.checks + c.checks,
+            rejects: a.rejects + c.rejects,
+        })
     }
 }
 
@@ -228,6 +255,11 @@ pub fn timer(phase: MapPhase) -> PhaseTimer {
 /// started); difference two snapshots for the work in between.
 pub fn snapshot() -> PhaseTimes {
     tally().phases
+}
+
+/// Records one match rejected by the hazard filter.
+pub(crate) fn record_hazard_reject() {
+    TALLY.with(|t| t.borrow_mut().hazard_rejects += 1);
 }
 
 /// Records one enumerated cone and the number of scratch-buffer growth

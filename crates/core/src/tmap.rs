@@ -5,9 +5,10 @@
 use crate::cluster::ClusterLimits;
 use crate::cover::{cover_cone_with, hand_cover, ConeCover, CoverError};
 use crate::design::{assemble, MapStats, MappedDesign};
+use crate::eco::{CoverStore, DirtyMarks, EcoOutcome, EcoStats};
 use crate::hcache::HazardCache;
 use crate::matcher::{HazardPolicy, Matcher};
-use crate::profile::{self, MapPhase, Tally};
+use crate::profile::{self, HazardCounts, MapPhase, Tally};
 use asyncmap_library::Library;
 use asyncmap_network::{
     async_tech_decomp, partition, sync_tech_decomp, Cone, EquationSet, Network,
@@ -85,6 +86,43 @@ pub fn threads_from_env_capped() -> usize {
     effective_threads(threads_from_env(), usize::MAX)
 }
 
+/// Runs `f` on every index in `0..jobs` on up to `threads` scoped
+/// workers and returns the results **in index order**, so the outcome is
+/// the same at any thread count: the one worker pool of the mapper and the
+/// fundamental-mode analyzer. Workers pull indices from one atomic counter
+/// (a work queue, because per-index cost is skewed: on `scsi` the largest
+/// of 41 cones is ~20% of covering time) and keep their results locally
+/// until the scope joins, so none blocks another. Runs inline when
+/// `threads <= 1` or `jobs <= 1`; re-raises the panic of any `f` call.
+pub fn par_indexed<R: Send>(jobs: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if threads <= 1 || jobs <= 1 {
+        return (0..jobs).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(jobs))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break local;
+                        }
+                        local.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
 /// The synchronous mapping procedure (paper §3.1 `tmap`):
 /// simplifying decomposition, partitioning, Boolean matching and
 /// minimum-area covering — no hazard awareness.
@@ -97,13 +135,8 @@ pub fn tmap(
     library: &Library,
     options: &MapOptions,
 ) -> Result<MappedDesign, CoverError> {
-    map_run(
-        eqs,
-        library,
-        options,
-        Flow::Sync,
-        &Arc::new(HazardCache::new()),
-    )
+    let cache = Arc::new(HazardCache::new());
+    map_run(eqs, library, options, Flow::Sync, &cache, None).map(|run| run.design)
 }
 
 /// The asynchronous mapping procedure (paper §3.2 `async_tmap`):
@@ -147,7 +180,7 @@ pub fn async_tmap_cached(
     options: &MapOptions,
     cache: &Arc<HazardCache>,
 ) -> Result<MappedDesign, CoverError> {
-    map_run(eqs, library, options, Flow::Async, cache)
+    map_run(eqs, library, options, Flow::Async, cache, None).map(|run| run.design)
 }
 
 /// A "designer-style" structural mapping without hazard filtering: the
@@ -162,24 +195,19 @@ pub fn hand_map(
     library: &Library,
     options: &MapOptions,
 ) -> Result<MappedDesign, CoverError> {
-    map_run(
-        eqs,
-        library,
-        options,
-        Flow::Hand,
-        &Arc::new(HazardCache::new()),
-    )
+    let cache = Arc::new(HazardCache::new());
+    map_run(eqs, library, options, Flow::Hand, &cache, None).map(|run| run.design)
 }
 
 /// Which procedure a run follows. All three share [`map_run`]'s pipeline
 /// and differ only in the decomposition, the hazard filter on matching and
 /// the cover selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
+pub(crate) enum Flow {
     /// [`tmap`]: simplifying decomposition, no hazard filter.
     Sync,
-    /// [`async_tmap`]: hazard-preserving decomposition, Theorem 3.2
-    /// filter.
+    /// [`async_tmap`] and [`crate::EcoSession::map`]: hazard-preserving
+    /// decomposition, Theorem 3.2 filter.
     Async,
     /// [`hand_map`]: hazard-preserving decomposition, no filter, greedy
     /// cover, no fanout buffers.
@@ -187,15 +215,19 @@ enum Flow {
 }
 
 /// The mapping pipeline: decompose → partition → cover → per-run stats →
-/// assemble.
-fn map_run(
+/// assemble. With a cover `store` (an [`crate::EcoSession`]'s), the cover
+/// stage covers only the first cone of each shape the store lacks, stores
+/// it, and stitches every cone from the store; the returned
+/// [`EcoStats`] describe that reuse (all zero without a store).
+pub(crate) fn map_run(
     eqs: &EquationSet,
     library: &Library,
     options: &MapOptions,
     flow: Flow,
     cache: &Arc<HazardCache>,
-) -> Result<MappedDesign, CoverError> {
-    let meter = RunMeter::start(cache);
+    store: Option<&mut CoverStore>,
+) -> Result<EcoOutcome, CoverError> {
+    let mut meter = RunMeter::start(cache);
     let subject = {
         let _t = profile::timer(MapPhase::Decompose);
         match flow {
@@ -218,65 +250,103 @@ fn map_run(
             cover_cone_with(&subject, cone, &matcher, &options.limits, options.objective)
         }
     };
-    let threads = effective_threads(options.threads, cones.len());
-    let (covers, workers) = if threads <= 1 {
-        let mut covers: Vec<ConeCover> = Vec::with_capacity(cones.len());
-        for cone in &cones {
-            covers.push(cover_one(cone)?);
+    let (covers, hazard, eco) = match store {
+        None => {
+            let covered = meter.cover(cones.len(), options.threads, |i| cover_one(&cones[i]))?;
+            let hazard = covered.iter().map(|c| c.1).sum();
+            let covers = covered.into_iter().map(|c| c.0).collect();
+            (covers, hazard, EcoStats::default())
         }
-        (covers, Tally::default())
-    } else {
-        cover_parallel(&cones, threads, &cover_one)?
+        Some(store) => {
+            let marks = DirtyMarks::new(store, &subject, &cones);
+            let covered = meter.cover(marks.misses.len(), options.threads, |k| {
+                cover_one(&cones[marks.misses[k]])
+            })?;
+            marks.stitch(store, &cones, covered)
+        }
     };
     let add_buffers = options.add_buffers && flow != Flow::Hand;
-    Ok(meter.finish(&matcher, workers, subject, cones, covers, add_buffers))
+    let mut design = meter.finish(&matcher, hazard, subject, cones, covers, add_buffers);
+    design.stats.cones_reused = eco.cones_reused;
+    design.stats.cones_remapped = eco.cones_remapped;
+    Ok(EcoOutcome { design, eco })
 }
 
-/// The counter baselines of one mapping run, taken before any of its
-/// work: the calling thread's profiler tally and the verdict cache's
-/// running totals. [`RunMeter::finish`] differences them into the run's
-/// [`MapStats`], so every counter describes this run alone — however warm
-/// the shared cache, and whatever other runs do on other threads.
-pub(crate) struct RunMeter {
+/// The counter baselines of one mapping run (the calling thread's tally,
+/// the verdict cache's running totals) plus its cover jobs' tallies, so
+/// every [`MapStats`] counter describes this run alone — however warm the
+/// shared cache, and whatever other runs do on other threads.
+struct RunMeter {
     tally: Tally,
+    jobs: Tally,
     cache_hits: usize,
     cache_misses: usize,
 }
 
 impl RunMeter {
-    pub(crate) fn start(cache: &HazardCache) -> Self {
+    fn start(cache: &HazardCache) -> Self {
         RunMeter {
             tally: profile::tally(),
+            jobs: Tally::default(),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
         }
     }
 
-    /// The stats-and-assemble stage shared by every mapping run.
-    /// `matcher` is the run's own (fresh) matcher, so its counters are the
-    /// run's; `workers` is the summed tally of the run's cover worker
-    /// threads, if any, so with several workers the phase times are
-    /// summed over them (time spent, not wall time).
-    pub(crate) fn finish(
+    /// The cover stage: runs `cover_job` on `0..jobs` through
+    /// [`par_indexed`] and returns each cover, in job order, with its own
+    /// hazard-filter counts (or the first error in job order). Each job
+    /// differences its thread's tally around its cone; the calling
+    /// thread's share of the stage (jobs run inline) leaves the baseline,
+    /// so nothing counts twice, and phase times are summed over workers.
+    fn cover(
+        &mut self,
+        jobs: usize,
+        threads: usize,
+        cover_job: impl Fn(usize) -> Result<ConeCover, CoverError> + Sync,
+    ) -> Result<Vec<(ConeCover, HazardCounts)>, CoverError> {
+        let stage = profile::tally();
+        let results = par_indexed(jobs, effective_threads(threads, jobs), |i| {
+            let before = profile::tally();
+            let cover = cover_job(i);
+            (cover, profile::tally().delta(&before))
+        });
+        self.tally.add(&profile::tally().delta(&stage));
+        results
+            .into_iter()
+            .map(|(cover, tally)| {
+                self.jobs.add(&tally);
+                let hazard = HazardCounts {
+                    checks: tally.phases.count(MapPhase::HazardCheck) as usize,
+                    rejects: tally.hazard_rejects as usize,
+                };
+                Ok((cover?, hazard))
+            })
+            .collect()
+    }
+
+    /// The stats-and-assemble stage. `matcher` is the run's own, so its
+    /// memo counters are the run's; `hazard` sums every cone's counts.
+    fn finish(
         self,
         matcher: &Matcher<'_>,
-        workers: Tally,
+        hazard: HazardCounts,
         subject: Network,
         cones: Vec<Cone>,
         covers: Vec<ConeCover>,
         add_buffers: bool,
     ) -> MappedDesign {
         let mut run = profile::tally().delta(&self.tally);
-        run.add(&workers);
-        let counters = matcher.counters();
+        run.add(&self.jobs);
+        let memo = matcher.counters();
         let cache = matcher.cache();
         let stats = MapStats {
-            hazard_checks: counters.hazard_checks,
-            hazard_rejects: counters.hazard_rejects,
+            hazard_checks: hazard.checks,
+            hazard_rejects: hazard.rejects,
             cache_hits: cache.hits() - self.cache_hits,
             cache_misses: cache.misses() - self.cache_misses,
-            npn_hits: counters.npn_hits,
-            npn_misses: counters.npn_misses,
+            npn_hits: memo.npn_hits,
+            npn_misses: memo.npn_misses,
             cut_truncations: covers.iter().map(|c| c.cut_truncations).sum(),
             enum_warm_cones: run.warm_cones as usize,
             enum_alloc_events: run.alloc_events as usize,
@@ -292,56 +362,6 @@ impl RunMeter {
             add_buffers,
         )
     }
-}
-
-/// Covers every cone on `threads` scoped workers pulling cone indices from
-/// a shared atomic counter, then reassembles the results **in partition
-/// order** — cones are disjoint single-output trees, so the assembled
-/// design is bit-identical to the sequential one regardless of scheduling.
-/// If any cone fails, the error reported is the one the sequential loop
-/// would have hit first.
-///
-/// The only shared state is the lock-free work counter; each worker keeps
-/// its `(index, result)` pairs and its own profiler tally locally and
-/// hands them back through its join handle, so no thread ever blocks on
-/// another. Returns the covers and the workers' summed tally.
-fn cover_parallel<'a>(
-    cones: &'a [Cone],
-    threads: usize,
-    cover_one: &(dyn Fn(&'a Cone) -> Result<ConeCover, CoverError> + Sync),
-) -> Result<(Vec<ConeCover>, Tally), CoverError> {
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<(usize, Result<ConeCover, CoverError>)> = Vec::with_capacity(cones.len());
-    let mut workers = Tally::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let start = profile::tally();
-                    let mut local: Vec<(usize, Result<ConeCover, CoverError>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cone) = cones.get(i) else { break };
-                        local.push((i, cover_one(cone)));
-                    }
-                    (local, profile::tally().delta(&start))
-                })
-            })
-            .collect();
-        for h in handles {
-            let (local, tally) = h.join().expect("cone worker panicked");
-            results.extend(local);
-            workers.add(&tally);
-        }
-    });
-    debug_assert_eq!(results.len(), cones.len());
-    results.sort_by_key(|&(i, _)| i);
-    // First error in partition order, exactly as the sequential loop.
-    let covers = results
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect::<Result<_, _>>()?;
-    Ok((covers, workers))
 }
 
 #[cfg(test)]
@@ -371,6 +391,47 @@ mod tests {
         // The async mapper performed (and possibly rejected) hazard checks.
         assert!(asy.stats.hazard_checks > 0);
         assert_eq!(sync.stats.hazard_checks, 0);
+    }
+
+    #[test]
+    fn per_cone_hazard_sums_equal_the_matcher_counters() {
+        // Actel's hazard-rich modules make the filter both check and
+        // reject on dme-fast.
+        let mut lib = builtin::actel();
+        lib.annotate_hazards();
+        let eqs = asyncmap_burst::benchmark("dme-fast");
+        let subject = async_tech_decomp(&eqs);
+        let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
+        for cone in &partition(&subject) {
+            cover_cone_with(
+                &subject,
+                cone,
+                &matcher,
+                &ClusterLimits::default(),
+                Objective::Area,
+            )
+            .unwrap();
+        }
+        let counters = matcher.counters();
+        assert!(counters.hazard_rejects > 0);
+        for threads in [1, 4] {
+            let options = MapOptions {
+                threads,
+                ..MapOptions::default()
+            };
+            let stats = async_tmap(&eqs, &lib, &options).unwrap().stats;
+            assert_eq!(stats.hazard_checks, counters.hazard_checks);
+            assert_eq!(stats.hazard_rejects, counters.hazard_rejects);
+        }
+    }
+
+    #[test]
+    fn par_indexed_returns_results_in_index_order() {
+        for threads in [0, 1, 3, 8] {
+            let squares = par_indexed(20, threads, |i| i * i);
+            assert_eq!(squares, (0..20).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(par_indexed(0, 4, |i| i).is_empty());
     }
 
     #[test]

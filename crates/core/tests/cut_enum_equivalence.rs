@@ -122,7 +122,8 @@ proptest! {
                 _ => prop_assert!(false, "memo changed coverability"),
             }
         }
-        prop_assert_eq!(memo_off.npn_hits() + memo_off.npn_misses(), 0);
+        let off = memo_off.counters();
+        prop_assert_eq!(off.npn_hits + off.npn_misses, 0);
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //! sequential mapper produces — same covers, same area, same hazard-filter
 //! counters. Cones are disjoint trees and verdicts are deterministic, so
 //! the only scheduling-dependent quantity is the cache hit/miss split.
+//! The same holds for an incremental [`EcoSession`] across an edit
+//! sequence, reuse accounting included.
 
-use asyncmap_core::{async_tmap, async_tmap_cached, HazardCache, MapOptions, MappedDesign};
+use asyncmap_core::{
+    async_tmap, async_tmap_cached, EcoSession, EcoStats, HazardCache, MapOptions, MappedDesign,
+};
 use asyncmap_cube::{Cover, VarTable};
 use asyncmap_library::{builtin, Library};
 use asyncmap_network::EquationSet;
@@ -78,6 +82,48 @@ fn arb_eqs() -> BoxedStrategy<EquationSet> {
         .boxed()
 }
 
+/// A base design and the revisions an edit sequence makes of it: each
+/// edit replaces one output's cubes, and the edits accumulate.
+fn arb_revisions() -> BoxedStrategy<Vec<EquationSet>> {
+    (3usize..6)
+        .prop_flat_map(|nvars| {
+            let cube = prop::collection::vec(0u8..3u8, nvars..(nvars + 1));
+            let output = prop::collection::vec(cube, 1..5);
+            let base = prop::collection::vec(output.clone(), 2..5);
+            let edits = prop::collection::vec((any::<usize>(), output), 1..4);
+            (base, edits).prop_map(move |(mut outputs, edits)| {
+                let mut revisions = vec![build_eqs(nvars, outputs.clone())];
+                for (slot, cubes) in edits {
+                    let k = slot % outputs.len();
+                    outputs[k] = cubes;
+                    revisions.push(build_eqs(nvars, outputs.clone()));
+                }
+                revisions
+            })
+        })
+        .boxed()
+}
+
+/// Maps every revision in order through one fresh session.
+fn eco_with(
+    revisions: &[EquationSet],
+    lib: &Library,
+    threads: usize,
+) -> Vec<(MappedDesign, EcoStats)> {
+    let options = MapOptions {
+        threads,
+        ..MapOptions::default()
+    };
+    let mut session = EcoSession::new(lib, options);
+    revisions
+        .iter()
+        .map(|eqs| {
+            let out = session.map(eqs).expect("mappable");
+            (out.design, out.eco)
+        })
+        .collect()
+}
+
 fn annotated(lib: Library) -> Library {
     let mut lib = lib;
     lib.annotate_hazards();
@@ -111,6 +157,20 @@ proptest! {
         // threads = 0 (auto) must also agree.
         let auto = map_with(&eqs, &lib, 0);
         prop_assert_eq!(fingerprint(&sequential), fingerprint(&auto));
+    }
+
+    #[test]
+    fn thread_count_never_changes_an_eco_session(revisions in arb_revisions()) {
+        let lib = annotated(builtin::cmos3());
+        let sequential = eco_with(&revisions, &lib, 1);
+        let parallel = eco_with(&revisions, &lib, 4);
+        for ((eqs, (seq, seq_eco)), (par, par_eco)) in
+            revisions.iter().zip(&sequential).zip(&parallel)
+        {
+            prop_assert_eq!(seq_eco, par_eco);
+            prop_assert_eq!(fingerprint(seq), fingerprint(par));
+            prop_assert_eq!(fingerprint(seq), fingerprint(&map_with(eqs, &lib, 1)));
+        }
     }
 
     #[test]

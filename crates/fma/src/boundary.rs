@@ -22,18 +22,14 @@
 //!    not a finding, because an inconclusive bound is not evidence of a
 //!    defect.
 
-use asyncmap_bff::{flatten, Expr};
-use asyncmap_core::{cone_cover_words, mapped_cone_expr, HazardCache, MappedDesign};
-use asyncmap_hazard::{hazards_subset_exhaustive, static1_subset, EXHAUSTIVE_VAR_LIMIT};
+use asyncmap_bff::flatten;
+use asyncmap_core::{cone_cover_words, mapped_cone_expr, CleanCones, HazardCache, MappedDesign};
+use asyncmap_hazard::{
+    hazards_subset_exhaustive, product_estimate, static1_subset, EXHAUSTIVE_VAR_LIMIT,
+    FLATTEN_REPLAY_CAP,
+};
 use asyncmap_library::Library;
 use asyncmap_report::Severity;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Flattening is abandoned when either structure would expand past this
-/// many products — the same bound the transformation audit uses for its
-/// replay ladder.
-const FLATTEN_CAP: usize = 4096;
 
 /// Outcome of one cone's boundary check, merged in partition order.
 pub(crate) struct ConeOutcome {
@@ -51,48 +47,13 @@ pub(crate) struct ConeOutcome {
     pub key: Option<Vec<u32>>,
 }
 
-/// Checks every cone on `threads` workers pulling indices from a shared
-/// atomic counter; results come back in partition order, so reports are
-/// identical across thread counts.
-pub(crate) fn check_boundaries(
+/// Checks cone `index` of `design`, skipping it when its key is in
+/// `known_clean`.
+pub(crate) fn check_cone(
     design: &MappedDesign,
     library: &Library,
     hcache: &HazardCache,
-    known_clean: &HashSet<Vec<u32>>,
-    threads: usize,
-) -> Vec<ConeOutcome> {
-    let jobs = design.cones.len();
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<(usize, ConeOutcome)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(jobs).max(1))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        local.push((i, check_cone(design, library, hcache, known_clean, i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("boundary worker panicked"))
-            .collect()
-    });
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
-fn check_cone(
-    design: &MappedDesign,
-    library: &Library,
-    hcache: &HazardCache,
-    known_clean: &HashSet<Vec<u32>>,
+    known_clean: &CleanCones,
     index: usize,
 ) -> ConeOutcome {
     let net = &design.subject;
@@ -107,7 +68,7 @@ fn check_cone(
         key: cone_cover_words(net, cone, cover),
     };
     if let Some(key) = &out.key {
-        if known_clean.contains(key) {
+        if known_clean.keys.contains(key) {
             out.reused = true;
             return out;
         }
@@ -138,7 +99,8 @@ fn check_cone(
     } else {
         out.wide = true;
         if mapped != subject {
-            if product_estimate(&mapped) <= FLATTEN_CAP && product_estimate(&subject) <= FLATTEN_CAP
+            if product_estimate(&mapped) <= FLATTEN_REPLAY_CAP
+                && product_estimate(&subject) <= FLATTEN_REPLAY_CAP
             {
                 let mflat = flatten(&mapped, n).cover;
                 let sflat = flatten(&subject, n).cover;
@@ -169,49 +131,4 @@ fn check_cone(
         out.key = None;
     }
     out
-}
-
-/// Saturating upper bound on the number of products a hazard-preserving
-/// flattening of `expr` produces, on the negation-normal form `flatten`
-/// itself uses.
-fn product_estimate(expr: &Expr) -> usize {
-    fn est(expr: &Expr, negated: bool) -> usize {
-        match expr {
-            Expr::Const(_) | Expr::Var(_) => 1,
-            Expr::Not(e) => est(e, !negated),
-            Expr::And(es) if !negated => es.iter().fold(1usize, |a, e| {
-                a.saturating_mul(est(e, negated)).min(usize::MAX / 2)
-            }),
-            Expr::Or(es) if negated => es.iter().fold(1usize, |a, e| {
-                a.saturating_mul(est(e, negated)).min(usize::MAX / 2)
-            }),
-            Expr::And(es) | Expr::Or(es) => es
-                .iter()
-                .fold(0usize, |a, e| a.saturating_add(est(e, negated))),
-        }
-    }
-    est(expr, false)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use asyncmap_cube::VarId;
-
-    fn v(i: usize) -> Expr {
-        Expr::Var(VarId(i))
-    }
-
-    #[test]
-    fn product_estimate_bounds_flatten() {
-        // (a + b)(c + d) -> 4 products; a'(b + c) -> 2.
-        let e = Expr::And(vec![Expr::Or(vec![v(0), v(1)]), Expr::Or(vec![v(2), v(3)])]);
-        assert_eq!(product_estimate(&e), 4);
-        assert_eq!(flatten(&e, 4).cover.len(), 4);
-        let e = Expr::And(vec![Expr::Not(Box::new(v(0))), Expr::Or(vec![v(1), v(2)])]);
-        assert_eq!(product_estimate(&e), 2);
-        // DeMorgan: !(ab) flattens to a' + b'.
-        let e = Expr::Not(Box::new(Expr::And(vec![v(0), v(1)])));
-        assert_eq!(product_estimate(&e), 2);
-    }
 }

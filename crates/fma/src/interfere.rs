@@ -31,14 +31,13 @@
 use crate::kernel::{eval_design_packed, wave_of_expr};
 use crate::FmaReport;
 use asyncmap_burst::{BurstSpec, FlowTable, TransKind};
-use asyncmap_core::MappedDesign;
+use asyncmap_core::{par_indexed, MappedDesign};
 use asyncmap_cube::Bits;
 use asyncmap_hazard::Wave;
 use asyncmap_library::Library;
 use asyncmap_network::SignalId;
 use asyncmap_report::Severity;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Interior sweeps are exhaustive up to this many changing variables;
 /// beyond it only single-variable sub-bursts are probed (and the
@@ -133,37 +132,13 @@ pub(crate) fn check_spec(
         }
     }
 
-    // Per-pair analysis on the atomic-counter distribution; merged in
-    // pair order for a deterministic report.
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<(usize, PairOutcome)> = std::thread::scope(|scope| {
-        let pairs = &pairs;
-        let func_output = &func_output;
-        let handles: Vec<_> = (0..threads.min(pairs.len()).max(1))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((start, end, users)) = pairs.get(i) else {
-                            break;
-                        };
-                        local.push((
-                            i,
-                            check_pair(design, library, flow, start, end, users, func_output),
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("transition worker panicked"))
-            .collect()
+    // Per-pair analysis on the shared worker pool; merged in pair order
+    // for a deterministic report.
+    let results = par_indexed(pairs.len(), threads, |i| {
+        let (start, end, users) = &pairs[i];
+        check_pair(design, library, flow, start, end, users, &func_output)
     });
-    results.sort_by_key(|&(i, _)| i);
-    for (_, pair) in results {
+    for pair in results {
         out.race_points += pair.race_points;
         out.race_capped += pair.capped as usize;
         for (sev, code, path, msg) in pair.findings {

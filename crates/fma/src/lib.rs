@@ -43,10 +43,9 @@ mod structure;
 pub use asyncmap_report::{Finding, Severity};
 
 use asyncmap_burst::{expand, BurstSpec};
-use asyncmap_core::{HazardCache, MappedDesign};
+use asyncmap_core::{par_indexed, CleanCones, HazardCache, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_report::{Report, Totals};
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Counter block of a fundamental-mode analysis run.
@@ -148,8 +147,7 @@ pub type FmaReport = Report<FmaCounters>;
 /// their own clean-cone set.
 #[derive(Clone, Default)]
 pub struct FmaCache {
-    library: Option<String>,
-    clean: HashSet<Vec<u32>>,
+    clean: CleanCones,
     hcache: std::sync::Arc<HazardCache>,
 }
 
@@ -161,15 +159,7 @@ impl FmaCache {
 
     /// Number of distinct clean (shape, cover) pairs remembered.
     pub fn entries(&self) -> usize {
-        self.clean.len()
-    }
-
-    fn bind_library(&mut self, library: &Library) {
-        if self.library.as_deref() != Some(library.name()) {
-            self.library = Some(library.name().to_owned());
-            self.clean.clear();
-            self.hcache = std::sync::Arc::new(HazardCache::new());
-        }
+        self.clean.keys.len()
     }
 }
 
@@ -228,26 +218,17 @@ fn analyze_inner(
         return report;
     }
 
-    let (known_clean, hcache) = match cache {
-        Some(cache) => {
-            cache.bind_library(library);
-            (Some(&mut cache.clean), Some(&cache.hcache))
-        }
-        None => (None, None),
-    };
-    let local_hcache;
-    let hcache: &HazardCache = match hcache {
-        Some(h) => h,
-        None => {
-            local_hcache = HazardCache::new();
-            &local_hcache
-        }
-    };
-
-    let empty = HashSet::new();
-    let skip: &HashSet<Vec<u32>> = known_clean.as_deref().unwrap_or(&empty);
-    let outcomes = boundary::check_boundaries(design, library, hcache, skip, threads);
-    let mut fresh_clean: Vec<Vec<u32>> = Vec::new();
+    // Without a cache, a fresh one: it skips nothing and is dropped after.
+    let mut fresh = FmaCache::default();
+    let cache = cache.unwrap_or(&mut fresh);
+    if cache.clean.bind(library) {
+        cache.hcache = std::sync::Arc::new(HazardCache::new());
+    }
+    // Per-cone checks on the shared worker pool, merged in partition order
+    // so reports are identical across thread counts.
+    let outcomes = par_indexed(design.cones.len(), threads, |i| {
+        boundary::check_cone(design, library, &cache.hcache, &cache.clean, i)
+    });
     for outcome in outcomes {
         report.counters.containment_exact += usize::from(outcome.exact);
         report.counters.containment_wide += usize::from(outcome.wide);
@@ -259,12 +240,9 @@ fn analyze_inner(
         }
         if quiet && !outcome.reused {
             if let Some(key) = outcome.key {
-                fresh_clean.push(key);
+                cache.clean.keys.insert(key);
             }
         }
-    }
-    if let Some(clean) = known_clean {
-        clean.extend(fresh_clean);
     }
 
     if let Some(spec) = spec {
@@ -339,7 +317,7 @@ mod tests {
         assert!(cache.entries() > 0);
         let mut other = builtin::cmos3();
         other.annotate_hazards();
-        cache.bind_library(&other);
+        assert!(cache.clean.bind(&other));
         assert_eq!(cache.entries(), 0);
     }
 

@@ -80,13 +80,13 @@ pub use function::{
 pub use kinds::{DisplayHazard, Hazard, HazardKind, HazardReport};
 pub use multilevel::{
     confirm_on_structure, dynamic_hazard_on_structure, find_mic_dyn_haz_multilevel,
-    find_mic_dyn_haz_multilevel_traced, multilevel_flatten_traced,
 };
 pub use repair::{prune_pulsing_redundancy, repair_static1, Repair};
 pub use reverify::{reverify_containment, ContainmentReverification, ORACLE_VAR_LIMIT};
 pub use sic::{find_sic_hazards, find_sic_hazards_raw, SicAnalysis};
 pub use static1::{
-    is_static_1_hazard_free, static1_subset, static_1_analysis, static_1_complete, static_1_free_on,
+    is_static_1_hazard_free, product_estimate, static1_subset, static_1_analysis,
+    static_1_complete, static_1_free_on, FLATTEN_REPLAY_CAP,
 };
 pub use ternary_sim::{has_static_hazard, ternary_transition, TernaryOutcome};
-pub use wave::{sweep_words, transition_has_hazard, wave_eval, wave_eval_word, Wave, WavePlanes};
+pub use wave::{sweep_words, wave_eval, wave_eval_word, Wave, WavePlanes};

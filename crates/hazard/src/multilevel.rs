@@ -13,7 +13,7 @@
 use crate::dynamic2l::find_mic_dyn_haz_2level;
 use crate::wave::wave_eval;
 use crate::Hazard;
-use asyncmap_bff::{flatten, flatten_traced, Expr, FlatSop, FlattenTrace};
+use asyncmap_bff::{flatten, Expr};
 use asyncmap_cube::{Bits, Cube};
 
 /// Maximum number of `(α, β)` minterm pairs examined per candidate
@@ -29,32 +29,7 @@ const PAIR_CAP: usize = 4096;
 /// endpoint pair.
 pub fn find_mic_dyn_haz_multilevel(expr: &Expr, nvars: usize) -> Vec<Hazard> {
     let flat = flatten(expr, nvars);
-    confirm_candidates(expr, &flat)
-}
-
-/// [`find_mic_dyn_haz_multilevel`], additionally returning the flattened
-/// form and its collapse certificate ([`FlattenTrace`]) so an independent
-/// checker can replay step 1 of the procedure without re-running it.
-pub fn find_mic_dyn_haz_multilevel_traced(
-    expr: &Expr,
-    nvars: usize,
-) -> (Vec<Hazard>, FlatSop, FlattenTrace) {
-    let (flat, trace) = flatten_traced(expr, nvars);
-    let hazards = confirm_candidates(expr, &flat);
-    (hazards, flat, trace)
-}
-
-/// Step 1 of the procedure alone: the hazard-preserving collapse of `expr`
-/// to two-level form, with its certificate. This is the flattening entry
-/// point the audit layer replays; the full analysis entry points above are
-/// built on the same call.
-pub fn multilevel_flatten_traced(expr: &Expr, nvars: usize) -> (FlatSop, FlattenTrace) {
-    flatten_traced(expr, nvars)
-}
-
-fn confirm_candidates(expr: &Expr, flat: &FlatSop) -> Vec<Hazard> {
-    let candidates = find_mic_dyn_haz_2level(&flat.cover);
-    candidates
+    find_mic_dyn_haz_2level(&flat.cover)
         .into_iter()
         .filter(|h| {
             let Hazard::DynamicMic {

@@ -3,7 +3,7 @@
 //! pairs and is exponential in the variable count — use only on small
 //! spaces.
 
-use crate::function::{disjoint, dynamic_function_hazard_free};
+use crate::function::dynamic_function_hazard_free;
 use asyncmap_cube::{Bits, Cover, Cube};
 
 /// All static 1-hazardous transitions of a two-level cover: ordered pairs
@@ -91,12 +91,6 @@ pub fn is_static1_induced(f: &Cover, alpha: &Bits, beta: &Bits) -> bool {
         }
     }
     false
-}
-
-/// `true` iff the cover is identically 0 on `cube` — re-exported for
-/// oracle users.
-pub fn cover_disjoint(f: &Cover, cube: &Cube) -> bool {
-    disjoint(f, cube)
 }
 
 /// Builds the assignment whose bit `i` is bit `i` of `m`.

@@ -15,6 +15,7 @@
 //! cover and the single pass when a fast filter is enough.
 
 use crate::Hazard;
+use asyncmap_bff::Expr;
 use asyncmap_cube::{Cover, Cube};
 
 /// The paper's `static_1_analysis` procedure: one pass of prime expansion
@@ -117,6 +118,32 @@ pub fn static1_subset(candidate: &Cover, reference: &Cover) -> bool {
         .cubes()
         .iter()
         .all(|s| candidate.single_cube_contains(s))
+}
+
+/// Upper bound on [`product_estimate`] above which a hazard-preserving
+/// flattening (and the [`static1_subset`] check that rides on it) is
+/// skipped rather than risk an exponential distribution.
+pub const FLATTEN_REPLAY_CAP: u64 = 4096;
+
+/// Number of products that hazard-preserving distribution of `expr`
+/// produces, computed by independent arithmetic over the expression shape
+/// (Or under even negations sums, And multiplies; the dual under odd
+/// negations; a constant counts 1 where it is true, 0 where it is false),
+/// saturating at `u64::MAX`.
+pub fn product_estimate(expr: &Expr) -> u64 {
+    fn go(e: &Expr, neg: bool) -> u64 {
+        match e {
+            Expr::Const(b) => u64::from(*b != neg),
+            Expr::Var(_) => 1,
+            Expr::Not(inner) => go(inner, !neg),
+            Expr::And(es) if !neg => es.iter().fold(1u64, |p, e| p.saturating_mul(go(e, neg))),
+            Expr::Or(es) if neg => es.iter().fold(1u64, |p, e| p.saturating_mul(go(e, neg))),
+            Expr::And(es) | Expr::Or(es) => {
+                es.iter().fold(0u64, |s, e| s.saturating_add(go(e, neg)))
+            }
+        }
+    }
+    go(expr, false)
 }
 
 fn push_unique(list: &mut Vec<Cube>, cube: Cube) {

@@ -168,12 +168,6 @@ pub fn wave_eval(expr: &Expr, from: &Bits, to: &Bits) -> Wave {
     }
 }
 
-/// `true` if the transition `from → to` can glitch in the structure of
-/// `expr` (static or dynamic hazard).
-pub fn transition_has_hazard(expr: &Expr, from: &Bits, to: &Bits) -> bool {
-    wave_eval(expr, from, to).hazard
-}
-
 /// 64 waveform classes side by side: lane `j` of each plane is one
 /// burst's [`Wave`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -60,7 +60,7 @@ mod structure;
 mod theorem32;
 
 use asyncmap_bff::Expr;
-use asyncmap_core::{cone_cover_words, ConeCover, Instance, MappedDesign};
+use asyncmap_core::{cone_cover_words, CleanCones, ConeCover, Instance, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
 pub use asyncmap_report::{Finding, Severity};
@@ -345,11 +345,9 @@ pub(crate) fn truth_equal(a: &Expr, b: &Expr, n: usize) -> bool {
 /// differently named library clears it.
 #[derive(Debug, Default)]
 pub struct LintCache {
-    /// Library the cached verdicts were computed against.
-    library: Option<String>,
-    /// Encoded (shape, local cover) pairs that linted clean.
-    clean: HashSet<Vec<u32>>,
-    /// Memoized per-cell hazardousness for `library`.
+    /// (Shape, local cover) pairs that linted clean, and their library.
+    clean: CleanCones,
+    /// Memoized per-cell hazardousness for the bound library.
     cell_hazardous: Option<Vec<bool>>,
 }
 
@@ -361,15 +359,7 @@ impl LintCache {
 
     /// Number of distinct clean (shape, local cover) pairs remembered.
     pub fn entries(&self) -> usize {
-        self.clean.len()
-    }
-
-    fn bind_library(&mut self, library: &Library) {
-        if self.library.as_deref() != Some(library.name()) {
-            self.library = Some(library.name().to_owned());
-            self.clean.clear();
-            self.cell_hazardous = None;
-        }
+        self.clean.keys.len()
     }
 }
 
@@ -397,7 +387,9 @@ pub fn lint_mapped_design_cached(
     library: &Library,
     cache: &mut LintCache,
 ) -> LintReport {
-    cache.bind_library(library);
+    if cache.clean.bind(library) {
+        cache.cell_hazardous = None;
+    }
     lint_inner(design, library, Some(cache))
 }
 
@@ -436,7 +428,7 @@ fn lint_inner(
             .as_ref()
             .map(|_| cone_cover_words(&design.subject, cone, cover));
         if let (Some(c), Some(Some(key))) = (cache.as_deref_mut(), key.as_ref()) {
-            if c.clean.contains(key) {
+            if c.clean.keys.contains(key) {
                 report.counters.cones_reused += 1;
                 continue;
             }
@@ -464,7 +456,7 @@ fn lint_inner(
         // yields the same report a cold one would.
         if report.findings.len() == findings_before && report.notes.len() == notes_before {
             if let (Some(c), Some(Some(key))) = (cache.as_deref_mut(), key) {
-                c.clean.insert(key);
+                c.clean.keys.insert(key);
             }
         }
     }

@@ -83,10 +83,12 @@ fn main() -> ExitCode {
 }
 
 /// Prints one mapping run's phase breakdown and enumeration counters to
-/// stderr (the `ASYNCMAP_PROFILE` output): the per-phase times, the NPN
-/// match-memo hit rate, cut-list truncations (silent pruning that can
-/// cost cover quality) and the enumeration-scratch allocation accounting
-/// (warm cones allocate nothing beyond their output).
+/// stderr (the `ASYNCMAP_PROFILE` output): the per-phase times, the
+/// verdict-cache and NPN match-memo hit/miss splits (which depend on
+/// scheduling when several cover workers share them, so they stay out of
+/// stdout), cut-list truncations (silent pruning that can cost cover
+/// quality) and the enumeration-scratch allocation accounting (warm cones
+/// allocate nothing beyond their output).
 fn print_profile(stats: &MapStats) {
     let phases = &stats.phases;
     if !phases.is_zero() {
@@ -95,13 +97,17 @@ fn print_profile(stats: &MapStats) {
             phases.total_secs() * 1e3
         );
     }
-    let lookups = stats.npn_hits + stats.npn_misses;
-    if lookups > 0 {
-        eprintln!(
-            "asyncmap npn memo: {} hits / {lookups} lookups ({:.1}%)",
-            stats.npn_hits,
-            stats.npn_hits as f64 / lookups as f64 * 100.0
-        );
+    for (name, hits, misses) in [
+        ("verdict cache", stats.cache_hits, stats.cache_misses),
+        ("npn match memo", stats.npn_hits, stats.npn_misses),
+    ] {
+        let lookups = hits + misses;
+        if lookups > 0 {
+            eprintln!(
+                "asyncmap {name}: {hits} hits, {misses} misses ({:.0}% hit rate)",
+                100.0 * hits as f64 / lookups as f64
+            );
+        }
     }
     if stats.cut_truncations > 0 {
         eprintln!(

@@ -1,8 +1,9 @@
 //! Property test for the incremental (ECO) remapping loop: after any
 //! sequence of random edit batches, a persistent [`EcoSession`] must
 //! produce a design fingerprint-identical to mapping the edited equations
-//! cold, and the stitched output must pass the reuse-aware lint and audit
-//! passes — the two external checkers that share no code with the mapper.
+//! cold, with one cover worker and with four, and the stitched output
+//! must pass the reuse-aware lint and audit passes — the two external
+//! checkers that share no code with the mapper.
 //! The warm audit must also report exactly the diagnostics of a fresh,
 //! uncached audit of the same equations.
 
@@ -39,41 +40,44 @@ proptest! {
         spec.seed = gen_seed;
         let mut lib = builtin::lsi9k();
         lib.annotate_hazards();
-        let opts = MapOptions {
-            threads: 1,
-            ..MapOptions::default()
-        };
 
-        let mut current = generate(&spec);
-        let mut session = EcoSession::new(&lib, opts.clone());
-        session.map(&current).expect("base map");
-        let mut lint_cache = asyncmap::lint::LintCache::new();
-        let mut audit_cache = asyncmap::audit::AuditCache::new();
+        for threads in [1usize, 4] {
+            let opts = MapOptions {
+                threads,
+                ..MapOptions::default()
+            };
+            let mut current = generate(&spec);
+            let mut session = EcoSession::new(&lib, opts.clone());
+            session.map(&current).expect("base map");
+            let mut lint_cache = asyncmap::lint::LintCache::new();
+            let mut audit_cache = asyncmap::audit::AuditCache::new();
 
-        for seed in edit_seeds {
-            let edits = generate_edits(&current, edit_count, seed);
-            current = apply_edits(&current, &edits);
+            for &seed in &edit_seeds {
+                let edits = generate_edits(&current, edit_count, seed);
+                current = apply_edits(&current, &edits);
 
-            let out = session.map(&current).expect("eco remap");
-            let cold = async_tmap(&current, &lib, &opts).expect("cold map");
-            prop_assert_eq!(
-                design_fingerprint(&out.design),
-                design_fingerprint(&cold),
-                "eco remap diverged from cold map after {} edit(s)",
-                edits.len()
-            );
-            prop_assert_eq!(
-                out.eco.cones_reused + out.eco.cones_remapped,
-                out.eco.cones_total
-            );
+                let out = session.map(&current).expect("eco remap");
+                let cold = async_tmap(&current, &lib, &opts).expect("cold map");
+                prop_assert_eq!(
+                    design_fingerprint(&out.design),
+                    design_fingerprint(&cold),
+                    "eco remap at {} thread(s) diverged from cold map after {} edit(s)",
+                    threads,
+                    edits.len()
+                );
+                prop_assert_eq!(
+                    out.eco.cones_reused + out.eco.cones_remapped,
+                    out.eco.cones_total
+                );
 
-            let lint =
-                asyncmap::lint::lint_mapped_design_cached(&out.design, &lib, &mut lint_cache);
-            prop_assert!(lint.is_clean(), "{}", lint.render());
-            let audit = asyncmap::audit::audit_equations_cached(&current, &mut audit_cache);
-            prop_assert!(audit.is_clean(), "{}", audit.render());
-            let fresh = asyncmap::audit::audit_equations(&current);
-            prop_assert_eq!(diagnostics(&audit), diagnostics(&fresh));
+                let lint =
+                    asyncmap::lint::lint_mapped_design_cached(&out.design, &lib, &mut lint_cache);
+                prop_assert!(lint.is_clean(), "{}", lint.render());
+                let audit = asyncmap::audit::audit_equations_cached(&current, &mut audit_cache);
+                prop_assert!(audit.is_clean(), "{}", audit.render());
+                let fresh = asyncmap::audit::audit_equations(&current);
+                prop_assert_eq!(diagnostics(&audit), diagnostics(&fresh));
+            }
         }
     }
 }
