@@ -151,10 +151,7 @@ fn depth_sweep() {
     let eqs = asyncmap_burst::benchmark("dme");
     for depth in [2, 3, 4, 5, 6] {
         let opts = MapOptions {
-            limits: ClusterLimits {
-                max_depth: depth,
-                ..ClusterLimits::default()
-            },
+            limits: ClusterLimits { max_depth: depth },
             ..MapOptions::default()
         };
         let t = Instant::now();

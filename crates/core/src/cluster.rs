@@ -5,8 +5,10 @@
 //! a chosen *cut* of leaf signals. Because a cone is a tree of gates, a
 //! cluster is uniquely identified by its leaf set, and enumeration is a
 //! bounded product of the fanin cut sets. Bounds follow CERES: a maximum
-//! gate depth (the paper's tables use "depth of 5") and a maximum leaf
-//! count (the widest library cell).
+//! gate depth (the paper's tables use "depth of 5") and a fixed maximum
+//! leaf count, [`ClusterLimits::MAX_LEAVES`] (8): the widest built-in cell,
+//! and the widest support on which the hazard filter's transition sweep
+//! is exact.
 //!
 //! Two enumerators live here:
 //!
@@ -16,11 +18,11 @@
 //!   computed once from its fanins' interned lists (over-wide unions —
 //!   the bulk of the cross product in wide cones — are rejected by a
 //!   one-word bloom popcount bound or an early-aborting merge before
-//!   anything is hashed), and the cuts are materialized by a single walk that produces the packed truth table directly (one word
-//!   up to 6 leaves, four words up to 8) — the cluster `Expr` is only
-//!   built lazily, on first use (hazard-check interning or the >8-leaf
-//!   fallback). Covering materializes every gate's list; root
-//!   qualification ([`crate::qualify_cone_root`]) only the cone root's.
+//!   anything is hashed), and the cuts are materialized by a single walk
+//!   that produces each cut's packed 4-word truth table directly — the
+//!   cluster `Expr` is only built lazily, when a hazard check first needs
+//!   it. Covering materializes every gate's list; root qualification
+//!   ([`crate::qualify_cone_root`]) only the cone root's.
 //!   [`enumerate_clusters`] is its eager public view, with an `Expr` per
 //!   cluster, for tests.
 //! * [`enumerate_clusters_legacy`] — the original per-root recursive
@@ -29,10 +31,10 @@
 //!
 //! The new enumerator reproduces the legacy pipeline order exactly
 //! (cross-product → lexicographic sort → dedup → trivial cut first →
-//! `max_cuts_per_gate` truncation → depth filter), so both yield equal
+//! truncation at 200 cuts per gate → depth filter), so both yield equal
 //! cluster lists and the mapped designs are bit-identical.
 
-use crate::truth::{self, MASKS};
+use crate::truth::MASKS;
 use asyncmap_bff::Expr;
 use asyncmap_cube::{VarId, VarTable};
 use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
@@ -53,24 +55,29 @@ pub struct Cluster {
     pub num_gates: usize,
 }
 
-/// Enumeration limits.
+/// Enumeration limits: the cluster depth bound. The leaf bound is the
+/// fixed [`ClusterLimits::MAX_LEAVES`], so every cluster's truth table
+/// packs into four words and every hazard verdict is an exact sweep; a
+/// gate keeps at most 200 cuts (the trivial cut always among them).
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterLimits {
     /// Maximum gate depth of a cluster (paper: 5).
     pub max_depth: usize,
-    /// Maximum number of distinct leaves (the widest library cell).
-    pub max_leaves: usize,
-    /// Cap on cuts kept per gate (guards pathological cones).
-    pub max_cuts_per_gate: usize,
 }
+
+impl ClusterLimits {
+    /// Maximum number of distinct leaves of a cluster: the widest built-in
+    /// cell, and [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`], the widest
+    /// support the matcher's hazard sweep decides exactly.
+    pub const MAX_LEAVES: usize = asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT;
+}
+
+/// Cap on cuts kept per gate (guards pathological cones).
+const MAX_CUTS_PER_GATE: usize = 200;
 
 impl Default for ClusterLimits {
     fn default() -> Self {
-        ClusterLimits {
-            max_depth: 5,
-            max_leaves: 8,
-            max_cuts_per_gate: 200,
-        }
+        ClusterLimits { max_depth: 5 }
     }
 }
 
@@ -96,7 +103,16 @@ pub fn enumerate_clusters(
     cone.gates
         .iter()
         .map(|&g| {
-            let list = cuts.clusters(g).iter().map(|c| c.to_cluster(net)).collect();
+            let list = cuts
+                .clusters(g)
+                .iter()
+                .map(|c| Cluster {
+                    root: c.root,
+                    leaves: c.leaves.clone(),
+                    expr: c.expr(net).clone(),
+                    num_gates: c.num_gates,
+                })
+                .collect();
             (g, list)
         })
         .collect()
@@ -131,7 +147,7 @@ pub fn enumerate_clusters_legacy(
                 options
             })
             .collect();
-        cross_product(&fanin_options, &mut gate_cuts, limits.max_leaves);
+        cross_product(&fanin_options, &mut gate_cuts);
         // The trivial cut (the gate's own fanin) must always survive the
         // cap: it guarantees every gate is coverable by a base cell.
         let mut trivial: Vec<SignalId> = fanin.to_vec();
@@ -140,7 +156,7 @@ pub fn enumerate_clusters_legacy(
         gate_cuts.sort();
         gate_cuts.dedup();
         gate_cuts.retain(|c| *c != trivial);
-        gate_cuts.truncate(limits.max_cuts_per_gate.saturating_sub(1));
+        gate_cuts.truncate(MAX_CUTS_PER_GATE - 1);
         gate_cuts.insert(0, trivial);
         cuts.insert(g, gate_cuts);
     }
@@ -160,19 +176,18 @@ pub fn enumerate_clusters_legacy(
     out
 }
 
-fn cross_product(options: &[Vec<Vec<SignalId>>], out: &mut Vec<Vec<SignalId>>, max_leaves: usize) {
+fn cross_product(options: &[Vec<Vec<SignalId>>], out: &mut Vec<Vec<SignalId>>) {
     fn rec(
         options: &[Vec<Vec<SignalId>>],
         idx: usize,
         acc: &mut Vec<SignalId>,
         out: &mut Vec<Vec<SignalId>>,
-        max_leaves: usize,
     ) {
         if idx == options.len() {
             let mut cut = acc.clone();
             cut.sort();
             cut.dedup();
-            if cut.len() <= max_leaves {
+            if cut.len() <= ClusterLimits::MAX_LEAVES {
                 out.push(cut);
             }
             return;
@@ -180,12 +195,12 @@ fn cross_product(options: &[Vec<Vec<SignalId>>], out: &mut Vec<Vec<SignalId>>, m
         for choice in &options[idx] {
             let mark = acc.len();
             acc.extend(choice.iter().copied());
-            rec(options, idx + 1, acc, out, max_leaves);
+            rec(options, idx + 1, acc, out);
             acc.truncate(mark);
         }
     }
     let mut acc = Vec::new();
-    rec(options, 0, &mut acc, out, max_leaves);
+    rec(options, 0, &mut acc, out);
 }
 
 /// Builds the cluster for a given cut (sorted ascending), returning `None`
@@ -226,7 +241,7 @@ fn walk(
     num_gates: &mut usize,
 ) -> Option<Expr> {
     if depth > 0 && cut.binary_search(&signal).is_ok() {
-        // Leaves are few (bounded by max_leaves), so a linear scan beats
+        // Leaves are few (at most `MAX_LEAVES`), so a linear scan beats
         // a hash map for variable lookup.
         let v = match leaves.iter().position(|&s| s == signal) {
             Some(i) => VarId(i),
@@ -442,8 +457,7 @@ impl LeafArena {
 
 /// A materialized cut: the matcher-facing view of one cluster, carrying
 /// the packed truth table computed during the walk instead of an `Expr`.
-/// The expression is built lazily — only hazard-check interning and the
-/// wide (>6-leaf) fallback ever need it.
+/// The expression is built lazily — only a hazard check ever needs it.
 #[derive(Debug)]
 pub(crate) struct CutCluster {
     /// The gate whose output the cluster computes.
@@ -454,13 +468,10 @@ pub(crate) struct CutCluster {
     pub(crate) leaves: Vec<SignalId>,
     /// Number of gates the cluster covers.
     pub(crate) num_gates: usize,
-    /// Packed truth table over `leaves` (`leaves[i]` = variable `i`);
-    /// `None` when the cut has more than 6 leaves.
-    pub(crate) truth6: Option<u64>,
-    /// The 4-word packed table for wide cuts (7–8 leaves, the bits beyond
-    /// `2^nleaves` replicate the valid block); `None` past 8 leaves.
-    /// Always `Some` when [`CutCluster::truth6`] is.
-    pub(crate) twords: Option<[u64; 4]>,
+    /// Packed truth table over `leaves` (`leaves[i]` = variable `i`) as a
+    /// function of 8 variables: bit `m & 63` of word `m >> 6` is minterm
+    /// `m`, and the bits beyond `2^nleaves` replicate the valid block.
+    pub(crate) table: [u64; 4],
     max_depth: usize,
     expr: OnceCell<Expr>,
 }
@@ -489,16 +500,6 @@ impl CutCluster {
             expr
         })
     }
-
-    /// Materializes the legacy [`Cluster`] view (eager expression).
-    pub(crate) fn to_cluster(&self, net: &Network) -> Cluster {
-        Cluster {
-            root: self.root,
-            leaves: self.leaves.clone(),
-            expr: self.expr(net).clone(),
-            num_gates: self.num_gates,
-        }
-    }
 }
 
 /// The cut sets of one cone, enumerated bottom-up with interned leaf
@@ -511,8 +512,8 @@ pub(crate) struct ConeCuts {
     gates: Vec<SignalId>,
     /// Match-candidate clusters per gate, aligned with `gates`.
     lists: Vec<Vec<CutCluster>>,
-    /// Number of gates whose cut list hit [`ClusterLimits::max_cuts_per_gate`]
-    /// and lost cuts to truncation.
+    /// Number of gates whose cut list hit the per-gate cap of 200 cuts and
+    /// lost cuts to truncation.
     pub(crate) truncations: usize,
 }
 
@@ -704,7 +705,7 @@ fn enumerate_cuts_in(
                     } else {
                         cut_data[r0_start as usize + i - 1]
                     };
-                    if arena.len_of(choice) > limits.max_leaves {
+                    if arena.len_of(choice) > ClusterLimits::MAX_LEAVES {
                         continue;
                     }
                     gate_buf.push(choice);
@@ -720,19 +721,10 @@ fn enumerate_cuts_in(
                     } else {
                         cut_data[r0_start as usize + i - 1]
                     };
-                    if arena.len_of(a) > limits.max_leaves {
+                    if arena.len_of(a) > ClusterLimits::MAX_LEAVES {
                         continue;
                     }
-                    cross_pairs(
-                        arena,
-                        a,
-                        s1,
-                        (r1_start, r1_len),
-                        cut_data,
-                        limits.max_leaves,
-                        gate_buf,
-                        merge,
-                    );
+                    cross_pairs(arena, a, s1, (r1_start, r1_len), cut_data, gate_buf, merge);
                 }
             }
             n => unreachable!("base-gate arity {n}"),
@@ -748,7 +740,7 @@ fn enumerate_cuts_in(
         gate_buf.sort_by(|&a, &b| arena.slice(a).cmp(arena.slice(b)));
         gate_buf.dedup();
         gate_buf.retain(|&c| c != trivial);
-        let cap = limits.max_cuts_per_gate.saturating_sub(1);
+        let cap = MAX_CUTS_PER_GATE - 1;
         if gate_buf.len() > cap {
             truncations += 1;
         }
@@ -767,7 +759,7 @@ fn enumerate_cuts_in(
         for &id in gate_buf.iter() {
             let mut leaves = Vec::with_capacity(arena.len_of(id));
             let mut num_gates = 0usize;
-            let Some(twords) = walk_truth(
+            let Some(table) = walk_truth(
                 net,
                 g,
                 arena.slice(id),
@@ -778,18 +770,11 @@ fn enumerate_cuts_in(
             ) else {
                 continue;
             };
-            let truth6 = if leaves.len() <= 6 {
-                let w = twords.expect("≤6 leaves always packs");
-                Some(w[0] & truth::full_mask(leaves.len()))
-            } else {
-                None
-            };
             list.push(CutCluster {
                 root: g,
                 leaves,
                 num_gates,
-                truth6,
-                twords,
+                table,
                 max_depth: limits.max_depth,
                 expr: OnceCell::new(),
             });
@@ -813,17 +798,16 @@ fn enumerate_cuts_in(
 /// only collide in the bloom word, never split) rejects most over-wide
 /// pairs before the merge; the sub-cut spans are screened four candidates
 /// at a time so the filter runs word-parallel.
-#[allow(clippy::too_many_arguments)]
 fn cross_pairs(
     arena: &mut LeafArena,
     a: u32,
     s1: u32,
     r1: (u32, u32),
     cut_data: &[u32],
-    max_leaves: usize,
     out: &mut Vec<u32>,
     merge: &mut Vec<SignalId>,
 ) {
+    let max_leaves = ClusterLimits::MAX_LEAVES;
     let sa = arena.sigs[a as usize];
     // The trivial second option first (legacy option order).
     let lb = (sa | arena.sigs[s1 as usize]).count_ones();
@@ -849,10 +833,10 @@ fn cross_pairs(
     }
 }
 
-/// Leaf masks for the wide 4-word (256-minterm, ≤ 8-variable) packed
-/// tables: variable `v` is true exactly on the minterms whose bit `v` is
-/// set. The first six rows replicate the one-word [`MASKS`] patterns;
-/// variables 6 and 7 toggle at word granularity.
+/// Leaf masks for the 4-word (256-minterm, 8-variable) packed tables:
+/// variable `v` is true exactly on the minterms whose bit `v` is set. The
+/// first six rows replicate the one-word [`MASKS`] patterns; variables 6
+/// and 7 toggle at word granularity.
 const WMASKS: [[u64; 4]; 8] = [
     [MASKS[0]; 4],
     [MASKS[1]; 4],
@@ -866,15 +850,9 @@ const WMASKS: [[u64; 4]; 8] = [
 
 /// The materialization walk: identical traversal to [`walk`] (first-visit
 /// leaf order, stop at the first cut member, depth bound), but computes
-/// the packed truth table words directly instead of building an `Expr`.
-///
-/// Returns `None` when the depth bound is exceeded. The inner option is
-/// the 4-word table accumulator (good for up to 8 variables): it poisons
-/// to `None` once a leaf index reaches 8 (the final table is only
-/// meaningful when the finished leaf list has ≤ 8 entries). For a 7-leaf
-/// cut the upper two words duplicate the lower two, so the full array is
-/// still a deterministic function of the cluster — usable as a memo key.
-#[allow(clippy::too_many_arguments)]
+/// the packed 4-word truth table directly instead of building an `Expr`:
+/// the 8-variable [`crate::truth::truth_table_words`] of the expression
+/// the walk would build. Returns `None` when the depth bound is exceeded.
 fn walk_truth(
     net: &Network,
     signal: SignalId,
@@ -883,7 +861,7 @@ fn walk_truth(
     max_depth: usize,
     leaves: &mut Vec<SignalId>,
     num_gates: &mut usize,
-) -> Option<Option<[u64; 4]>> {
+) -> Option<[u64; 4]> {
     if depth > 0 && cut.binary_search(&signal).is_ok() {
         let v = match leaves.iter().position(|&s| s == signal) {
             Some(i) => i,
@@ -892,7 +870,8 @@ fn walk_truth(
                 leaves.len() - 1
             }
         };
-        return Some((v < 8).then(|| WMASKS[v]));
+        // A cut has at most `MAX_LEAVES` (8) members.
+        return Some(WMASKS[v]);
     }
     if depth >= max_depth {
         return None;
@@ -903,24 +882,32 @@ fn walk_truth(
     *num_gates += 1;
     let words = match op {
         GateOp::And => {
-            let mut acc = Some([!0u64; 4]);
+            let mut acc = [!0u64; 4];
             for &f in fanin {
                 let w = walk_truth(net, f, cut, depth + 1, max_depth, leaves, num_gates)?;
-                acc = acc.zip(w).map(|(a, b)| and4(a, b));
+                acc = and4(acc, w);
             }
             acc
         }
         GateOp::Or => {
-            let mut acc = Some([0u64; 4]);
+            let mut acc = [0u64; 4];
             for &f in fanin {
                 let w = walk_truth(net, f, cut, depth + 1, max_depth, leaves, num_gates)?;
-                acc = acc.zip(w).map(|(a, b)| or4(a, b));
+                acc = or4(acc, w);
             }
             acc
         }
         GateOp::Inv => {
             let f = *fanin.first().expect("inverter fanin");
-            walk_truth(net, f, cut, depth + 1, max_depth, leaves, num_gates)?.map(not4)
+            not4(walk_truth(
+                net,
+                f,
+                cut,
+                depth + 1,
+                max_depth,
+                leaves,
+                num_gates,
+            )?)
         }
         GateOp::Buf => {
             let f = *fanin.first().expect("buffer fanin");
@@ -1001,10 +988,7 @@ mod tests {
     #[test]
     fn depth_bound_limits_clusters() {
         let (net, cone) = cone_of("abcd + a'b'c'd'", &["a", "b", "c", "d"]);
-        let tight = ClusterLimits {
-            max_depth: 1,
-            ..ClusterLimits::default()
-        };
+        let tight = ClusterLimits { max_depth: 1 };
         let clusters = enumerate_clusters(&net, &cone, &tight);
         for list in clusters.values() {
             for c in list {
@@ -1013,19 +997,21 @@ mod tests {
         }
     }
 
+    /// A cone over 15 inputs: its cuts reach the leaf bound, and one
+    /// gate's list overflows the per-gate cap.
+    fn wide_cone() -> (Network, Cone) {
+        let names = [
+            "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o",
+        ];
+        cone_of("ab'c + def' + ghi + jk'l + mno'", &names)
+    }
+
     #[test]
     fn leaf_limit_enforced() {
-        let (net, cone) = cone_of("abcd + a'b'c'd'", &["a", "b", "c", "d"]);
-        let limits = ClusterLimits {
-            max_leaves: 3,
-            ..ClusterLimits::default()
-        };
-        let clusters = enumerate_clusters(&net, &cone, &limits);
-        for list in clusters.values() {
-            for c in list {
-                assert!(c.leaves.len() <= 3);
-            }
-        }
+        let (net, cone) = wide_cone();
+        let clusters = enumerate_clusters(&net, &cone, &ClusterLimits::default());
+        let widest = clusters.values().flatten().map(|c| c.leaves.len()).max();
+        assert_eq!(widest, Some(ClusterLimits::MAX_LEAVES));
     }
 
     #[test]
@@ -1099,7 +1085,7 @@ mod tests {
             let limits = ClusterLimits::default();
             let full = enumerate_cuts(&net, &cone, &limits);
             let root_only = enumerate_root_cuts(&net, &cone, &limits);
-            let view = |c: &CutCluster| (c.leaves.clone(), c.num_gates, c.truth6, c.twords);
+            let view = |c: &CutCluster| (c.leaves.clone(), c.num_gates, c.table);
             let want: Vec<_> = full.clusters(cone.root).iter().map(view).collect();
             let got: Vec<_> = root_only.clusters(cone.root).iter().map(view).collect();
             assert_eq!(got, want, "{text}: root list differs");
@@ -1117,65 +1103,40 @@ mod tests {
     fn truncation_events_are_counted() {
         let (net, cone) = cone_of("ab' + cd + a'd'", &["a", "b", "c", "d"]);
         let roomy = enumerate_cuts(&net, &cone, &ClusterLimits::default());
-        assert_eq!(roomy.truncations, 0, "default cap is not hit here");
-        let tight = ClusterLimits {
-            max_cuts_per_gate: 2,
-            ..ClusterLimits::default()
-        };
-        let truncated = enumerate_cuts(&net, &cone, &tight);
-        assert!(truncated.truncations > 0, "cap 2 must truncate some gate");
+        assert_eq!(roomy.truncations, 0, "the cap is not hit here");
+        let (net, cone) = wide_cone();
+        let truncated = enumerate_cuts(&net, &cone, &ClusterLimits::default());
+        assert!(truncated.truncations > 0, "the cap truncates some gate");
         for &g in &cone.gates {
-            assert!(!truncated.clusters(g).is_empty(), "trivial cut survives");
+            let list = truncated.clusters(g);
+            assert!(list.len() <= MAX_CUTS_PER_GATE);
+            assert_eq!(list[0].num_gates, 1, "trivial cut survives first");
         }
     }
 
+    /// The walk's 4-word tables equal the tables of the lazily built
+    /// expressions at every width, 7–8 leaves included (the matcher's memo
+    /// keys on these words, so any divergence would corrupt matching).
     #[test]
-    fn cut_cluster_truth_matches_lazy_expr() {
-        let (net, cone) = cone_of("ab + a'c + bc", &["a", "b", "c"]);
-        let cuts = enumerate_cuts(&net, &cone, &ClusterLimits::default());
-        let mut checked = 0;
-        for &g in &cone.gates {
-            for c in cuts.clusters(g) {
-                let t = c.truth6.expect("≤6 leaves on this cone");
-                assert_eq!(
-                    t,
-                    truth::truth6_of(c.expr(&net), c.leaves.len()),
-                    "walk truth diverges from expression truth"
-                );
-                checked += 1;
-            }
-        }
-        assert!(checked > 0);
-    }
-
-    /// The 4-word wide tables from the walk agree with the `Expr`-derived
-    /// word-blocked tables on 7–8 leaf cuts (the wide matcher path keys
-    /// its memo on these words, so any divergence would corrupt matching).
-    #[test]
-    fn wide_cut_words_match_lazy_expr() {
-        let (net, cone) = cone_of(
-            "ab + cd + ef + gh",
-            &["a", "b", "c", "d", "e", "f", "g", "h"],
-        );
-        let cuts = enumerate_cuts(&net, &cone, &ClusterLimits::default());
-        let mut wide_checked = 0;
-        for &g in &cone.gates {
-            for c in cuts.clusters(g) {
-                let n = c.leaves.len();
-                let words = c.twords.expect("≤8 leaves on this cone");
-                let want = truth::truth_table_words(c.expr(&net), n);
-                if n > 6 {
-                    assert_eq!(
-                        &words[..1 << (n - 6)],
-                        want.words(),
-                        "wide walk words diverge from expression truth at {n} leaves"
-                    );
-                    wide_checked += 1;
-                } else {
-                    assert_eq!(words[0] & truth::full_mask(n), c.truth6.unwrap());
+    fn cut_tables_match_lazy_expr() {
+        let mut widths = HashSet::new();
+        for (text, names) in [
+            ("ab + a'c + bc", vec!["a", "b", "c"]),
+            (
+                "ab + cd + ef + gh",
+                vec!["a", "b", "c", "d", "e", "f", "g", "h"],
+            ),
+        ] {
+            let (net, cone) = cone_of(text, &names);
+            let cuts = enumerate_cuts(&net, &cone, &ClusterLimits::default());
+            for &g in &cone.gates {
+                for c in cuts.clusters(g) {
+                    let want = crate::truth::truth_table_words(c.expr(&net), 8);
+                    assert_eq!(c.table, want.words(), "{text}: walk table diverges");
+                    widths.insert(c.leaves.len());
                 }
             }
         }
-        assert!(wide_checked > 0, "cone produced no wide cuts");
+        assert!(widths.contains(&7) && widths.contains(&8), "{widths:?}");
     }
 }

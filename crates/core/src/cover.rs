@@ -39,9 +39,9 @@ pub struct ConeCover {
     pub instances: Vec<Instance>,
     /// Total cell area of the cover.
     pub area: f64,
-    /// Number of gates in this cone whose cut list was truncated at
-    /// [`ClusterLimits::max_cuts_per_gate`] (0 on the legacy enumerator,
-    /// which does not count them).
+    /// Number of gates in this cone whose cut list was truncated at the
+    /// per-gate cap of 200 cuts (0 on the legacy enumerator, which does not
+    /// count them).
     pub cut_truncations: usize,
 }
 
@@ -83,29 +83,14 @@ impl Choice {
     }
 }
 
-/// Covers `cone` with minimum total cell area, using `matcher` to find
-/// acceptable matches under its hazard policy.
+/// Covers `cone` by the given objective (minimum total cell area, or
+/// minimum critical-path cell delay with area as the tie-break), using
+/// `matcher` to find acceptable matches under its hazard policy.
 ///
 /// # Errors
 ///
 /// Returns [`CoverError`] if some gate admits no match (a library without
 /// INV/AND2/OR2 equivalents).
-pub fn cover_cone(
-    net: &Network,
-    cone: &Cone,
-    matcher: &Matcher<'_>,
-    limits: &ClusterLimits,
-) -> Result<ConeCover, CoverError> {
-    cover_cone_with(net, cone, matcher, limits, Objective::Area)
-}
-
-/// Like [`cover_cone`], selecting by the given objective (minimum total
-/// cell area, or minimum critical-path cell delay with area as the
-/// tie-break).
-///
-/// # Errors
-///
-/// Returns [`CoverError`] if some gate admits no match.
 pub fn cover_cone_with(
     net: &Network,
     cone: &Cone,
@@ -158,7 +143,7 @@ pub fn cover_cone_with(
                 continue;
             }
             t_select.pause();
-            matcher.for_each_match_cut(cluster, net, |cell_index, pin_to_leaf| {
+            matcher.visit_cut(cluster, net, |cell_index, pin_to_leaf| {
                 let cell = &matcher.library().cells()[cell_index];
                 let total_area = cell.area() + leaf_area;
                 let total_delay = cell.delay() + leaf_delay;
@@ -172,6 +157,7 @@ pub fn cover_cone_with(
                     winner_pins.clear();
                     winner_pins.extend_from_slice(pin_to_leaf);
                 }
+                ControlFlow::Continue(())
             });
             t_select.resume();
         }
@@ -239,7 +225,7 @@ pub fn qualify_cone_root(
         hazard_ok: false,
     };
     for cluster in clusters {
-        q.functional |= matcher.visit_matches_cut(cluster, net, |_, _| {
+        q.functional |= matcher.visit_cut(cluster, net, |_, _| {
             q.hazard_ok = true;
             ControlFlow::Break(())
         });
@@ -345,14 +331,15 @@ pub fn hand_cover(
     let mut instances = Vec::new();
     let mut area = 0.0;
     let mut work = vec![cone.root];
+    // The chosen match's pin binding, copied out of the matcher's visitor
+    // buffer; reused across gates.
+    let mut chosen_pins: Vec<usize> = Vec::new();
     while let Some(g) = work.pop() {
-        let mut chosen: Option<(&CutCluster, crate::matcher::Match, f64)> = None;
+        let mut chosen: Option<(&CutCluster, usize, f64)> = None;
         for cluster in cuts.clusters(g) {
             t_select.pause();
-            let matches = matcher.find_matches_cut(cluster, net);
-            t_select.resume();
-            for m in matches {
-                let cell_area = matcher.library().cells()[m.cell_index].area();
+            matcher.visit_cut(cluster, net, |cell_index, pin_to_leaf| {
+                let cell_area = matcher.library().cells()[cell_index].area();
                 let better = match &chosen {
                     None => true,
                     Some((cc, _, ca)) => {
@@ -361,18 +348,22 @@ pub fn hand_cover(
                     }
                 };
                 if better {
-                    chosen = Some((cluster, m, cell_area));
+                    chosen = Some((cluster, cell_index, cell_area));
+                    chosen_pins.clear();
+                    chosen_pins.extend_from_slice(pin_to_leaf);
                 }
-            }
+                ControlFlow::Continue(())
+            });
+            t_select.resume();
         }
-        let Some((cluster, m, cell_area)) = chosen else {
+        let Some((cluster, cell_index, cell_area)) = chosen else {
             return Err(CoverError { gate: g });
         };
         area += cell_area;
         instances.push(Instance {
-            cell_index: m.cell_index,
+            cell_index,
             output: g,
-            inputs: m.pin_to_leaf.iter().map(|&l| cluster.leaves[l]).collect(),
+            inputs: chosen_pins.iter().map(|&l| cluster.leaves[l]).collect(),
         });
         for &l in &cluster.leaves {
             if in_cone(l) {
@@ -463,13 +454,18 @@ mod tests {
         (net, cones)
     }
 
+    fn area_cover(net: &Network, cone: &Cone, matcher: &Matcher<'_>) -> ConeCover {
+        let limits = ClusterLimits::default();
+        cover_cone_with(net, cone, matcher, &limits, Objective::Area).unwrap()
+    }
+
     #[test]
     fn covers_simple_cone_with_one_cell() {
         let mut lib = builtin::cmos3();
         lib.annotate_hazards();
         let (net, cones) = setup("a' + b'", &["a", "b"]);
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
-        let cover = cover_cone(&net, &cones[0], &matcher, &ClusterLimits::default()).unwrap();
+        let cover = area_cover(&net, &cones[0], &matcher);
         // One NAND2 beats INV+INV+OR2 on area.
         assert_eq!(cover.instances.len(), 1);
         assert!(lib.cells()[cover.instances[0].cell_index]
@@ -488,7 +484,7 @@ mod tests {
         lib.annotate_hazards();
         let (net, cones) = setup("ab + a'c + bc", &["a", "b", "c"]);
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
-        let cover = cover_cone(&net, &cones[0], &matcher, &ClusterLimits::default()).unwrap();
+        let cover = area_cover(&net, &cones[0], &matcher);
         let (orig, _) = cones[0].to_expr(&net);
         let mapped = crate::design::mapped_cone_expr(&net, &cones[0], &cover, &lib);
         assert!(asyncmap_hazard::hazards_subset(
@@ -507,7 +503,7 @@ mod tests {
         assert!(!asyncmap_hazard::wave_eval(&mapped, &one, &other).hazard);
         // The sync cover, by contrast, is free to take the bare mux.
         let sync = Matcher::new(&lib, HazardPolicy::Ignore);
-        let sync_cover = cover_cone(&net, &cones[0], &sync, &ClusterLimits::default()).unwrap();
+        let sync_cover = area_cover(&net, &cones[0], &sync);
         assert!(sync_cover.area <= cover.area);
     }
 
@@ -517,7 +513,7 @@ mod tests {
         lib.annotate_hazards();
         let (net, cones) = setup("ab' + cd + a'd'", &["a", "b", "c", "d"]);
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
-        let cover = cover_cone(&net, &cones[0], &matcher, &ClusterLimits::default()).unwrap();
+        let cover = area_cover(&net, &cones[0], &matcher);
         let sum: f64 = cover
             .instances
             .iter()
@@ -533,7 +529,7 @@ mod tests {
         lib.annotate_hazards();
         let (net, cones) = setup("ab + a'c + bc", &["a", "b", "c"]);
         let m1 = Matcher::new(&lib, HazardPolicy::Ignore);
-        let dp = cover_cone(&net, &cones[0], &m1, &ClusterLimits::default()).unwrap();
+        let dp = area_cover(&net, &cones[0], &m1);
         let m2 = Matcher::new(&lib, HazardPolicy::Ignore);
         let hand = hand_cover(&net, &cones[0], &m2, &ClusterLimits::default()).unwrap();
         assert!(hand.area >= dp.area - 1e-9);

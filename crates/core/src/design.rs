@@ -20,9 +20,12 @@ use std::collections::HashMap;
 /// [`crate::Matcher::reset_counters`] for per-run accounting there.)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MapStats {
-    /// Hazard-containment checks performed during matching.
+    /// Hazard-containment checks performed during matching (for
+    /// [`crate::hdc_tmap`], also one certification walk per cone and
+    /// specified burst).
     pub hazard_checks: usize,
-    /// Matches rejected by the hazard filter.
+    /// Matches rejected by the hazard filter (for [`crate::hdc_tmap`], the
+    /// cones that failed certification and were re-covered).
     pub hazard_rejects: usize,
     /// Hazard checks answered by the shared verdict cache during this run.
     /// With a pre-warmed cache (`async_tmap_cached`) this can exceed the
@@ -37,8 +40,7 @@ pub struct MapStats {
     /// Match-memo lookups that fell through to the full permutation
     /// search.
     pub npn_misses: usize,
-    /// Gates whose cut list was truncated at
-    /// [`crate::ClusterLimits::max_cuts_per_gate`].
+    /// Gates whose cut list was truncated at the per-gate cap of 200 cuts.
     pub cut_truncations: usize,
     /// Cones whose cut enumeration ran entirely out of the pre-sized
     /// thread-local scratch — zero heap allocations beyond the returned
@@ -314,8 +316,9 @@ pub fn assemble(
 mod tests {
     use super::*;
     use crate::cluster::ClusterLimits;
-    use crate::cover::cover_cone;
+    use crate::cover::cover_cone_with;
     use crate::matcher::{HazardPolicy, Matcher};
+    use crate::tmap::Objective;
     use asyncmap_cube::{Cover, VarTable};
     use asyncmap_library::builtin;
     use asyncmap_network::{async_tech_decomp, partition, EquationSet};
@@ -331,7 +334,16 @@ mod tests {
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
         let covers: Vec<ConeCover> = cones
             .iter()
-            .map(|c| cover_cone(&net, c, &matcher, &ClusterLimits::default()).unwrap())
+            .map(|c| {
+                cover_cone_with(
+                    &net,
+                    c,
+                    &matcher,
+                    &ClusterLimits::default(),
+                    Objective::Area,
+                )
+                .unwrap()
+            })
             .collect();
         let design = assemble(&lib, net, cones, covers, MapStats::default(), true);
         (design, lib)

@@ -227,13 +227,10 @@ fn hash_shard<K: Hash>(key: &K) -> usize {
     (FxBuildHasher::default().hash_one(key) as usize) & (SHARDS - 1)
 }
 
-/// One memoized pin binding: the matcher's `pin_to_local` permutation for
-/// a cell entry, packed one byte per pin (≤ 6 pins).
-pub(crate) type MemoBinding = (u32, [u8; 6]);
-
-/// A memoized binding for a wide (7–8 leaf) cluster: the cell entry plus
-/// the pin → *leaf index* map, packed one byte per pin.
-pub(crate) type WideBinding = (u32, [u8; 8]);
+/// One memoized match: a cell entry plus its pin binding, packed one byte
+/// per pin. Raw and class-level bindings map pins to positions of the
+/// cluster's support; wide-level bindings map them to leaf indices.
+pub(crate) type MemoBinding = (u32, [u8; 8]);
 
 /// Sharded memo of Boolean-match results, keyed by the cluster's packed
 /// truth table and, underneath that, by its P-class canonical form
@@ -268,7 +265,7 @@ type Sharded<K, V> = [RwLock<HashMap<K, V, FxBuildHasher>>; SHARDS];
 pub(crate) struct MatchMemo {
     raw: Sharded<(u8, u64), Arc<Vec<MemoBinding>>>,
     class: Sharded<(u8, u64, bool), Arc<Vec<u32>>>,
-    wide: Sharded<(u8, [u64; 4]), Arc<Vec<WideBinding>>>,
+    wide: Sharded<(u8, [u64; 4]), Arc<Vec<MemoBinding>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -353,7 +350,7 @@ impl MatchMemo {
         &self,
         nleaves: usize,
         words: [u64; 4],
-    ) -> Option<Arc<Vec<WideBinding>>> {
+    ) -> Option<Arc<Vec<MemoBinding>>> {
         let key = (nleaves as u8, words);
         self.wide[hash_shard(&key)]
             .read()
@@ -366,7 +363,7 @@ impl MatchMemo {
         &self,
         nleaves: usize,
         words: [u64; 4],
-        bindings: Arc<Vec<WideBinding>>,
+        bindings: Arc<Vec<MemoBinding>>,
     ) {
         let key = (nleaves as u8, words);
         self.wide[hash_shard(&key)]
@@ -434,7 +431,7 @@ mod tests {
         let memo = MatchMemo::new();
         assert!(memo.raw_get(2, 0b1000).is_none());
         assert!(memo.class_get(2, 0b1000, false).is_none());
-        memo.raw_put(2, 0b1000, Arc::new(vec![(3, [1, 0, 0, 0, 0, 0])]));
+        memo.raw_put(2, 0b1000, Arc::new(vec![(3, [1, 0, 0, 0, 0, 0, 0, 0])]));
         memo.class_put(2, 0b1000, false, Arc::new(vec![3]));
         assert_eq!(memo.raw_get(2, 0b1000).unwrap()[0].0, 3);
         assert_eq!(*memo.class_get(2, 0b1000, false).unwrap(), vec![3]);

@@ -17,14 +17,15 @@
 //! single-transition-per-wire model under which the waveform oracle is
 //! exact.
 
-use crate::cover::{cover_cone, ConeCover, CoverError};
-use crate::design::{assemble, mapped_cone_expr, MapStats, MappedDesign};
-use crate::matcher::{HazardPolicy, Matcher};
-use crate::tmap::MapOptions;
+use crate::cover::{ConeCover, CoverError};
+use crate::design::{mapped_cone_expr, MappedDesign};
+use crate::hcache::HazardCache;
+use crate::tmap::{map_run, Flow, MapOptions};
 use asyncmap_cube::Bits;
 use asyncmap_hazard::wave_eval;
 use asyncmap_library::Library;
-use asyncmap_network::{async_tech_decomp, partition, Cone, EquationSet, Network};
+use asyncmap_network::{Cone, EquationSet, Network};
+use std::sync::Arc;
 
 /// A transition of interest: a specified burst from one total state to
 /// another, over the equation set's primary-input space.
@@ -32,6 +33,13 @@ pub type Transition = (Bits, Bits);
 
 /// Maps `eqs` exploiting hazard don't-cares: only the given specified
 /// transitions must remain hazard-free.
+///
+/// Runs the common mapping pipeline (so it honours
+/// [`MapOptions::threads`]) with its own verdict cache. In the returned
+/// [`crate::MapStats`], `hazard_rejects` counts the cones that failed
+/// certification and were re-covered with the hazard filter, and
+/// `hazard_checks` counts one certification walk per cone and transition
+/// plus the filter checks of those re-covers.
 ///
 /// # Errors
 ///
@@ -51,30 +59,8 @@ pub fn hdc_tmap(
         assert_eq!(from.len(), eqs.inputs.len(), "transition width mismatch");
         assert_eq!(to.len(), eqs.inputs.len(), "transition width mismatch");
     }
-    let subject = async_tech_decomp(eqs);
-    let cones = partition(&subject);
-    let relaxed = Matcher::new(library, HazardPolicy::Ignore);
-    let strict = Matcher::new(library, HazardPolicy::SubsetCheck);
-    let mut covers: Vec<ConeCover> = Vec::with_capacity(cones.len());
-    let mut stats = MapStats::default();
-    for cone in &cones {
-        let candidate = cover_cone(&subject, cone, &relaxed, &options.limits)?;
-        if cone_certified(&subject, cone, &candidate, library, transitions) {
-            covers.push(candidate);
-        } else {
-            stats.hazard_rejects += 1; // cones that needed the strict path
-            covers.push(cover_cone(&subject, cone, &strict, &options.limits)?);
-        }
-    }
-    stats.hazard_checks = strict.counters().hazard_checks + cones.len() * transitions.len();
-    Ok(assemble(
-        library,
-        subject,
-        cones,
-        covers,
-        stats,
-        options.add_buffers,
-    ))
+    let cache = Arc::new(HazardCache::new());
+    map_run(eqs, library, options, Flow::Hdc(transitions), &cache, None).map(|run| run.design)
 }
 
 /// Certifies one cone cover against the projected transitions of interest:
@@ -165,6 +151,41 @@ mod tests {
         let hdc = hdc_tmap(&eqs, &lib, &MapOptions::default(), &toi).unwrap();
         assert!(hdc.verify_function(&lib));
         assert!(hdc.verify_hazards_on(&lib, &toi));
+    }
+
+    #[test]
+    fn thread_count_never_changes_hdc_mapping() {
+        let mut lib = builtin::actel();
+        lib.annotate_hazards();
+        let (eqs, toi) = asyncmap_burst::benchmark_with_transitions("dme");
+        let run = |threads| {
+            let options = MapOptions {
+                threads,
+                ..MapOptions::default()
+            };
+            hdc_tmap(&eqs, &lib, &options, &toi).unwrap()
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(format!("{:?}", one.covers), format!("{:?}", four.covers));
+        assert_eq!(one.area.to_bits(), four.area.to_bits());
+        assert_eq!(one.delay.to_bits(), four.delay.to_bits());
+        // The counters that do not depend on which worker first meets a
+        // verdict or memo key.
+        let counts = |s: &crate::MapStats| {
+            (
+                s.hazard_checks,
+                s.hazard_rejects,
+                s.cache_hits + s.cache_misses,
+                s.npn_hits + s.npn_misses,
+                s.cut_truncations,
+                s.cones,
+                s.buffers,
+                s.subject_gates,
+            )
+        };
+        assert_eq!(counts(&one.stats), counts(&four.stats));
+        assert!(one.stats.hazard_rejects > 0, "some cone is re-covered");
+        assert!(one.stats.npn_hits + one.stats.npn_misses > 0);
     }
 
     #[test]

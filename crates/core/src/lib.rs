@@ -63,7 +63,7 @@ pub use cluster::{enumerate_clusters, Cluster, ClusterLimits};
 #[doc(hidden)]
 pub use cover::cover_cone_legacy;
 pub use cover::{
-    cover_cone, cover_cone_with, hand_cover, qualify_cone_root, ConeCover, CoverError, Instance,
+    cover_cone_with, hand_cover, qualify_cone_root, ConeCover, CoverError, Instance,
     RootQualification,
 };
 pub use design::{

@@ -10,16 +10,21 @@
 //! *worse* implementations (paper Figure 3): the asynchronous matcher
 //! therefore accepts a hazardous cell only when
 //! `hazards(cell) ⊆ hazards(cluster)` under the pin binding
-//! ([`asyncmap_hazard::hazards_subset`]).
+//! ([`asyncmap_hazard::hazards_subset_exhaustive`]).
+//!
+//! Every cluster reaches the matcher as one packed 4-word truth table (the
+//! cut walk's, or [`Matcher::find_matches`]'s evaluation of a cluster
+//! expression), and every match runs the same two stages: the memoized
+//! Boolean match of the table, then the hazard filter.
 
-use crate::cluster::{Cluster, CutCluster};
+use crate::cluster::{Cluster, ClusterLimits, CutCluster};
 use crate::fxhash::FxBuildHasher;
-use crate::hcache::{HazardCache, MatchMemo, MemoBinding, WideBinding};
+use crate::hcache::{HazardCache, MatchMemo, MemoBinding};
 use crate::profile::{self, MapPhase};
 use crate::truth;
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Bits, Phase, VarId};
-use asyncmap_hazard::hazards_subset;
+use asyncmap_hazard::hazards_subset_exhaustive;
 use asyncmap_library::Library;
 use asyncmap_network::Network;
 use std::collections::HashMap;
@@ -38,9 +43,9 @@ struct CellEntry {
     index: usize,
     ninputs: usize,
     truth: Bits,
-    /// Packed copy of `truth` when the cell has ≤ 6 inputs (the common
-    /// case), enabling the word-level permutation search.
-    truth6: Option<u64>,
+    /// The first word of `truth`: the whole packed table when the cell has
+    /// ≤ 6 inputs, for the word-level permutation search.
+    truth6: u64,
     onset: u32,
     input_sigs: Vec<u32>,
     hazardous: bool,
@@ -152,7 +157,7 @@ impl<'lib> Matcher<'lib> {
                     input_sigs: (0..ninputs)
                         .map(|v| input_signature(&truth, ninputs, v))
                         .collect(),
-                    truth6: (ninputs <= 6).then(|| truth.words()[0]),
+                    truth6: truth.words()[0],
                     truth,
                     hazardous: if policy == HazardPolicy::SubsetCheck {
                         cell.is_hazardous()
@@ -233,267 +238,87 @@ impl<'lib> Matcher<'lib> {
     /// Returns matches over the cluster's *support*: leaves the cluster
     /// function does not depend on are not bound to any pin.
     ///
-    /// Functions whose support fits in 6 variables (the common case under
-    /// the default depth-5 cluster limit) run entirely on packed `u64`
-    /// truth tables; wider functions use the word-blocked generic path.
-    /// Both produce the exact match list of the original scalar
-    /// implementation (see `find_matches_generic`).
-    pub fn find_matches(&self, cluster: &Cluster) -> Vec<Match> {
-        let mut out = Vec::new();
-        self.visit_matches(cluster, |cell_index, pin_to_leaf| {
-            out.push(Match {
-                cell_index,
-                pin_to_leaf: pin_to_leaf.to_vec(),
-            });
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
-    /// Visitor form of [`Matcher::find_matches`]: calls `f(cell_index,
-    /// pin_to_leaf)` for each acceptable match, in list order, until `f`
-    /// breaks. Returns whether the cluster had any candidate before the
-    /// hazard filter, i.e. whether it matches some cell functionally.
-    fn visit_matches(
-        &self,
-        cluster: &Cluster,
-        mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
-    ) -> bool {
-        let mut t_match = profile::timer(MapPhase::Match);
-        let nleaves = cluster.leaves.len();
-        // Support + projected truth table, packed in one u64 when the
-        // support has ≤ 6 variables.
-        let support: Vec<usize>;
-        let small: Option<u64>;
-        let big: Option<Bits>;
-        if nleaves <= 6 {
-            let full = truth::truth6_of(&cluster.expr, nleaves);
-            support = (0..nleaves)
-                .filter(|&v| truth::depends6(full, nleaves, v))
-                .collect();
-            small = Some(truth::project6(full, &support));
-            big = None;
-        } else {
-            let full = truth::truth_table_words(&cluster.expr, nleaves);
-            support = (0..nleaves)
-                .filter(|&v| depends_on_words(&full, v))
-                .collect();
-            if support.len() <= 6 {
-                small = Some(project_to_u64(&full, &support));
-                big = None;
-            } else {
-                small = None;
-                big = Some(project(&full, nleaves, &support));
-            }
-        }
-        if support.is_empty() {
-            return false; // constant cluster: nothing to match
-        }
-        let n = support.len();
-        let (onset, sigs): (u32, Vec<u32>) = match (&small, &big) {
-            (Some(t), _) => (
-                t.count_ones(),
-                (0..n).map(|v| truth::input_signature6(*t, n, v)).collect(),
-            ),
-            (None, Some(t)) => (
-                t.count_ones(),
-                (0..n).map(|v| input_signature_words(t, v)).collect(),
-            ),
-            (None, None) => unreachable!(),
-        };
-
-        // A cell can only match if its sorted signature multiset equals the
-        // cluster's: permute_match demands a signature-preserving pin
-        // bijection. Buckets keep library order, so the surviving match
-        // list is identical to the old full scan's.
-        let Some(bucket) = self.sig_index.get(&sig_key(n, onset, &sigs)) else {
-            return false;
-        };
-        // Interned lazily: only clusters that reach a hazard check pay it.
-        let mut cluster_id: Option<u32> = None;
-        let mut functional = false;
-        for &e in bucket {
-            let entry = &self.entries[e];
-            let pin_to_local = match &small {
-                // The bucket key fixes entry.ninputs == n ≤ 6, so the
-                // packed cell table exists.
-                Some(t) => permute_match6(
-                    entry.truth6.expect("≤6-input cell has packed table"),
-                    &entry.input_sigs,
-                    *t,
-                    &sigs,
-                    n,
-                ),
-                None => permute_match(
-                    &entry.truth,
-                    &entry.input_sigs,
-                    big.as_ref().expect("wide path has Bits table"),
-                    &sigs,
-                    n,
-                ),
-            };
-            let Some(pin_to_local) = pin_to_local else {
-                continue;
-            };
-            functional = true;
-            // Map pins to the cluster's full leaf indices.
-            let pin_to_leaf: Vec<usize> = pin_to_local.iter().map(|&l| support[l]).collect();
-            if self.checks_hazards(entry) {
-                t_match.pause();
-                let ok = self.hazard_verdict(
-                    entry.index,
-                    &pin_to_leaf,
-                    nleaves,
-                    || &cluster.expr,
-                    &mut cluster_id,
-                );
-                t_match.resume();
-                if !ok {
-                    continue;
-                }
-            }
-            if f(entry.index, &pin_to_leaf).is_break() {
-                break;
-            }
-        }
-        functional
-    }
-
-    /// Cut-enumeration entry point: matches an arena-backed [`CutCluster`]
-    /// without materializing its `Expr` unless a hazard check demands it.
+    /// The cluster's expression is evaluated into the same packed 4-word
+    /// table the cut enumerator computes, and matched by the same two
+    /// stages the mapper runs on every cut: the memoized Boolean match,
+    /// then the hazard filter. The match list equals the scalar reference
+    /// implementation's (`find_matches_generic`).
     ///
-    /// Produces the exact match list [`Matcher::find_matches`] would on the
-    /// materialized cluster: the memo stores pre-hazard-filter candidate
-    /// lists in library-bucket order, and the hazard filter below is the
-    /// same code path (same counters, same verdict-cache keys).
-    pub(crate) fn find_matches_cut(&self, cluster: &CutCluster, net: &Network) -> Vec<Match> {
+    /// # Panics
+    ///
+    /// Panics if the cluster has more than [`ClusterLimits::MAX_LEAVES`]
+    /// leaves.
+    pub fn find_matches(&self, cluster: &Cluster) -> Vec<Match> {
+        let nleaves = cluster.leaves.len();
+        assert!(
+            nleaves <= ClusterLimits::MAX_LEAVES,
+            "a cluster has at most {} leaves, got {nleaves}",
+            ClusterLimits::MAX_LEAVES
+        );
+        let words = truth::truth_table_words(&cluster.expr, ClusterLimits::MAX_LEAVES);
+        let table = words
+            .words()
+            .try_into()
+            .expect("an 8-variable table is 4 words");
         let mut out = Vec::new();
-        self.for_each_match_cut(cluster, net, |cell_index, pin_to_leaf| {
-            out.push(Match {
-                cell_index,
-                pin_to_leaf: pin_to_leaf.to_vec(),
-            })
-        });
+        self.visit_matches(
+            table,
+            nleaves,
+            || &cluster.expr,
+            |cell_index, pin_to_leaf| {
+                out.push(Match {
+                    cell_index,
+                    pin_to_leaf: pin_to_leaf.to_vec(),
+                });
+                ControlFlow::Continue(())
+            },
+        );
         out
     }
 
-    /// Visitor form of [`Matcher::find_matches_cut`]: calls `f(cell_index,
-    /// pin_to_leaf)` for each acceptable match, in the same order the list
-    /// form returns them. The pin binding lives in a stack buffer (up to 8
-    /// leaves), so visiting allocates nothing — the covering DP scores
-    /// candidates through this and materializes only each gate's winner.
-    pub(crate) fn for_each_match_cut(
+    /// [`Matcher::find_matches`] on an arena-backed [`CutCluster`], in
+    /// visitor form: builds the cluster `Expr` only if a hazard check
+    /// needs it. See [`Matcher::visit_matches`].
+    pub(crate) fn visit_cut(
         &self,
         cluster: &CutCluster,
         net: &Network,
-        mut f: impl FnMut(usize, &[usize]),
-    ) {
-        self.visit_matches_cut(cluster, net, |cell_index, pin_to_leaf| {
-            f(cell_index, pin_to_leaf);
-            ControlFlow::Continue(())
-        });
+        f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
+    ) -> bool {
+        self.visit_matches(cluster.table, cluster.leaves.len(), || cluster.expr(net), f)
     }
 
-    /// Early-exit form of [`Matcher::for_each_match_cut`]: visits the
-    /// acceptable matches until `f` breaks, and returns whether the
-    /// cluster had any candidate before the hazard filter, i.e. whether it
-    /// matches some cell functionally. Hazard checks run only for the
-    /// candidates visited before the break.
-    pub(crate) fn visit_matches_cut(
+    /// The hazard filter of §3.2.2 over a cluster's memoized candidates
+    /// ([`Matcher::candidates`]): calls `f(cell_index, pin_to_leaf)` for
+    /// each acceptable match, in library-bucket order, until `f` breaks.
+    /// The pin binding lives in a stack buffer, so visiting allocates
+    /// nothing; `expr` is called only when a hazard check needs the
+    /// cluster expression. Hazard checks run only for the candidates
+    /// visited before a break. Returns whether the cluster had any
+    /// candidate before the filter, i.e. whether it matches some cell
+    /// functionally.
+    fn visit_matches<'e>(
         &self,
-        cluster: &CutCluster,
-        net: &Network,
+        table: [u64; 4],
+        nleaves: usize,
+        expr: impl Fn() -> &'e Expr,
         mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
     ) -> bool {
-        let Some(full) = cluster.truth6 else {
-            // Wide cluster (7–8 leaves): match on the 4-word table the
-            // enumeration walk produced, no `Expr` needed. Beyond 8 leaves
-            // fall back to the generic path on a materialized view.
-            return match cluster.twords {
-                Some(words) => self.visit_matches_wide(cluster, words, net, f),
-                None => self.visit_matches(&cluster.to_cluster(net), f),
-            };
-        };
         let mut t_match = profile::timer(MapPhase::Match);
-        let nleaves = cluster.leaves.len();
-        let mut support = [0usize; 6];
-        let mut n = 0;
-        for v in 0..nleaves {
-            if truth::depends6(full, nleaves, v) {
-                support[n] = v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return false; // constant cluster: nothing to match
-        }
-        let support = &support[..n];
-        let t = truth::project6(full, support);
-        let mut sigs = [0u32; 6];
-        for (v, s) in sigs.iter_mut().enumerate().take(n) {
-            *s = truth::input_signature6(t, n, v);
-        }
-        let sigs = &sigs[..n];
-
-        // Pre-hazard-filter candidates: raw-truth memo level first, then
-        // the canonical-class level (replaying the permutation search only
-        // on known-matching cells), then the full signature-bucket scan.
-        let bindings: Arc<Vec<MemoBinding>> = match &self.memo {
-            Some(memo) => {
-                if let Some(list) = memo.raw_get(n, t) {
-                    memo.note_hit();
-                    list
-                } else {
-                    let c = truth::canon6(t, n);
-                    let list = if let Some(cells) = memo.class_get(n, c.canon, c.phase) {
-                        memo.note_hit();
-                        let mut out = Vec::with_capacity(cells.len());
-                        for &e in cells.iter() {
-                            let entry = &self.entries[e as usize];
-                            let pin_to_local = permute_match6(
-                                entry.truth6.expect("≤6-input cell has packed table"),
-                                &entry.input_sigs,
-                                t,
-                                sigs,
-                                n,
-                            )
-                            .expect("P-class member must match every class instance");
-                            out.push((e, pack_binding(&pin_to_local)));
-                        }
-                        Arc::new(out)
-                    } else {
-                        memo.note_miss();
-                        let (list, cells) = self.scan_bucket6(t, sigs, n);
-                        memo.class_put(n, c.canon, c.phase, Arc::new(cells));
-                        Arc::new(list)
-                    };
-                    memo.raw_put(n, t, Arc::clone(&list));
-                    list
-                }
-            }
-            None => Arc::new(self.scan_bucket6(t, sigs, n).0),
-        };
-
-        // Hazard filter — identical to `find_matches`: same counters, same
-        // verdict-cache keys (the lazily built Expr is the same canonical
-        // walk the legacy enumerator produced eagerly).
+        let (bindings, leaf_of) = self.candidates(table, nleaves);
+        // Interned lazily: only clusters that reach a hazard check pay it.
         let mut cluster_id: Option<u32> = None;
         for &(e, packed) in bindings.iter() {
             let entry = &self.entries[e as usize];
-            let mut pins = [0usize; 6];
-            for (p, pin) in pins.iter_mut().enumerate().take(n) {
-                *pin = support[packed[p] as usize];
+            let mut pins = [0usize; 8];
+            for (pin, &v) in pins.iter_mut().zip(&packed[..entry.ninputs]) {
+                *pin = leaf_of[v as usize];
             }
-            let pin_to_leaf = &pins[..n];
+            let pin_to_leaf = &pins[..entry.ninputs];
             if self.checks_hazards(entry) {
                 t_match.pause();
-                let ok = self.hazard_verdict(
-                    entry.index,
-                    pin_to_leaf,
-                    nleaves,
-                    || cluster.expr(net),
-                    &mut cluster_id,
-                );
+                let ok =
+                    self.hazard_verdict(entry.index, pin_to_leaf, nleaves, &expr, &mut cluster_id);
                 t_match.resume();
                 if !ok {
                     continue;
@@ -506,6 +331,83 @@ impl<'lib> Matcher<'lib> {
         !bindings.is_empty()
     }
 
+    /// The Boolean match of a packed cluster table (over `nleaves ≤ 8`
+    /// leaves): the pre-hazard-filter candidates in library-bucket order,
+    /// each a cell entry with its pin binding, plus the leaf index of each
+    /// binding target. Up to 6 leaves the table is reduced to its support
+    /// and looked up in the raw-truth memo level, then the canonical-class
+    /// level (replaying the permutation search only on known-matching
+    /// cells), then the full signature-bucket scan; bindings target
+    /// support positions. Wider tables are looked up whole in the wide
+    /// memo level before [`Matcher::scan_wide`]; bindings target leaves.
+    fn candidates(&self, table: [u64; 4], nleaves: usize) -> (Arc<Vec<MemoBinding>>, [usize; 8]) {
+        if nleaves > 6 {
+            let list = match &self.memo {
+                Some(memo) => {
+                    if let Some(list) = memo.wide_get(nleaves, table) {
+                        memo.note_hit();
+                        list
+                    } else {
+                        memo.note_miss();
+                        let list = Arc::new(self.scan_wide(table, nleaves));
+                        memo.wide_put(nleaves, table, Arc::clone(&list));
+                        list
+                    }
+                }
+                None => Arc::new(self.scan_wide(table, nleaves)),
+            };
+            return (list, [0, 1, 2, 3, 4, 5, 6, 7]);
+        }
+        let full = table[0] & truth::full_mask(nleaves);
+        let mut support = [0usize; 8];
+        let mut n = 0;
+        for v in 0..nleaves {
+            if truth::depends6(full, nleaves, v) {
+                support[n] = v;
+                n += 1;
+            }
+        }
+        if n == 0 {
+            return (Arc::default(), support); // constant cluster: nothing to match
+        }
+        let t = truth::project6(full, &support[..n]);
+        let mut sigs = [0u32; 6];
+        for (v, s) in sigs.iter_mut().enumerate().take(n) {
+            *s = truth::input_signature6(t, n, v);
+        }
+        let sigs = &sigs[..n];
+        let Some(memo) = &self.memo else {
+            return (Arc::new(self.scan6(t, sigs, n)), support);
+        };
+        if let Some(list) = memo.raw_get(n, t) {
+            memo.note_hit();
+            return (list, support);
+        }
+        let c = truth::canon6(t, n);
+        let list = if let Some(cells) = memo.class_get(n, c.canon, c.phase) {
+            memo.note_hit();
+            let replay = cells.iter().map(|&e| {
+                let entry = &self.entries[e as usize];
+                let pin_to_local = permute_match6(entry.truth6, &entry.input_sigs, t, sigs, n)
+                    .expect("P-class member must match every class instance");
+                (e, pack_binding(&pin_to_local))
+            });
+            Arc::new(replay.collect())
+        } else {
+            memo.note_miss();
+            let list: Vec<MemoBinding> = self.scan6(t, sigs, n);
+            memo.class_put(
+                n,
+                c.canon,
+                c.phase,
+                Arc::new(list.iter().map(|b| b.0).collect()),
+            );
+            Arc::new(list)
+        };
+        memo.raw_put(n, t, Arc::clone(&list));
+        (list, support)
+    }
+
     /// Whether a candidate on `entry` must pass the hazard filter: the
     /// policy is [`HazardPolicy::SubsetCheck`] and the cell is hazardous.
     fn checks_hazards(&self, entry: &CellEntry) -> bool {
@@ -513,10 +415,12 @@ impl<'lib> Matcher<'lib> {
     }
 
     /// The hazard filter of §3.2.2 on one candidate: `true` iff
-    /// `hazards(cell) ⊆ hazards(cluster)` under the pin binding. The
-    /// cluster expression is fetched (and interned into `cluster_id`) on
-    /// first use; verdicts go through the shared cache. Counts the check,
-    /// and the reject if there is one.
+    /// `hazards(cell) ⊆ hazards(cluster)` under the pin binding, decided
+    /// by the exact transition sweep (clusters have at most
+    /// [`ClusterLimits::MAX_LEAVES`] leaves). The cluster expression is
+    /// fetched (and interned into `cluster_id`) on first use; verdicts go
+    /// through the shared cache. Counts the check, and the reject if there
+    /// is one.
     fn hazard_verdict<'e>(
         &self,
         cell_index: usize,
@@ -531,7 +435,7 @@ impl<'lib> Matcher<'lib> {
         let id = *cluster_id.get_or_insert_with(|| self.cache.intern(expr));
         let check = || {
             let candidate = instantiate(self.library.cells()[cell_index].bff(), pin_to_leaf);
-            hazards_subset(&candidate, expr, nleaves)
+            hazards_subset_exhaustive(&candidate, expr, nleaves)
         };
         let ok = match self.cache.key(cell_index, pin_to_leaf, id, nleaves) {
             Some(key) => self.cache.verdict(key, check),
@@ -545,156 +449,57 @@ impl<'lib> Matcher<'lib> {
         ok
     }
 
-    /// Full signature-bucket permutation scan on a packed table. Returns
-    /// the surviving `(entry, binding)` list plus the bare entry list (the
-    /// class-level memo payload), both in library-bucket order.
-    fn scan_bucket6(&self, t: u64, sigs: &[u32], n: usize) -> (Vec<MemoBinding>, Vec<u32>) {
+    /// Full signature-bucket permutation scan on a packed table over its
+    /// `n ≤ 6` support variables: each matching cell entry with its pin →
+    /// support-position binding, in library-bucket order.
+    fn scan6(&self, t: u64, sigs: &[u32], n: usize) -> Vec<MemoBinding> {
         let Some(bucket) = self.sig_index.get(&sig_key(n, t.count_ones(), sigs)) else {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         };
-        let mut list = Vec::new();
-        let mut cells = Vec::new();
-        for &e in bucket {
+        let matches = bucket.iter().filter_map(|&e| {
             let entry = &self.entries[e];
-            let Some(pin_to_local) = permute_match6(
-                entry.truth6.expect("≤6-input cell has packed table"),
-                &entry.input_sigs,
-                t,
-                sigs,
-                n,
-            ) else {
-                continue;
-            };
-            list.push((e as u32, pack_binding(&pin_to_local)));
-            cells.push(e as u32);
-        }
-        (list, cells)
+            permute_match6(entry.truth6, &entry.input_sigs, t, sigs, n)
+                .map(|pin_to_local| (e as u32, pack_binding(&pin_to_local)))
+        });
+        matches.collect()
     }
 
-    /// Wide-cluster (7–8 leaf) matching on the enumeration walk's 4-word
-    /// table: the raw wide memo level first, then a signature-bucket scan
-    /// on the word-blocked table. The cluster `Expr` is built lazily and
-    /// only if a hazard check fires. Visits the exact match list
-    /// [`Matcher::find_matches`] yields on the materialized cluster, with
-    /// [`Matcher::visit_matches_cut`]'s early exit and return value.
-    fn visit_matches_wide(
-        &self,
-        cluster: &CutCluster,
-        words: [u64; 4],
-        net: &Network,
-        mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
-    ) -> bool {
-        let mut t_match = profile::timer(MapPhase::Match);
-        let nleaves = cluster.leaves.len();
-        let bindings: Arc<Vec<WideBinding>> = match &self.memo {
-            Some(memo) => {
-                if let Some(list) = memo.wide_get(nleaves, words) {
-                    memo.note_hit();
-                    list
-                } else {
-                    memo.note_miss();
-                    let list = Arc::new(self.scan_wide(words, nleaves));
-                    memo.wide_put(nleaves, words, Arc::clone(&list));
-                    list
-                }
-            }
-            None => Arc::new(self.scan_wide(words, nleaves)),
-        };
-        let mut cluster_id: Option<u32> = None;
-        for &(e, packed) in bindings.iter() {
-            let entry = &self.entries[e as usize];
-            let mut pins = [0usize; 8];
-            for (pin, &l) in pins.iter_mut().zip(&packed[..entry.ninputs]) {
-                *pin = l as usize;
-            }
-            let pin_to_leaf = &pins[..entry.ninputs];
-            if self.checks_hazards(entry) {
-                t_match.pause();
-                let ok = self.hazard_verdict(
-                    entry.index,
-                    pin_to_leaf,
-                    nleaves,
-                    || cluster.expr(net),
-                    &mut cluster_id,
-                );
-                t_match.resume();
-                if !ok {
-                    continue;
-                }
-            }
-            if f(entry.index, pin_to_leaf).is_break() {
-                break;
-            }
-        }
-        !bindings.is_empty()
-    }
-
-    /// Full signature-bucket scan for a wide cluster: support reduction,
-    /// projection (back into one word when the support shrinks to ≤ 6) and
-    /// the permutation search, all on the walk's packed words — the same
-    /// pipeline [`Matcher::find_matches`] runs on an `Expr`-derived table.
-    /// Returns pin → leaf-index bindings in library-bucket order.
-    fn scan_wide(&self, words: [u64; 4], nleaves: usize) -> Vec<WideBinding> {
+    /// Full signature-bucket scan for a 7–8 leaf table: support reduction,
+    /// projection (back into one word and [`Matcher::scan6`] when the
+    /// support shrinks to ≤ 6) and the permutation search. Returns pin →
+    /// leaf-index bindings in library-bucket order.
+    fn scan_wide(&self, words: [u64; 4], nleaves: usize) -> Vec<MemoBinding> {
         let full = Bits::from_words_fn(1 << nleaves, |i| words[i]);
         let support: Vec<usize> = (0..nleaves)
             .filter(|&v| depends_on_words(&full, v))
             .collect();
-        if support.is_empty() {
+        let n = support.len();
+        let to_leaves = |(e, packed): MemoBinding| {
+            let mut leaves = [0u8; 8];
+            for (leaf, &l) in leaves.iter_mut().zip(&packed[..n]) {
+                *leaf = support[l as usize] as u8;
+            }
+            (e, leaves)
+        };
+        if n == 0 {
             return Vec::new(); // constant cluster: nothing to match
         }
-        let n = support.len();
-        let small: Option<u64>;
-        let big: Option<Bits>;
         if n <= 6 {
-            small = Some(project_to_u64(&full, &support));
-            big = None;
-        } else {
-            small = None;
-            big = Some(project(&full, nleaves, &support));
+            let t = project_to_u64(&full, &support);
+            let sigs: Vec<u32> = (0..n).map(|v| truth::input_signature6(t, n, v)).collect();
+            return self.scan6(t, &sigs, n).into_iter().map(to_leaves).collect();
         }
-        let (onset, sigs): (u32, Vec<u32>) = match (&small, &big) {
-            (Some(t), _) => (
-                t.count_ones(),
-                (0..n).map(|v| truth::input_signature6(*t, n, v)).collect(),
-            ),
-            (None, Some(t)) => (
-                t.count_ones(),
-                (0..n).map(|v| input_signature_words(t, v)).collect(),
-            ),
-            (None, None) => unreachable!(),
-        };
-        let Some(bucket) = self.sig_index.get(&sig_key(n, onset, &sigs)) else {
+        let t = project(&full, nleaves, &support);
+        let sigs: Vec<u32> = (0..n).map(|v| input_signature_words(&t, v)).collect();
+        let Some(bucket) = self.sig_index.get(&sig_key(n, t.count_ones(), &sigs)) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for &e in bucket {
+        let matches = bucket.iter().filter_map(|&e| {
             let entry = &self.entries[e];
-            let pin_to_local = match &small {
-                Some(t) => permute_match6(
-                    entry.truth6.expect("≤6-input cell has packed table"),
-                    &entry.input_sigs,
-                    *t,
-                    &sigs,
-                    n,
-                ),
-                None => permute_match(
-                    &entry.truth,
-                    &entry.input_sigs,
-                    big.as_ref().expect("wide path has Bits table"),
-                    &sigs,
-                    n,
-                ),
-            };
-            let Some(pin_to_local) = pin_to_local else {
-                continue;
-            };
-            let mut packed = [0u8; 8];
-            for (pin, &l) in pin_to_local.iter().enumerate() {
-                packed[pin] = support[l] as u8;
-            }
-            out.push((e as u32, packed));
-        }
-        out
+            permute_match(&entry.truth, &entry.input_sigs, &t, &sigs, n)
+                .map(|pin_to_local| to_leaves((e as u32, pack_binding(&pin_to_local))))
+        });
+        matches.collect()
     }
 
     /// The original scalar matching path, kept verbatim as the reference
@@ -758,9 +563,9 @@ fn sig_key(n: usize, onset: u32, sigs: &[u32]) -> SigKey {
     (n, onset, sorted)
 }
 
-/// Packs a ≤6-pin binding into the fixed-size memo representation.
-fn pack_binding(pin_to_local: &[usize]) -> [u8; 6] {
-    let mut packed = [0u8; 6];
+/// Packs a ≤8-pin binding into the fixed-size memo representation.
+fn pack_binding(pin_to_local: &[usize]) -> [u8; 8] {
+    let mut packed = [0u8; 8];
     for (p, &l) in pin_to_local.iter().enumerate() {
         packed[p] = l as u8;
     }

@@ -7,6 +7,7 @@ use crate::cover::{cover_cone_with, hand_cover, ConeCover, CoverError};
 use crate::design::{assemble, MapStats, MappedDesign};
 use crate::eco::{CoverStore, DirtyMarks, EcoOutcome, EcoStats};
 use crate::hcache::HazardCache;
+use crate::hdc::{cone_certified, Transition};
 use crate::matcher::{HazardPolicy, Matcher};
 use crate::profile::{self, HazardCounts, MapPhase, Tally};
 use asyncmap_library::Library;
@@ -199,11 +200,11 @@ pub fn hand_map(
     map_run(eqs, library, options, Flow::Hand, &cache, None).map(|run| run.design)
 }
 
-/// Which procedure a run follows. All three share [`map_run`]'s pipeline
+/// Which procedure a run follows. All of them share [`map_run`]'s pipeline
 /// and differ only in the decomposition, the hazard filter on matching and
 /// the cover selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Flow {
+pub(crate) enum Flow<'t> {
     /// [`tmap`]: simplifying decomposition, no hazard filter.
     Sync,
     /// [`async_tmap`] and [`crate::EcoSession::map`]: hazard-preserving
@@ -212,6 +213,11 @@ pub(crate) enum Flow {
     /// [`hand_map`]: hazard-preserving decomposition, no filter, greedy
     /// cover, no fanout buffers.
     Hand,
+    /// [`crate::hdc_tmap`]: hazard-preserving decomposition; each cone is
+    /// covered without the hazard filter, certified against the given
+    /// transitions ([`cone_certified`]) and, if that fails, re-covered
+    /// with the filter.
+    Hdc(&'t [Transition]),
 }
 
 /// The mapping pipeline: decompose → partition → cover → per-run stats →
@@ -223,7 +229,7 @@ pub(crate) fn map_run(
     eqs: &EquationSet,
     library: &Library,
     options: &MapOptions,
-    flow: Flow,
+    flow: Flow<'_>,
     cache: &Arc<HazardCache>,
     store: Option<&mut CoverStore>,
 ) -> Result<EcoOutcome, CoverError> {
@@ -232,7 +238,7 @@ pub(crate) fn map_run(
         let _t = profile::timer(MapPhase::Decompose);
         match flow {
             Flow::Sync => sync_tech_decomp(eqs),
-            Flow::Async | Flow::Hand => async_tech_decomp(eqs),
+            Flow::Async | Flow::Hand | Flow::Hdc(_) => async_tech_decomp(eqs),
         }
     };
     let cones = {
@@ -241,16 +247,31 @@ pub(crate) fn map_run(
     };
     let policy = match flow {
         Flow::Async => HazardPolicy::SubsetCheck,
-        Flow::Sync | Flow::Hand => HazardPolicy::Ignore,
+        Flow::Sync | Flow::Hand | Flow::Hdc(_) => HazardPolicy::Ignore,
     };
     let matcher = Matcher::with_cache(library, policy, Arc::clone(cache));
+    let strict = matches!(flow, Flow::Hdc(_))
+        .then(|| Matcher::with_cache(library, HazardPolicy::SubsetCheck, Arc::clone(cache)));
+    let recovered = AtomicUsize::new(0);
+    let cover_with = |cone, matcher| {
+        cover_cone_with(&subject, cone, matcher, &options.limits, options.objective)
+    };
     let cover_one = |cone| match flow {
+        Flow::Sync | Flow::Async => cover_with(cone, &matcher),
         Flow::Hand => hand_cover(&subject, cone, &matcher, &options.limits),
-        Flow::Sync | Flow::Async => {
-            cover_cone_with(&subject, cone, &matcher, &options.limits, options.objective)
+        Flow::Hdc(transitions) => {
+            let relaxed = cover_with(cone, &matcher)?;
+            if cone_certified(&subject, cone, &relaxed, library, transitions) {
+                return Ok(relaxed);
+            }
+            recovered.fetch_add(1, Ordering::Relaxed);
+            cover_with(
+                cone,
+                strict.as_ref().expect("the hdc flow has a strict matcher"),
+            )
         }
     };
-    let (covers, hazard, eco) = match store {
+    let (covers, mut hazard, eco) = match store {
         None => {
             let covered = meter.cover(cones.len(), options.threads, |i| cover_one(&cones[i]))?;
             let hazard = covered.iter().map(|c| c.1).sum();
@@ -265,8 +286,22 @@ pub(crate) fn map_run(
             marks.stitch(store, &cones, covered)
         }
     };
+    if let Flow::Hdc(transitions) = flow {
+        // The hdc flow's counts: the strict re-covers' filter checks plus
+        // one certification walk per cone and transition; rejects count
+        // the cones that failed certification.
+        hazard = HazardCounts {
+            checks: hazard.checks + cones.len() * transitions.len(),
+            rejects: recovered.load(Ordering::Relaxed),
+        };
+    }
     let add_buffers = options.add_buffers && flow != Flow::Hand;
     let mut design = meter.finish(&matcher, hazard, subject, cones, covers, add_buffers);
+    if let Some(strict) = &strict {
+        let memo = strict.counters();
+        design.stats.npn_hits += memo.npn_hits;
+        design.stats.npn_misses += memo.npn_misses;
+    }
     design.stats.cones_reused = eco.cones_reused;
     design.stats.cones_remapped = eco.cones_remapped;
     Ok(EcoOutcome { design, eco })

@@ -4,8 +4,8 @@
 //! hazard-containment check, and every DP cover verifies.
 
 use asyncmap_core::{
-    cover_cone, enumerate_clusters, instantiate, truth_table_of, ClusterLimits, HazardPolicy,
-    Matcher,
+    cover_cone_with, enumerate_clusters, instantiate, truth_table_of, ClusterLimits, HazardPolicy,
+    Matcher, Objective,
 };
 use asyncmap_cube::{Cover, Cube, Phase, VarId, VarTable};
 use asyncmap_library::builtin;
@@ -112,7 +112,8 @@ proptest! {
         lib.annotate_hazards();
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
         for cone in &cones {
-            let c = cover_cone(&net, cone, &matcher, &ClusterLimits::default()).unwrap();
+            let limits = ClusterLimits::default();
+            let c = cover_cone_with(&net, cone, &matcher, &limits, Objective::Area).unwrap();
             prop_assert!(asyncmap_core::verify_cone_function(&net, cone, &c, &lib));
             let sum: f64 = c
                 .instances

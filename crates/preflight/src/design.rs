@@ -17,7 +17,7 @@ const WIDE_SUPPORT_WARNING: usize = 24;
 pub fn preflight_design(eqs: &EquationSet) -> PreflightReport {
     let mut report = PreflightReport::default();
     report.counters.equations = eqs.equations.len();
-    let leaf_cap = ClusterLimits::default().max_leaves;
+    let leaf_cap = ClusterLimits::MAX_LEAVES;
 
     let mut seen: HashSet<&str> = HashSet::new();
     let mut used = vec![false; eqs.inputs.len()];
