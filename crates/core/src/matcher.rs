@@ -474,6 +474,9 @@ impl<'lib> Matcher<'lib> {
             .filter(|&v| depends_on_words(&full, v))
             .collect();
         let n = support.len();
+        if n == 0 {
+            return Vec::new(); // constant cluster: nothing to match
+        }
         let to_leaves = |(e, packed): MemoBinding| {
             let mut leaves = [0u8; 8];
             for (leaf, &l) in leaves.iter_mut().zip(&packed[..n]) {
@@ -481,9 +484,6 @@ impl<'lib> Matcher<'lib> {
             }
             (e, leaves)
         };
-        if n == 0 {
-            return Vec::new(); // constant cluster: nothing to match
-        }
         if n <= 6 {
             let t = project_to_u64(&full, &support);
             let sigs: Vec<u32> = (0..n).map(|v| truth::input_signature6(t, n, v)).collect();
