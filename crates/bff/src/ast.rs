@@ -117,6 +117,25 @@ impl Expr {
         seen.into_iter().collect()
     }
 
+    /// `true` if every variable occurs at most once — a read-once
+    /// (fanout-free) formula. Decided in one pass over the tree.
+    ///
+    /// A read-once structure has no logic hazards: every hazard the
+    /// eight-valued waveform algebra finds on it is a function hazard
+    /// (the read-once lemma, DESIGN.md §8).
+    pub fn is_read_once(&self) -> bool {
+        let mut seen: Vec<bool> = Vec::new();
+        let mut repeated = false;
+        self.visit_vars(&mut |v| {
+            let i = v.index();
+            if i >= seen.len() {
+                seen.resize(i + 1, false);
+            }
+            repeated |= std::mem::replace(&mut seen[i], true);
+        });
+        !repeated
+    }
+
     fn visit_vars(&self, f: &mut impl FnMut(VarId)) {
         match self {
             Expr::Const(_) => {}
@@ -431,6 +450,15 @@ mod tests {
         let mut vars2 = VarTable::from_names(["a", "b", "c", "d"]);
         let want = parse("c'*d'", &mut vars2);
         assert_eq!(sub, want);
+    }
+
+    #[test]
+    fn read_once_means_no_repeated_variable() {
+        let mut vars = VarTable::new();
+        assert!(parse("((a*b + c)*(d + e'))'", &mut vars).is_read_once());
+        assert!(parse("a*0 + 1", &mut vars).is_read_once());
+        assert!(!parse("s*a + s'*b", &mut vars).is_read_once());
+        assert!(!parse("(a + b)*(a + c)", &mut vars).is_read_once());
     }
 
     #[test]

@@ -129,8 +129,26 @@ impl Cell {
     /// The hazard characterization of the cell's structure, computed
     /// without storing it — lets annotation workers analyze cells through
     /// shared references and commit the results afterwards.
+    ///
+    /// A read-once BFF (every pin occurs at most once) is certified
+    /// hazard-free by structure alone: its report has empty descriptor
+    /// lists and the hazard-preserving flattening as `flat`, exactly what
+    /// [`asyncmap_hazard::analyze_expr`] returns for it (the read-once
+    /// lemma, DESIGN.md §8). Every other structure runs `analyze_expr`.
     pub fn compute_hazards(&self) -> HazardReport {
-        asyncmap_hazard::analyze_expr(&self.bff, self.pins.len())
+        let n = self.pins.len();
+        if self.bff.is_read_once() {
+            HazardReport {
+                nvars: n,
+                static1: Vec::new(),
+                static0: Vec::new(),
+                dynamic_mic: Vec::new(),
+                dynamic_sic: Vec::new(),
+                flat: asyncmap_bff::flatten(&self.bff, n).cover,
+            }
+        } else {
+            asyncmap_hazard::analyze_expr(&self.bff, n)
+        }
     }
 
     /// Stores a hazard report computed by [`Cell::compute_hazards`].

@@ -3,6 +3,9 @@
 //! Table 2) and a small text format.
 
 use crate::Cell;
+use asyncmap_bff::Expr;
+use asyncmap_hazard::HazardReport;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -69,12 +72,9 @@ impl Library {
     /// work the asynchronous mapper does when reading a library
     /// (paper §3.2, Table 2). Idempotent.
     ///
-    /// Cells are annotated independently, so the work is spread over all
-    /// available cores. Annotation cost varies strongly with pin count, so
-    /// workers claim cell indices from a lock-free atomic counter
-    /// (dynamic balancing without a mutex on the work queue), analyze the
-    /// cells through shared references, and the reports are committed
-    /// index-by-index afterwards.
+    /// The not-yet-annotated cells go through the same per-structure pass
+    /// as [`Library::characterize`]: each distinct `(BFF, pin count)` is
+    /// characterized once and its report copied to every cell sharing it.
     /// # Examples
     ///
     /// ```
@@ -83,45 +83,40 @@ impl Library {
     /// assert_eq!(lib.hazardous_cells().len(), 12); // the muxes (Table 1)
     /// ```
     pub fn annotate_hazards(&mut self) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let pending: Vec<usize> = (0..self.cells.len())
             .filter(|&i| self.cells[i].hazards().is_none())
             .collect();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(pending.len());
-        if threads <= 1 {
-            for cell in &mut self.cells {
-                cell.annotate();
-            }
-        } else {
-            let cells = &self.cells;
-            let next = AtomicUsize::new(0);
-            let reports: Vec<(usize, asyncmap_hazard::HazardReport)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let k = next.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&i) = pending.get(k) else { break };
-                                    local.push((i, cells[i].compute_hazards()));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("annotation worker panicked"))
-                        .collect()
-                });
-            for (i, report) in reports {
+        if !pending.is_empty() {
+            let reports = characterize_cells(&self.cells, &pending);
+            for (i, report) in pending.into_iter().zip(reports) {
                 self.cells[i].set_hazards(report);
             }
         }
         self.annotated = true;
+    }
+
+    /// Every cell's hazard characterization (in insertion order), computed
+    /// afresh, ignoring any stored annotation, once per distinct
+    /// `(BFF, pin count)` structure (`_X2`/`_X4` drive-strength copies get
+    /// a copy of their base cell's report).
+    ///
+    /// Read-once structures are certified in one tree pass
+    /// ([`Cell::compute_hazards`]). The remaining structures vary strongly
+    /// in cost with pin count, so they are spread over the available cores:
+    /// workers claim structures from a lock-free atomic counter and the
+    /// reports are committed index by index afterwards.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let lib = asyncmap_library::builtin::gdt();
+    /// let reports = lib.characterize();
+    /// assert_eq!(reports.len(), lib.len());
+    /// assert!(reports.iter().all(|r| r.is_hazard_free())); // Table 1
+    /// ```
+    pub fn characterize(&self) -> Vec<HazardReport> {
+        let all: Vec<usize> = (0..self.cells.len()).collect();
+        characterize_cells(&self.cells, &all)
     }
 
     /// `true` once [`Library::annotate_hazards`] has run.
@@ -228,6 +223,73 @@ impl Library {
         }
         out
     }
+}
+
+/// The reports of `cells[i]` for every `i` in `picked`, computed once per
+/// distinct `(BFF, pin count)`; the structures the read-once certificate
+/// does not decide run on a worker pool.
+fn characterize_cells(cells: &[Cell], picked: &[usize]) -> Vec<HazardReport> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let mut index: HashMap<(&Expr, usize), usize> = HashMap::new();
+    let mut structure = Vec::with_capacity(picked.len());
+    let mut reports: Vec<Option<HazardReport>> = Vec::new();
+    // (structure, representative cell) of each structure left to analyze.
+    let mut undecided: Vec<(usize, usize)> = Vec::new();
+    for &i in picked {
+        let cell = &cells[i];
+        let fresh = reports.len();
+        let s = *index
+            .entry((cell.bff(), cell.num_inputs()))
+            .or_insert(fresh);
+        if s == fresh {
+            if cell.bff().is_read_once() {
+                reports.push(Some(cell.compute_hazards()));
+            } else {
+                reports.push(None);
+                undecided.push((s, i));
+            }
+        }
+        structure.push(s);
+    }
+    let threads = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(undecided.len());
+    if threads <= 1 {
+        for &(s, i) in &undecided {
+            reports[s] = Some(cells[i].compute_hazards());
+        }
+    } else {
+        let next = AtomicUsize::new(0);
+        let analyzed: Vec<(usize, HazardReport)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&(s, i)) = undecided.get(k) else {
+                                break;
+                            };
+                            local.push((s, cells[i].compute_hazards()));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("characterization worker panicked"))
+                .collect()
+        });
+        for (s, report) in analyzed {
+            reports[s] = Some(report);
+        }
+    }
+    let reports: Vec<HazardReport> = reports
+        .into_iter()
+        .map(|r| r.expect("every structure characterized"))
+        .collect();
+    structure.into_iter().map(|s| reports[s].clone()).collect()
 }
 
 /// Error produced when library parsing fails.

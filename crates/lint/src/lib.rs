@@ -406,14 +406,15 @@ fn lint_inner(
 
     // Hazardousness of each library cell, recomputed here (not read from
     // the annotation the matcher used) so a stale annotation cannot mask
-    // a hazardous cell. Library-wide and design-independent, so the cache
-    // (when present) memoizes it across passes.
+    // a hazardous cell; each distinct cell structure is characterized
+    // once. Library-wide and design-independent, so the cache (when
+    // present) memoizes it across passes.
     let memo = cache.as_ref().and_then(|c| c.cell_hazardous.clone());
     let cell_hazardous: Vec<bool> = memo.unwrap_or_else(|| {
         library
-            .cells()
+            .characterize()
             .iter()
-            .map(|c| !c.compute_hazards().is_hazard_free())
+            .map(|r| !r.is_hazard_free())
             .collect()
     });
     let mut cache = cache;

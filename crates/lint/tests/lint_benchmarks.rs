@@ -289,6 +289,65 @@ fn injected_mux_on_hazard_free_cluster_is_flagged() {
     );
 }
 
+/// Cold lint re-derives cell hazards itself, once per cell structure and
+/// never from the annotation: a MUX4 (not read-once, so not certified by
+/// structure) injected over the all-primes 4:1 mux is flagged even when
+/// the library handed to lint was never annotated.
+#[test]
+fn injected_mux4_is_flagged_by_cold_lint_without_annotation() {
+    let mut lib = builtin::lsi9k();
+    lib.annotate_hazards();
+    let vars = VarTable::from_names(["t", "s", "a", "b", "c", "d"]);
+    let f = Cover::parse(
+        "t's'a + t'sb + ts'c + tsd + s'ac + sbd + t'ab + tcd + abcd",
+        &vars,
+    )
+    .unwrap();
+    let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
+    let opts = MapOptions {
+        threads: 1,
+        ..MapOptions::default()
+    };
+    let mut design = async_tmap(&eqs, &lib, &opts).expect("maps");
+    let unannotated = builtin::lsi9k();
+    assert!(lint_mapped_design(&design, &unannotated).is_clean());
+
+    let (mux_index, mux) = lib
+        .cells()
+        .iter()
+        .enumerate()
+        .find(|(_, c)| c.name() == "MUX4")
+        .expect("lsi9k has MUX4");
+    assert!(!mux.bff().is_read_once());
+    let net = &design.subject;
+    let by_name: HashMap<&str, SignalId> = net.inputs().iter().map(|&s| (net.name(s), s)).collect();
+    let pin_signals: Vec<SignalId> = mux.pins().iter().map(|(_, name)| by_name[name]).collect();
+    let root_cone = design
+        .cones
+        .iter()
+        .position(|c| net.outputs().iter().any(|(_, s)| *s == c.root))
+        .expect("output cone");
+    let root = design.cones[root_cone].root;
+    design.covers[root_cone].instances = vec![Instance {
+        cell_index: mux_index,
+        output: root,
+        inputs: pin_signals,
+    }];
+    design.covers[root_cone].area = mux.area();
+    design.area = design.covers.iter().map(|c| c.area).sum::<f64>();
+
+    let report = lint_mapped_design(&design, &unannotated);
+    assert!(report.counters.theorem32_checks > 0);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.code == "theorem32.containment-violation"),
+        "expected a containment violation, got: {}",
+        report.render()
+    );
+}
+
 /// Structural corruptions — the non-hazard half of the checker.
 #[test]
 fn structural_corruptions_are_flagged() {

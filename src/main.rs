@@ -50,6 +50,37 @@ use asyncmap::mapper::{render_report, to_verilog, MapPhase, MapStats, Objective}
 use asyncmap::prelude::*;
 use std::process::ExitCode;
 
+/// `print!` that stops the process quietly when stdout is closed early
+/// (`asyncmap ... | head`): the exit status is 141, what a shell reports
+/// for a process ended by `SIGPIPE`, and nothing goes to stderr. Any other
+/// write error panics, as `print!` does.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with the closed-stdout handling of [`out!`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {{
+        out!($($arg)*);
+        out!("\n");
+    }};
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 fn main() -> ExitCode {
     let profile = std::env::var("ASYNCMAP_PROFILE").is_ok_and(|v| {
         let v = v.trim();
@@ -140,7 +171,7 @@ fn cmd_audit(args: &[String]) -> ExitCode {
         let mut lib = asyncmap::load_library_auto(path)?;
         lib.annotate_hazards();
         let hazardous = lib.hazardous_cells();
-        println!(
+        outln!(
             "{}: {} elements, {} hazardous ({:.0}%)",
             lib.name(),
             lib.len(),
@@ -148,7 +179,7 @@ fn cmd_audit(args: &[String]) -> ExitCode {
             100.0 * hazardous.len() as f64 / lib.len().max(1) as f64
         );
         for cell in hazardous {
-            println!(
+            outln!(
                 "  {:12} {}",
                 cell.name(),
                 cell.hazards().expect("annotated").summary()
@@ -185,8 +216,8 @@ fn cmd_audit_pipeline(spec_arg: &str, lib_arg: &str) -> ExitCode {
     };
     match inner() {
         Ok((audit, lint)) => {
-            print!("{}", audit.render());
-            print!("{}", lint.render());
+            out!("{}", audit.render());
+            out!("{}", lint.render());
             if audit.is_clean() && lint.is_clean() {
                 ExitCode::SUCCESS
             } else {
@@ -218,12 +249,12 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("synth: missing .bms path")?;
     let spec = load_spec(path)?;
     let eqs = synthesize(&spec)?;
-    println!("# hazard-free equations for machine {}", spec.name);
+    outln!("# hazard-free equations for machine {}", spec.name);
     for (name, cover) in &eqs.equations {
-        println!("{name} = {}", cover.display(&eqs.inputs));
+        outln!("{name} = {}", cover.display(&eqs.inputs));
     }
-    println!("\n# graphviz");
-    print!("{}", to_dot(&spec).map_err(|e| e.to_string())?);
+    outln!("\n# graphviz");
+    out!("{}", to_dot(&spec).map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -284,23 +315,23 @@ fn cmd_map(args: &[String], profile: bool) -> Result<(), String> {
     if flow == "async" && !design.verify_hazards(&lib) {
         return Err("internal error: mapped design gained hazards".into());
     }
-    print!("{}", render_report(&design, &lib));
+    out!("{}", render_report(&design, &lib));
     let (fp_area, fp_delay, fp_inst, fp_cones) = asyncmap::bench::design_fingerprint(&design);
-    println!("fingerprint: {fp_area:016x}-{fp_delay:016x}-{fp_inst}-{fp_cones}");
+    outln!("fingerprint: {fp_area:016x}-{fp_delay:016x}-{fp_inst}-{fp_cones}");
     if do_audit {
         let mut report = match &spec {
             Some(spec) => asyncmap::audit::check_spec(spec),
             None => asyncmap::audit::AuditReport::default(),
         };
         report.merge(asyncmap::audit::audit_equations(&eqs));
-        print!("{}", report.render());
+        out!("{}", report.render());
         if !report.is_clean() {
             return Err("map: audit findings on the synthesis pipeline".into());
         }
     }
     if do_lint {
         let report = lint_mapped_design(&design, &lib);
-        print!("{}", report.render());
+        out!("{}", report.render());
         if !report.is_clean() {
             return Err("map: lint findings on the mapped design".into());
         }
@@ -316,7 +347,7 @@ fn cmd_map(args: &[String], profile: bool) -> Result<(), String> {
         };
         std::fs::write(&path, to_verilog(&design, &lib, &module))
             .map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -388,7 +419,7 @@ fn cmd_gen(args: &[String], profile: bool) -> Result<(), String> {
     if let Some(path) = &emit_path {
         std::fs::write(path, asyncmap::bench::emit_design(&eqs))
             .map_err(|e| format!("gen: writing {path}: {e}"))?;
-        println!("wrote {} equations to {path}", eqs.equations.len());
+        outln!("wrote {} equations to {path}", eqs.equations.len());
     }
     if edit_count > 0 {
         // Edit seed derived from the generator seed: the same `gen`
@@ -398,15 +429,15 @@ fn cmd_gen(args: &[String], profile: bool) -> Result<(), String> {
         match &edit_out {
             Some(path) => {
                 std::fs::write(path, &text).map_err(|e| format!("gen: writing {path}: {e}"))?;
-                println!("wrote {} edit(s) to {path}", edits.len());
+                outln!("wrote {} edit(s) to {path}", edits.len());
             }
-            None => print!("{text}"),
+            None => out!("{text}"),
         }
     } else if edit_out.is_some() {
         return Err("gen: --edit-out needs --edit K".into());
     }
     let net = asyncmap::network::async_tech_decomp(&eqs);
-    println!(
+    outln!(
         "{}: {} equations, {} cubes, {} literals over {} inputs -> {} base gates",
         spec.name(),
         eqs.equations.len(),
@@ -417,7 +448,7 @@ fn cmd_gen(args: &[String], profile: bool) -> Result<(), String> {
     );
     if do_audit {
         let report = asyncmap::audit::audit_equations(&eqs);
-        print!("{}", report.render());
+        out!("{}", report.render());
         if !report.is_clean() {
             return Err("gen: audit findings on generated equations".into());
         }
@@ -431,7 +462,7 @@ fn cmd_gen(args: &[String], profile: bool) -> Result<(), String> {
     if profile {
         print_profile(&design.stats);
     }
-    println!(
+    outln!(
         "mapped to {}: {} instances, area {:.1}, delay {:.1}, {} cones",
         lib.name(),
         design.num_instances(),
@@ -441,7 +472,7 @@ fn cmd_gen(args: &[String], profile: bool) -> Result<(), String> {
     );
     if do_lint {
         let report = lint_mapped_design(&design, &lib);
-        print!("{}", report.render());
+        out!("{}", report.render());
         if !report.is_clean() {
             return Err("gen: lint findings on mapped generated design".into());
         }
@@ -498,7 +529,7 @@ fn cmd_eco(args: &[String], profile: bool) -> Result<(), String> {
         print_profile(&out.design.stats);
     }
     let eco = out.eco;
-    println!(
+    outln!(
         "eco: {} edit(s), {} of {} cone(s) reused, {} re-covered, \
          {} downstream of an edit, {} cover(s) in the session store",
         edits.len(),
@@ -508,7 +539,7 @@ fn cmd_eco(args: &[String], profile: bool) -> Result<(), String> {
         eco.cones_downstream_dirty,
         eco.store_entries
     );
-    print!("{}", render_report(&out.design, &lib));
+    out!("{}", render_report(&out.design, &lib));
 
     if verify {
         let cold = async_tmap(&edited, &lib, &options).map_err(|e| e.to_string())?;
@@ -521,14 +552,14 @@ fn cmd_eco(args: &[String], profile: bool) -> Result<(), String> {
         asyncmap::lint::lint_mapped_design_cached(&base.design, &lib, &mut lint_cache);
         let lint = asyncmap::lint::lint_mapped_design_cached(&out.design, &lib, &mut lint_cache);
         if !lint.is_clean() {
-            print!("{}", lint.render());
+            out!("{}", lint.render());
             return Err("eco: lint findings on the stitched design".into());
         }
         let mut audit_cache = asyncmap::audit::AuditCache::new();
         asyncmap::audit::audit_equations_cached(&eqs, &mut audit_cache);
         let audit = asyncmap::audit::audit_equations_cached(&edited, &mut audit_cache);
         if !audit.is_clean() {
-            print!("{}", audit.render());
+            out!("{}", audit.render());
             return Err("eco: audit findings on the edited pipeline".into());
         }
         let mut fma_cache = asyncmap::fma::FmaCache::new();
@@ -536,12 +567,12 @@ fn cmd_eco(args: &[String], profile: bool) -> Result<(), String> {
         let fma = asyncmap::fma::analyze_design_cached(&out.design, &lib, &mut fma_cache);
         for report in [&fma_base, &fma] {
             if report.num_errors() > 0 {
-                print!("{}", report.render());
+                out!("{}", report.render());
                 return Err("eco: fundamental-mode analysis errors".into());
             }
         }
         let ac = &audit.counters;
-        println!(
+        outln!(
             "verify: fingerprint identical to cold map; lint clean ({} of {} cone(s) reused); \
              audit clean ({} of {} certificate(s) reused); \
              fma clean ({} of {} cone(s) reused)",
@@ -572,7 +603,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     };
     match inner() {
         Ok(report) => {
-            print!("{}", report.render());
+            out!("{}", report.render());
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {
@@ -614,7 +645,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     };
     match inner() {
         Ok(report) => {
-            print!("{}", report.render());
+            out!("{}", report.render());
             if report.num_errors() == 0 {
                 ExitCode::SUCCESS
             } else {
@@ -688,7 +719,7 @@ fn cmd_preflight(args: &[String]) -> ExitCode {
     };
     match inner() {
         Ok(report) => {
-            print!("{}", report.render());
+            out!("{}", report.render());
             if report.num_errors() == 0 {
                 ExitCode::SUCCESS
             } else {

@@ -80,3 +80,28 @@ fn delay_objective_available_through_options() {
     let small = async_tmap(&eqs, &lib, &MapOptions::default()).unwrap();
     assert!(fast.delay <= small.delay + 1e-9);
 }
+
+/// A reader that closes the pipe early (`asyncmap ... | head -1`) stops
+/// the CLI quietly: no panic message on stderr and not the panic exit
+/// status 101.
+#[test]
+fn closed_stdout_stops_the_cli_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    // ~170 KB of edit script: more than a pipe buffer holds.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_asyncmap"))
+        .args(["gen", "5000", "--seed", "7", "--edit", "3000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn asyncmap");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    assert!(first.starts_with("set "), "{first:?}");
+    let out = child.wait_with_output().expect("wait for asyncmap");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}

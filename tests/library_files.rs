@@ -36,3 +36,39 @@ fn shipped_files_reproduce_table1() {
         assert_eq!(lib.hazardous_cells().len(), hazardous, "{name}");
     }
 }
+
+/// The read-once certificate and the per-structure sharing change no
+/// report: on every cell of the built-ins, the shipped files and the genlib
+/// fixture, `compute_hazards` and `Library::characterize` return exactly
+/// what the full analysis returns, and cells with one structure get one
+/// report.
+#[test]
+fn every_shipped_cell_characterizes_as_the_full_analysis() {
+    let mut libs = asyncmap::library::builtin::all_libraries();
+    libs.extend(["lsi9k", "cmos3", "gdt", "actel"].map(load));
+    let genlib = std::fs::read_to_string("tests/fixtures/mcnc_like.genlib").unwrap();
+    libs.push(
+        asyncmap::genlib::parse_genlib(&genlib, "mcnc_like")
+            .unwrap()
+            .to_library(),
+    );
+    for lib in &libs {
+        let shared: Vec<String> = lib
+            .characterize()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        let cells = lib.cells();
+        for (i, cell) in cells.iter().enumerate() {
+            let full = format!("{:?}", analyze_expr(cell.bff(), cell.num_inputs()));
+            let what = format!("{} / {}", lib.name(), cell.name());
+            assert_eq!(format!("{:?}", cell.compute_hazards()), full, "{what}");
+            assert_eq!(shared[i], full, "{what}");
+            for (j, other) in cells.iter().enumerate().skip(i + 1) {
+                if other.bff() == cell.bff() && other.num_inputs() == cell.num_inputs() {
+                    assert_eq!(shared[i], shared[j], "{what} / {}", other.name());
+                }
+            }
+        }
+    }
+}
