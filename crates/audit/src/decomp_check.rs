@@ -164,7 +164,13 @@ fn check_monotone(
             Severity::Error,
             code,
             path(),
-            format!("hazards(after) ⊆ hazards(before) refuted ({})", out.detail),
+            match &out.witness {
+                Some(burst) => format!(
+                    "hazards(after) ⊆ hazards(before) refuted ({}): transition {burst}",
+                    out.detail
+                ),
+                None => format!("hazards(after) ⊆ hazards(before) refuted ({})", out.detail),
+            },
         );
     }
 }
@@ -593,6 +599,40 @@ mod tests {
             );
             assert_eq!(report.counters.reused_equations, 0);
         }
+    }
+
+    #[test]
+    fn seven_variable_static0_hazard_is_refuted_with_a_witness() {
+        // Certify the equation as realizing (w + y')(x + y) + abcd: the
+        // same function, but the vacuous y'y product pulses when y changes
+        // with w = x = 0. The flattened covers are equal, so the partial
+        // check that used to run above six variables let this through; the
+        // exact sweep refutes it, and its witness replays on the oracle.
+        let vars = VarTable::from_names(["w", "x", "y", "a", "b", "c", "d"]);
+        let f = Cover::parse("wx + wy + xy' + abcd", &vars).unwrap();
+        let eqs = EquationSet::new(vars.clone(), vec![("f".to_owned(), f)]);
+        let (net, mut trace) = async_tech_decomp_traced(&eqs);
+        let mut scratch = vars.clone();
+        let forged = Expr::parse("(w + y')*(x + y) + a*b*c*d", &mut scratch).unwrap();
+        trace.equations[0].result = forged.clone();
+        let report = check_decomp_trace(&net, &trace);
+        let finding = report
+            .findings
+            .iter()
+            .find(|f| f.code == "decomp.hazard-containment" && f.path == "f:equation")
+            .unwrap_or_else(|| panic!("{}", report.render()));
+        let (from, to) = finding
+            .message
+            .rsplit_once("transition ")
+            .and_then(|(_, burst)| burst.split_once(" → "))
+            .expect("a from → to witness");
+        let [from, to] = [from, to].map(|b| {
+            let index = usize::from_str_radix(b.trim_start_matches("0b"), 2).unwrap();
+            asyncmap_hazard::oracle::index_bits(7, index)
+        });
+        let source = &trace.equations[0].source;
+        assert!(asyncmap_hazard::wave_eval(&forged, &from, &to).hazard);
+        assert!(!asyncmap_hazard::wave_eval(source, &from, &to).hazard);
     }
 
     #[test]

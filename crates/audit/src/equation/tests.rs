@@ -258,16 +258,16 @@ fn hand_built_edits_match_the_step_level_path() {
 #[test]
 fn an_unchanged_equation_follows_its_inverter_context() {
     // f's cone reads d and d'. While g also reads d', the inverter of d
-    // is a cone root and a leaf of f's cone: 7 leaves, too wide for the
+    // is a cone root and a leaf of f's cone: 9 leaves, too wide for the
     // static-hazard sweep. Once g stops reading it, the inverter sits
-    // inside f's cone, which then has 6 leaves and is swept exactly. f
+    // inside f's cone, which then has 8 leaves and is swept exactly. f
     // itself never changes.
-    let vars = VarTable::from_names(["a", "b", "c", "d", "e", "f", "h"]);
+    let vars = VarTable::from_names(["a", "b", "c", "d", "e", "f", "h", "i", "j"]);
     let design = |g: &str| {
         EquationSet::new(
             vars.clone(),
             vec![
-                ("f".to_owned(), cover("ad + bd' + ce + f", &vars)),
+                ("f".to_owned(), cover("ad + bd' + ce + f + ij", &vars)),
                 ("g".to_owned(), cover(g, &vars)),
             ],
         )

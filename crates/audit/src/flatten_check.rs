@@ -14,13 +14,14 @@
 //!    phases), with its clash list honest;
 //! 4. the SOP (proper cubes ∪ vacuous products) computes the source
 //!    function;
-//! 5. on supports small enough to sweep, the full SOP has *identical*
-//!    static hazard behavior to the source on every transition — Unger's
-//!    Theorem 4.3 promises preservation, not mere containment.
+//! 5. on supports of at most `EXHAUSTIVE_VAR_LIMIT` variables, the full
+//!    SOP has *identical* static hazard behavior to the source on every
+//!    transition — Unger's Theorem 4.3 promises preservation, not mere
+//!    containment.
 
 use asyncmap_bff::{Expr, FlatSop, FlattenTrace};
 use asyncmap_cube::Phase;
-use asyncmap_hazard::{product_estimate, sweep_words, wave_eval_word, ORACLE_VAR_LIMIT};
+use asyncmap_hazard::{product_estimate, WaveProgram, BLOCK_BURSTS, EXHAUSTIVE_VAR_LIMIT};
 
 use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
 use crate::report::{AuditReport, Severity};
@@ -131,39 +132,41 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
     // hazard behavior exactly, in both directions).
     let support = union_support(&trace.source, &image);
     let k = support.len();
-    if k <= ORACLE_VAR_LIMIT {
+    if k <= EXHAUSTIVE_VAR_LIMIT {
         report.counters.hazard_rechecks += 1;
-        let src = compact_onto(&trace.source, &support);
-        let img = compact_onto(&image, &support);
-        'sweep: for a in 0..(1usize << k) {
-            for word in 0..sweep_words(k) {
-                let sw = wave_eval_word(&src, k, a, word);
-                let iw = wave_eval_word(&img, k, a, word);
-                let diverging = sw.static_hazard() ^ iw.static_hazard();
-                if diverging != 0 {
-                    let lane = diverging.trailing_zeros() as usize;
-                    let b = 64 * word + lane;
-                    report.push(
-                        Severity::Error,
-                        "flatten.static-hazard-divergence",
-                        path.clone(),
-                        format!(
-                            "transition {a:#b} → {b:#b}: source {} a static hazard, SOP {}",
-                            if sw.lane(lane).is_static_hazard() {
-                                "has"
-                            } else {
-                                "lacks"
-                            },
-                            if iw.lane(lane).is_static_hazard() {
-                                "has one"
-                            } else {
-                                "does not"
-                            },
-                        ),
-                    );
-                    break 'sweep;
-                }
-            }
+        let src = WaveProgram::compile(&compact_onto(&trace.source, &support), k);
+        let img = WaveProgram::compile(&compact_onto(&image, &support), k);
+        let mut stack = Vec::new();
+        for block in 0..src.blocks() {
+            let sw = src.eval_block(block, &mut stack);
+            let iw = img.eval_block(block, &mut stack);
+            // Lanes run in burst order `(from << k) | to`, so the first
+            // diverging lane is the first diverging transition in
+            // from-major order.
+            let Some(lane) = (sw.static_hazard() ^ iw.static_hazard()).iter_ones().next() else {
+                continue;
+            };
+            let burst = BLOCK_BURSTS * block + lane;
+            let (a, b) = (burst >> k, burst & ((1 << k) - 1));
+            report.push(
+                Severity::Error,
+                "flatten.static-hazard-divergence",
+                path.clone(),
+                format!(
+                    "transition {a:#b} → {b:#b}: source {} a static hazard, SOP {}",
+                    if sw.lane(lane).is_static_hazard() {
+                        "has"
+                    } else {
+                        "lacks"
+                    },
+                    if iw.lane(lane).is_static_hazard() {
+                        "has one"
+                    } else {
+                        "does not"
+                    },
+                ),
+            );
+            break;
         }
     } else {
         report.counters.hazard_partial += 1;
@@ -255,6 +258,55 @@ mod tests {
             divergence[0].message,
             "transition 0b110 → 0b111: source lacks a static hazard, SOP has one"
         );
+    }
+
+    #[test]
+    fn dropped_consensus_cube_is_caught_at_eight_variables() {
+        // An 8-variable support used to get only a partial note from the
+        // six-variable sweep. The exact sweep refutes the forged SOP, and
+        // its from → to witness replays on the scalar waveform oracle.
+        let (mut flat, trace, nvars) = traced("a*b + a'*c + b*c + d*e*f*g*h");
+        assert_eq!(nvars, 8);
+        let bc = [
+            (asyncmap_cube::VarId(1), Phase::Pos),
+            (asyncmap_cube::VarId(2), Phase::Pos),
+        ];
+        let kept: Vec<_> = flat
+            .cover
+            .cubes()
+            .iter()
+            .filter(|c| !c.literals().eq(bc))
+            .cloned()
+            .collect();
+        assert_eq!(kept.len() + 1, flat.cover.len());
+        flat.cover = asyncmap_cube::Cover::from_cubes(nvars, kept);
+        let report = check_flatten(&flat, &trace, nvars);
+        assert!(report.notes.is_empty(), "{}", report.render());
+        assert_eq!(report.counters.hazard_rechecks, 1);
+        let divergence: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.code == "flatten.static-hazard-divergence")
+            .collect();
+        let [divergence] = divergence[..] else {
+            panic!("one divergence expected: {}", report.render());
+        };
+        let witness = divergence
+            .message
+            .strip_prefix("transition ")
+            .and_then(|m| m.split_once(':'))
+            .and_then(|(burst, _)| burst.split_once(" → "))
+            .expect("a from → to witness");
+        let [from, to] = [witness.0, witness.1].map(|b| {
+            let index = usize::from_str_radix(b.trim_start_matches("0b"), 2).unwrap();
+            asyncmap_hazard::oracle::index_bits(nvars, index)
+        });
+        let source = asyncmap_hazard::wave_eval(&trace.source, &from, &to);
+        let sop = asyncmap_hazard::wave_eval(&image_expr(&flat), &from, &to);
+        assert!(!source.is_static_hazard() && sop.is_static_hazard());
+        assert!(divergence
+            .message
+            .ends_with("source lacks a static hazard, SOP has one"));
     }
 
     #[test]

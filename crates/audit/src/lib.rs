@@ -15,9 +15,10 @@
 //! * functional equivalence is re-proved with this crate's own packed
 //!   truth tables (supports of ≤ 8 variables) or BDDs from
 //!   `asyncmap-bdd` ([`equiv`]);
-//! * hazard-set monotonicity per step is re-proved through
-//!   `asyncmap-hazard`'s [`reverification ladder`](asyncmap_hazard::reverify_containment)
-//!   ([`monotone`]);
+//! * hazard-set monotonicity per step is re-proved by `asyncmap-hazard`'s
+//!   exact transition sweep
+//!   ([`hazards_subset_exhaustive`](asyncmap_hazard::hazards_subset_exhaustive))
+//!   on supports of up to 8 variables ([`monotone`]);
 //! * partition cut evidence is re-derived from the raw network
 //!   ([`check_partition`]);
 //! * flatten collapses are replayed by independent product-count
@@ -318,7 +319,7 @@ mod tests {
                 cold.counters.hazard_partial
             );
             assert_eq!(diagnostics(&reference), diagnostics(&cold));
-            if eqs.inputs.len() > asyncmap_hazard::ORACLE_VAR_LIMIT {
+            if eqs.inputs.len() > asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT {
                 assert!(warm
                     .notes
                     .iter()
@@ -340,7 +341,7 @@ mod tests {
         let (cones, _) = partition_traced(&net);
         let mut want: Vec<String> = cones
             .iter()
-            .filter(|c| c.leaves.len() > asyncmap_hazard::ORACLE_VAR_LIMIT)
+            .filter(|c| c.leaves.len() > asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT)
             .map(|c| format!("cone:{}:{FLATTEN_PATH}", net.name(c.root)))
             .collect();
         want.sort();

@@ -1,12 +1,12 @@
-//! The hazard-set monotonicity ladder: re-proving
+//! The hazard-set monotonicity check: re-proving
 //! `hazards(candidate) ⊆ hazards(reference)` for a certified rewrite step
 //! with `asyncmap-hazard`'s entry points, at a depth that scales with the
 //! step's support.
 //!
-//! * Support of at most [`ORACLE_VAR_LIMIT`] variables: the full
-//!   [`reverify_containment`] ladder (exhaustive transition sweep, guided
-//!   comparison, static-1 cube adjacency and the brute-force oracle), and
-//!   the verdict counts only if the methods also agree with each other.
+//! * Support of at most [`EXHAUSTIVE_VAR_LIMIT`] variables: the exact
+//!   transition sweep over every burst of the compacted support
+//!   ([`containment_witness`]), which also names the first escaping
+//!   transition of a refutation.
 //! * Wider supports: a *partial* check — both sides are flattened (when
 //!   the independent product-count estimate stays under
 //!   [`FLATTEN_REPLAY_CAP`]) and compared by exact cube-list equality or,
@@ -14,8 +14,9 @@
 //!   necessary condition for full containment.
 
 use asyncmap_bff::{flatten, Expr};
+use asyncmap_cube::VarId;
 use asyncmap_hazard::{
-    product_estimate, reverify_containment, static1_subset, FLATTEN_REPLAY_CAP, ORACLE_VAR_LIMIT,
+    containment_witness, product_estimate, static1_subset, EXHAUSTIVE_VAR_LIMIT, FLATTEN_REPLAY_CAP,
 };
 
 use crate::equiv::{compact_onto, union_support};
@@ -31,6 +32,10 @@ pub struct MonotoneOutcome {
     pub skipped: bool,
     /// Human-readable description of what ran.
     pub detail: &'static str,
+    /// When the exact sweep refuted containment, its first escaping burst
+    /// as `from → to`, each a binary number over the full variable space
+    /// (bit `v` is variable `v`).
+    pub witness: Option<String>,
 }
 
 /// Re-proves `hazards(candidate) ⊆ hazards(reference)` as deeply as the
@@ -41,13 +46,20 @@ pub fn recheck_monotone(candidate: &Expr, reference: &Expr) -> MonotoneOutcome {
     let k = support.len().max(1);
     let cand = compact_onto(candidate, &support);
     let refr = compact_onto(reference, &support);
-    if k <= ORACLE_VAR_LIMIT {
-        let r = reverify_containment(&cand, &refr, k);
+    if k <= EXHAUSTIVE_VAR_LIMIT {
+        let witness = containment_witness(&cand, &refr, k).map(|(from, to)| {
+            format!(
+                "{} → {}",
+                full_space_binary(from, &support),
+                full_space_binary(to, &support)
+            )
+        });
         return MonotoneOutcome {
-            ok: r.accepted() && r.methods_agree(),
+            ok: witness.is_none(),
             partial: false,
             skipped: false,
-            detail: "full reverification ladder",
+            detail: "exhaustive transition sweep",
+            witness,
         };
     }
     let est = product_estimate(&cand).saturating_add(product_estimate(&refr));
@@ -57,6 +69,7 @@ pub fn recheck_monotone(candidate: &Expr, reference: &Expr) -> MonotoneOutcome {
             partial: true,
             skipped: true,
             detail: "skipped: product estimate over the flatten replay cap",
+            witness: None,
         };
     }
     let cf = flatten(&cand, k);
@@ -67,6 +80,7 @@ pub fn recheck_monotone(candidate: &Expr, reference: &Expr) -> MonotoneOutcome {
             partial: true,
             skipped: false,
             detail: "partial: flattened forms identical",
+            witness: None,
         };
     }
     MonotoneOutcome {
@@ -74,7 +88,24 @@ pub fn recheck_monotone(candidate: &Expr, reference: &Expr) -> MonotoneOutcome {
         partial: true,
         skipped: false,
         detail: "partial: static-1 adjacency subset on flattened covers",
+        witness: None,
     }
+}
+
+/// Assignment `index` of the compact space over the sorted `support`
+/// (bit `i` is `support[i]`), written like `{:#b}` over the full variable
+/// space.
+fn full_space_binary(index: usize, support: &[VarId]) -> String {
+    let set: Vec<usize> = (0..support.len())
+        .filter(|i| index >> i & 1 == 1)
+        .map(|i| support[i].index())
+        .collect();
+    let top = set.last().copied().unwrap_or(0);
+    let digits: String = (0..=top)
+        .rev()
+        .map(|v| if set.contains(&v) { '1' } else { '0' })
+        .collect();
+    format!("0b{digits}")
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ pub struct AuditCounters {
     /// Cones whose flatten replay was skipped (product count over the
     /// replay cap).
     pub flatten_skipped: usize,
-    /// Hazard-monotonicity re-checks run through the full
-    /// `reverify_containment` / exhaustive-sweep ladder.
+    /// Hazard re-checks decided exactly by the exhaustive transition
+    /// sweep (supports of at most `EXHAUSTIVE_VAR_LIMIT` variables).
     pub hazard_rechecks: usize,
     /// Hazard re-checks on supports too wide for the exact sweep, where
     /// only the flatten-equality / static-1 necessary condition ran.

@@ -12,8 +12,11 @@
 //! enumerator and with the legacy recursive enumerator and requires
 //! identical covers; the `exhaustive_sweep` group requires the bit-sliced
 //! hazard-containment sweep to reach the verdict of a per-transition
-//! `wave_eval` loop on every seeded pair.
+//! `wave_eval` loop on every seeded pair and on every 7–8-variable audit
+//! obligation of a generated design, which it also times as a set.
 
+use asyncmap_audit::equiv::{compact_onto, union_support};
+use asyncmap_bench::{generate, GenSpec};
 use asyncmap_bff::Expr;
 use asyncmap_core::truth;
 use asyncmap_core::{
@@ -24,7 +27,7 @@ use asyncmap_cube::{Cover, Cube, Phase, VarId};
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::{find_mic_dyn_haz_2level, hazards_subset_exhaustive, wave_eval};
 use asyncmap_library::builtin;
-use asyncmap_network::{async_tech_decomp, partition};
+use asyncmap_network::{async_tech_decomp, async_tech_decomp_traced, partition, RewriteRule};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -251,7 +254,59 @@ fn bench_exhaustive_sweep(c: &mut Criterion) {
             b.iter(|| subset_per_transition(black_box(&expr), &expr, n))
         });
     }
+    // Timed case: the 7–8-variable rewrite-step and equation obligations
+    // a generated design's audit decides, each over its compacted
+    // support, gated against the per-transition loop.
+    let obligations = audit_obligations_7_8();
+    assert!(!obligations.is_empty(), "no 7-8-variable audit obligation");
+    for (candidate, reference, k) in &obligations {
+        assert_eq!(
+            hazards_subset_exhaustive(candidate, reference, *k),
+            subset_per_transition(candidate, reference, *k),
+            "bit-sliced/per-transition sweep divergence on a {k}-variable audit obligation"
+        );
+    }
+    g.bench_function(format!("audit_k7_8/{}", obligations.len()), |b| {
+        b.iter(|| {
+            obligations
+                .iter()
+                .filter(|(c, r, k)| hazards_subset_exhaustive(black_box(c), r, *k))
+                .count()
+        })
+    });
     g.finish();
+}
+
+/// `(after, before, k)` for every rewrite step and equation certificate of
+/// a generated flow design (250 gates, 16 inputs) whose compacted support
+/// has 7 or 8 variables: the audit's hazard-monotonicity obligations that
+/// the exact sweep decides at the top of its range.
+fn audit_obligations_7_8() -> Vec<(Expr, Expr, usize)> {
+    let eqs = generate(&GenSpec {
+        target_gates: 250,
+        inputs: 16,
+        seed: 5,
+    });
+    let (_, trace) = async_tech_decomp_traced(&eqs);
+    let steps = trace
+        .steps
+        .iter()
+        .filter(|s| s.rule != RewriteRule::InputInverter)
+        .map(|s| (&s.after, &s.before));
+    let certificates = trace.equations.iter().map(|c| (&c.result, &c.source));
+    steps
+        .chain(certificates)
+        .filter_map(|(after, before)| {
+            let support = union_support(after, before);
+            (7..=8).contains(&support.len()).then(|| {
+                (
+                    compact_onto(after, &support),
+                    compact_onto(before, &support),
+                    support.len(),
+                )
+            })
+        })
+        .collect()
 }
 
 criterion_group!(

@@ -18,7 +18,7 @@ use crate::multilevel::find_mic_dyn_haz_multilevel;
 use crate::oracle::index_bits;
 use crate::sic::find_sic_hazards;
 use crate::static1::{static_1_analysis, static_1_complete};
-use crate::wave::{sweep_words, wave_eval_word};
+use crate::wave::{WaveProgram, BLOCK_BURSTS};
 use crate::{Hazard, HazardReport};
 use asyncmap_bff::{flatten, Expr};
 use asyncmap_cube::{Bits, Cover, Cube, VarId};
@@ -85,20 +85,20 @@ pub fn analyze_cover_fast(f: &Cover) -> HazardReport {
 /// Sweeps every transition pair and appends hazards not represented by an
 /// existing descriptor. Function-hazardous transitions are skipped: they
 /// are implementation-independent and never logic hazards. The sweep is
-/// bit-sliced: only the hazardous lanes of each word are classified, in
-/// the same `(a, b)` order as a pair-by-pair loop.
+/// bit-sliced ([`WaveProgram`]): only the hazardous lanes of each block
+/// are classified, and blocks run in burst order, so the pairs `a < b`
+/// arrive in the same `(a, b)` order as a pair-by-pair loop.
 fn sweep_residual(expr: &Expr, nvars: usize, report: &mut HazardReport) {
-    for a in 0..1usize << nvars {
-        let ba = index_bits(nvars, a);
-        let fa = report.flat.eval(&ba);
-        for word in a / 64..sweep_words(nvars) {
-            let mut lanes = wave_eval_word(expr, nvars, a, word).hazard;
-            if word == a / 64 {
-                lanes &= (!0u64 << (a % 64)) << 1; // b > a only
-            }
-            while lanes != 0 {
-                let b = 64 * word + lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
+    let program = WaveProgram::compile(expr, nvars);
+    let mut stack = Vec::new();
+    for block in 0..program.blocks() {
+        let lanes = program.eval_block(block, &mut stack).hazard;
+        for lane in lanes.iter_ones() {
+            let burst = BLOCK_BURSTS * block + lane;
+            let (a, b) = (burst >> nvars, burst & ((1 << nvars) - 1));
+            if b > a {
+                let ba = index_bits(nvars, a);
+                let fa = report.flat.eval(&ba);
                 classify_residual(report, &ba, fa, &index_bits(nvars, b), nvars);
             }
         }

@@ -4,15 +4,14 @@
 //! only if `hazards(element) ⊆ hazards(subnetwork)`.
 
 use crate::static1::static1_subset;
-use crate::wave::{sweep_words, wave_eval, wave_eval_word};
+use crate::wave::{wave_eval, Lanes, Lanes256, WaveProgram, BLOCK_BURSTS};
 use crate::HazardReport;
 use asyncmap_bff::{flatten, Expr};
 use asyncmap_cube::Cube;
 
 /// Variable-count limit for the exhaustive transition sweep
 /// ([`hazards_subset_exhaustive`]): all `4^n` ordered transition pairs are
-/// decided, in `4^n / 64` bit-sliced word evaluations (`2^n` below six
-/// variables, where one word holds every `β`).
+/// decided, in `⌈4^n / 256⌉` runs of a compiled [`WaveProgram`].
 pub const EXHAUSTIVE_VAR_LIMIT: usize = 8;
 
 /// Per-descriptor minterm-pair cap for the guided comparison.
@@ -39,25 +38,47 @@ pub fn hazards_subset(candidate: &Expr, reference: &Expr, nvars: usize) -> bool 
 /// compute the same function), so the comparison effectively ranges over
 /// logic hazards.
 ///
-/// The sweep is bit-sliced ([`wave_eval_word`]): each `α` is evaluated
-/// against 64 `β` at once, `4^n / 64` word evaluations in all (`2^n`
-/// below six variables), and `reference` is evaluated only for words
-/// where `candidate` has a hazardous lane.
+/// The sweep is bit-sliced ([`WaveProgram`]): both expressions are
+/// compiled once, each run decides 256 bursts, `⌈4^n / 256⌉` runs in all,
+/// and `reference` runs only on blocks where `candidate` has a hazardous
+/// lane.
 ///
 /// # Panics
 ///
 /// Panics if `nvars > EXHAUSTIVE_VAR_LIMIT`.
 pub fn hazards_subset_exhaustive(candidate: &Expr, reference: &Expr, nvars: usize) -> bool {
+    containment_witness(candidate, reference, nvars).is_none()
+}
+
+/// The exhaustive sweep's counterexample: the first burst `(from, to)`,
+/// in `(from << nvars) | to` order, on which `candidate` can glitch and
+/// `reference` cannot. `None` iff `hazards(candidate) ⊆
+/// hazards(reference)`. Assignments are indexed as in a truth table (bit
+/// `v` is variable `v`).
+///
+/// # Panics
+///
+/// Panics if `nvars > EXHAUSTIVE_VAR_LIMIT`.
+pub fn containment_witness(
+    candidate: &Expr,
+    reference: &Expr,
+    nvars: usize,
+) -> Option<(usize, usize)> {
     assert!(
         nvars <= EXHAUSTIVE_VAR_LIMIT,
         "exhaustive sweep limited to {EXHAUSTIVE_VAR_LIMIT} variables"
     );
-    let words = sweep_words(nvars);
-    (0..1usize << nvars).all(|from| {
-        (0..words).all(|word| {
-            let hazards = wave_eval_word(candidate, nvars, from, word).hazard;
-            hazards == 0 || hazards & !wave_eval_word(reference, nvars, from, word).hazard == 0
-        })
+    let candidate = WaveProgram::compile(candidate, nvars);
+    let reference = WaveProgram::compile(reference, nvars);
+    let mut stack = Vec::new();
+    (0..candidate.blocks()).find_map(|block| {
+        let hazards = candidate.eval_block(block, &mut stack).hazard;
+        if hazards == Lanes256::ZERO {
+            return None;
+        }
+        let escaped = hazards & !reference.eval_block(block, &mut stack).hazard;
+        let burst = BLOCK_BURSTS * block + escaped.iter_ones().next()?;
+        Some((burst >> nvars, burst & ((1 << nvars) - 1)))
     })
 }
 

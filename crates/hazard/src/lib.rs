@@ -26,8 +26,9 @@
 //! per-transition oracle for tree-structured expressions under the
 //! arbitrary pure-delay model; the fast algorithms are cross-validated
 //! against it (and against the brute-force [`oracle`] module) in the test
-//! suite. Its bit-sliced form ([`WavePlanes`], [`wave_eval_word`])
-//! evaluates 64 bursts per tree walk and carries every exhaustive sweep.
+//! suite. Its bit-sliced form ([`WaveProgram`]) compiles an expression
+//! once into a flat program that evaluates 256 bursts per run, and
+//! carries every exhaustive sweep.
 //!
 //! # Examples
 //!
@@ -70,7 +71,8 @@ mod wave;
 
 pub use analysis::{analyze_cover, analyze_cover_fast, analyze_expr, analyze_expr_fast};
 pub use compare::{
-    hazards_subset, hazards_subset_exhaustive, hazards_subset_guided, EXHAUSTIVE_VAR_LIMIT,
+    containment_witness, hazards_subset, hazards_subset_exhaustive, hazards_subset_guided,
+    EXHAUSTIVE_VAR_LIMIT,
 };
 pub use dynamic2l::{find_mic_dyn_haz_2level, irredundant_intersections, mic_dynamic_hazard_on};
 pub use function::{
@@ -89,4 +91,7 @@ pub use static1::{
     static_1_complete, static_1_free_on, FLATTEN_REPLAY_CAP,
 };
 pub use ternary_sim::{has_static_hazard, ternary_transition, TernaryOutcome};
-pub use wave::{sweep_words, wave_eval, wave_eval_word, Wave, WavePlanes};
+pub use wave::{
+    sweep_words, wave_eval, wave_eval_word, Lanes, Lanes256, Wave, WaveBlock, WavePlanes,
+    WaveProgram, BLOCK_BURSTS,
+};

@@ -1,15 +1,17 @@
 //! Independent re-verification of the Theorem 3.2 acceptance condition
 //! `hazards(candidate) ⊆ hazards(reference)` for a *completed* binding.
 //!
-//! The matcher decides this condition once, on the fast path, while
-//! covering ([`hazards_subset`]). This module re-derives the same verdict
-//! through every analysis the crate has — the exhaustive transition sweep,
-//! the descriptor-guided comparison, the exact static-1 cube-adjacency
-//! subset test on the flattened covers, and (on small supports) the
-//! brute-force minterm-pair oracle — and reports them side by side, so a
-//! post-hoc checker can both re-accept the binding and detect
-//! disagreement between methods. Nothing here is consulted by the mapper
-//! itself.
+//! The checkers decide this condition with the exact transition sweep
+//! alone ([`hazards_subset_exhaustive`] up to [`EXHAUSTIVE_VAR_LIMIT`]
+//! variables). This module re-derives the same verdict through every
+//! analysis the crate has — the exhaustive transition sweep, the
+//! descriptor-guided comparison, the exact static-1 cube-adjacency subset
+//! test on the flattened covers, and (on small supports) the brute-force
+//! minterm-pair oracle — and reports them side by side, so disagreement
+//! between methods shows. It is a test oracle: no production path calls
+//! it. `crates/bench/tests/containment_oracle.rs` replays every audit
+//! step and equation obligation and every lint binding obligation of the
+//! benchmark designs through it.
 
 use crate::compare::{hazards_subset_exhaustive, hazards_subset_guided, EXHAUSTIVE_VAR_LIMIT};
 use crate::oracle::brute_static1_transitions;

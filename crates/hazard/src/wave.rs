@@ -20,15 +20,17 @@
 //! to discard false hazards reported by the flattened two-level filter.
 //!
 //! Exhaustive sweeps over all `4^n` bursts of a small support use the
-//! bit-sliced form [`WavePlanes`]: three `u64` planes (start, end, hazard)
+//! bit-sliced form [`WavePlanes`]: three bit planes (start, end, hazard)
 //! whose lane `j` holds one burst, with the same rules applied bitwise.
-//! [`wave_eval_word`] evaluates one fixed `from` assignment against 64
-//! `to` assignments at once, so a sweep costs `4^n / 64` tree walks
-//! (`2^n` below six variables) instead of `4^n`.
+//! [`WaveProgram`] compiles an expression once into a flat postfix
+//! program and evaluates it over 256-burst blocks ([`WaveBlock`]), so a
+//! sweep costs `4^n / 256` program runs at every width (one run below
+//! four variables) instead of `4^n` tree walks.
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::Bits;
 use std::fmt;
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 /// A waveform class for one signal during one input burst.
 ///
@@ -168,53 +170,119 @@ pub fn wave_eval(expr: &Expr, from: &Bits, to: &Bits) -> Wave {
     }
 }
 
-/// 64 waveform classes side by side: lane `j` of each plane is one
-/// burst's [`Wave`] field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WavePlanes {
-    /// Settled values before the burst.
-    pub start: u64,
-    /// Settled values after the burst.
-    pub end: u64,
-    /// Lanes where extra transitions are possible.
-    pub hazard: u64,
+/// A word of bit lanes that [`WavePlanes`] can be sliced over: one `u64`
+/// (64 lanes) or a [`Lanes256`] block.
+pub trait Lanes:
+    Copy
+    + Eq
+    + fmt::Debug
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
+{
+    /// No lane set.
+    const ZERO: Self;
+    /// Every lane set.
+    const ONES: Self;
 }
 
-impl WavePlanes {
+impl Lanes for u64 {
+    const ZERO: u64 = 0;
+    const ONES: u64 = !0;
+}
+
+/// 256 lanes as four words: lane `l` is bit `l % 64` of word `l / 64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes256(pub [u64; 4]);
+
+impl Lanes for Lanes256 {
+    const ZERO: Lanes256 = Lanes256([0; 4]);
+    const ONES: Lanes256 = Lanes256([!0; 4]);
+}
+
+impl Lanes256 {
+    /// The set lanes in ascending order.
+    pub fn iter_ones(self) -> impl Iterator<Item = usize> {
+        (0..4).flat_map(move |w| {
+            let mut bits = self.0[w];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    64 * w + j
+                })
+            })
+        })
+    }
+}
+
+macro_rules! lanes256_op {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl $trait for Lanes256 {
+            type Output = Lanes256;
+            fn $method(self, rhs: Lanes256) -> Lanes256 {
+                Lanes256(std::array::from_fn(|w| self.0[w] $op rhs.0[w]))
+            }
+        }
+    };
+}
+lanes256_op!(BitAnd, bitand, &);
+lanes256_op!(BitOr, bitor, |);
+lanes256_op!(BitXor, bitxor, ^);
+
+impl Not for Lanes256 {
+    type Output = Lanes256;
+    fn not(self) -> Lanes256 {
+        Lanes256(self.0.map(|w| !w))
+    }
+}
+
+/// Waveform classes side by side, one per lane: lane `j` of each plane is
+/// one burst's [`Wave`] field. 64 lanes by default; a [`WaveBlock`] holds
+/// 256.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WavePlanes<L = u64> {
+    /// Settled values before the burst.
+    pub start: L,
+    /// Settled values after the burst.
+    pub end: L,
+    /// Lanes where extra transitions are possible.
+    pub hazard: L,
+}
+
+/// 256 waveform classes: one block of a [`WaveProgram`] sweep.
+pub type WaveBlock = WavePlanes<Lanes256>;
+
+impl<L: Lanes> WavePlanes<L> {
     /// Constant 0 in every lane.
-    pub const C0: WavePlanes = WavePlanes::splat(Wave::C0);
+    pub const C0: WavePlanes<L> = WavePlanes::splat(Wave::C0);
     /// Constant 1 in every lane.
-    pub const C1: WavePlanes = WavePlanes::splat(Wave::C1);
+    pub const C1: WavePlanes<L> = WavePlanes::splat(Wave::C1);
 
     /// `wave` in every lane.
-    const fn splat(wave: Wave) -> WavePlanes {
+    const fn splat(wave: Wave) -> WavePlanes<L> {
         WavePlanes {
-            start: all_lanes(wave.start),
-            end: all_lanes(wave.end),
-            hazard: all_lanes(wave.hazard),
+            start: if wave.start { L::ONES } else { L::ZERO },
+            end: if wave.end { L::ONES } else { L::ZERO },
+            hazard: if wave.hazard { L::ONES } else { L::ZERO },
         }
     }
 
-    /// The class in lane `j` (`j < 64`).
-    pub fn lane(self, j: usize) -> Wave {
-        let bit = |plane: u64| (plane >> j) & 1 == 1;
-        Wave::new(bit(self.start), bit(self.end), bit(self.hazard))
-    }
-
     /// Lanes holding a static hazard (steady value, possible glitch).
-    pub fn static_hazard(self) -> u64 {
+    pub fn static_hazard(self) -> L {
         !(self.start ^ self.end) & self.hazard
     }
 
     /// Lanes where the two operands change in opposite directions: the
     /// overlap [`Wave::and`] and [`Wave::or`] turn into a created hazard.
-    fn created(self, other: WavePlanes) -> u64 {
+    fn created(self, other: WavePlanes<L>) -> L {
         (self.start ^ self.end) & (other.start ^ other.end) & (self.start ^ other.start)
     }
 
     /// [`Wave::and`] in every lane: a constant-0 operand masks the lane.
-    pub fn and(self, other: WavePlanes) -> WavePlanes {
-        let c0 = |p: WavePlanes| !(p.start | p.end | p.hazard);
+    pub fn and(self, other: WavePlanes<L>) -> WavePlanes<L> {
+        let c0 = |p: WavePlanes<L>| !(p.start | p.end | p.hazard);
         let masked = c0(self) | c0(other);
         WavePlanes {
             start: self.start & other.start,
@@ -224,8 +292,8 @@ impl WavePlanes {
     }
 
     /// [`Wave::or`] in every lane: a constant-1 operand masks the lane.
-    pub fn or(self, other: WavePlanes) -> WavePlanes {
-        let c1 = |p: WavePlanes| p.start & p.end & !p.hazard;
+    pub fn or(self, other: WavePlanes<L>) -> WavePlanes<L> {
+        let c1 = |p: WavePlanes<L>| p.start & p.end & !p.hazard;
         let masked = c1(self) | c1(other);
         WavePlanes {
             start: self.start | other.start,
@@ -236,11 +304,45 @@ impl WavePlanes {
 
     /// [`Wave::not`] in every lane.
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> WavePlanes {
+    pub fn not(self) -> WavePlanes<L> {
         WavePlanes {
             start: !self.start,
             end: !self.end,
             hazard: self.hazard,
+        }
+    }
+
+    /// Every plane restricted to the `live` lanes; the others read as
+    /// clean constant 0.
+    fn masked(self, live: L) -> WavePlanes<L> {
+        WavePlanes {
+            start: self.start & live,
+            end: self.end & live,
+            hazard: self.hazard & live,
+        }
+    }
+}
+
+impl WavePlanes {
+    /// The class in lane `j` (`j < 64`).
+    pub fn lane(self, j: usize) -> Wave {
+        let bit = |plane: u64| (plane >> j) & 1 == 1;
+        Wave::new(bit(self.start), bit(self.end), bit(self.hazard))
+    }
+}
+
+impl WaveBlock {
+    /// The class in lane `l` (`l < 256`).
+    pub fn lane(self, l: usize) -> Wave {
+        self.word(l / 64).lane(l % 64)
+    }
+
+    /// Word `w` (`w < 4`) of the block: its lanes `64·w .. 64·w + 64`.
+    pub fn word(self, w: usize) -> WavePlanes {
+        WavePlanes {
+            start: self.start.0[w],
+            end: self.end.0[w],
+            hazard: self.hazard.0[w],
         }
     }
 }
@@ -250,8 +352,8 @@ const fn all_lanes(bit: bool) -> u64 {
     0u64.wrapping_sub(bit as u64)
 }
 
-/// Bit `j` of `LANE_VARS[v]` is bit `v` of `j`: the `to` values of the six
-/// low variables across one word's 64 lanes.
+/// Bit `j` of `LANE_VARS[i]` is bit `i` of `j`: the six low bits of the
+/// burst index across one word's 64 lanes.
 const LANE_VARS: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
@@ -261,20 +363,196 @@ const LANE_VARS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// Number of 64-lane words that hold the `2^nvars` `to` assignments of a
-/// sweep over `nvars` variables.
+/// Number of 64-lane words that hold the `2^nvars` `to` assignments of
+/// one `from` assignment ([`wave_eval_word`]).
 pub fn sweep_words(nvars: usize) -> usize {
     (1usize << nvars).div_ceil(64)
 }
 
+/// Bursts per [`WaveBlock`]: four 64-lane words.
+pub const BLOCK_BURSTS: usize = 256;
+
+/// One instruction of a [`WaveProgram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// Push a constant.
+    Const(bool),
+    /// Push variable `var`'s leaf, complemented when `neg`.
+    Leaf { var: usize, neg: bool },
+    /// Complement the top entry.
+    Not,
+    /// Fold the top `n ≥ 2` entries with [`Wave::and`], left to right.
+    And(usize),
+    /// Fold the top `n ≥ 2` entries with [`Wave::or`], left to right.
+    Or(usize),
+}
+
+/// An expression compiled once into a flat postfix program, evaluated over
+/// all `4^nvars` bursts of its support 256 at a time.
+///
+/// Burst `b = (from << nvars) | to` sits in lane `b % 256` of block
+/// `b / 256`. Bits 0–5 of `b` take the lane patterns, bits 6–7 select
+/// the word, and higher bits are constant over a block; bit `v` of `b` is
+/// the `to` value of variable `v` and bit `nvars + v` its `from` value. A
+/// full sweep costs `4^n / 256` program runs at every width. Lanes at or
+/// beyond `4^nvars` (only when `nvars < 4`) read as clean constant 0, and
+/// the `from == to` lanes never carry a hazard.
+///
+/// Lane for lane a block equals [`wave_eval`] on the same burst.
+///
+/// # Examples
+///
+/// ```
+/// use asyncmap_bff::Expr;
+/// use asyncmap_cube::VarTable;
+/// use asyncmap_hazard::WaveProgram;
+///
+/// // ab + a'b glitches when a changes with b = 1 held: bursts 0b10 → 0b11
+/// // and back, at b = (from << 2) | to.
+/// let mut vars = VarTable::new();
+/// let e = Expr::parse("a*b + a'*b", &mut vars)?;
+/// let program = WaveProgram::compile(&e, 2);
+/// assert_eq!(program.blocks(), 1);
+/// let block = program.eval_block(0, &mut Vec::new());
+/// assert_eq!(block.static_hazard().0, [1 << 0b1011 | 1 << 0b1110, 0, 0, 0]);
+/// # Ok::<(), asyncmap_bff::ParseBffError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct WaveProgram {
+    ops: Vec<Op>,
+    nvars: usize,
+}
+
+impl WaveProgram {
+    /// Compiles `expr` over an `nvars`-variable space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `expr` mentions a variable at or beyond `nvars`, or if
+    /// `2 · nvars` burst bits do not fit a `usize`.
+    pub fn compile(expr: &Expr, nvars: usize) -> WaveProgram {
+        assert!(2 * nvars < usize::BITS as usize, "{nvars} variables");
+        let mut ops = Vec::new();
+        compile_into(expr, nvars, &mut ops);
+        WaveProgram { ops, nvars }
+    }
+
+    /// Number of blocks in a full sweep: `⌈4^nvars / 256⌉`.
+    pub fn blocks(&self) -> usize {
+        (1usize << (2 * self.nvars)).div_ceil(BLOCK_BURSTS)
+    }
+
+    /// Evaluates the 256 bursts of block `block`. `stack` is scratch
+    /// space, reused across calls to avoid reallocation.
+    pub fn eval_block(&self, block: usize, stack: &mut Vec<WaveBlock>) -> WaveBlock {
+        debug_assert!(block < self.blocks(), "block {block} out of range");
+        let n = self.nvars;
+        let leaf_of = |v: usize| WaveBlock {
+            start: burst_bit(n + v, block),
+            end: burst_bit(v, block),
+            hazard: Lanes256::ZERO,
+        };
+        let leaves: [WaveBlock; 8] =
+            std::array::from_fn(|v| if v < n { leaf_of(v) } else { WaveBlock::C0 });
+        stack.clear();
+        for &op in &self.ops {
+            match op {
+                Op::Const(b) => stack.push(if b { WaveBlock::C1 } else { WaveBlock::C0 }),
+                Op::Leaf { var, neg } => {
+                    let leaf = if var < 8 { leaves[var] } else { leaf_of(var) };
+                    stack.push(if neg { leaf.not() } else { leaf });
+                }
+                Op::Not => {
+                    let top = stack.last_mut().expect("operand");
+                    *top = top.not();
+                }
+                Op::And(k) => fold_top(stack, k, WaveBlock::and),
+                Op::Or(k) => fold_top(stack, k, WaveBlock::or),
+            }
+        }
+        let out = stack.pop().expect("a compiled program leaves one value");
+        let live = 1usize << (2 * n);
+        if live >= BLOCK_BURSTS {
+            out
+        } else {
+            out.masked(Lanes256(std::array::from_fn(|w| {
+                match live.saturating_sub(64 * w) {
+                    0 => 0,
+                    l if l >= 64 => !0,
+                    l => (1u64 << l) - 1,
+                }
+            })))
+        }
+    }
+}
+
+/// Replaces the top `k` entries of `stack` by their left fold under `op`.
+fn fold_top(stack: &mut Vec<WaveBlock>, k: usize, op: impl Fn(WaveBlock, WaveBlock) -> WaveBlock) {
+    let base = stack.len() - k;
+    let acc = stack[base + 1..]
+        .iter()
+        .fold(stack[base], |acc, &x| op(acc, x));
+    stack.truncate(base);
+    stack.push(acc);
+}
+
+/// Bit `i` of the burst index across the 256 lanes of block `block`.
+fn burst_bit(i: usize, block: usize) -> Lanes256 {
+    Lanes256(match i {
+        0..=5 => [LANE_VARS[i]; 4],
+        6 => [0, !0, 0, !0],
+        7 => [0, 0, !0, !0],
+        _ => [all_lanes((block >> (i - 8)) & 1 == 1); 4],
+    })
+}
+
+fn compile_into(expr: &Expr, nvars: usize, ops: &mut Vec<Op>) {
+    let gate = |es: &[Expr], empty: bool, op: fn(usize) -> Op, ops: &mut Vec<Op>| {
+        // An empty gate is its identity element, a single-child one its
+        // child: `C1.and(x) == x` and `C0.or(x) == x` for every class.
+        match es {
+            [] => ops.push(Op::Const(empty)),
+            [only] => compile_into(only, nvars, ops),
+            _ => {
+                for e in es {
+                    compile_into(e, nvars, ops);
+                }
+                ops.push(op(es.len()));
+            }
+        }
+    };
+    match expr {
+        Expr::Const(b) => ops.push(Op::Const(*b)),
+        Expr::Var(v) => ops.push(leaf(v.index(), false, nvars)),
+        Expr::Not(e) => match **e {
+            Expr::Var(v) => ops.push(leaf(v.index(), true, nvars)),
+            _ => {
+                compile_into(e, nvars, ops);
+                ops.push(Op::Not);
+            }
+        },
+        Expr::And(es) => gate(es, true, Op::And, ops),
+        Expr::Or(es) => gate(es, false, Op::Or, ops),
+    }
+}
+
+fn leaf(var: usize, neg: bool, nvars: usize) -> Op {
+    assert!(
+        var < nvars,
+        "variable {var} outside a {nvars}-variable space"
+    );
+    Op::Leaf { var, neg }
+}
+
 /// Evaluates `expr` for the 64 bursts `from → to` with
 /// `to = 64·word + j` in lane `j`, assignments indexed as in a truth
-/// table (bit `v` of the index is variable `v`). Variables below 6 take
-/// the lane pattern, higher ones are constant across the word. Lanes at
-/// or beyond `2^nvars` read as clean constant 0, and the `from == to`
-/// lane never carries a hazard (every leaf is constant there).
+/// table (bit `v` of the index is variable `v`). Lanes at or beyond
+/// `2^nvars` read as clean constant 0, and the `from == to` lane never
+/// carries a hazard (every leaf is constant there).
 ///
-/// Lane for lane the result equals [`wave_eval`] on the same burst.
+/// A view of one word of a [`WaveProgram`] block, compiled afresh on each
+/// call; sweeps compile once and evaluate whole blocks instead. Lane for
+/// lane the result equals [`wave_eval`] on the same burst.
 ///
 /// # Examples
 ///
@@ -292,50 +570,20 @@ pub fn sweep_words(nvars: usize) -> usize {
 /// ```
 pub fn wave_eval_word(expr: &Expr, nvars: usize, from: usize, word: usize) -> WavePlanes {
     debug_assert!(word < sweep_words(nvars), "word {word} out of range");
+    let first = (from << nvars) + 64 * word;
+    let program = WaveProgram::compile(expr, nvars);
+    let block = program.eval_block(first / BLOCK_BURSTS, &mut Vec::new());
+    let p = block.word(first % BLOCK_BURSTS / 64);
+    let shift = first % 64;
     let live = if nvars >= 6 {
         !0
     } else {
         (1u64 << (1 << nvars)) - 1
     };
-    let p = planes_of(expr, from, word);
     WavePlanes {
-        start: p.start & live,
-        end: p.end & live,
-        hazard: p.hazard & live,
-    }
-}
-
-fn planes_of(expr: &Expr, from: usize, word: usize) -> WavePlanes {
-    match expr {
-        Expr::Const(b) => {
-            if *b {
-                WavePlanes::C1
-            } else {
-                WavePlanes::C0
-            }
-        }
-        Expr::Var(v) => {
-            let bit = |index: usize, shift: usize| all_lanes((index >> shift) & 1 == 1);
-            let v = v.index();
-            WavePlanes {
-                start: bit(from, v),
-                end: if v < 6 {
-                    LANE_VARS[v]
-                } else {
-                    bit(word, v - 6)
-                },
-                hazard: 0,
-            }
-        }
-        Expr::Not(e) => planes_of(e, from, word).not(),
-        Expr::And(es) => es
-            .iter()
-            .map(|e| planes_of(e, from, word))
-            .fold(WavePlanes::C1, WavePlanes::and),
-        Expr::Or(es) => es
-            .iter()
-            .map(|e| planes_of(e, from, word))
-            .fold(WavePlanes::C0, WavePlanes::or),
+        start: (p.start >> shift) & live,
+        end: (p.end >> shift) & live,
+        hazard: (p.hazard >> shift) & live,
     }
 }
 
@@ -484,7 +732,80 @@ mod tests {
             assert_eq!(not.lane(j), l.not(), "NOT {l}");
         }
         for w in classes {
-            assert_eq!(WavePlanes::splat(w).lane(63), w);
+            assert_eq!(WavePlanes::<u64>::splat(w).lane(63), w);
+        }
+    }
+
+    #[test]
+    fn block_planes_apply_wave_rules_in_every_lane() {
+        // The sweep kernel's 256-lane instantiation of the same rules:
+        // every word holds all 64 ordered pairs, rotated per word so each
+        // pair also sits at four different lane positions.
+        let classes = all_classes();
+        let pair = |l: usize| {
+            let (w, j) = (l / 64, l % 64);
+            (classes[j % 8], classes[(j / 8 + w) % 8])
+        };
+        let block = |pick: &dyn Fn(usize) -> Wave| {
+            let mut p = WaveBlock::C0;
+            for l in 0..BLOCK_BURSTS {
+                let (w, j, c) = (l / 64, l % 64, pick(l));
+                p.start.0[w] |= u64::from(c.start) << j;
+                p.end.0[w] |= u64::from(c.end) << j;
+                p.hazard.0[w] |= u64::from(c.hazard) << j;
+            }
+            p
+        };
+        let left = block(&|l| pair(l).0);
+        let right = block(&|l| pair(l).1);
+        let (and, or, not) = (left.and(right), left.or(right), left.not());
+        for l in 0..BLOCK_BURSTS {
+            let (a, b) = pair(l);
+            assert_eq!(left.lane(l), a);
+            assert_eq!(and.lane(l), a.and(b), "{a} AND {b} in lane {l}");
+            assert_eq!(or.lane(l), a.or(b), "{a} OR {b} in lane {l}");
+            assert_eq!(not.lane(l), a.not(), "NOT {a} in lane {l}");
+        }
+    }
+
+    #[test]
+    fn block_evaluation_matches_wave_eval_lane_by_lane() {
+        // Every block of widths 0–5 (dead lanes below 4 variables), and
+        // at 7 variables blocks whose constant high burst bits are `from`
+        // variables; unused variables, constant leaves, single-child and
+        // empty gates.
+        let mut vars = VarTable::new();
+        let sop = Expr::parse("a*b + a'*c + b*c", &mut vars).unwrap();
+        let nested = Expr::parse("(a + b*(c + d'))' + a*d", &mut vars).unwrap();
+        let wide = Expr::parse("(a*b*c + d*e*f)*(a' + f') + g", &mut vars).unwrap();
+        let tiny = Expr::Or(vec![
+            Expr::And(vec![Expr::Var(asyncmap_cube::VarId(0))]).not(),
+            Expr::And(vec![]).not(),
+        ]);
+        let mut stack = Vec::new();
+        for (e, n, blocks) in [
+            (&Expr::Const(true), 0, &[0][..]),
+            (&tiny, 1, &[0]),
+            (&sop, 3, &[0]),
+            (&nested, 4, &[0]),
+            (&nested, 5, &[0, 1, 2, 3]),
+            (&wide, 7, &[0, 37, 63]),
+        ] {
+            let program = WaveProgram::compile(e, n);
+            assert_eq!(program.blocks(), (1usize << (2 * n)).div_ceil(256));
+            for &block in blocks {
+                let got = program.eval_block(block, &mut stack);
+                for l in 0..BLOCK_BURSTS {
+                    let burst = BLOCK_BURSTS * block + l;
+                    let want = if burst < 1 << (2 * n) {
+                        let (from, to) = (burst >> n, burst & ((1 << n) - 1));
+                        wave_eval(e, &bits(n, from), &bits(n, to))
+                    } else {
+                        Wave::C0
+                    };
+                    assert_eq!(got.lane(l), want, "{e:?} over {n}: burst {burst}");
+                }
+            }
         }
     }
 

@@ -1,11 +1,15 @@
 //! The bit-sliced exhaustive containment sweep against the plain
 //! per-transition loop it replaces: one `wave_eval` per ordered pair of
-//! distinct assignments, written out here as the reference.
+//! distinct assignments, written out here as the reference. The compiled
+//! block evaluator underneath is also checked burst by burst.
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
 use asyncmap_hazard::oracle::index_bits;
-use asyncmap_hazard::{hazards_subset_exhaustive, sweep_words, wave_eval, wave_eval_word};
+use asyncmap_hazard::{
+    hazards_subset_exhaustive, sweep_words, wave_eval, wave_eval_word, Lanes, Lanes256, Wave,
+    WaveProgram, BLOCK_BURSTS,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,6 +131,64 @@ fn sample_reaches_both_verdicts_at_every_width() {
                 let (c, r) = random_pair(nvars, seed);
                 let verdict = hazards_subset_exhaustive(&c, &r, nvars);
                 assert_eq!(verdict, subset_per_transition(&c, &r, nvars));
+                verdict
+            })
+            .collect();
+        assert!(verdicts.contains(&true), "no accepted pair at n = {nvars}");
+        assert!(verdicts.contains(&false), "no rejected pair at n = {nvars}");
+    }
+}
+
+/// `hazards(candidate) ⊆ hazards(reference)` read off the compiled
+/// programs' blocks directly.
+fn subset_by_blocks(candidate: &Expr, reference: &Expr, nvars: usize) -> bool {
+    let (c, r) = (
+        WaveProgram::compile(candidate, nvars),
+        WaveProgram::compile(reference, nvars),
+    );
+    let mut stack = Vec::new();
+    (0..c.blocks()).all(|block| {
+        let escaped =
+            c.eval_block(block, &mut stack).hazard & !r.eval_block(block, &mut stack).hazard;
+        escaped == Lanes256::ZERO
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn block_lanes_match_wave_eval(nvars in 1usize..9, seed: u64, block_seed: u64) {
+        // Burst `b = (from << n) | to` in lane `b % 256` of block
+        // `b / 256`; below four variables the lanes past `4^n` are dead
+        // and read as clean constant 0.
+        let (expr, _) = random_pair(nvars, seed);
+        let program = WaveProgram::compile(&expr, nvars);
+        let block = (block_seed as usize) % program.blocks();
+        let planes = program.eval_block(block, &mut Vec::new());
+        for lane in 0..BLOCK_BURSTS {
+            let burst = BLOCK_BURSTS * block + lane;
+            let want = if burst < 1 << (2 * nvars) {
+                let (from, to) = (burst >> nvars, burst & ((1 << nvars) - 1));
+                wave_eval(&expr, &index_bits(nvars, from), &index_bits(nvars, to))
+            } else {
+                Wave::C0
+            };
+            prop_assert_eq!(planes.lane(lane), want, "{:?} over {}: burst {}", expr, nvars, burst);
+        }
+    }
+}
+
+#[test]
+fn block_sweep_reaches_both_verdicts_at_every_width() {
+    // The verdict read off the blocks equals the per-transition loop's,
+    // and both verdicts occur at every width, odd ones included.
+    for nvars in 1..=8 {
+        let verdicts: Vec<bool> = (100..140)
+            .map(|seed| {
+                let (c, r) = random_pair(nvars, seed);
+                let verdict = subset_by_blocks(&c, &r, nvars);
+                assert_eq!(verdict, subset_per_transition(&c, &r, nvars), "n = {nvars}");
                 verdict
             })
             .collect();

@@ -21,16 +21,14 @@
 //!   bindings, is truth-table equal to the covered subnetwork's function
 //!   over the full reached cut space (so a binding that silently ignores
 //!   a cut variable the subnetwork depends on is caught);
-//! * **Theorem 3.2** — each binding of a hazardous cell is re-verified
-//!   through every analysis the hazard crate has (exhaustive transition
-//!   sweep, descriptor-guided comparison, static-1 cube adjacency,
-//!   brute-force oracle on small supports), plus a whole-cone containment
-//!   sweep where the cone is narrow enough.
+//! * **Theorem 3.2** — each binding of a hazardous cell is re-verified:
+//!   exactly by the exhaustive transition sweep when it has at most 8 cut
+//!   signals, by the descriptor-guided comparison otherwise; plus a
+//!   whole-cone containment sweep where the cone is narrow enough.
 //!
 //! Findings carry a severity, a human-readable gate path and a stable
 //! machine-readable code (`family.kind`). Info-level notes (dead
-//! instances, analysis-method disagreement) are reported separately and
-//! do not make a report unclean.
+//! instances) are reported separately and do not make a report unclean.
 //!
 //! # Examples
 //!
@@ -406,17 +404,10 @@ fn lint_inner(
 
     // Hazardousness of each library cell, recomputed here (not read from
     // the annotation the matcher used) so a stale annotation cannot mask
-    // a hazardous cell; each distinct cell structure is characterized
-    // once. Library-wide and design-independent, so the cache (when
-    // present) memoizes it across passes.
+    // a hazardous cell. Library-wide and design-independent, so the cache
+    // (when present) memoizes it across passes.
     let memo = cache.as_ref().and_then(|c| c.cell_hazardous.clone());
-    let cell_hazardous: Vec<bool> = memo.unwrap_or_else(|| {
-        library
-            .characterize()
-            .iter()
-            .map(|r| !r.is_hazard_free())
-            .collect()
-    });
+    let cell_hazardous = memo.unwrap_or_else(|| cell_hazardousness(library));
     let mut cache = cache;
     if let Some(c) = cache.as_deref_mut() {
         c.cell_hazardous = Some(cell_hazardous.clone());
@@ -462,4 +453,42 @@ fn lint_inner(
         }
     }
     report
+}
+
+/// Per library cell, whether it has any hazard, with each distinct cell
+/// structure characterized once.
+fn cell_hazardousness(library: &Library) -> Vec<bool> {
+    library
+        .characterize()
+        .iter()
+        .map(|r| !r.is_hazard_free())
+        .collect()
+}
+
+/// Every Theorem 3.2 obligation lint decides on `design`: per
+/// structurally sound binding of a hazardous cell, the cell's BFF over
+/// the binding's cut signals, the covered subnetwork over the same space,
+/// and the size of that space. Lets tests replay lint's obligations
+/// through other containment methods.
+#[doc(hidden)]
+pub fn binding_obligations(design: &MappedDesign, library: &Library) -> Vec<(Expr, Expr, usize)> {
+    let cell_hazardous = cell_hazardousness(library);
+    let mut scratch = LintReport::default();
+    let mut obligations = Vec::new();
+    for (idx, (cone, cover)) in design.cones.iter().zip(&design.covers).enumerate() {
+        if !structure::check_instances_wellformed(design, library, cone, cover, &mut scratch) {
+            continue;
+        }
+        for view in view_cover(&design.subject, cone, idx, cover, &mut scratch) {
+            if view.structurally_sound {
+                obligations.extend(theorem32::binding_obligation(
+                    &design.subject,
+                    library,
+                    &view,
+                    &cell_hazardous,
+                ));
+            }
+        }
+    }
+    obligations
 }

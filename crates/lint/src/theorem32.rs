@@ -1,21 +1,57 @@
 //! Theorem 3.2 re-verification: every binding of a hazardous cell must
 //! satisfy `hazards(cell) ⊆ hazards(covered subnetwork)`, re-derived here
-//! through the hazard crate's full battery
-//! ([`asyncmap_hazard::reverify_containment`]) rather than through the
-//! mapper's cached fast path. Where the cone is narrow enough, the
-//! composed cone structure is additionally swept against the original
-//! cone — the composition the paper's Lemma 4.5 licenses, checked rather
-//! than assumed.
+//! rather than read from the mapper's cached fast path. A binding of at
+//! most [`EXHAUSTIVE_VAR_LIMIT`] cut signals is decided exactly by the
+//! transition sweep; a wider one by the descriptor-guided comparison,
+//! which may reject conservatively, so its rejections are warnings.
+//! Where the cone is narrow enough, the composed cone structure is
+//! additionally swept against the original cone — the composition the
+//! paper's Lemma 4.5 licenses, checked rather than assumed.
 
 use crate::{
     composed_cover_expr, path_of, subnetwork_expr, substitute, InstanceView, LintReport, Severity,
 };
 use asyncmap_bff::Expr;
 use asyncmap_core::{ConeCover, MappedDesign};
-use asyncmap_hazard::{hazards_subset_exhaustive, reverify_containment, EXHAUSTIVE_VAR_LIMIT};
+use asyncmap_hazard::{hazards_subset, hazards_subset_exhaustive, EXHAUSTIVE_VAR_LIMIT};
 use asyncmap_library::Library;
-use asyncmap_network::{Cone, SignalId};
+use asyncmap_network::{Cone, Network, SignalId};
 use std::collections::HashMap;
+
+/// The Theorem 3.2 obligation of one structurally sound binding: the
+/// cell's BFF over the binding's cut signals, the covered subnetwork over
+/// the same space, and the size of that space. `None` when the cell is
+/// hazard-free (containment holds trivially on any binding) or a pin is
+/// unbound (already an error from the function pass).
+pub(crate) fn binding_obligation(
+    net: &Network,
+    library: &Library,
+    view: &InstanceView<'_>,
+    cell_hazardous: &[bool],
+) -> Option<(Expr, Expr, usize)> {
+    let inst = view.inst;
+    if !cell_hazardous
+        .get(inst.cell_index)
+        .copied()
+        .unwrap_or(false)
+    {
+        return None;
+    }
+    let var_of: HashMap<SignalId, usize> = view
+        .cut_signals
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (s, i))
+        .collect();
+    let args = inst
+        .inputs
+        .iter()
+        .map(|s| var_of.get(s).map(|&v| Expr::Var(asyncmap_cube::VarId(v))))
+        .collect::<Option<Vec<Expr>>>()?;
+    let candidate = substitute(library.cells()[inst.cell_index].bff(), &args);
+    let reference = subnetwork_expr(net, inst.output, &var_of);
+    Some((candidate, reference, view.cut_signals.len()))
+}
 
 pub(crate) fn check_cover(
     design: &MappedDesign,
@@ -33,71 +69,28 @@ pub(crate) fn check_cover(
             all_sound = false;
             continue;
         }
-        let inst = view.inst;
-        if !cell_hazardous
-            .get(inst.cell_index)
-            .copied()
-            .unwrap_or(false)
-        {
-            // A hazard-free cell can never glitch, so containment holds
-            // trivially on any binding.
+        let Some((candidate, reference, n)) =
+            binding_obligation(net, library, view, cell_hazardous)
+        else {
             continue;
-        }
-        let var_of: HashMap<SignalId, usize> = view
-            .cut_signals
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
-        if !inst.inputs.iter().all(|s| var_of.contains_key(s)) {
-            continue; // unbound pin, already an error from the function pass
-        }
-        let n = view.cut_signals.len();
-        let cell = &library.cells()[inst.cell_index];
-        let args: Vec<Expr> = inst
-            .inputs
-            .iter()
-            .map(|s| Expr::Var(asyncmap_cube::VarId(var_of[s])))
-            .collect();
-        let candidate = substitute(cell.bff(), &args);
-        let reference = subnetwork_expr(net, inst.output, &var_of);
+        };
         report.counters.theorem32_checks += 1;
-        let r = reverify_containment(&candidate, &reference, n);
-        if !r.accepted() {
-            let severity = if r.exhaustive.is_some() {
+        if !hazards_subset(&candidate, &reference, n) {
+            let (severity, method) = if n <= EXHAUSTIVE_VAR_LIMIT {
                 // The exhaustive sweep is exact: this is a real violation.
-                Severity::Error
+                (Severity::Error, "exhaustive transition sweep")
             } else {
-                // Guided-only verdict on a wide support; may be
-                // conservative.
-                Severity::Warning
+                // Guided verdict on a wide support; may be conservative.
+                (Severity::Warning, "descriptor-guided comparison")
             };
             report.push(
                 severity,
                 "theorem32.containment-violation",
-                path_of(net, cone, Some(inst)),
+                path_of(net, cone, Some(view.inst)),
                 format!(
                     "hazardous cell {} on this binding has hazards the covered subnetwork lacks \
-                     (exhaustive: {:?}, analytic: {}, static-1 adjacency: {})",
-                    cell.name(),
-                    r.exhaustive,
-                    r.analytic,
-                    r.static1_adjacency
-                ),
-            );
-        } else if !r.methods_agree() {
-            report.push(
-                Severity::Info,
-                "theorem32.method-disagreement",
-                path_of(net, cone, Some(inst)),
-                format!(
-                    "hazard analyses disagree on cell {} (exhaustive: {:?}, analytic: {}, \
-                     static-1 adjacency: {}, oracle static-1: {:?}) — possible analysis bug",
-                    cell.name(),
-                    r.exhaustive,
-                    r.analytic,
-                    r.static1_adjacency,
-                    r.oracle_static1
+                     ({method} over {n} cut signals)",
+                    library.cells()[view.inst.cell_index].name(),
                 ),
             );
         }
