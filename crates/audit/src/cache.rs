@@ -20,7 +20,7 @@ use crate::report::{AuditReport, Severity};
 /// Reuse cache for [`audit_equations_cached`](crate::audit_equations_cached).
 ///
 /// The expensive audit obligations — equivalence proofs, hazard-
-/// monotonicity ladders, flatten replays — are pure functions of the
+/// monotonicity re-checks, flatten replays — are pure functions of the
 /// certified *expressions*, never of the network or design they came
 /// from. The cache remembers every such obligation that replayed with
 /// **zero findings**, keyed by an exact byte encoding of its full inputs:

@@ -10,17 +10,18 @@
 //! 2. **Functional equivalence** — re-proved by [`crate::equiv`]'s packed
 //!    truth tables / BDDs;
 //! 3. **Hazard monotonicity** — `hazards(after) ⊆ hazards(before)`,
-//!    re-proved by the [`crate::monotone`] ladder.
+//!    re-proved by [`crate::monotone`].
 //!
-//! Per [`EquationCert`] it additionally walks the network from the output
-//! root and requires the emitted gate tree to realize the certified
-//! result node for node (as do assoc steps for their gate trees); and
-//! it requires every gate of the network to be covered by some equation's
-//! walk (no uncertified logic).
+//! Per [`EquationCert`](asyncmap_network::EquationCert) it additionally
+//! walks the network from the output root and requires the emitted gate
+//! tree to realize the certified result node for node (as do assoc steps
+//! for their gate trees); and it requires every gate of the network to be
+//! covered by some equation's walk (no uncertified logic).
 
 use std::collections::HashMap;
 
 use asyncmap_bff::Expr;
+use asyncmap_hazard::{Containment, PartialReason};
 use asyncmap_network::{
     DecompTrace, EquationSet, GateOp, Network, NodeKind, RewriteRule, RewriteStep, SignalId,
 };
@@ -145,34 +146,38 @@ fn check_monotone(
     code: &'static str,
     path: &impl Fn() -> String,
 ) {
-    let out = recheck_monotone(candidate, reference);
-    if out.partial {
-        report.counters.hazard_partial += 1;
-        if out.skipped {
-            report.push(
-                Severity::Info,
-                "decomp.hazard-partial",
-                path(),
-                format!("hazard re-check degraded: {}", out.detail),
-            );
+    let refutation = match recheck_monotone(candidate, reference) {
+        (Containment::Holds, _) => {
+            report.counters.hazard_rechecks += 1;
+            return;
         }
-    } else {
-        report.counters.hazard_rechecks += 1;
-    }
-    if !out.ok {
-        report.push(
-            Severity::Error,
-            code,
-            path(),
-            match &out.witness {
-                Some(burst) => format!(
-                    "hazards(after) ⊆ hazards(before) refuted ({}): transition {burst}",
-                    out.detail
-                ),
-                None => format!("hazards(after) ⊆ hazards(before) refuted ({})", out.detail),
-            },
-        );
-    }
+        (Containment::Partial(reason), _) => {
+            report.counters.hazard_partial += 1;
+            if reason == PartialReason::OverReplayCap {
+                report.push(
+                    Severity::Info,
+                    "decomp.hazard-partial",
+                    path(),
+                    format!("hazard re-check degraded: skipped: {reason}"),
+                );
+            }
+            return;
+        }
+        (Containment::Refuted(_), Some(burst)) => {
+            report.counters.hazard_rechecks += 1;
+            format!("(exhaustive transition sweep): transition {burst}")
+        }
+        (Containment::Refuted(_), None) => {
+            report.counters.hazard_partial += 1;
+            format!("(partial: {})", PartialReason::Static1Only)
+        }
+    };
+    report.push(
+        Severity::Error,
+        code,
+        path(),
+        format!("hazards(after) ⊆ hazards(before) refuted {refutation}"),
+    );
 }
 
 /// Discharges one equivalence + hazard-monotonicity obligation

@@ -16,8 +16,8 @@
 //!   truth tables (supports of ≤ 8 variables) or BDDs from
 //!   `asyncmap-bdd` ([`equiv`]);
 //! * hazard-set monotonicity per step is re-proved by `asyncmap-hazard`'s
-//!   exact transition sweep
-//!   ([`hazards_subset_exhaustive`](asyncmap_hazard::hazards_subset_exhaustive))
+//!   one containment decision
+//!   ([`decide_containment`](asyncmap_hazard::decide_containment)), exact
 //!   on supports of up to 8 variables ([`monotone`]);
 //! * partition cut evidence is re-derived from the raw network
 //!   ([`check_partition`]);
@@ -51,7 +51,7 @@ pub use decomp_check::{check_decomp, check_decomp_trace};
 pub use equiv::{prove_equal, EquivProof, TRUTH_VAR_LIMIT};
 pub use flatten_check::check_flatten;
 use flatten_check::FLATTEN_PATH;
-pub use monotone::{recheck_monotone, MonotoneOutcome};
+pub use monotone::recheck_monotone;
 pub use partition_check::check_partition;
 pub use report::{AuditCounters, AuditReport, Finding, Severity};
 pub use spec_check::check_spec;

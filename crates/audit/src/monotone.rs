@@ -1,117 +1,41 @@
 //! The hazard-set monotonicity check: re-proving
 //! `hazards(candidate) ⊆ hazards(reference)` for a certified rewrite step
-//! with `asyncmap-hazard`'s entry points, at a depth that scales with the
-//! step's support.
-//!
-//! * Support of at most [`EXHAUSTIVE_VAR_LIMIT`] variables: the exact
-//!   transition sweep over every burst of the compacted support
-//!   ([`containment_witness`]), which also names the first escaping
-//!   transition of a refutation.
-//! * Wider supports: a *partial* check — both sides are flattened (when
-//!   the independent product-count estimate stays under
-//!   [`FLATTEN_REPLAY_CAP`]) and compared by exact cube-list equality or,
-//!   failing that, the static-1 adjacency subset test, which is a
-//!   necessary condition for full containment.
+//! with [`decide_containment`] over the step's compacted support — exact
+//! (the transition sweep) on supports of at most
+//! [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] variables and on identical
+//! structures, its bounded flattening fallback on wider ones.
 
-use asyncmap_bff::{flatten, Expr};
-use asyncmap_cube::VarId;
-use asyncmap_hazard::{
-    containment_witness, product_estimate, static1_subset, EXHAUSTIVE_VAR_LIMIT, FLATTEN_REPLAY_CAP,
-};
+use asyncmap_bff::Expr;
+use asyncmap_hazard::{decide_containment, transition_text, Containment};
 
 use crate::equiv::{compact_onto, union_support};
 
-/// Outcome of one monotonicity re-check.
-#[derive(Debug, Clone)]
-pub struct MonotoneOutcome {
-    /// `false` iff the check positively refuted containment.
-    pub ok: bool,
-    /// `true` when only the partial (wide-support) method ran.
-    pub partial: bool,
-    /// `true` when even the partial method was skipped (flatten too big).
-    pub skipped: bool,
-    /// Human-readable description of what ran.
-    pub detail: &'static str,
-    /// When the exact sweep refuted containment, its first escaping burst
-    /// as `from → to`, each a binary number over the full variable space
-    /// (bit `v` is variable `v`).
-    pub witness: Option<String>,
-}
-
 /// Re-proves `hazards(candidate) ⊆ hazards(reference)` as deeply as the
 /// shared support allows. Both expressions must compute the same function
-/// (checked separately by the equivalence obligation).
-pub fn recheck_monotone(candidate: &Expr, reference: &Expr) -> MonotoneOutcome {
+/// (checked separately by the equivalence obligation). An exact
+/// refutation comes with its first escaping burst, written `from → to`
+/// with each side a binary number over the full variable space (bit `v`
+/// is variable `v`).
+pub fn recheck_monotone(candidate: &Expr, reference: &Expr) -> (Containment, Option<String>) {
     let support = union_support(candidate, reference);
     let k = support.len().max(1);
-    let cand = compact_onto(candidate, &support);
-    let refr = compact_onto(reference, &support);
-    if k <= EXHAUSTIVE_VAR_LIMIT {
-        let witness = containment_witness(&cand, &refr, k).map(|(from, to)| {
-            format!(
-                "{} → {}",
-                full_space_binary(from, &support),
-                full_space_binary(to, &support)
-            )
-        });
-        return MonotoneOutcome {
-            ok: witness.is_none(),
-            partial: false,
-            skipped: false,
-            detail: "exhaustive transition sweep",
-            witness,
-        };
-    }
-    let est = product_estimate(&cand).saturating_add(product_estimate(&refr));
-    if est > FLATTEN_REPLAY_CAP {
-        return MonotoneOutcome {
-            ok: true,
-            partial: true,
-            skipped: true,
-            detail: "skipped: product estimate over the flatten replay cap",
-            witness: None,
-        };
-    }
-    let cf = flatten(&cand, k);
-    let rf = flatten(&refr, k);
-    if cf.cover.cubes() == rf.cover.cubes() && cf.vacuous == rf.vacuous {
-        return MonotoneOutcome {
-            ok: true,
-            partial: true,
-            skipped: false,
-            detail: "partial: flattened forms identical",
-            witness: None,
-        };
-    }
-    MonotoneOutcome {
-        ok: static1_subset(&cf.cover, &rf.cover),
-        partial: true,
-        skipped: false,
-        detail: "partial: static-1 adjacency subset on flattened covers",
-        witness: None,
-    }
-}
-
-/// Assignment `index` of the compact space over the sorted `support`
-/// (bit `i` is `support[i]`), written like `{:#b}` over the full variable
-/// space.
-fn full_space_binary(index: usize, support: &[VarId]) -> String {
-    let set: Vec<usize> = (0..support.len())
-        .filter(|i| index >> i & 1 == 1)
-        .map(|i| support[i].index())
-        .collect();
-    let top = set.last().copied().unwrap_or(0);
-    let digits: String = (0..=top)
-        .rev()
-        .map(|v| if set.contains(&v) { '1' } else { '0' })
-        .collect();
-    format!("0b{digits}")
+    let verdict = decide_containment(
+        &compact_onto(candidate, &support),
+        &compact_onto(reference, &support),
+        k,
+    );
+    let witness = match verdict {
+        Containment::Refuted(Some(burst)) => Some(transition_text(burst, |i| support[i].index())),
+        _ => None,
+    };
+    (verdict, witness)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use asyncmap_cube::VarTable;
+    use asyncmap_hazard::{product_estimate, PartialReason};
 
     #[test]
     fn product_estimate_matches_distribution() {
@@ -135,8 +59,7 @@ mod tests {
             ]),
             _ => unreachable!(),
         };
-        let out = recheck_monotone(&after, &before);
-        assert!(out.ok && !out.partial);
+        assert_eq!(recheck_monotone(&after, &before).0, Containment::Holds);
     }
 
     #[test]
@@ -146,8 +69,9 @@ mod tests {
         let mut vars = VarTable::new();
         let full = Expr::parse("a*b + a'*c + b*c", &mut vars).unwrap();
         let pruned = Expr::parse_in("a*b + a'*c", &vars).unwrap();
-        let out = recheck_monotone(&pruned, &full);
-        assert!(!out.ok);
+        let (verdict, witness) = recheck_monotone(&pruned, &full);
+        assert!(matches!(verdict, Containment::Refuted(Some(_))));
+        assert!(witness.is_some());
     }
 
     #[test]
@@ -161,7 +85,7 @@ mod tests {
             Expr::Or(terms[5..].to_vec()),
         ]);
         let _ = vars;
-        let out = recheck_monotone(&regrouped, &flat_or);
-        assert!(out.ok && out.partial && !out.skipped);
+        let (verdict, _) = recheck_monotone(&regrouped, &flat_or);
+        assert_eq!(verdict, Containment::Partial(PartialReason::SameFlattening));
     }
 }

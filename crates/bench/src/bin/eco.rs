@@ -25,45 +25,10 @@
 use asyncmap_audit::{audit_equations_cached, AuditCache};
 use asyncmap_bench::{
     apply_edits, design_fingerprint, generate, generate_edits, header, host_cpus, secs,
-    time_median, write_json, BenchRecord, GenSpec, WARMUP_RUNS,
+    time_median, time_median_prepared, write_json, BenchRecord, GenSpec,
 };
 use asyncmap_core::{async_tmap, EcoSession, MapOptions, PhaseTimes};
 use asyncmap_library::builtin;
-use std::time::{Duration, Instant};
-
-/// Median over `runs` timed executions of `f`, where each execution gets
-/// a fresh value from `setup` built *outside* the timed region. The
-/// standard `time_median` cannot express this: cloning an [`EcoSession`]
-/// (its cover store is a few thousand entries on gen50000) inside the
-/// timer would bill the eco path for work the cold path doesn't do —
-/// and reusing one session across samples would let sample 1 warm the
-/// store for samples 2..N.
-fn time_median_prepared<S, T>(
-    runs: usize,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> T,
-) -> Duration {
-    assert!(runs > 0);
-    for _ in 0..WARMUP_RUNS {
-        std::hint::black_box(f(setup()));
-    }
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let s = setup();
-            let t = Instant::now();
-            let out = std::hint::black_box(f(s));
-            let dt = t.elapsed();
-            // Free the sample's outputs (the remapped design and the
-            // cloned session's store) outside the timed region — an
-            // interactive ECO flow keeps both alive, it doesn't tear them
-            // down once per edit.
-            drop(out);
-            dt
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
 
 fn main() {
     let mut runs = 9usize;

@@ -19,40 +19,12 @@
 //! `BENCH_fma.json`).
 
 use asyncmap_bench::{
-    apply_edits, generate, generate_edits, header, host_cpus, secs, time_median, write_json,
-    BenchRecord, GenSpec, WARMUP_RUNS,
+    apply_edits, generate, generate_edits, header, host_cpus, secs, time_median,
+    time_median_prepared, write_json, BenchRecord, GenSpec,
 };
 use asyncmap_core::{EcoSession, MapOptions};
 use asyncmap_fma::{analyze_design, analyze_design_cached, FmaCache};
 use asyncmap_library::builtin;
-use std::time::{Duration, Instant};
-
-/// Median over `runs` timed executions of `f`, each on a fresh value from
-/// `setup` built *outside* the timed region (cloning the warmed cache
-/// inside the timer would bill the warm path for work the ECO loop does
-/// once, not per analysis).
-fn time_median_prepared<S, T>(
-    runs: usize,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> T,
-) -> Duration {
-    assert!(runs > 0);
-    for _ in 0..WARMUP_RUNS {
-        std::hint::black_box(f(setup()));
-    }
-    let mut samples: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let s = setup();
-            let t = Instant::now();
-            let out = std::hint::black_box(f(s));
-            let dt = t.elapsed();
-            drop(out);
-            dt
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
 
 fn main() {
     let mut runs = 9usize;

@@ -60,6 +60,36 @@ pub fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
     samples[samples.len() / 2]
 }
 
+/// Median wall-clock time of `runs` executions of `f`, each on a fresh
+/// value from `setup` built *outside* the timed region, preceded by
+/// [`WARMUP_RUNS`] untimed warm-up executions. For state an execution
+/// consumes or warms (a cloned ECO session or checker cache): cloning it
+/// inside the timer would bill the measured path for work it does once,
+/// not per run, and reusing one value would let each sample warm the
+/// next. Each execution's output is dropped outside the timed region too.
+pub fn time_median_prepared<S, T>(
+    runs: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> Duration {
+    assert!(runs > 0);
+    for _ in 0..WARMUP_RUNS {
+        std::hint::black_box(f(setup()));
+    }
+    let mut samples: Vec<Duration> = (0..runs)
+        .map(|_| {
+            let s = setup();
+            let t = Instant::now();
+            let out = std::hint::black_box(f(s));
+            let dt = t.elapsed();
+            drop(out);
+            dt
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
 /// Median wall-clock times of `runs` executions each of `a` and `b`,
 /// sampled alternately so slow environment drift (thermal throttling, a
 /// busy container) biases neither side, after [`WARMUP_RUNS`] untimed

@@ -1,12 +1,12 @@
 //! The multi-method containment ladder as a test oracle for the checkers'
-//! single exact kernel.
+//! one containment decision.
 //!
 //! Audit and lint decide `hazards(candidate) ⊆ hazards(reference)` with
-//! the exhaustive transition sweep alone on supports of at most
-//! `EXHAUSTIVE_VAR_LIMIT` variables. This test replays every such
-//! obligation they decide through `reverify_containment` — the sweep,
-//! the descriptor-guided comparison, static-1 cube adjacency and, on
-//! small supports, the brute-force oracle — and requires the methods to
+//! `decide_containment`, which is the exhaustive transition sweep on
+//! supports of at most `EXHAUSTIVE_VAR_LIMIT` variables. This test replays
+//! every such obligation they decide through `reverify_containment` — the
+//! sweep, the descriptor-guided comparison, static-1 cube adjacency and,
+//! on small supports, the brute-force oracle — and requires the methods to
 //! agree with each other and with the checker's verdict:
 //!
 //! * every audit rewrite-step obligation and every equation-certificate
@@ -18,7 +18,9 @@
 //! cell on any of them, so each design is also mapped by the synchronous
 //! `tmap`, which binds them freely (lint refutes those bindings), and a
 //! bare two-input mux, whose subnetwork has the mux cell's hazards, gives
-//! lint bindings that hold. Run in release:
+//! lint bindings that hold. Every lint refutation's witness burst is replayed
+//! on `wave_eval`: the candidate glitches on it and the reference does
+//! not. Run in release:
 //! `cargo test --release -p asyncmap-bench --test containment_oracle -- --ignored`.
 
 use asyncmap_audit::equiv::{compact_onto, union_support};
@@ -27,8 +29,10 @@ use asyncmap_bench::{generate, GenSpec};
 use asyncmap_bff::Expr;
 use asyncmap_core::{async_tmap, tmap, MapOptions};
 use asyncmap_cube::{Cover, VarTable};
+use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::{
-    hazards_subset, hazards_subset_exhaustive, reverify_containment, EXHAUSTIVE_VAR_LIMIT,
+    decide_containment, hazards_subset_exhaustive, reverify_containment, wave_eval, Containment,
+    EXHAUSTIVE_VAR_LIMIT,
 };
 use asyncmap_library::{builtin, Library};
 use asyncmap_lint::binding_obligations;
@@ -104,13 +108,16 @@ fn replay_audit(name: &str, eqs: &EquationSet, tally: &mut Tally) {
         if k > EXHAUSTIVE_VAR_LIMIT {
             continue;
         }
-        let verdict = recheck_monotone(candidate, reference);
-        assert!(!verdict.partial, "{name} obligation {i}: partial at {k}");
+        let (verdict, _) = recheck_monotone(candidate, reference);
+        assert!(
+            !matches!(verdict, Containment::Partial(_)),
+            "{name} obligation {i}: partial at {k}"
+        );
         replay(
             &compact_onto(candidate, &support),
             &compact_onto(reference, &support),
             k,
-            verdict.ok,
+            verdict == Containment::Holds,
             &format!("{name} audit obligation {i} ({k} variables)"),
         );
         tally.audit[usize::from(k > 6)] += 1;
@@ -135,19 +142,29 @@ fn replay_lint(name: &str, eqs: &EquationSet, lib: &Library, tally: &mut Tally) 
                 "{name} x {} ({flow}) binding {i} ({n} cut signals)",
                 lib.name()
             );
-            let verdict = hazards_subset(candidate, reference, *n);
+            let verdict = decide_containment(candidate, reference, *n);
             if *n > EXHAUSTIVE_VAR_LIMIT {
-                // Lint's guided verdict on a wide binding is the ladder's
-                // overall verdict there.
-                assert_eq!(
-                    reverify_containment(candidate, reference, *n).accepted(),
-                    verdict,
-                    "{what}"
-                );
+                // A wide refutation is one the ladder's overall verdict
+                // there (the guided comparison) shares.
+                if let Containment::Refuted(_) = verdict {
+                    assert!(
+                        !reverify_containment(candidate, reference, *n).accepted(),
+                        "{what}"
+                    );
+                }
                 continue;
             }
-            replay(candidate, reference, *n, verdict, &what);
-            tally.lint[usize::from(verdict)] += 1;
+            let holds = verdict == Containment::Holds;
+            replay(candidate, reference, *n, holds, &what);
+            if let Containment::Refuted(Some((from, to))) = verdict {
+                let (from, to) = (index_bits(*n, from), index_bits(*n, to));
+                assert!(
+                    wave_eval(candidate, &from, &to).hazard
+                        && !wave_eval(reference, &from, &to).hazard,
+                    "{what}: witness does not escape"
+                );
+            }
+            tally.lint[usize::from(holds)] += 1;
         }
     }
 }

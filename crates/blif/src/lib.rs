@@ -2,7 +2,8 @@
 //! Format (`.model`/`.inputs`/`.outputs`/`.names`/`.latch`) into a
 //! [`BlifNetlist`], statically analyzes its structure (drivers, cycles,
 //! unused logic), and collapses the multi-level node graph into the
-//! mapper's two-level [`EquationSet`] over primary inputs.
+//! mapper's two-level [`EquationSet`](asyncmap_network::EquationSet) over
+//! primary inputs.
 //!
 //! Parsing is deliberately permissive about *structure* and strict about
 //! *syntax*: dangling `.names` references, multiply-driven nets and

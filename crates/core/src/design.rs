@@ -4,6 +4,7 @@ use crate::cover::{ConeCover, Instance};
 use asyncmap_bdd::{Manager, Ref};
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
+use asyncmap_hazard::{decide_containment, Containment};
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, Network, SignalId};
 use std::collections::HashMap;
@@ -31,8 +32,8 @@ pub struct MapStats {
     /// With a pre-warmed cache (`async_tmap_cached`) this can exceed the
     /// number of distinct verdicts computed this run.
     pub cache_hits: usize,
-    /// Hazard checks that actually evaluated `hazards_subset` during this
-    /// run (cache misses).
+    /// Hazard checks that actually evaluated the containment decision
+    /// during this run (cache misses).
     pub cache_misses: usize,
     /// Match-memo lookups served from the memo (raw-truth or
     /// canonical-class level).
@@ -136,10 +137,10 @@ impl MappedDesign {
     }
 
     /// Checks hazard containment cone by cone:
-    /// `hazards(mapped cone) ⊆ hazards(subject cone)`, via the exhaustive
-    /// waveform sweep. Cones wider than the sweep limit are skipped
-    /// (their safety follows from the per-match checks and the composition
-    /// theorem, paper Theorem 3.2/Lemma 4.5).
+    /// `hazards(mapped cone) ⊆ hazards(subject cone)`, via
+    /// [`decide_containment`]. Cones wider than the
+    /// sweep limit are skipped (their safety follows from the per-match
+    /// checks and the composition theorem, paper Theorem 3.2/Lemma 4.5).
     pub fn verify_hazards(&self, library: &Library) -> bool {
         self.cones.iter().zip(&self.covers).all(|(cone, cover)| {
             if cone.leaves.len() > asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT {
@@ -147,7 +148,7 @@ impl MappedDesign {
             }
             let (orig, _) = cone.to_expr(&self.subject);
             let mapped = mapped_cone_expr(&self.subject, cone, cover, library);
-            asyncmap_hazard::hazards_subset(&mapped, &orig, cone.leaves.len())
+            decide_containment(&mapped, &orig, cone.leaves.len()) == Containment::Holds
         })
     }
 }

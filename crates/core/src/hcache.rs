@@ -1,10 +1,12 @@
-//! Shared hazard-verdict cache.
+//! Shared hazard-verdict cache of the matcher.
 //!
 //! Hazard-containment checks (`hazards(cell) ⊆ hazards(cluster)`,
 //! Theorem 3.2) dominate asynchronous matching time, and the same
 //! (cell, binding, cluster) query recurs across overlapping clusters,
 //! across cones, and across repeated `async_tmap` invocations. The
-//! [`HazardCache`] memoizes those verdicts once, concurrently:
+//! [`HazardCache`] memoizes those verdicts once, concurrently. The
+//! matcher is its only client: the checkers decide their whole-cone
+//! obligations afresh through `asyncmap_hazard::decide_containment`.
 //!
 //! * **Interned cluster expressions** — each distinct cluster function is
 //!   hashed into a small integer id exactly once; lookups never clone an
@@ -80,7 +82,7 @@ impl HazardCache {
     }
 
     /// Number of verdicts that had to be computed (i.e. actual
-    /// `hazards_subset` evaluations through this cache).
+    /// containment decisions through this cache).
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -145,32 +147,6 @@ impl HazardCache {
         })
     }
 
-    /// Memoized *expression-level* containment verdict, the entry point
-    /// for whole-cone analyses (the fundamental-mode analyzer) that ask
-    /// `hazards(candidate) ⊆ hazards(reference)` about two composed
-    /// expressions rather than a (cell, binding) pair. Both expressions
-    /// are interned; the verdict is keyed on their ids and `nvars` under
-    /// a sentinel cell index no matcher key can collide with. Concurrent
-    /// callers may race to compute the same verdict; both arrive at the
-    /// same answer, so the duplicate insert is harmless.
-    pub fn expr_verdict(
-        &self,
-        candidate: &Expr,
-        reference: &Expr,
-        nvars: usize,
-        compute: impl FnOnce() -> bool,
-    ) -> bool {
-        let cand = self.intern(candidate);
-        let refr = self.intern(reference);
-        let key = VerdictKey {
-            cell_index: u32::MAX,
-            binding: cand as u128,
-            cluster: refr,
-            nleaves: u32::try_from(nvars).expect("nvars overflow"),
-        };
-        self.verdict(key, compute)
-    }
-
     /// Returns the cached verdict for `key`, or evaluates `compute`,
     /// records the result, and returns it. Counts a hit or a miss either
     /// way. Concurrent callers may race to compute the same verdict; both
@@ -181,7 +157,8 @@ impl HazardCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        // Compute outside any lock: hazards_subset can be expensive.
+        // Compute outside any lock: the containment decision can be
+        // expensive.
         let v = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
         shard

@@ -10,7 +10,7 @@
 //! *worse* implementations (paper Figure 3): the asynchronous matcher
 //! therefore accepts a hazardous cell only when
 //! `hazards(cell) ⊆ hazards(cluster)` under the pin binding
-//! ([`asyncmap_hazard::hazards_subset_exhaustive`]).
+//! ([`asyncmap_hazard::decide_containment`]).
 //!
 //! Every cluster reaches the matcher as one packed 4-word truth table (the
 //! cut walk's, or [`Matcher::find_matches`]'s evaluation of a cluster
@@ -24,7 +24,7 @@ use crate::profile::{self, MapPhase};
 use crate::truth;
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Bits, Phase, VarId};
-use asyncmap_hazard::hazards_subset_exhaustive;
+use asyncmap_hazard::{decide_containment, Containment};
 use asyncmap_library::Library;
 use asyncmap_network::Network;
 use std::collections::HashMap;
@@ -91,8 +91,8 @@ pub struct MatcherCounters {
 ///
 /// Matching is read-only: [`Matcher::find_matches`] takes `&self`, so one
 /// matcher can serve many cone-covering threads concurrently. Counters are
-/// relaxed atomics; hazard verdicts are memoized in an [`Arc`]-shared
-/// [`HazardCache`].
+/// relaxed atomics; (cell, binding, cluster) hazard verdicts are memoized
+/// in an [`Arc`]-shared [`HazardCache`], whose only client is the matcher.
 #[derive(Debug)]
 pub struct Matcher<'lib> {
     library: &'lib Library,
@@ -416,8 +416,8 @@ impl<'lib> Matcher<'lib> {
 
     /// The hazard filter of §3.2.2 on one candidate: `true` iff
     /// `hazards(cell) ⊆ hazards(cluster)` under the pin binding, decided
-    /// by the exact transition sweep (clusters have at most
-    /// [`ClusterLimits::MAX_LEAVES`] leaves). The cluster expression is
+    /// by [`decide_containment`], which is exact here (clusters have at
+    /// most [`ClusterLimits::MAX_LEAVES`] leaves). The cluster expression is
     /// fetched (and interned into `cluster_id`) on first use; verdicts go
     /// through the shared cache. Counts the check, and the reject if there
     /// is one.
@@ -435,7 +435,7 @@ impl<'lib> Matcher<'lib> {
         let id = *cluster_id.get_or_insert_with(|| self.cache.intern(expr));
         let check = || {
             let candidate = instantiate(self.library.cells()[cell_index].bff(), pin_to_leaf);
-            hazards_subset_exhaustive(&candidate, expr, nleaves)
+            decide_containment(&candidate, expr, nleaves) == Containment::Holds
         };
         let ok = match self.cache.key(cell_index, pin_to_leaf, id, nleaves) {
             Some(key) => self.cache.verdict(key, check),

@@ -7,27 +7,18 @@
 //! handles glitch-free, the mapped cone must too. This module re-derives
 //! that obligation from the finished design alone.
 //!
-//! Narrow cones (≤ [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] leaves) get
-//! the exhaustive waveform sweep, interned in the shared
-//! [`HazardCache`] so repeated shapes — and re-analysis after an ECO
-//! edit — pay once. Wider cones get a bounded-delay fallback ladder
-//! instead of an exponential sweep:
-//!
-//! 1. structural equality (a 1:1 cover adds nothing);
-//! 2. hazard-preserving flattening of both structures (product count
-//!    permitting) and the exact static-1 containment condition on the
-//!    flats — its failure is a real violation
-//!    (`boundary.static1-escape`);
-//! 3. otherwise the cone is counted as *partially* verified — a counter,
-//!    not a finding, because an inconclusive bound is not evidence of a
-//!    defect.
+//! Every cone's obligation is decided by
+//! [`asyncmap_hazard::decide_containment`]: exactly, by the exhaustive
+//! waveform sweep, up to [`EXHAUSTIVE_VAR_LIMIT`] leaves, where a
+//! refutation is `boundary.containment` and names its escaping burst.
+//! Wider cones get its bounded fallback instead of an exponential sweep:
+//! a static-1 refutation on the flattened structures is a real violation
+//! (`boundary.static1-escape`); any other inconclusive verdict counts the
+//! cone as *partially* verified — a counter, not a finding, because an
+//! inconclusive bound is not evidence of a defect.
 
-use asyncmap_bff::flatten;
-use asyncmap_core::{cone_cover_words, mapped_cone_expr, CleanCones, HazardCache, MappedDesign};
-use asyncmap_hazard::{
-    hazards_subset_exhaustive, product_estimate, static1_subset, EXHAUSTIVE_VAR_LIMIT,
-    FLATTEN_REPLAY_CAP,
-};
+use asyncmap_core::{cone_cover_words, mapped_cone_expr, CleanCones, MappedDesign};
+use asyncmap_hazard::{decide_containment, transition_text, Containment, EXHAUSTIVE_VAR_LIMIT};
 use asyncmap_library::Library;
 use asyncmap_report::Severity;
 
@@ -35,11 +26,11 @@ use asyncmap_report::Severity;
 pub(crate) struct ConeOutcome {
     /// Findings to append: `(severity, code, path, message)`.
     pub findings: Vec<(Severity, &'static str, String, String)>,
-    /// Exhaustive sweep ran.
+    /// Decided exactly: at most `EXHAUSTIVE_VAR_LIMIT` leaves.
     pub exact: bool,
-    /// Wide-cone ladder ran.
+    /// Wide-cone fallback ran.
     pub wide: bool,
-    /// Ladder ended without a full verdict.
+    /// Fallback ended without a full verdict.
     pub partial: bool,
     /// Skipped — the cone's key was already known clean.
     pub reused: bool,
@@ -52,7 +43,6 @@ pub(crate) struct ConeOutcome {
 pub(crate) fn check_cone(
     design: &MappedDesign,
     library: &Library,
-    hcache: &HazardCache,
     known_clean: &CleanCones,
     index: usize,
 ) -> ConeOutcome {
@@ -79,52 +69,32 @@ pub(crate) fn check_cone(
     let (subject, _) = cone.to_expr(net);
     let mapped = mapped_cone_expr(net, cone, cover, library);
 
-    if n <= EXHAUSTIVE_VAR_LIMIT {
-        out.exact = true;
-        let contained = hcache.expr_verdict(&mapped, &subject, n, || {
-            hazards_subset_exhaustive(&mapped, &subject, n)
-        });
-        if !contained {
-            out.findings.push((
-                Severity::Error,
-                "boundary.containment",
-                path,
-                format!(
-                    "mapped cone can glitch on an input burst its subject function \
-                     handles clean ({n} leaves, exhaustive waveform sweep) — upstream \
-                     monotone transitions no longer cover this cone's bursts"
-                ),
-            ));
-        }
-    } else {
-        out.wide = true;
-        if mapped != subject {
-            if product_estimate(&mapped) <= FLATTEN_REPLAY_CAP
-                && product_estimate(&subject) <= FLATTEN_REPLAY_CAP
-            {
-                let mflat = flatten(&mapped, n).cover;
-                let sflat = flatten(&subject, n).cover;
-                if static1_subset(&mflat, &sflat) {
-                    // Static-1 behavior certified; the dynamic classes are
-                    // covered by the mapper's per-match checks but not
-                    // re-proved here.
-                    out.partial = true;
-                } else {
-                    out.findings.push((
-                        Severity::Error,
-                        "boundary.static1-escape",
-                        path,
-                        format!(
-                            "wide cone ({n} leaves): a static-1 transition of the subject \
-                             function has no single covering product in the mapped \
-                             structure's flattening — the cone can glitch while holding 1"
-                        ),
-                    ));
-                }
-            } else {
-                out.partial = true;
-            }
-        }
+    out.exact = n <= EXHAUSTIVE_VAR_LIMIT;
+    out.wide = !out.exact;
+    match decide_containment(&mapped, &subject, n) {
+        Containment::Holds => {}
+        Containment::Partial(_) => out.partial = true,
+        Containment::Refuted(Some(witness)) => out.findings.push((
+            Severity::Error,
+            "boundary.containment",
+            path,
+            format!(
+                "mapped cone can glitch on an input burst its subject function \
+                 handles clean ({n} leaves, exhaustive waveform sweep): transition {} \
+                 — upstream monotone transitions no longer cover this cone's bursts",
+                transition_text(witness, |i| i)
+            ),
+        )),
+        Containment::Refuted(None) => out.findings.push((
+            Severity::Error,
+            "boundary.static1-escape",
+            path,
+            format!(
+                "wide cone ({n} leaves): a static-1 transition of the subject \
+                 function has no single covering product in the mapped \
+                 structure's flattening — the cone can glitch while holding 1"
+            ),
+        )),
     }
 
     if !out.findings.is_empty() {

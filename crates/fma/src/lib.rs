@@ -16,10 +16,10 @@
 //!   declared state variables;
 //! * **cone boundaries** — every cone's input bursts must be covered by
 //!   upstream cones' verified-monotonic output transitions
-//!   (`boundary.containment`, `boundary.static1-escape`), with the
-//!   exhaustive waveform sweep below
-//!   [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] leaves and a bounded
-//!   flattening ladder above it;
+//!   (`boundary.containment`, `boundary.static1-escape`), decided by
+//!   [`asyncmap_hazard::decide_containment`]: the exhaustive waveform
+//!   sweep up to [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] leaves and its
+//!   bounded flattening fallback above;
 //! * **spec conformance** — 8-valued waveform propagation of every
 //!   specified burst through the whole netlist
 //!   (`boundary.burst-glitch`, `boundary.burst-mismatch`), interior-point
@@ -43,7 +43,7 @@ mod structure;
 pub use asyncmap_report::{Finding, Severity};
 
 use asyncmap_burst::{expand, BurstSpec};
-use asyncmap_core::{par_indexed, CleanCones, HazardCache, MappedDesign};
+use asyncmap_core::{par_indexed, CleanCones, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_report::{Report, Totals};
 use std::fmt::Write as _;
@@ -55,11 +55,12 @@ pub struct FmaCounters {
     pub cones: usize,
     /// Cell instances in the design.
     pub instances: usize,
-    /// Cones verified by the exhaustive boundary sweep.
+    /// Cones decided exactly (at most
+    /// [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] leaves).
     pub containment_exact: usize,
-    /// Cones that took the wide-support fallback ladder.
+    /// Cones that took the wide-support fallback.
     pub containment_wide: usize,
-    /// Wide cones whose ladder ended without a full verdict.
+    /// Wide cones whose fallback ended without a full verdict.
     pub containment_partial: usize,
     /// Cones skipped because their (shape, cover) already analyzed clean.
     pub cones_reused: usize,
@@ -139,16 +140,11 @@ pub type FmaReport = Report<FmaCounters>;
 /// [`asyncmap_core::cone_cover_words`] — already analyzed clean under the
 /// same library. Only the per-cone boundary results are cached; the
 /// whole-network phases (structure, spec conformance) always rerun, and
-/// only cones with *no* findings enter the cache. The embedded
-/// [`HazardCache`] additionally keeps interned containment verdicts warm
-/// across analyses, so even a cone whose key changed often pays a lookup
-/// instead of a sweep. Clones share that verdict memo (it is monotone
-/// and sound to share, like [`asyncmap_core::EcoSession`]'s) but get
-/// their own clean-cone set.
+/// only cones with *no* findings enter the cache. A cone whose key
+/// changed is decided afresh.
 #[derive(Clone, Default)]
 pub struct FmaCache {
     clean: CleanCones,
-    hcache: std::sync::Arc<HazardCache>,
 }
 
 impl FmaCache {
@@ -221,13 +217,11 @@ fn analyze_inner(
     // Without a cache, a fresh one: it skips nothing and is dropped after.
     let mut fresh = FmaCache::default();
     let cache = cache.unwrap_or(&mut fresh);
-    if cache.clean.bind(library) {
-        cache.hcache = std::sync::Arc::new(HazardCache::new());
-    }
+    cache.clean.bind(library);
     // Per-cone checks on the shared worker pool, merged in partition order
     // so reports are identical across thread counts.
     let outcomes = par_indexed(design.cones.len(), threads, |i| {
-        boundary::check_cone(design, library, &cache.hcache, &cache.clean, i)
+        boundary::check_cone(design, library, &cache.clean, i)
     });
     for outcome in outcomes {
         report.counters.containment_exact += usize::from(outcome.exact);

@@ -6,12 +6,14 @@
 //! * forged spec bursts (the design no longer implements an edge) →
 //!   `boundary.burst-mismatch`;
 //! * a glitch-capable cover substituted for a hazard-free one →
-//!   `boundary.containment`.
+//!   `boundary.containment`, whose witness burst replays on `wave_eval`.
 
 use asyncmap_burst::{benchmark, benchmark_spec, BurstSpec};
-use asyncmap_core::{async_tmap, Instance, MapOptions, MapStats, MappedDesign};
+use asyncmap_core::{async_tmap, mapped_cone_expr, Instance, MapOptions, MapStats, MappedDesign};
 use asyncmap_cube::{Bits, Cover, VarTable};
 use asyncmap_fma::{analyze_design, analyze_design_with_spec};
+use asyncmap_hazard::oracle::index_bits;
+use asyncmap_hazard::wave_eval;
 use asyncmap_library::{builtin, Library};
 use asyncmap_network::EquationSet;
 use proptest::prelude::*;
@@ -166,5 +168,33 @@ fn glitch_capable_cover_is_flagged() {
             .any(|f| f.code == "boundary.containment"),
         "hazardous substitute cover not flagged:\n{}",
         report.render()
+    );
+
+    // The finding names a burst over the cone's leaves on which the mux
+    // glitches and the subject cone does not.
+    let finding = report
+        .findings
+        .iter()
+        .find(|f| f.code == "boundary.containment")
+        .expect("containment finding");
+    let (_, text) = finding
+        .message
+        .split_once(": transition ")
+        .expect("a witness");
+    let (from, to) = text.split_once(" → ").expect("from → to");
+    let parse = |s: &str| {
+        let digits = s.split_whitespace().next().unwrap_or_default();
+        usize::from_str_radix(digits.trim_start_matches("0b"), 2).expect("binary assignment")
+    };
+    let cone = &design.cones[cone_idx];
+    let n = cone.leaves.len();
+    let (from, to) = (index_bits(n, parse(from)), index_bits(n, parse(to)));
+    let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[cone_idx], &lib);
+    let (subject, _) = cone.to_expr(&design.subject);
+    assert!(wave_eval(&mapped, &from, &to).hazard, "{}", finding.message);
+    assert!(
+        !wave_eval(&subject, &from, &to).hazard,
+        "{}",
+        finding.message
     );
 }

@@ -7,7 +7,7 @@
 //! constant cells — alongside the *derived* structural expression, so the
 //! preflight qualification analyzer can re-derive each cell's truth table
 //! from the declaration and cross-check it against the converted
-//! [`Cell`](asyncmap_library::Cell) and against the declared pin phases
+//! [`Cell`] and against the declared pin phases
 //! (both `library.function-mismatch`).
 //!
 //! Supported subset:

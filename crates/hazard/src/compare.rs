@@ -1,13 +1,15 @@
 //! Hazard-behavior containment between two structures of the same function
 //! — the acceptance test of the modified matching algorithm (paper §3.2.2
 //! and Theorem 3.2): a hazardous library element may replace a subnetwork
-//! only if `hazards(element) ⊆ hazards(subnetwork)`.
+//! only if `hazards(element) ⊆ hazards(subnetwork)`. [`decide_containment`]
+//! is the one decision of this condition on production paths.
 
-use crate::static1::static1_subset;
+use crate::static1::{product_estimate, static1_subset, FLATTEN_REPLAY_CAP};
 use crate::wave::{wave_eval, Lanes, Lanes256, WaveProgram, BLOCK_BURSTS};
 use crate::HazardReport;
 use asyncmap_bff::{flatten, Expr};
 use asyncmap_cube::Cube;
+use std::fmt;
 
 /// Variable-count limit for the exhaustive transition sweep
 /// ([`hazards_subset_exhaustive`]): all `4^n` ordered transition pairs are
@@ -80,6 +82,94 @@ pub fn containment_witness(
         let burst = BLOCK_BURSTS * block + escaped.iter_ones().next()?;
         Some((burst >> nvars, burst & ((1 << nvars) - 1)))
     })
+}
+
+/// The verdict of [`decide_containment`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Containment {
+    /// Containment holds (identical structures, or no escaping burst).
+    Holds,
+    /// Containment fails. The exhaustive sweep names its first escaping
+    /// burst `(from, to)` (see [`containment_witness`]); the static-1 test
+    /// on wider supports names none.
+    Refuted(Option<(usize, usize)>),
+    /// The bounded fallback above [`EXHAUSTIVE_VAR_LIMIT`] variables
+    /// neither proved nor refuted containment.
+    Partial(PartialReason),
+}
+
+/// Why [`decide_containment`] stopped at [`Containment::Partial`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartialReason {
+    /// The two product estimates sum past [`FLATTEN_REPLAY_CAP`]: nothing
+    /// was flattened.
+    OverReplayCap,
+    /// Both sides flatten to the same cubes and vacuous products.
+    SameFlattening,
+    /// The static-1 adjacency subset holds on the flattenings; the
+    /// dynamic classes are not re-proved.
+    Static1Only,
+}
+
+impl fmt::Display for PartialReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PartialReason::OverReplayCap => "product estimate over the flatten replay cap",
+            PartialReason::SameFlattening => "flattened forms identical",
+            PartialReason::Static1Only => "static-1 adjacency subset on flattened covers",
+        })
+    }
+}
+
+/// The one containment decision of the matcher and the checkers:
+/// `hazards(candidate) ⊆ hazards(reference)` for two structures of the
+/// same function over `nvars` variables. Identical structures hold at any
+/// width; up to [`EXHAUSTIVE_VAR_LIMIT`] variables the exhaustive sweep
+/// decides; wider, a bounded fallback: over the replay cap, identical
+/// flattenings, else the static-1 adjacency test ([`static1_subset`]),
+/// whose failure is a refutation.
+pub fn decide_containment(candidate: &Expr, reference: &Expr, nvars: usize) -> Containment {
+    if candidate == reference {
+        return Containment::Holds;
+    }
+    if nvars <= EXHAUSTIVE_VAR_LIMIT {
+        return match containment_witness(candidate, reference, nvars) {
+            None => Containment::Holds,
+            witness => Containment::Refuted(witness),
+        };
+    }
+    let estimate = product_estimate(candidate).saturating_add(product_estimate(reference));
+    if estimate > FLATTEN_REPLAY_CAP {
+        return Containment::Partial(PartialReason::OverReplayCap);
+    }
+    let cand = flatten(candidate, nvars);
+    let refr = flatten(reference, nvars);
+    if cand.cover.cubes() == refr.cover.cubes() && cand.vacuous == refr.vacuous {
+        Containment::Partial(PartialReason::SameFlattening)
+    } else if static1_subset(&cand.cover, &refr.cover) {
+        Containment::Partial(PartialReason::Static1Only)
+    } else {
+        Containment::Refuted(None)
+    }
+}
+
+/// A [`containment_witness`] burst written `0b… → 0b…`, each assignment
+/// like `{:#b}` over the full variable space: bit `i` of the witness is
+/// variable `var(i)`.
+pub fn transition_text((from, to): (usize, usize), var: impl Fn(usize) -> usize) -> String {
+    let binary = |index: usize| {
+        let ones: Vec<usize> = (0..usize::BITS as usize)
+            .filter(|i| index >> i & 1 == 1)
+            .map(&var)
+            .collect();
+        let top = ones.iter().copied().max().unwrap_or(0);
+        let digits: String = (0..=top)
+            .rev()
+            .map(|v| if ones.contains(&v) { '1' } else { '0' })
+            .collect();
+        format!("0b{digits}")
+    };
+    format!("{} → {}", binary(from), binary(to))
 }
 
 /// Descriptor-guided form: checks each hazard descriptor of `candidate`

@@ -20,7 +20,8 @@
 //!   for every library element at load time;
 //! * [`hazards_subset`] — the acceptance test
 //!   `hazards(element) ⊆ hazards(subnetwork)` of the modified matching
-//!   algorithm (Theorem 3.2).
+//!   algorithm (Theorem 3.2), and [`decide_containment`], the one
+//!   containment decision the matcher and every checker call.
 //!
 //! The eight-valued waveform algebra ([`wave_eval`]) acts as the exact
 //! per-transition oracle for tree-structured expressions under the
@@ -71,8 +72,8 @@ mod wave;
 
 pub use analysis::{analyze_cover, analyze_cover_fast, analyze_expr, analyze_expr_fast};
 pub use compare::{
-    containment_witness, hazards_subset, hazards_subset_exhaustive, hazards_subset_guided,
-    EXHAUSTIVE_VAR_LIMIT,
+    containment_witness, decide_containment, hazards_subset, hazards_subset_exhaustive,
+    hazards_subset_guided, transition_text, Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
 };
 pub use dynamic2l::{find_mic_dyn_haz_2level, irredundant_intersections, mic_dynamic_hazard_on};
 pub use function::{

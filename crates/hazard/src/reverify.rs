@@ -1,9 +1,10 @@
 //! Independent re-verification of the Theorem 3.2 acceptance condition
 //! `hazards(candidate) ⊆ hazards(reference)` for a *completed* binding.
 //!
-//! The checkers decide this condition with the exact transition sweep
-//! alone ([`hazards_subset_exhaustive`] up to [`EXHAUSTIVE_VAR_LIMIT`]
-//! variables). This module re-derives the same verdict through every
+//! The checkers decide this condition through
+//! [`decide_containment`](crate::decide_containment), which is the exact
+//! transition sweep ([`hazards_subset_exhaustive`]) up to
+//! [`EXHAUSTIVE_VAR_LIMIT`] variables. This module re-derives the same verdict through every
 //! analysis the crate has — the exhaustive transition sweep, the
 //! descriptor-guided comparison, the exact static-1 cube-adjacency subset
 //! test on the flattened covers, and (on small supports) the brute-force

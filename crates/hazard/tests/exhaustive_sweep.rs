@@ -1,14 +1,18 @@
 //! The bit-sliced exhaustive containment sweep against the plain
 //! per-transition loop it replaces: one `wave_eval` per ordered pair of
 //! distinct assignments, written out here as the reference. The compiled
-//! block evaluator underneath is also checked burst by burst.
+//! block evaluator underneath is also checked burst by burst, and the one
+//! containment decision built on the sweep (`decide_containment`) against
+//! the sweep below its limit and the independent analyses above it.
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::{
-    hazards_subset_exhaustive, sweep_words, wave_eval, wave_eval_word, Lanes, Lanes256, Wave,
-    WaveProgram, BLOCK_BURSTS,
+    analyze_expr, containment_witness, decide_containment, hazards_subset_exhaustive,
+    hazards_subset_guided, reverify_containment, sweep_words, wave_eval, wave_eval_word,
+    Containment, Lanes, Lanes256, PartialReason, Wave, WaveProgram, BLOCK_BURSTS,
+    EXHAUSTIVE_VAR_LIMIT,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -195,4 +199,134 @@ fn block_sweep_reaches_both_verdicts_at_every_width() {
         assert!(verdicts.contains(&true), "no accepted pair at n = {nvars}");
         assert!(verdicts.contains(&false), "no rejected pair at n = {nvars}");
     }
+}
+
+/// `decide_containment` is the sweep below its limit: `Holds` iff the
+/// sweep finds no escaping burst, else `Refuted` with the sweep's first
+/// escaping burst.
+fn decision_is_the_sweep(candidate: &Expr, reference: &Expr, nvars: usize) -> bool {
+    let expected = match containment_witness(candidate, reference, nvars) {
+        None => Containment::Holds,
+        witness => Containment::Refuted(witness),
+    };
+    decide_containment(candidate, reference, nvars) == expected
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn decision_matches_the_sweep_both_ways(nvars in 1usize..9, seed: u64) {
+        let (candidate, reference) = random_pair(nvars, seed);
+        prop_assert!(decision_is_the_sweep(&candidate, &reference, nvars));
+        prop_assert!(decision_is_the_sweep(&reference, &candidate, nvars));
+    }
+
+    #[test]
+    fn identical_wide_structures_hold(nvars in 9usize..13, seed: u64) {
+        let (expr, _) = random_pair(nvars, seed);
+        prop_assert_eq!(
+            decide_containment(&expr, &expr.clone(), nvars),
+            Containment::Holds
+        );
+    }
+
+    #[test]
+    fn wide_refutations_are_confirmed(nvars in 9usize..13, seed: u64) {
+        // Above the sweep's limit a refutation must be one the independent
+        // analyses share: the ladder (whose verdict there is the guided
+        // comparison) rejects too.
+        let (candidate, reference) = random_pair(nvars, seed);
+        for (c, r) in [(&candidate, &reference), (&reference, &candidate)] {
+            if let Containment::Refuted(witness) = decide_containment(c, r, nvars) {
+                prop_assert_eq!(witness, None);
+                prop_assert!(!reverify_containment(c, r, nvars).accepted());
+                prop_assert!(!hazards_subset_guided(&analyze_expr(c, nvars), c, r, nvars));
+            }
+        }
+    }
+}
+
+#[test]
+fn decision_reaches_both_verdicts_at_every_width() {
+    for nvars in 1..=EXHAUSTIVE_VAR_LIMIT {
+        let verdicts: Vec<Containment> = (200..240)
+            .map(|seed| {
+                let (c, r) = random_pair(nvars, seed);
+                assert!(decision_is_the_sweep(&c, &r, nvars), "n = {nvars}");
+                decide_containment(&c, &r, nvars)
+            })
+            .collect();
+        assert!(
+            verdicts.contains(&Containment::Holds),
+            "no hold at n = {nvars}"
+        );
+        assert!(
+            verdicts
+                .iter()
+                .any(|v| matches!(v, Containment::Refuted(Some(_)))),
+            "no refutation at n = {nvars}"
+        );
+    }
+}
+
+/// Variable `i` as an expression.
+fn var(i: usize) -> Expr {
+    Expr::Var(VarId(i))
+}
+
+/// The OR of variables `from..to`, as one flat gate.
+fn or_range(from: usize, to: usize) -> Expr {
+    Expr::Or((from..to).map(var).collect())
+}
+
+#[test]
+fn wide_pairs_reach_every_partial_reason_and_a_refutation() {
+    let n = 9;
+    // Regrouping a flat OR: same flattening, different structure.
+    let regrouped = Expr::Or(vec![or_range(0, 5), or_range(5, n)]);
+    assert_eq!(
+        decide_containment(&regrouped, &or_range(0, n), n),
+        Containment::Partial(PartialReason::SameFlattening)
+    );
+
+    // Figure 3 padded to nine variables: the consensus cube bc is what
+    // keeps the static-1 transition between ab and a'c clean.
+    let (a, b, c) = (var(0), var(1), var(2));
+    let rest = or_range(3, n);
+    let pruned = Expr::Or(vec![
+        Expr::And(vec![a.clone(), b.clone()]),
+        Expr::And(vec![a.clone().not(), c.clone()]),
+        rest.clone(),
+    ]);
+    let full = Expr::Or(vec![
+        Expr::And(vec![a.clone(), b.clone()]),
+        Expr::And(vec![a.not(), c.clone()]),
+        Expr::And(vec![b, c]),
+        rest,
+    ]);
+    assert_eq!(
+        decide_containment(&full, &pruned, n),
+        Containment::Partial(PartialReason::Static1Only)
+    );
+    assert_eq!(
+        decide_containment(&pruned, &full, n),
+        Containment::Refuted(None)
+    );
+    assert!(!reverify_containment(&pruned, &full, n).accepted());
+
+    // Thirteen two-variable sums distribute to 2^13 products, past the
+    // flatten replay cap on either side.
+    let sums: Vec<Expr> = (0..13)
+        .map(|i| Expr::Or(vec![var(i % n), var((i + 1) % n)]))
+        .collect();
+    let product = Expr::And(sums.clone());
+    let regrouped = Expr::And(vec![
+        Expr::And(sums[..6].to_vec()),
+        Expr::And(sums[6..].to_vec()),
+    ]);
+    assert_eq!(
+        decide_containment(&regrouped, &product, n),
+        Containment::Partial(PartialReason::OverReplayCap)
+    );
 }

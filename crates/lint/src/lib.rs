@@ -21,10 +21,11 @@
 //!   bindings, is truth-table equal to the covered subnetwork's function
 //!   over the full reached cut space (so a binding that silently ignores
 //!   a cut variable the subnetwork depends on is caught);
-//! * **Theorem 3.2** — each binding of a hazardous cell is re-verified:
-//!   exactly by the exhaustive transition sweep when it has at most 8 cut
-//!   signals, by the descriptor-guided comparison otherwise; plus a
-//!   whole-cone containment sweep where the cone is narrow enough.
+//! * **Theorem 3.2** — each binding of a hazardous cell is re-verified by
+//!   [`asyncmap_hazard::decide_containment`]: exactly by the exhaustive
+//!   transition sweep when it has at most 8 cut signals, by its bounded
+//!   fallback otherwise; plus a whole-cone containment sweep where the
+//!   cone is narrow enough.
 //!
 //! Findings carry a severity, a human-readable gate path and a stable
 //! machine-readable code (`family.kind`). Info-level notes (dead

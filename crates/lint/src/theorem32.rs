@@ -1,19 +1,22 @@
 //! Theorem 3.2 re-verification: every binding of a hazardous cell must
 //! satisfy `hazards(cell) ⊆ hazards(covered subnetwork)`, re-derived here
-//! rather than read from the mapper's cached fast path. A binding of at
-//! most [`EXHAUSTIVE_VAR_LIMIT`] cut signals is decided exactly by the
-//! transition sweep; a wider one by the descriptor-guided comparison,
-//! which may reject conservatively, so its rejections are warnings.
-//! Where the cone is narrow enough, the composed cone structure is
-//! additionally swept against the original cone — the composition the
-//! paper's Lemma 4.5 licenses, checked rather than assumed.
+//! by [`decide_containment`] rather than read from the mapper's cached
+//! fast path. A refutation is an error at any width and, when the sweep
+//! decided it (at most [`EXHAUSTIVE_VAR_LIMIT`] cut signals), names its
+//! escaping burst; a partial verdict on a wider binding is an info note
+//! `theorem32.partial` naming the reason. Where the cone is narrow
+//! enough, the composed cone structure is additionally swept against the
+//! original cone — the composition the paper's Lemma 4.5 licenses,
+//! checked rather than assumed.
 
 use crate::{
     composed_cover_expr, path_of, subnetwork_expr, substitute, InstanceView, LintReport, Severity,
 };
 use asyncmap_bff::Expr;
 use asyncmap_core::{ConeCover, MappedDesign};
-use asyncmap_hazard::{hazards_subset, hazards_subset_exhaustive, EXHAUSTIVE_VAR_LIMIT};
+use asyncmap_hazard::{
+    decide_containment, transition_text, Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
+};
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, Network, SignalId};
 use std::collections::HashMap;
@@ -75,24 +78,36 @@ pub(crate) fn check_cover(
             continue;
         };
         report.counters.theorem32_checks += 1;
-        if !hazards_subset(&candidate, &reference, n) {
-            let (severity, method) = if n <= EXHAUSTIVE_VAR_LIMIT {
-                // The exhaustive sweep is exact: this is a real violation.
-                (Severity::Error, "exhaustive transition sweep")
-            } else {
-                // Guided verdict on a wide support; may be conservative.
-                (Severity::Warning, "descriptor-guided comparison")
-            };
-            report.push(
-                severity,
+        let cell = library.cells()[view.inst.cell_index].name();
+        let path = || path_of(net, cone, Some(view.inst));
+        match decide_containment(&candidate, &reference, n) {
+            Containment::Holds => {}
+            Containment::Refuted(witness) => report.push(
+                Severity::Error,
                 "theorem32.containment-violation",
-                path_of(net, cone, Some(view.inst)),
+                path(),
                 format!(
-                    "hazardous cell {} on this binding has hazards the covered subnetwork lacks \
-                     ({method} over {n} cut signals)",
-                    library.cells()[view.inst.cell_index].name(),
+                    "hazardous cell {cell} on this binding has hazards the covered subnetwork \
+                     lacks ({} over {n} cut signals){}",
+                    match witness {
+                        Some(_) => "exhaustive transition sweep".to_owned(),
+                        None => PartialReason::Static1Only.to_string(),
+                    },
+                    witness.map_or_else(String::new, |burst| format!(
+                        ": transition {}",
+                        transition_text(burst, |i| i)
+                    )),
                 ),
-            );
+            ),
+            Containment::Partial(reason) => report.push(
+                Severity::Info,
+                "theorem32.partial",
+                path(),
+                format!(
+                    "Theorem 3.2 re-check of hazardous cell {cell} on this binding is partial \
+                     over {n} cut signals: {reason}"
+                ),
+            ),
         }
     }
 
@@ -111,12 +126,15 @@ pub(crate) fn check_cover(
     };
     report.counters.cone_sweeps += 1;
     let (orig, _) = cone.to_expr(net);
-    if !hazards_subset_exhaustive(&composed, &orig, n) {
+    if let Containment::Refuted(Some(burst)) = decide_containment(&composed, &orig, n) {
         report.push(
             Severity::Error,
             "theorem32.cone-containment",
             path_of(net, cone, None),
-            "the composed mapped cone has hazards the original cone lacks".to_owned(),
+            format!(
+                "the composed mapped cone has hazards the original cone lacks: transition {}",
+                transition_text(burst, |i| i)
+            ),
         );
     }
 }

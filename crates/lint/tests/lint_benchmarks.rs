@@ -8,11 +8,12 @@
 //! internals.
 
 use asyncmap_bff::Expr;
-use asyncmap_core::{async_tmap, truth, Instance, MapOptions, MappedDesign};
+use asyncmap_core::{async_tmap, mapped_cone_expr, truth, Instance, MapOptions, MappedDesign};
 use asyncmap_cube::{Cover, VarId, VarTable};
-use asyncmap_hazard::hazards_subset;
-use asyncmap_library::{builtin, Library};
-use asyncmap_lint::lint_mapped_design;
+use asyncmap_hazard::oracle::index_bits;
+use asyncmap_hazard::{hazards_subset, wave_eval};
+use asyncmap_library::{builtin, Cell, Library};
+use asyncmap_lint::{binding_obligations, lint_mapped_design};
 use asyncmap_network::{Cone, EquationSet, GateOp, Network, NodeKind, SignalId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -287,6 +288,123 @@ fn injected_mux_on_hazard_free_cluster_is_flagged() {
         "expected a theorem32 finding, got: {}",
         report.render()
     );
+
+    // Both refutations name a burst on which the mux glitches and the
+    // protected structure does not: the binding's over its cut signals,
+    // the cone's over its leaves.
+    let message = |code: &str| {
+        let finding = report.findings.iter().find(|f| f.code == code);
+        finding
+            .unwrap_or_else(|| panic!("no {code} finding"))
+            .message
+            .clone()
+    };
+    let obligations = binding_obligations(&design, &lib);
+    let [(candidate, reference, n)] = obligations.as_slice() else {
+        panic!("one hazardous binding expected, got {}", obligations.len());
+    };
+    let binding = message("theorem32.containment-violation");
+    assert_witness_escapes(&binding, candidate, reference, *n);
+    let cone = &design.cones[root_cone];
+    let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[root_cone], &lib);
+    let (original, _) = cone.to_expr(&design.subject);
+    let composed = message("theorem32.cone-containment");
+    assert_witness_escapes(&composed, &mapped, &original, cone.leaves.len());
+}
+
+/// A nine-pin hazardous cell bound over nine cut signals is past the
+/// exhaustive sweep: lint's verdict is the bounded fallback's. Over the
+/// same hazardous structure it is a partial info note that leaves the
+/// report clean; over a consensus-protected one, whose static-1
+/// transition between `sa` and `s'b` the cell cannot hold, a refutation.
+#[test]
+fn wide_bindings_get_the_bounded_verdict() {
+    let tail = "c + d + e + g + h + k";
+    for (sop, code, says) in [
+        (
+            "sa + s'b + c + d + e + g + h + k",
+            "theorem32.partial",
+            "partial over 9 cut signals",
+        ),
+        (
+            "sa + s'b + ab + c + d + e + g + h + k",
+            "theorem32.containment-violation",
+            "static-1 adjacency subset on flattened covers over 9 cut signals",
+        ),
+    ] {
+        let mut lib = builtin::lsi9k();
+        lib.add(Cell::from_bff("MUX9", &format!("s*a + s'*b + {tail}"), 1.0));
+        lib.annotate_hazards();
+        let vars = VarTable::from_names(["s", "a", "b", "c", "d", "e", "g", "h", "k"]);
+        let f = Cover::parse(sop, &vars).unwrap();
+        let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
+        let opts = MapOptions {
+            threads: 1,
+            ..MapOptions::default()
+        };
+        let mut design = async_tmap(&eqs, &lib, &opts).expect("maps");
+        assert!(lint_mapped_design(&design, &lib).is_clean());
+
+        let (cell_index, cell) = lib
+            .cells()
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.name() == "MUX9")
+            .expect("added cell");
+        let net = &design.subject;
+        let by_name: HashMap<&str, SignalId> =
+            net.inputs().iter().map(|&s| (net.name(s), s)).collect();
+        let inputs: Vec<SignalId> = cell.pins().iter().map(|(_, name)| by_name[name]).collect();
+        let root_cone = design
+            .cones
+            .iter()
+            .position(|c| net.outputs().iter().any(|(_, s)| *s == c.root))
+            .expect("output cone");
+        let output = design.cones[root_cone].root;
+        design.covers[root_cone].instances = vec![Instance {
+            cell_index,
+            output,
+            inputs,
+        }];
+        design.covers[root_cone].area = cell.area();
+        design.area = design.covers.iter().map(|c| c.area).sum::<f64>();
+
+        let report = lint_mapped_design(&design, &lib);
+        let found = report
+            .findings
+            .iter()
+            .chain(&report.notes)
+            .find(|f| f.code == code);
+        let found = found.unwrap_or_else(|| panic!("{sop}: no {code}: {}", report.render()));
+        assert!(found.message.contains(says), "{}", found.message);
+        assert_eq!(
+            report.is_clean(),
+            code == "theorem32.partial",
+            "{}",
+            report.render()
+        );
+    }
+}
+
+/// The `transition 0b… → 0b…` witness a refutation message ends in, as
+/// assignment indices (bit `v` is variable `v`).
+fn witness(message: &str) -> (usize, usize) {
+    let (_, text) = message.split_once(": transition ").expect("a witness");
+    let (from, to) = text.split_once(" → ").expect("from → to");
+    let parse = |s: &str| {
+        let digits = s.split_whitespace().next().unwrap_or_default();
+        usize::from_str_radix(digits.trim_start_matches("0b"), 2).expect("binary assignment")
+    };
+    (parse(from), parse(to))
+}
+
+/// Replays `message`'s witness on `wave_eval`: `candidate` glitches on the
+/// burst, `reference` does not.
+fn assert_witness_escapes(message: &str, candidate: &Expr, reference: &Expr, n: usize) {
+    let (from, to) = witness(message);
+    let (from, to) = (index_bits(n, from), index_bits(n, to));
+    assert!(wave_eval(candidate, &from, &to).hazard, "{message}");
+    assert!(!wave_eval(reference, &from, &to).hazard, "{message}");
 }
 
 /// Cold lint re-derives cell hazards itself, once per cell structure and
