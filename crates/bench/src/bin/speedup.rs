@@ -10,7 +10,7 @@
 //! * **Warm verdict cache** — `pe-send-ifc` on Actel (the hazard-heaviest
 //!   pairing: every cover performs hundreds of containment checks), mapped
 //!   with a cold cache vs a pre-warmed shared cache via `async_tmap_cached`.
-//!   Cache misses equal actual `hazards_subset` evaluations, so the warm
+//!   Cache misses equal actual `decide_containment` calls, so the warm
 //!   run must show strictly fewer.
 //!
 //! * **Standalone preflight** — `scsi` on each built-in library: the full

@@ -32,7 +32,7 @@ use asyncmap_cube::{Cover, VarTable};
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::{
     decide_containment, hazards_subset_exhaustive, reverify_containment, wave_eval, Containment,
-    EXHAUSTIVE_VAR_LIMIT,
+    PartialReason, EXHAUSTIVE_VAR_LIMIT,
 };
 use asyncmap_library::{builtin, Library};
 use asyncmap_lint::binding_obligations;
@@ -144,13 +144,16 @@ fn replay_lint(name: &str, eqs: &EquationSet, lib: &Library, tally: &mut Tally) 
             );
             let verdict = decide_containment(candidate, reference, *n);
             if *n > EXHAUSTIVE_VAR_LIMIT {
-                // A wide refutation is one the ladder's overall verdict
-                // there (the guided comparison) shares.
-                if let Containment::Refuted(_) = verdict {
-                    assert!(
-                        !reverify_containment(candidate, reference, *n).accepted(),
-                        "{what}"
-                    );
+                // Lint's wide verdict is the static-1 adjacency test on the
+                // flattenings (identical structures hold without it): it
+                // refutes exactly where the ladder's static-1 rung does,
+                // and a refutation is also the ladder's overall verdict.
+                let ladder = reverify_containment(candidate, reference, *n);
+                assert!(ladder.methods_agree(), "{what}: {ladder:?}");
+                if verdict != Containment::Partial(PartialReason::OverReplayCap) {
+                    let refuted = matches!(verdict, Containment::Refuted(_));
+                    assert_eq!(refuted, !ladder.static1_adjacency, "{what}");
+                    assert!(!refuted || !ladder.accepted(), "{what}");
                 }
                 continue;
             }

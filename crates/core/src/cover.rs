@@ -487,7 +487,7 @@ mod tests {
         let cover = area_cover(&net, &cones[0], &matcher);
         let (orig, _) = cones[0].to_expr(&net);
         let mapped = crate::design::mapped_cone_expr(&net, &cones[0], &cover, &lib);
-        assert!(asyncmap_hazard::hazards_subset(
+        assert!(asyncmap_hazard::hazards_subset_exhaustive(
             &mapped,
             &orig,
             cones[0].leaves.len()

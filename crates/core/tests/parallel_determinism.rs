@@ -208,7 +208,7 @@ fn warm_cache_changes_counters_but_not_verdicts() {
     assert!(first.stats.hazard_checks > 0);
 
     // ...but the warm run answered everything from the cache: strictly
-    // fewer hazards_subset evaluations (misses), none at all in fact.
+    // fewer containment decisions (misses), none at all in fact.
     assert!(first.stats.cache_misses > 0);
     assert_eq!(second.stats.cache_misses, 0);
     assert!(second.stats.cache_misses < first.stats.cache_misses);

@@ -26,10 +26,9 @@ use asyncmap_report::Severity;
 pub(crate) struct ConeOutcome {
     /// Findings to append: `(severity, code, path, message)`.
     pub findings: Vec<(Severity, &'static str, String, String)>,
-    /// Decided exactly: at most `EXHAUSTIVE_VAR_LIMIT` leaves.
+    /// Decided exactly: at most `EXHAUSTIVE_VAR_LIMIT` leaves. A cone
+    /// neither exact nor reused took the wide-support fallback.
     pub exact: bool,
-    /// Wide-cone fallback ran.
-    pub wide: bool,
     /// Fallback ended without a full verdict.
     pub partial: bool,
     /// Skipped — the cone's key was already known clean.
@@ -52,7 +51,6 @@ pub(crate) fn check_cone(
     let mut out = ConeOutcome {
         findings: Vec::new(),
         exact: false,
-        wide: false,
         partial: false,
         reused: false,
         key: cone_cover_words(net, cone, cover),
@@ -70,7 +68,6 @@ pub(crate) fn check_cone(
     let mapped = mapped_cone_expr(net, cone, cover, library);
 
     out.exact = n <= EXHAUSTIVE_VAR_LIMIT;
-    out.wide = !out.exact;
     match decide_containment(&mapped, &subject, n) {
         Containment::Holds => {}
         Containment::Partial(_) => out.partial = true,

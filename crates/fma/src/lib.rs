@@ -225,7 +225,7 @@ fn analyze_inner(
     });
     for outcome in outcomes {
         report.counters.containment_exact += usize::from(outcome.exact);
-        report.counters.containment_wide += usize::from(outcome.wide);
+        report.counters.containment_wide += usize::from(!outcome.exact && !outcome.reused);
         report.counters.containment_partial += usize::from(outcome.partial);
         report.counters.cones_reused += usize::from(outcome.reused);
         let quiet = outcome.findings.is_empty();

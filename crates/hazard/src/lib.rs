@@ -18,10 +18,10 @@
 //!
 //! * [`analyze_expr`] — the full per-structure characterization computed
 //!   for every library element at load time;
-//! * [`hazards_subset`] — the acceptance test
+//! * [`decide_containment`] — the acceptance test
 //!   `hazards(element) ⊆ hazards(subnetwork)` of the modified matching
-//!   algorithm (Theorem 3.2), and [`decide_containment`], the one
-//!   containment decision the matcher and every checker call.
+//!   algorithm (Theorem 3.2): the one containment decision the matcher
+//!   and every checker call.
 //!
 //! The eight-valued waveform algebra ([`wave_eval`]) acts as the exact
 //! per-transition oracle for tree-structured expressions under the
@@ -36,7 +36,7 @@
 //! ```
 //! use asyncmap_bff::Expr;
 //! use asyncmap_cube::VarTable;
-//! use asyncmap_hazard::{analyze_expr, hazards_subset};
+//! use asyncmap_hazard::{analyze_expr, decide_containment, Containment};
 //!
 //! let mut vars = VarTable::new();
 //! // Figure 4a: a two-cube mux structure (hazardous)...
@@ -49,7 +49,10 @@
 //!
 //! // Neither structure's hazards contain the other's: the mapper may not
 //! // substitute one for the other in a hazard-sensitive position.
-//! assert!(!hazards_subset(&two_level, &factored, vars.len()));
+//! assert!(matches!(
+//!     decide_containment(&two_level, &factored, vars.len()),
+//!     Containment::Refuted(Some(_))
+//! ));
 //! # Ok::<(), asyncmap_bff::ParseBffError>(())
 //! ```
 
@@ -72,8 +75,8 @@ mod wave;
 
 pub use analysis::{analyze_cover, analyze_cover_fast, analyze_expr, analyze_expr_fast};
 pub use compare::{
-    containment_witness, decide_containment, hazards_subset, hazards_subset_exhaustive,
-    hazards_subset_guided, transition_text, Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
+    containment_witness, decide_containment, hazards_subset_exhaustive, hazards_subset_guided,
+    transition_text, Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
 };
 pub use dynamic2l::{find_mic_dyn_haz_2level, irredundant_intersections, mic_dynamic_hazard_on};
 pub use function::{

@@ -10,9 +10,9 @@ use asyncmap_cube::VarId;
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::{
     analyze_expr, containment_witness, decide_containment, hazards_subset_exhaustive,
-    hazards_subset_guided, reverify_containment, sweep_words, wave_eval, wave_eval_word,
-    Containment, Lanes, Lanes256, PartialReason, Wave, WaveProgram, BLOCK_BURSTS,
-    EXHAUSTIVE_VAR_LIMIT,
+    hazards_subset_guided, product_estimate, reverify_containment, sweep_words, wave_eval,
+    wave_eval_word, Containment, Lanes, Lanes256, PartialReason, Wave, WaveProgram, BLOCK_BURSTS,
+    EXHAUSTIVE_VAR_LIMIT, FLATTEN_REPLAY_CAP,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -325,6 +325,20 @@ fn wide_pairs_reach_every_partial_reason_and_a_refutation() {
         Expr::And(sums[..6].to_vec()),
         Expr::And(sums[6..].to_vec()),
     ]);
+    assert_eq!(
+        decide_containment(&regrouped, &product, n),
+        Containment::Partial(PartialReason::OverReplayCap)
+    );
+
+    // Twelve sums give 2^12 products on each side: within the cap one
+    // side at a time, over it as a pair.
+    let product = Expr::And(sums[..12].to_vec());
+    let regrouped = Expr::And(vec![
+        Expr::And(sums[..6].to_vec()),
+        Expr::And(sums[6..12].to_vec()),
+    ]);
+    assert_eq!(product_estimate(&product), FLATTEN_REPLAY_CAP);
+    assert_eq!(product_estimate(&regrouped), FLATTEN_REPLAY_CAP);
     assert_eq!(
         decide_containment(&regrouped, &product, n),
         Containment::Partial(PartialReason::OverReplayCap)

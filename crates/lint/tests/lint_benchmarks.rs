@@ -11,7 +11,7 @@ use asyncmap_bff::Expr;
 use asyncmap_core::{async_tmap, mapped_cone_expr, truth, Instance, MapOptions, MappedDesign};
 use asyncmap_cube::{Cover, VarId, VarTable};
 use asyncmap_hazard::oracle::index_bits;
-use asyncmap_hazard::{hazards_subset, wave_eval};
+use asyncmap_hazard::{hazards_subset_exhaustive, wave_eval};
 use asyncmap_library::{builtin, Cell, Library};
 use asyncmap_lint::{binding_obligations, lint_mapped_design};
 use asyncmap_network::{Cone, EquationSet, GateOp, Network, NodeKind, SignalId};
@@ -187,7 +187,7 @@ proptest! {
         let n = var_of.len();
         let bound = bind_cell(lib.cells()[new_cell].bff(), inst, &var_of)
             .expect("same signals still bound");
-        let legal = truth_eq(&bound, &subnet, n) && hazards_subset(&bound, &subnet, n);
+        let legal = truth_eq(&bound, &subnet, n) && hazards_subset_exhaustive(&bound, &subnet, n);
 
         design.covers[ci].instances[ii].cell_index = new_cell;
         // Keep the area bookkeeping consistent with the swapped cell so the

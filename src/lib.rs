@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use asyncmap_cube::{Cover, Cube, VarTable};
     pub use asyncmap_fma::{analyze_design, analyze_design_with_spec, FmaCache, FmaReport};
-    pub use asyncmap_hazard::{analyze_expr, hazards_subset, HazardReport};
+    pub use asyncmap_hazard::{analyze_expr, decide_containment, Containment, HazardReport};
     pub use asyncmap_library::{builtin, Cell, Library};
     pub use asyncmap_lint::{lint_mapped_design, LintReport};
     pub use asyncmap_network::EquationSet;
