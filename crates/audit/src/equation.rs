@@ -312,14 +312,12 @@ fn audit_one(
     // inverters that are cone roots. The cut is re-derived independently.
     let cone_expr = if layout.has_cone {
         let mut cut = vec![false; net.len()];
-        let mut boundary = HashSet::from([root]);
         for (input, &inv) in &inverters {
             if ctx.root[input.index()] {
                 cut[inv.index()] = true;
-                boundary.insert(inv);
             }
         }
-        let cone = cone_at(&net, root, &boundary);
+        let cone = cone_at(&net, root, &cut);
         let (leaves, gates) = rewalk_cone(&net, root, &cut, &mut vec![false; net.len()]);
         if leaves != cone.leaves || gates != cone.gates {
             return None;

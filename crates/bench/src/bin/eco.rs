@@ -15,9 +15,11 @@
 //! and on the 50k design the stitched output must additionally pass the
 //! independent lint pass and the transformation audit.
 //!
-//! For one edit on the 50k design it also times the warm audit:
-//! `audit_equations_cached` of the edited equations on a clone of an
-//! `AuditCache` warmed by the base design, with the same discipline.
+//! For one edit on the 50k design it also times each warm checker on a
+//! clone of its cache warmed by the base design, with the same
+//! discipline: `lint_mapped_design_cached` and `analyze_design_cached` of
+//! the remapped design, and `audit_equations_cached` of the edited
+//! equations.
 //!
 //! Usage: `eco [--runs N] [--out PATH] [--large]` (defaults: 9 runs,
 //! `BENCH_eco.json`, 50k design only; `--large` adds gen200000-s7).
@@ -28,7 +30,9 @@ use asyncmap_bench::{
     time_median, time_median_prepared, write_json, BenchRecord, GenSpec,
 };
 use asyncmap_core::{async_tmap, EcoSession, MapOptions, PhaseTimes};
+use asyncmap_fma::{analyze_design_cached, FmaCache};
 use asyncmap_library::builtin;
+use asyncmap_lint::{lint_mapped_design_cached, LintCache};
 
 fn main() {
     let mut runs = 9usize;
@@ -98,17 +102,22 @@ fn main() {
                 "{}/edit{edit_count}: eco remap diverged from cold map",
                 spec.name()
             );
-            let mut audit_record = None;
+            let mut checker_records = Vec::new();
             if spec.target_gates <= 50_000 && edit_count == 1 {
                 // The reuse-aware verification passes, caches warmed on the
                 // base design — the full ECO loop, not just the remap.
-                let mut lint_cache = asyncmap_lint::LintCache::new();
+                let mut base_lint = LintCache::new();
+                let mut base_fma = FmaCache::new();
                 let base_design = base_session.clone().map(&eqs).expect("base map").design;
-                asyncmap_lint::lint_mapped_design_cached(&base_design, &lib, &mut lint_cache);
-                let lint = asyncmap_lint::lint_mapped_design_cached(
-                    &eco_out.design,
-                    &lib,
-                    &mut lint_cache,
+                lint_mapped_design_cached(&base_design, &lib, &mut base_lint);
+                analyze_design_cached(&base_design, &lib, &mut base_fma);
+                let lint = lint_mapped_design_cached(&eco_out.design, &lib, &mut base_lint.clone());
+                let fma = analyze_design_cached(&eco_out.design, &lib, &mut base_fma.clone());
+                assert!(
+                    fma.is_clean(),
+                    "{}: fma rejected the stitched design\n{}",
+                    spec.name(),
+                    fma.render()
                 );
                 assert!(
                     lint.is_clean(),
@@ -127,13 +136,23 @@ fn main() {
                 );
                 let ac = &audit.counters;
                 println!(
-                    "{}: stitched design passed lint ({} of {} cone(s) reused) and audit \
-                     ({} of {} certificate(s) reused)",
+                    "{}: stitched design passed lint ({} of {} cone(s) reused), audit \
+                     ({} of {} certificate(s) reused) and fma ({} of {} cone(s) reused)",
                     spec.name(),
                     lint.counters.cones_reused,
                     lint.counters.cones,
                     ac.reused_steps + ac.reused_equations + ac.reused_flattens,
-                    audit.counters.num_certificates()
+                    audit.counters.num_certificates(),
+                    fma.counters.cones_reused,
+                    fma.counters.cones
+                );
+                let lint_t = time_median_prepared(
+                    gen_runs,
+                    || base_lint.clone(),
+                    |mut cache| {
+                        let report = lint_mapped_design_cached(&eco_out.design, &lib, &mut cache);
+                        (cache, report)
+                    },
                 );
                 let audit_t = time_median_prepared(
                     gen_runs,
@@ -143,17 +162,31 @@ fn main() {
                         (cache, report)
                     },
                 );
-                println!("{}: warm audit of the edit {}", spec.name(), secs(audit_t));
-                audit_record = Some(BenchRecord {
-                    name: format!("{}/eco-audit-edit{edit_count}", spec.name()),
-                    median: audit_t,
-                    threads: 1,
-                    host_cpus: cpus,
-                    cache_hit_rate: None,
-                    npn_hit_rate: None,
-                    phases: PhaseTimes::default(),
-                    speedup_vs_seq: None,
-                });
+                let fma_t = time_median_prepared(
+                    gen_runs,
+                    || base_fma.clone(),
+                    |mut cache| {
+                        let report = analyze_design_cached(&eco_out.design, &lib, &mut cache);
+                        (cache, report)
+                    },
+                );
+                for (checker, median) in [("lint", lint_t), ("audit", audit_t), ("fma", fma_t)] {
+                    println!(
+                        "{}: warm {checker} of the edit {}",
+                        spec.name(),
+                        secs(median)
+                    );
+                    checker_records.push(BenchRecord {
+                        name: format!("{}/eco-{checker}-edit{edit_count}", spec.name()),
+                        median,
+                        threads: 1,
+                        host_cpus: cpus,
+                        cache_hit_rate: None,
+                        npn_hit_rate: None,
+                        phases: PhaseTimes::default(),
+                        speedup_vs_seq: None,
+                    });
+                }
             }
 
             let cold_t = time_median(gen_runs, || {
@@ -198,7 +231,7 @@ fn main() {
                 phases: eco_out.design.stats.phases,
                 speedup_vs_seq: Some(1.0 / fraction.max(1e-9)),
             });
-            records.extend(audit_record);
+            records.extend(checker_records);
         }
     }
 

@@ -9,13 +9,13 @@
 //! tree (leaves opaque), the library, the cluster limits and the
 //! objective. The last three are fixed for the lifetime of a session, so a
 //! cover computed for one cone translates verbatim — positionally, via
-//! [`ConeLocalMap`] — to any cone with an equal [`ConeShapeKey`]. The
-//! translated cover's instances, area (the same float-addition sequence)
-//! and cut-truncation count are bit-identical to what a cold run would
-//! compute for that cone, and since `assemble` re-derives delay and
-//! buffers from the (freshly decomposed) subject network, the whole
-//! remapped design is `design_fingerprint`-identical to a cold map of the
-//! edited equations.
+//! the local references of a [`ShapeKeyScratch`] — to any cone with an
+//! equal [`ConeShapeKey`]. The translated cover's instances, area (the
+//! same float-addition sequence) and cut-truncation count are
+//! bit-identical to what a cold run would compute for that cone, and
+//! since `assemble` re-derives delay and buffers from the (freshly
+//! decomposed) subject network, the whole remapped design is
+//! `design_fingerprint`-identical to a cold map of the edited equations.
 //!
 //! Hazard-filter counters are part of the fingerprint
 //! (`stats.hazard_rejects`), so the session also stores each shape's
@@ -43,16 +43,16 @@ use crate::tmap::{map_run, Flow, MapOptions};
 use crate::{CoverError, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_network::{
-    build_partition_dag, cone_shape_key, propagate_dirty, Cone, ConeLocalMap, ConeShapeKey,
-    EquationSet, Network, ShapeKeyScratch,
+    build_partition_dag, propagate_dirty, Cone, ConeShapeKey, EquationSet, Network,
+    ShapeKeyScratch, SignalId,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// A cover in cone-local coordinates: instance outputs are gate positions,
-/// instance inputs are [`ConeLocalMap`] references. Valid for every cone
-/// sharing the stored shape key.
+/// instance inputs are [`ShapeKeyScratch::local_ref`] references. Valid
+/// for every cone sharing the stored shape key.
 #[derive(Debug, Clone)]
 struct LocalInstance {
     cell_index: usize,
@@ -171,6 +171,7 @@ impl<'lib> EcoSession<'lib> {
 /// key (appended into one shared word arena, no per-cone allocation), the
 /// cones to cover, and the edit's blast radius over the partition DAG.
 pub(crate) struct DirtyMarks {
+    scratch: ShapeKeyScratch,
     arena: Vec<u32>,
     ranges: Vec<Range<usize>>,
     /// Cones to cover, in partition order: the first cone of each shape
@@ -187,7 +188,9 @@ impl DirtyMarks {
         let mut blast = Vec::with_capacity(cones.len());
         let mut scratch = ShapeKeyScratch::new();
         for cone in cones {
-            let range = scratch.append_key(subject, cone, &mut arena);
+            let range = scratch
+                .append_key(subject, cone, &mut arena)
+                .expect("partition cones are keyable");
             blast.push(!store.contains_key(&arena[range.clone()]));
             ranges.push(range);
         }
@@ -198,6 +201,7 @@ impl DirtyMarks {
         let dag = build_partition_dag(cones);
         propagate_dirty(&dag, &mut blast);
         DirtyMarks {
+            scratch,
             downstream_dirty: blast.iter().filter(|&&d| d).count(),
             arena,
             ranges,
@@ -211,14 +215,16 @@ impl DirtyMarks {
     /// hazard totals are the stored per-cone counts summed over *all*
     /// cones, exactly what a cold run accumulates.
     pub(crate) fn stitch(
-        self,
+        mut self,
         store: &mut CoverStore,
+        subject: &Network,
         cones: &[Cone],
         covered: Vec<(ConeCover, HazardCounts)>,
     ) -> (Vec<ConeCover>, HazardCounts, EcoStats) {
         for (&i, (cover, hazard)) in self.misses.iter().zip(covered) {
             let key = ConeShapeKey::from_words(self.arena[self.ranges[i].clone()].to_vec());
-            store.insert(key, localize(&cones[i], &cover, hazard));
+            let stored = localize(&mut self.scratch, subject, &cones[i], &cover, hazard);
+            store.insert(key, stored);
         }
         let t = profile::timer(MapPhase::ReuseStitch);
         let (covers, hazard): (Vec<ConeCover>, Vec<HazardCounts>) = cones
@@ -241,24 +247,34 @@ impl DirtyMarks {
     }
 }
 
-fn localize(cone: &Cone, cover: &ConeCover, hazard: HazardCounts) -> StoredCover {
-    let map = ConeLocalMap::new(cone);
+fn localize(
+    scratch: &mut ShapeKeyScratch,
+    subject: &Network,
+    cone: &Cone,
+    cover: &ConeCover,
+    hazard: HazardCounts,
+) -> StoredCover {
+    assert!(scratch.bind(subject, cone), "partition cones are keyable");
+    let local = |s: SignalId| {
+        scratch
+            .local_ref(s)
+            .unwrap_or_else(|| panic!("pin binding {s} escapes the cone"))
+    };
     let instances = cover
         .instances
         .iter()
-        .map(|inst| LocalInstance {
-            cell_index: inst.cell_index,
-            output: map
-                .gate_pos(inst.output)
-                .unwrap_or_else(|| panic!("instance output {} not a cone gate", inst.output)),
-            inputs: inst
-                .inputs
-                .iter()
-                .map(|&s| {
-                    map.local_ref(s)
-                        .unwrap_or_else(|| panic!("pin binding {s} escapes the cone"))
-                })
-                .collect(),
+        .map(|inst| {
+            let output = local(inst.output);
+            assert!(
+                output & 1 == 1,
+                "instance output {} not a cone gate",
+                inst.output
+            );
+            LocalInstance {
+                cell_index: inst.cell_index,
+                output: output >> 1,
+                inputs: inst.inputs.iter().map(|&s| local(s)).collect(),
+            }
         })
         .collect();
     StoredCover {
@@ -269,43 +285,82 @@ fn localize(cone: &Cone, cover: &ConeCover, hazard: HazardCounts) -> StoredCover
     }
 }
 
-/// Encodes a cone and its cover into reuse-cache key words: the cone's
-/// canonical shape words extended with the reported area and every
-/// instance rewritten into the cone's local space. Two cones with equal
-/// words are indistinguishable to any per-cone analysis (equal local gate
-/// tree, equal local cover, equal area), so a verdict computed for one
+/// Reuse-cache keys of every cone of a design, appended into one word
+/// arena through one [`ShapeKeyScratch`]: each cone's canonical shape
+/// words extended with the reported area and every instance rewritten
+/// into the cone's local space. Two cones with equal words are
+/// indistinguishable to any per-cone analysis (equal local gate tree,
+/// equal local cover, equal area), so a verdict computed for one
 /// transfers to the other verbatim — the reuse argument behind both the
 /// lint cache and the fundamental-mode analyzer's cache.
 ///
-/// Returns `None` when some instance binds a signal outside the cone —
+/// A cone has no key when some instance binds a signal outside the cone —
 /// such a cover's meaning depends on foreign signals the key cannot
-/// capture, so it must not be cached (the per-cone walks diagnose it).
-pub fn cone_cover_words(net: &Network, cone: &Cone, cover: &ConeCover) -> Option<Vec<u32>> {
-    let local = ConeLocalMap::new(cone);
-    let mut words = cone_shape_key(net, cone).into_inner();
+/// capture, so it must not be cached (the per-cone walks diagnose it) —
+/// or when the cone itself has no positional encoding
+/// ([`ShapeKeyScratch::append_key`] refuses it).
+#[derive(Debug)]
+pub struct CoverKeys {
+    arena: Vec<u32>,
+    ranges: Vec<Option<Range<usize>>>,
+}
+
+impl CoverKeys {
+    /// Keys every cone of `design`, paired with its cover by position.
+    pub fn new(design: &MappedDesign) -> Self {
+        let mut scratch = ShapeKeyScratch::new();
+        let mut arena = Vec::with_capacity(design.cones.len() * 24);
+        let ranges = design
+            .cones
+            .iter()
+            .zip(&design.covers)
+            .map(|(cone, cover)| {
+                let start = arena.len();
+                let key = scratch.append_key(&design.subject, cone, &mut arena);
+                if key.is_some() && append_cover(&scratch, cover, &mut arena).is_some() {
+                    Some(start..arena.len())
+                } else {
+                    arena.truncate(start);
+                    None
+                }
+            })
+            .collect();
+        CoverKeys { arena, ranges }
+    }
+
+    /// The key words of cone `index`, or `None` when it has no key.
+    pub fn get(&self, index: usize) -> Option<&[u32]> {
+        let range = self.ranges.get(index)?.clone()?;
+        Some(&self.arena[range])
+    }
+}
+
+/// Appends `cover` in the local space of the cone `scratch` is bound to.
+fn append_cover(scratch: &ShapeKeyScratch, cover: &ConeCover, out: &mut Vec<u32>) -> Option<()> {
     let area = cover.area.to_bits();
-    words.push((area >> 32) as u32);
-    words.push(area as u32);
-    words.push(local.local_ref(cover.root)?);
-    words.push(u32::try_from(cover.instances.len()).ok()?);
+    out.push((area >> 32) as u32);
+    out.push(area as u32);
+    out.push(scratch.local_ref(cover.root)?);
+    out.push(u32::try_from(cover.instances.len()).ok()?);
     for inst in &cover.instances {
-        words.push(u32::try_from(inst.cell_index).ok()?);
-        words.push(local.local_ref(inst.output)?);
-        words.push(u32::try_from(inst.inputs.len()).ok()?);
+        out.push(u32::try_from(inst.cell_index).ok()?);
+        out.push(scratch.local_ref(inst.output)?);
+        out.push(u32::try_from(inst.inputs.len()).ok()?);
         for &input in &inst.inputs {
-            words.push(local.local_ref(input)?);
+            out.push(scratch.local_ref(input)?);
         }
     }
-    Some(words)
+    Some(())
 }
 
 /// The cones a checker found clean under one library: the reuse set of
-/// the lint and fundamental-mode analysis caches.
+/// the lint and fundamental-mode analysis caches, probed with
+/// [`CoverKeys`] words. Fx-hashed: a probe hashes a short word slice, and
+/// a hash collision costs a word comparison, never a wrong answer.
 #[derive(Debug, Clone, Default)]
 pub struct CleanCones {
     library: Option<String>,
-    /// The clean cones' [`cone_cover_words`].
-    pub keys: HashSet<Vec<u32>>,
+    keys: HashSet<Box<[u32]>, FxBuildHasher>,
 }
 
 impl CleanCones {
@@ -320,6 +375,26 @@ impl CleanCones {
         self.keys.clear();
         true
     }
+
+    /// `true` when a cone with these key words was found clean.
+    pub fn contains(&self, key: &[u32]) -> bool {
+        self.keys.contains(key)
+    }
+
+    /// Remembers a cone with these key words as clean.
+    pub fn insert(&mut self, key: &[u32]) {
+        self.keys.insert(key.into());
+    }
+
+    /// Number of distinct clean keys.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` when no cone is remembered clean.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
 }
 
 fn delocalize(cone: &Cone, stored: &StoredCover) -> ConeCover {
@@ -331,11 +406,7 @@ fn delocalize(cone: &Cone, stored: &StoredCover) -> ConeCover {
             .map(|li| Instance {
                 cell_index: li.cell_index,
                 output: cone.gates[li.output as usize],
-                inputs: li
-                    .inputs
-                    .iter()
-                    .map(|&r| ConeLocalMap::resolve(cone, r))
-                    .collect(),
+                inputs: li.inputs.iter().map(|&r| cone.resolve_local(r)).collect(),
             })
             .collect(),
         area: stored.area,

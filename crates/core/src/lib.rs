@@ -69,7 +69,7 @@ pub use cover::{
 pub use design::{
     assemble, bdd_of_expr, mapped_cone_expr, verify_cone_function, MapStats, MappedDesign,
 };
-pub use eco::{cone_cover_words, CleanCones, EcoOutcome, EcoSession, EcoStats};
+pub use eco::{CleanCones, CoverKeys, EcoOutcome, EcoSession, EcoStats};
 pub use export::to_verilog;
 pub use hcache::HazardCache;
 pub use hdc::{cone_certified, hdc_tmap, Transition};

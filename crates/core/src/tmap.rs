@@ -283,7 +283,7 @@ pub(crate) fn map_run(
             let covered = meter.cover(marks.misses.len(), options.threads, |k| {
                 cover_one(&cones[marks.misses[k]])
             })?;
-            marks.stitch(store, &cones, covered)
+            marks.stitch(store, &subject, &cones, covered)
         }
     };
     if let Flow::Hdc(transitions) = flow {

@@ -17,7 +17,7 @@
 //! cone as *partially* verified — a counter, not a finding, because an
 //! inconclusive bound is not evidence of a defect.
 
-use asyncmap_core::{cone_cover_words, mapped_cone_expr, CleanCones, MappedDesign};
+use asyncmap_core::{mapped_cone_expr, MappedDesign};
 use asyncmap_hazard::{decide_containment, transition_text, Containment, EXHAUSTIVE_VAR_LIMIT};
 use asyncmap_library::Library;
 use asyncmap_report::Severity;
@@ -27,24 +27,14 @@ pub(crate) struct ConeOutcome {
     /// Findings to append: `(severity, code, path, message)`.
     pub findings: Vec<(Severity, &'static str, String, String)>,
     /// Decided exactly: at most `EXHAUSTIVE_VAR_LIMIT` leaves. A cone
-    /// neither exact nor reused took the wide-support fallback.
+    /// not decided exactly took the wide-support fallback.
     pub exact: bool,
     /// Fallback ended without a full verdict.
     pub partial: bool,
-    /// Skipped — the cone's key was already known clean.
-    pub reused: bool,
-    /// Reuse key, present when the cone is self-contained and quiet.
-    pub key: Option<Vec<u32>>,
 }
 
-/// Checks cone `index` of `design`, skipping it when its key is in
-/// `known_clean`.
-pub(crate) fn check_cone(
-    design: &MappedDesign,
-    library: &Library,
-    known_clean: &CleanCones,
-    index: usize,
-) -> ConeOutcome {
+/// Checks cone `index` of `design`.
+pub(crate) fn check_cone(design: &MappedDesign, library: &Library, index: usize) -> ConeOutcome {
     let net = &design.subject;
     let cone = &design.cones[index];
     let cover = &design.covers[index];
@@ -52,15 +42,7 @@ pub(crate) fn check_cone(
         findings: Vec::new(),
         exact: false,
         partial: false,
-        reused: false,
-        key: cone_cover_words(net, cone, cover),
     };
-    if let Some(key) = &out.key {
-        if known_clean.keys.contains(key) {
-            out.reused = true;
-            return out;
-        }
-    }
 
     let n = cone.leaves.len();
     let path = net.name(cone.root).to_owned();
@@ -92,10 +74,6 @@ pub(crate) fn check_cone(
                  structure's flattening — the cone can glitch while holding 1"
             ),
         )),
-    }
-
-    if !out.findings.is_empty() {
-        out.key = None;
     }
     out
 }

@@ -13,7 +13,8 @@
 //! * **structure** — combinational cycles, multiply-driven and undriven
 //!   signals (`cycle.*`): the fundamental-mode assumption needs the block
 //!   to settle combinationally, with feedback closed only through the
-//!   declared state variables;
+//!   declared state variables; a binding outside the subject network
+//!   (`structure.signal-out-of-range`) stops the analysis there;
 //! * **cone boundaries** — every cone's input bursts must be covered by
 //!   upstream cones' verified-monotonic output transitions
 //!   (`boundary.containment`, `boundary.static1-escape`), decided by
@@ -43,7 +44,7 @@ mod structure;
 pub use asyncmap_report::{Finding, Severity};
 
 use asyncmap_burst::{expand, BurstSpec};
-use asyncmap_core::{par_indexed, CleanCones, MappedDesign};
+use asyncmap_core::{par_indexed, CleanCones, CoverKeys, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_report::{Report, Totals};
 use std::fmt::Write as _;
@@ -136,12 +137,12 @@ pub type FmaReport = Report<FmaCounters>;
 /// Reuse state for incremental (ECO) re-analysis.
 ///
 /// Keyed the same way the mapper's cover store and the lint cache are: a
-/// cone is skipped when its localized (shape, chosen cover) words — via
-/// [`asyncmap_core::cone_cover_words`] — already analyzed clean under the
-/// same library. Only the per-cone boundary results are cached; the
-/// whole-network phases (structure, spec conformance) always rerun, and
-/// only cones with *no* findings enter the cache. A cone whose key
-/// changed is decided afresh.
+/// cone is skipped when its localized (shape, chosen cover) words — its
+/// [`asyncmap_core::CoverKeys`] entry — already analyzed clean under the
+/// same library before this call. Only the per-cone boundary results are
+/// cached; the whole-network phases (structure, spec conformance) always
+/// rerun, and only cones with *no* findings enter the cache. A cone whose
+/// key changed is decided afresh.
 #[derive(Clone, Default)]
 pub struct FmaCache {
     clean: CleanCones,
@@ -155,7 +156,7 @@ impl FmaCache {
 
     /// Number of distinct clean (shape, cover) pairs remembered.
     pub fn entries(&self) -> usize {
-        self.clean.keys.len()
+        self.clean.len()
     }
 }
 
@@ -214,27 +215,37 @@ fn analyze_inner(
         return report;
     }
 
-    // Without a cache, a fresh one: it skips nothing and is dropped after.
-    let mut fresh = FmaCache::default();
-    let cache = cache.unwrap_or(&mut fresh);
-    cache.clean.bind(library);
+    // With a cache, key every cone in one arena and check only the cones
+    // not already known clean; without one, check every cone and key none.
+    let mut reuse = cache.map(|cache| {
+        cache.clean.bind(library);
+        (CoverKeys::new(design), &mut cache.clean)
+    });
+    let known_clean = |i: usize| {
+        reuse
+            .as_ref()
+            .is_some_and(|(keys, clean)| keys.get(i).is_some_and(|k| clean.contains(k)))
+    };
+    let todo: Vec<usize> = (0..design.cones.len())
+        .filter(|&i| !known_clean(i))
+        .collect();
+    report.counters.cones_reused = design.cones.len() - todo.len();
     // Per-cone checks on the shared worker pool, merged in partition order
     // so reports are identical across thread counts.
-    let outcomes = par_indexed(design.cones.len(), threads, |i| {
-        boundary::check_cone(design, library, &cache.clean, i)
+    let outcomes = par_indexed(todo.len(), threads, |k| {
+        boundary::check_cone(design, library, todo[k])
     });
-    for outcome in outcomes {
+    for (&i, outcome) in todo.iter().zip(outcomes) {
         report.counters.containment_exact += usize::from(outcome.exact);
-        report.counters.containment_wide += usize::from(!outcome.exact && !outcome.reused);
+        report.counters.containment_wide += usize::from(!outcome.exact);
         report.counters.containment_partial += usize::from(outcome.partial);
-        report.counters.cones_reused += usize::from(outcome.reused);
         let quiet = outcome.findings.is_empty();
         for (sev, code, path, msg) in outcome.findings {
             report.push(sev, code, path, msg);
         }
-        if quiet && !outcome.reused {
-            if let Some(key) = outcome.key {
-                cache.clean.keys.insert(key);
+        if let (true, Some((keys, clean))) = (quiet, reuse.as_mut()) {
+            if let Some(key) = keys.get(i) {
+                clean.insert(key);
             }
         }
     }
@@ -331,6 +342,29 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.code == "cycle.combinational"));
+    }
+
+    #[test]
+    fn out_of_range_binding_is_reported_not_panicked_on() {
+        let (mut design, lib) = figure3();
+        let beyond = asyncmap_network::SignalId(design.subject.len() + 5);
+        let cover = design
+            .covers
+            .iter_mut()
+            .find(|c| !c.instances.is_empty())
+            .unwrap();
+        cover.instances[0].inputs[0] = beyond;
+        let report = analyze_design(&design, &lib);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.code == "structure.signal-out-of-range" && f.severity == Severity::Error),
+            "{}",
+            report.render()
+        );
+        // The later phases never ran on the broken instance graph.
+        assert_eq!(report.counters.containment_exact, 0);
     }
 
     #[test]

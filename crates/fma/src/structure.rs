@@ -12,55 +12,69 @@
 //! graph and would diverge on a cyclic one.
 
 use crate::FmaReport;
-use asyncmap_core::MappedDesign;
-use asyncmap_network::SignalId;
+use asyncmap_core::{Instance, MappedDesign};
 use asyncmap_report::Severity;
-use std::collections::{HashMap, HashSet};
 
 /// Runs the structural checks, appending findings to `report`.
 ///
-/// Returns `true` if the instance graph is sound (no findings of the
-/// `cycle.*` family) — the gate every downstream analysis waits on.
+/// Returns `true` if the instance graph is sound (no error findings here)
+/// — the gate every downstream analysis waits on.
+///
+/// Every table is a plain vector indexed by signal or by flat instance
+/// number; a binding outside the subject network is reported first and
+/// stops the checks, so every later index is in range.
 pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> bool {
     let net = &design.subject;
     let before = report.num_errors();
 
-    // Flat instance list; (cover, instance) indices are stable.
-    let instances: Vec<(usize, usize)> = design
-        .covers
-        .iter()
-        .enumerate()
-        .flat_map(|(c, cover)| (0..cover.instances.len()).map(move |i| (c, i)))
-        .collect();
-    let inst = |g: usize| {
-        let (c, i) = instances[g];
-        &design.covers[c].instances[i]
-    };
+    // Flat instance list, in (cover, instance) order.
+    let instances: Vec<&Instance> = design.covers.iter().flat_map(|c| &c.instances).collect();
+
+    for inst in &instances {
+        for &sig in std::iter::once(&inst.output).chain(&inst.inputs) {
+            if sig.index() >= net.len() {
+                report.push(
+                    Severity::Error,
+                    "structure.signal-out-of-range",
+                    sig.to_string(),
+                    format!(
+                        "cell instance binds signal {sig} outside the {}-signal subject network",
+                        net.len()
+                    ),
+                );
+            }
+        }
+    }
+    if report.num_errors() != before {
+        return false;
+    }
 
     // Exactly one driver per signal.
-    let mut drivers: HashMap<SignalId, usize> = HashMap::new();
-    for g in 0..instances.len() {
-        let count = drivers.entry(inst(g).output).or_insert(0);
+    let mut drivers = vec![0u32; net.len()];
+    for inst in &instances {
+        let count = &mut drivers[inst.output.index()];
         *count += 1;
         if *count == 2 {
             report.push(
                 Severity::Error,
                 "cycle.multi-driver",
-                net.name(inst(g).output).to_owned(),
+                net.name(inst.output).to_owned(),
                 "signal is driven by more than one cell instance".to_owned(),
             );
         }
     }
 
     // Signals known before any instance settles: the primary inputs.
-    let mut known: HashSet<SignalId> = net.inputs().iter().copied().collect();
+    let mut known = vec![false; net.len()];
+    for s in net.inputs() {
+        known[s.index()] = true;
+    }
 
     // Inputs with no driver at all: report once, then treat as known so a
     // single missing wire does not cascade into a forest of findings.
-    let mut undriven: HashSet<SignalId> = HashSet::new();
-    for g in 0..instances.len() {
-        for &sig in &inst(g).inputs {
-            if !known.contains(&sig) && !drivers.contains_key(&sig) && undriven.insert(sig) {
+    for inst in &instances {
+        for &sig in &inst.inputs {
+            if !known[sig.index()] && drivers[sig.index()] == 0 {
                 report.push(
                     Severity::Error,
                     "cycle.undriven",
@@ -68,19 +82,33 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
                     "instance input has no driver (not a primary input, not any cell's output)"
                         .to_owned(),
                 );
-                known.insert(sig);
+                known[sig.index()] = true;
             }
         }
     }
 
-    // Kahn's algorithm over the instance graph.
-    let mut consumers: HashMap<SignalId, Vec<usize>> = HashMap::new();
-    let mut indeg: Vec<usize> = vec![0; instances.len()];
-    for (g, deg) in indeg.iter_mut().enumerate() {
-        for &sig in &inst(g).inputs {
-            if !known.contains(&sig) {
-                *deg += 1;
-                consumers.entry(sig).or_default().push(g);
+    // Kahn's algorithm over the instance graph; the consumers of signal
+    // `s` are `consumers[first[s]..first[s + 1]]` (compressed rows).
+    let mut indeg = vec![0u32; instances.len()];
+    let mut first = vec![0usize; net.len() + 1];
+    for (g, inst) in instances.iter().enumerate() {
+        for &sig in &inst.inputs {
+            if !known[sig.index()] {
+                indeg[g] += 1;
+                first[sig.index() + 1] += 1;
+            }
+        }
+    }
+    for s in 0..net.len() {
+        first[s + 1] += first[s];
+    }
+    let mut consumers = vec![0usize; first[net.len()]];
+    let mut fill = first.clone();
+    for (g, inst) in instances.iter().enumerate() {
+        for &sig in &inst.inputs {
+            if !known[sig.index()] {
+                consumers[fill[sig.index()]] = g;
+                fill[sig.index()] += 1;
             }
         }
     }
@@ -88,9 +116,9 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
     let mut settled = vec![false; instances.len()];
     while let Some(g) = ready.pop() {
         settled[g] = true;
-        let out = inst(g).output;
-        if known.insert(out) {
-            for &h in consumers.get(&out).map_or(&[][..], Vec::as_slice) {
+        let out = instances[g].output.index();
+        if !std::mem::replace(&mut known[out], true) {
+            for &h in &consumers[first[out]..first[out + 1]] {
                 indeg[h] -= 1;
                 if indeg[h] == 0 {
                     ready.push(h);
@@ -104,30 +132,36 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
     // unsettled instances no unsettled instance reads from.
     let unsettled: Vec<usize> = (0..instances.len()).filter(|&g| !settled[g]).collect();
     if !unsettled.is_empty() {
-        let mut on_cycle: HashSet<usize> = unsettled.iter().copied().collect();
+        let mut on_cycle = settled.iter().map(|&s| !s).collect::<Vec<bool>>();
+        let mut read = vec![false; net.len()];
         loop {
-            let read: HashSet<SignalId> = on_cycle
-                .iter()
-                .flat_map(|&g| inst(g).inputs.iter().copied())
+            let members = || unsettled.iter().copied().filter(|&g| on_cycle[g]);
+            for g in members() {
+                for &sig in &instances[g].inputs {
+                    read[sig.index()] = true;
+                }
+            }
+            let strip: Vec<usize> = members()
+                .filter(|&g| !read[instances[g].output.index()])
                 .collect();
-            let strip: Vec<usize> = on_cycle
-                .iter()
-                .copied()
-                .filter(|&g| !read.contains(&inst(g).output))
-                .collect();
+            for g in members() {
+                for &sig in &instances[g].inputs {
+                    read[sig.index()] = false;
+                }
+            }
             if strip.is_empty() {
                 break;
             }
             for g in strip {
-                on_cycle.remove(&g);
+                on_cycle[g] = false;
             }
         }
-        let loop_size = on_cycle.len();
-        for &g in &on_cycle {
+        let loop_size = unsettled.iter().filter(|&&g| on_cycle[g]).count();
+        for &g in unsettled.iter().filter(|&&g| on_cycle[g]) {
             report.push(
                 Severity::Error,
                 "cycle.combinational",
-                net.name(inst(g).output).to_owned(),
+                net.name(instances[g].output).to_owned(),
                 format!(
                     "cell instance sits on a combinational feedback loop of {loop_size} \
                      instance(s); feedback must close through a declared state variable, \
@@ -135,22 +169,20 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
                 ),
             );
         }
-        for &g in &unsettled {
-            if !on_cycle.contains(&g) {
-                report.push(
-                    Severity::Info,
-                    "cycle.combinational",
-                    net.name(inst(g).output).to_owned(),
-                    "instance never settles (downstream of a combinational cycle)".to_owned(),
-                );
-            }
+        for &g in unsettled.iter().filter(|&&g| !on_cycle[g]) {
+            report.push(
+                Severity::Info,
+                "cycle.combinational",
+                net.name(instances[g].output).to_owned(),
+                "instance never settles (downstream of a combinational cycle)".to_owned(),
+            );
         }
     }
 
     // Every primary output needs a driver (a cyclic driver is already
     // reported above).
     for (name, sig) in net.outputs() {
-        if !known.contains(sig) && !drivers.contains_key(sig) {
+        if !known[sig.index()] && drivers[sig.index()] == 0 {
             report.push(
                 Severity::Error,
                 "cycle.undriven",

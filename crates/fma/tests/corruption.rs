@@ -3,6 +3,8 @@
 //! introduced into a clean design (or its spec).
 //!
 //! * instance-graph cycles → `cycle.combinational`;
+//! * an instance copied into a second cover → `cycle.multi-driver`;
+//! * a dropped inner instance → `cycle.undriven`;
 //! * forged spec bursts (the design no longer implements an edge) →
 //!   `boundary.burst-mismatch`;
 //! * a glitch-capable cover substituted for a hazard-free one →
@@ -196,5 +198,49 @@ fn glitch_capable_cover_is_flagged() {
         !wave_eval(&subject, &from, &to).hazard,
         "{}",
         finding.message
+    );
+}
+
+/// A cell instance copied into a second cover drives its output twice.
+#[test]
+fn instance_in_two_covers_is_flagged_as_multi_driver() {
+    let (base, lib, _) = &*BASE;
+    let mut design = copy_design(base);
+    let copy = design.covers[0].instances[0].clone();
+    design.covers[1].instances.push(copy);
+    let report = analyze_design(&design, lib);
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.code == "cycle.multi-driver"),
+        "{}",
+        report.render()
+    );
+}
+
+/// Dropping an inner instance leaves the pin that read its output with
+/// no driver.
+#[test]
+fn dropped_inner_instance_is_flagged_as_undriven() {
+    let (base, lib, _) = &*BASE;
+    let mut design = copy_design(base);
+    let cover = design
+        .covers
+        .iter_mut()
+        .find(|c| c.instances.len() >= 2)
+        .expect("some cover uses two cells");
+    let root = cover.root;
+    let inner = cover
+        .instances
+        .iter()
+        .position(|i| i.output != root)
+        .unwrap();
+    cover.instances.remove(inner);
+    let report = analyze_design(&design, lib);
+    assert!(
+        report.findings.iter().any(|f| f.code == "cycle.undriven"),
+        "{}",
+        report.render()
     );
 }

@@ -59,7 +59,7 @@ mod structure;
 mod theorem32;
 
 use asyncmap_bff::Expr;
-use asyncmap_core::{cone_cover_words, CleanCones, ConeCover, Instance, MappedDesign};
+use asyncmap_core::{CleanCones, ConeCover, CoverKeys, Instance, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
 pub use asyncmap_report::{Finding, Severity};
@@ -276,7 +276,8 @@ pub(crate) fn substitute(bff: &Expr, args: &[Expr]) -> Expr {
 /// Composes the mapped cone's structure from its instances' cell BFFs,
 /// over the cone's local leaf variables (`cone.leaves[i]` = variable `i`).
 /// Returns `None` when some needed signal is neither a leaf nor an
-/// instance output (reported elsewhere as a structure finding).
+/// instance output, or when the bindings loop (both reported elsewhere
+/// as structure findings).
 pub(crate) fn composed_cover_expr(
     cone: &Cone,
     cover: &ConeCover,
@@ -290,8 +291,11 @@ pub(crate) fn composed_cover_expr(
         .collect();
     let by_output: HashMap<SignalId, &Instance> =
         cover.instances.iter().map(|i| (i.output, i)).collect();
+    // An acyclic chain of bindings passes each instance at most once, so
+    // `depth` left over after every instance means the bindings loop.
     fn go(
         s: SignalId,
+        depth: usize,
         leaf_var: &HashMap<SignalId, usize>,
         by_output: &HashMap<SignalId, &Instance>,
         library: &Library,
@@ -300,15 +304,22 @@ pub(crate) fn composed_cover_expr(
             return Some(Expr::Var(asyncmap_cube::VarId(v)));
         }
         let inst = by_output.get(&s)?;
+        let depth = depth.checked_sub(1)?;
         let cell = library.cells().get(inst.cell_index)?;
         let args: Vec<Expr> = inst
             .inputs
             .iter()
-            .map(|&i| go(i, leaf_var, by_output, library))
+            .map(|&i| go(i, depth, leaf_var, by_output, library))
             .collect::<Option<_>>()?;
         Some(substitute(cell.bff(), &args))
     }
-    go(cover.root, &leaf_var, &by_output, library)
+    go(
+        cover.root,
+        cover.instances.len(),
+        &leaf_var,
+        &by_output,
+        library,
+    )
 }
 
 /// Truth-table equality of two expressions over an `n`-variable space,
@@ -342,7 +353,7 @@ pub(crate) fn truth_equal(a: &Expr, b: &Expr, n: usize) -> bool {
 /// The cache also memoizes the per-cell hazardousness recomputation,
 /// which is library-wide and design-independent. Pointing one cache at a
 /// differently named library clears it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct LintCache {
     /// (Shape, local cover) pairs that linted clean, and their library.
     clean: CleanCones,
@@ -358,7 +369,7 @@ impl LintCache {
 
     /// Number of distinct clean (shape, local cover) pairs remembered.
     pub fn entries(&self) -> usize {
-        self.clean.keys.len()
+        self.clean.len()
     }
 }
 
@@ -416,12 +427,11 @@ fn lint_inner(
 
     // Per-cone walks: build the instance views once, then feed them to the
     // coverage, function and Theorem 3.2 checks.
+    let keys = cache.as_ref().map(|_| CoverKeys::new(design));
     for (idx, (cone, cover)) in design.cones.iter().zip(&design.covers).enumerate() {
-        let key = cache
-            .as_ref()
-            .map(|_| cone_cover_words(&design.subject, cone, cover));
-        if let (Some(c), Some(Some(key))) = (cache.as_deref_mut(), key.as_ref()) {
-            if c.clean.keys.contains(key) {
+        let key = keys.as_ref().and_then(|k| k.get(idx));
+        if let (Some(c), Some(key)) = (cache.as_deref(), key) {
+            if c.clean.contains(key) {
                 report.counters.cones_reused += 1;
                 continue;
             }
@@ -448,8 +458,8 @@ fn lint_inner(
         // info note must re-produce it on every pass, so a warm cache
         // yields the same report a cold one would.
         if report.findings.len() == findings_before && report.notes.len() == notes_before {
-            if let (Some(c), Some(Some(key))) = (cache.as_deref_mut(), key) {
-                c.clean.keys.insert(key);
+            if let (Some(c), Some(key)) = (cache.as_deref_mut(), key) {
+                c.clean.insert(key);
             }
         }
     }

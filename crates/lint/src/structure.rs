@@ -6,7 +6,7 @@ use crate::{path_of, InstanceView, LintReport, Severity};
 use asyncmap_core::{ConeCover, MappedDesign};
 use asyncmap_library::Library;
 use asyncmap_network::{partition_roots, Cone, NodeKind, SignalId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 const AREA_TOL: f64 = 1e-6;
 
@@ -28,11 +28,25 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
         return;
     }
 
+    // Every table below is indexed by signal and spans every signal the
+    // cones name, so an out-of-range cone signal reads as "not a root,
+    // not an input, unowned" instead of indexing past the end.
+    let span = design
+        .cones
+        .iter()
+        .flat_map(|c| std::iter::once(&c.root).chain(&c.leaves).chain(&c.gates))
+        .map(|s| s.index() + 1)
+        .fold(net.len(), usize::max);
+
     // Partition boundary: cover roots must be exactly the legal cut points
     // re-derived from the subject network — primary outputs and
     // multi-fanout gates, nothing else (paper §3.1.2).
-    let expected: HashSet<SignalId> = partition_roots(net).into_iter().collect();
-    let mut seen_roots: HashSet<SignalId> = HashSet::new();
+    let roots = partition_roots(net);
+    let mut expected = vec![false; span];
+    for r in &roots {
+        expected[r.index()] = true;
+    }
+    let mut seen_root = vec![false; span];
     for (cone, cover) in design.cones.iter().zip(&design.covers) {
         if cone.root != cover.root {
             report.push(
@@ -46,7 +60,7 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
                 ),
             );
         }
-        if !seen_roots.insert(cone.root) {
+        if std::mem::replace(&mut seen_root[cone.root.index()], true) {
             report.push(
                 Severity::Error,
                 "partition.duplicate-root",
@@ -54,7 +68,7 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
                 "two cones share this root signal".to_owned(),
             );
         }
-        if !expected.contains(&cone.root) {
+        if !expected[cone.root.index()] {
             report.push(
                 Severity::Error,
                 "partition.illegal-boundary",
@@ -66,7 +80,7 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
             );
         }
     }
-    for &missing in expected.difference(&seen_roots) {
+    for &missing in roots.iter().filter(|r| !seen_root[r.index()]) {
         report.push(
             Severity::Error,
             "partition.missing-root",
@@ -77,11 +91,15 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
 
     // Cone leaves must be primary inputs or other cones' roots, and the
     // cones' gate sets must partition the network's gates.
-    let inputs: HashSet<SignalId> = net.inputs().iter().copied().collect();
-    let mut gate_owner: HashMap<SignalId, usize> = HashMap::new();
+    let mut is_input = vec![false; span];
+    for s in net.inputs() {
+        is_input[s.index()] = true;
+    }
+    const UNOWNED: usize = usize::MAX;
+    let mut gate_owner = vec![UNOWNED; span];
     for (idx, cone) in design.cones.iter().enumerate() {
         for &leaf in &cone.leaves {
-            if !inputs.contains(&leaf) && !expected.contains(&leaf) {
+            if !is_input[leaf.index()] && !expected[leaf.index()] {
                 report.push(
                     Severity::Error,
                     "partition.illegal-leaf",
@@ -94,8 +112,9 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
             }
         }
         for &g in &cone.gates {
-            if let Some(&other) = gate_owner.get(&g) {
-                report.push(
+            match gate_owner[g.index()] {
+                UNOWNED => gate_owner[g.index()] = idx,
+                other => report.push(
                     Severity::Error,
                     "partition.gate-in-two-cones",
                     path_of(net, cone, None),
@@ -104,18 +123,16 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
                         net.name(g),
                         net.name(design.cones[other].root)
                     ),
-                );
-            } else {
-                gate_owner.insert(g, idx);
+                ),
             }
         }
     }
-    let mut orphans = 0usize;
-    for s in net.signals() {
-        if matches!(net.node(s), NodeKind::Gate { .. }) && !gate_owner.contains_key(&s) {
-            orphans += 1;
-        }
-    }
+    let orphans = net
+        .signals()
+        .filter(|&s| {
+            matches!(net.node(s), NodeKind::Gate { .. }) && gate_owner[s.index()] == UNOWNED
+        })
+        .count();
     if orphans > 0 {
         report.push(
             Severity::Error,
@@ -125,23 +142,27 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
         );
     }
 
-    check_netlist_graph(design, report);
+    check_netlist_graph(design, &is_input, report);
     check_total_area(design, library, report);
 }
 
 /// Acyclicity and drivenness of the mapped netlist: every signal a binding
 /// consumes must be a primary input or some instance's output, and the
-/// instance dependency graph must be a DAG.
-fn check_netlist_graph(design: &MappedDesign, report: &mut LintReport) {
+/// instance dependency graph must be a DAG. `is_input` marks the primary
+/// inputs and spans at least the subject network.
+fn check_netlist_graph(design: &MappedDesign, is_input: &[bool], report: &mut LintReport) {
     let net = &design.subject;
     let in_range = |s: SignalId| s.index() < net.len();
-    let mut driver: HashMap<SignalId, (usize, usize)> = HashMap::new();
+    // Per signal, the (cover, instance) that drives it last.
+    const UNDRIVEN: (u32, u32) = (u32::MAX, u32::MAX);
+    let mut driver = vec![UNDRIVEN; net.len()];
     for (ci, cover) in design.covers.iter().enumerate() {
         for (ii, inst) in cover.instances.iter().enumerate() {
             if !in_range(inst.output) {
                 continue; // reported by the per-cover well-formedness pass
             }
-            if driver.insert(inst.output, (ci, ii)).is_some() {
+            let slot = &mut driver[inst.output.index()];
+            if std::mem::replace(slot, (ci as u32, ii as u32)) != UNDRIVEN {
                 report.push(
                     Severity::Error,
                     "structure.multiply-driven",
@@ -152,14 +173,13 @@ fn check_netlist_graph(design: &MappedDesign, report: &mut LintReport) {
         }
     }
 
-    let inputs: HashSet<SignalId> = net.inputs().iter().copied().collect();
     // Tri-color DFS over signals through instance bindings, from every
     // primary output.
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
     let mut color = vec![WHITE; net.len()];
-    let mut undriven_reported: HashSet<SignalId> = HashSet::new();
+    let mut undriven_reported = vec![false; net.len()];
     for (oname, oroot) in net.outputs() {
         let mut stack: Vec<(SignalId, bool)> = vec![(*oroot, false)];
         while let Some((s, leaving)) = stack.pop() {
@@ -185,12 +205,13 @@ fn check_netlist_graph(design: &MappedDesign, report: &mut LintReport) {
                 }
                 _ => {}
             }
-            if inputs.contains(&s) {
+            if is_input[s.index()] {
                 color[s.index()] = BLACK;
                 continue;
             }
-            let Some(&(ci, ii)) = driver.get(&s) else {
-                if undriven_reported.insert(s) {
+            let (ci, ii) = driver[s.index()];
+            if (ci, ii) == UNDRIVEN {
+                if !std::mem::replace(&mut undriven_reported[s.index()], true) {
                     report.push(
                         Severity::Error,
                         "structure.undriven",
@@ -200,10 +221,10 @@ fn check_netlist_graph(design: &MappedDesign, report: &mut LintReport) {
                 }
                 color[s.index()] = BLACK;
                 continue;
-            };
+            }
             color[s.index()] = GRAY;
             stack.push((s, true));
-            for &f in &design.covers[ci].instances[ii].inputs {
+            for &f in &design.covers[ci as usize].instances[ii as usize].inputs {
                 stack.push((f, false));
             }
         }

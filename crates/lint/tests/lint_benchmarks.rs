@@ -603,3 +603,138 @@ fn warm_cache_does_not_mask_a_corrupted_cover() {
     // Every other cone is still eligible for reuse.
     assert!(warm.counters.cones_reused > 0);
 }
+
+/// Lints a corrupted copy of dme on Actel (`corrupt` edits the copy) and
+/// asserts that `code` is among the findings.
+fn assert_corruption_flags(code: &str, corrupt: impl FnOnce(&mut MappedDesign)) {
+    let (mut design, lib) = mapped_bench(3);
+    assert!(lint_mapped_design(&design, &lib).is_clean());
+    corrupt(&mut design);
+    let report = lint_mapped_design(&design, &lib);
+    assert!(
+        report.findings.iter().any(|f| f.code == code),
+        "expected a {code} finding, got: {}",
+        report.render()
+    );
+}
+
+/// Index of a cone with at least two gates, and one of its non-root gates.
+fn inner_gate(design: &MappedDesign) -> (usize, SignalId) {
+    let ci = design
+        .cones
+        .iter()
+        .position(|c| c.gates.len() >= 2)
+        .expect("some cone has an inner gate");
+    let cone = &design.cones[ci];
+    let g = *cone.gates.iter().find(|&&g| g != cone.root).unwrap();
+    (ci, g)
+}
+
+#[test]
+fn duplicated_cone_is_flagged_as_duplicate_root() {
+    assert_corruption_flags("partition.duplicate-root", |d| {
+        d.cones.push(d.cones[0].clone());
+        d.covers.push(d.covers[0].clone());
+    });
+}
+
+#[test]
+fn dropped_cone_is_flagged_as_missing_root() {
+    assert_corruption_flags("partition.missing-root", |d| {
+        d.cones.pop();
+        d.covers.pop();
+    });
+}
+
+#[test]
+fn inner_gate_as_leaf_is_flagged_as_illegal_leaf() {
+    assert_corruption_flags("partition.illegal-leaf", |d| {
+        let (ci, g) = inner_gate(d);
+        let other = (ci + 1) % d.cones.len();
+        d.cones[other].leaves.push(g);
+    });
+}
+
+#[test]
+fn shared_gate_is_flagged_as_gate_in_two_cones() {
+    assert_corruption_flags("partition.gate-in-two-cones", |d| {
+        let (ci, g) = inner_gate(d);
+        let other = (ci + 1) % d.cones.len();
+        d.cones[other].gates.insert(0, g);
+    });
+}
+
+#[test]
+fn gate_dropped_from_its_cone_is_flagged_as_unassigned() {
+    assert_corruption_flags("partition.gates-unassigned", |d| {
+        let (ci, g) = inner_gate(d);
+        d.cones[ci].gates.retain(|&s| s != g);
+    });
+}
+
+#[test]
+fn cone_rooted_inside_a_tree_is_flagged_as_illegal_boundary() {
+    assert_corruption_flags("partition.illegal-boundary", |d| {
+        let (ci, g) = inner_gate(d);
+        d.cones[ci].root = g;
+        d.covers[ci].root = g;
+    });
+}
+
+#[test]
+fn cover_with_a_foreign_root_is_flagged_as_root_mismatch() {
+    assert_corruption_flags("structure.root-mismatch", |d| {
+        d.covers[0].root = d.cones[1].root;
+    });
+}
+
+#[test]
+fn instance_in_two_covers_is_flagged_as_multiply_driven() {
+    assert_corruption_flags("structure.multiply-driven", |d| {
+        let copy = d.covers[0].instances[0].clone();
+        d.covers[1].instances.push(copy);
+    });
+}
+
+#[test]
+fn pin_wired_to_a_consumer_cone_is_flagged_as_cycle() {
+    assert_corruption_flags("structure.cycle", |d| {
+        // A cone reading another cone's root; wiring the upstream root
+        // instance to the consumer's root closes a loop across the two.
+        let (consumer, producer) = d
+            .cones
+            .iter()
+            .enumerate()
+            .find_map(|(c, cone)| {
+                let p = d.cones.iter().position(|p| cone.leaves.contains(&p.root))?;
+                Some((c, p))
+            })
+            .expect("some cone reads another cone's root");
+        let consumer_root = d.cones[consumer].root;
+        let cover = &mut d.covers[producer];
+        let root = cover.root;
+        let inst = cover
+            .instances
+            .iter_mut()
+            .find(|i| i.output == root)
+            .expect("root instance");
+        inst.inputs[0] = consumer_root;
+    });
+}
+
+/// A pin wired to its own cover's root makes the binding graph cyclic
+/// inside one cone; the per-cone composition must stop on it rather than
+/// recurse forever.
+#[test]
+fn pin_wired_to_its_own_root_is_flagged_as_cycle() {
+    assert_corruption_flags("structure.cycle", |d| {
+        let cover = &mut d.covers[0];
+        let root = cover.root;
+        let inst = cover
+            .instances
+            .iter_mut()
+            .find(|i| i.output == root)
+            .expect("root instance");
+        inst.inputs[0] = root;
+    });
+}

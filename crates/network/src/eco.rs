@@ -5,9 +5,9 @@
 //! tree of its gates with leaves treated as opaque variables — together
 //! with the library, limits and objective (all fixed per mapping session).
 //! Which network signals happen to carry the leaves, and what logic sits
-//! upstream, never enter the covering DP. [`cone_shape_key`] canonicalizes
-//! that local shape into an exact (collision-free) key: two cones with
-//! equal keys are isomorphic under the positional correspondence
+//! upstream, never enter the covering DP. [`ShapeKeyScratch::append_key`]
+//! canonicalizes that local shape into an exact (collision-free) key: two
+//! cones with equal keys are isomorphic under the positional correspondence
 //! `gates[i] ↔ gates[i]`, `leaves[j] ↔ leaves[j]`, so a cover computed for
 //! one translates verbatim to the other.
 //!
@@ -20,8 +20,8 @@
 
 use crate::{Cone, GateOp, Network, NodeKind, SignalId};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Canonical encoding of a cone's local structure. Exact, not a hash:
 /// key equality *is* cone-shape isomorphism, so a reuse decision keyed on
@@ -44,12 +44,6 @@ impl ConeShapeKey {
     /// The raw encoded words.
     pub fn as_slice(&self) -> &[u32] {
         &self.0
-    }
-
-    /// Consumes the key, returning the encoded words (for callers that
-    /// extend the encoding, e.g. a cover-keyed lint cache).
-    pub fn into_inner(self) -> Vec<u32> {
-        self.0
     }
 }
 
@@ -77,101 +71,28 @@ fn op_tag(op: GateOp) -> u32 {
     }
 }
 
-/// Positional maps of one cone: signal → leaf position / gate position.
-/// Built once per cone and shared by shape-key computation and cover
-/// localization (both here and in downstream crates' reuse caches).
-#[derive(Debug)]
-pub struct ConeLocalMap {
-    leaf_pos: HashMap<SignalId, u32>,
-    gate_pos: HashMap<SignalId, u32>,
-}
-
-impl ConeLocalMap {
-    /// Builds the positional maps of `cone`.
-    pub fn new(cone: &Cone) -> Self {
-        ConeLocalMap {
-            leaf_pos: cone
-                .leaves
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| (s, i as u32))
-                .collect(),
-            gate_pos: cone
-                .gates
-                .iter()
-                .enumerate()
-                .map(|(j, &s)| (s, j as u32))
-                .collect(),
-        }
-    }
-
-    /// Local reference of `signal`: leaf position `i` encodes as `i << 1`,
-    /// gate position `j` as `(j << 1) | 1`. `None` when the signal is
-    /// neither a leaf nor a gate of the cone.
-    pub fn local_ref(&self, signal: SignalId) -> Option<u32> {
-        if let Some(&i) = self.leaf_pos.get(&signal) {
-            return Some(i << 1);
-        }
-        self.gate_pos.get(&signal).map(|&j| (j << 1) | 1)
-    }
-
-    /// Gate position of `signal` within the cone, if it is a cone gate.
-    pub fn gate_pos(&self, signal: SignalId) -> Option<u32> {
-        self.gate_pos.get(&signal).copied()
-    }
-
-    /// Decodes a local reference back to a signal of `cone`.
+impl Cone {
+    /// Decodes a local reference (see [`ConeShapeKey`]) back to a signal
+    /// of this cone.
     ///
     /// # Panics
     ///
     /// Panics if the reference is out of range for the cone.
-    pub fn resolve(cone: &Cone, local: u32) -> SignalId {
+    pub fn resolve_local(&self, local: u32) -> SignalId {
         let idx = (local >> 1) as usize;
         if local & 1 == 1 {
-            cone.gates[idx]
+            self.gates[idx]
         } else {
-            cone.leaves[idx]
+            self.leaves[idx]
         }
     }
-}
-
-/// Computes the canonical shape key of `cone` (see [`ConeShapeKey`]).
-pub fn cone_shape_key(net: &Network, cone: &Cone) -> ConeShapeKey {
-    cone_shape_key_with(net, cone, &ConeLocalMap::new(cone))
-}
-
-/// [`cone_shape_key`] with a caller-built [`ConeLocalMap`] (so one map
-/// serves both the key and a cover localization pass).
-pub fn cone_shape_key_with(net: &Network, cone: &Cone, map: &ConeLocalMap) -> ConeShapeKey {
-    let mut key = Vec::with_capacity(2 + cone.gates.len() * 3);
-    key.push(cone.leaves.len() as u32);
-    key.push(cone.gates.len() as u32);
-    for &g in &cone.gates {
-        let NodeKind::Gate { op, fanin } = net.node(g) else {
-            unreachable!("cone gate {g} is not a gate node");
-        };
-        key.push(op_tag(*op));
-        for &f in fanin {
-            key.push(
-                map.local_ref(f)
-                    .unwrap_or_else(|| panic!("fanin {f} escapes the cone")),
-            );
-        }
-    }
-    // The root is always the cone's last gate in ascending-signal order
-    // (every other gate feeds it transitively and the network is
-    // topologically ordered), so it needs no explicit word; debug-check
-    // the invariant the decoder relies on.
-    debug_assert_eq!(cone.gates.last(), Some(&cone.root));
-    ConeShapeKey(key)
 }
 
 /// Reusable scratch for shape-keying every cone of a partition without
 /// per-cone allocation: local references resolve through two epoch-stamped
 /// signal-indexed vectors instead of per-cone hash maps, and key words
-/// append to a caller-owned arena. On a 50k-gate partition this is the
-/// difference between ~5k transient `HashMap`s and none — it is what keeps
-/// the ECO dirty-mark phase inside the incremental time budget.
+/// append to a caller-owned arena. One scratch serves every cone of a
+/// design; binding the next cone costs its own size, not the network's.
 #[derive(Debug, Default)]
 pub struct ShapeKeyScratch {
     local: Vec<u32>,
@@ -185,37 +106,74 @@ impl ShapeKeyScratch {
         Self::default()
     }
 
-    /// Appends the shape-key words of `cone` to `out` and returns the
-    /// appended range. The words are identical to
-    /// [`cone_shape_key`]`(net, cone).as_slice()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a gate's fanin escapes the cone (not a leaf or gate of it).
-    pub fn append_key(
-        &mut self,
-        net: &Network,
-        cone: &Cone,
-        out: &mut Vec<u32>,
-    ) -> std::ops::Range<usize> {
-        debug_assert_eq!(cone.gates.last(), Some(&cone.root));
-        if self.local.len() < net.len() {
-            self.local.resize(net.len(), 0);
-            self.stamp.resize(net.len(), 0);
-        }
+    fn next_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.fill(0);
             self.epoch = 1;
         }
-        let epoch = self.epoch;
-        for (i, &s) in cone.leaves.iter().enumerate() {
-            self.local[s.index()] = (i as u32) << 1;
+        self.epoch
+    }
+
+    /// Binds the scratch to `cone`, so that [`ShapeKeyScratch::local_ref`]
+    /// resolves its leaves and gates. Returns `false`, leaving nothing
+    /// bound, when a cone signal lies outside `net` or occurs twice among
+    /// the cone's leaves and gates: such a cone has no positional
+    /// encoding.
+    pub fn bind(&mut self, net: &Network, cone: &Cone) -> bool {
+        if self.local.len() < net.len() {
+            self.local.resize(net.len(), 0);
+            self.stamp.resize(net.len(), 0);
+        }
+        let epoch = self.next_epoch();
+        let leaves = cone
+            .leaves
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (s, (i as u32) << 1));
+        let gates = cone
+            .gates
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| (s, ((j as u32) << 1) | 1));
+        for (s, local) in leaves.chain(gates) {
+            if s.index() >= net.len() || self.stamp[s.index()] == epoch {
+                self.next_epoch();
+                return false;
+            }
+            self.local[s.index()] = local;
             self.stamp[s.index()] = epoch;
         }
-        for (j, &s) in cone.gates.iter().enumerate() {
-            self.local[s.index()] = ((j as u32) << 1) | 1;
-            self.stamp[s.index()] = epoch;
+        true
+    }
+
+    /// Local reference of `signal` in the bound cone: leaf position `i`
+    /// encodes as `i << 1`, gate position `j` as `(j << 1) | 1`. `None`
+    /// when the signal is neither a leaf nor a gate of the cone (signals
+    /// outside the network included).
+    pub fn local_ref(&self, signal: SignalId) -> Option<u32> {
+        (self.stamp.get(signal.index()) == Some(&self.epoch)).then(|| self.local[signal.index()])
+    }
+
+    /// Binds the scratch to `cone` (see [`ShapeKeyScratch::bind`]),
+    /// appends the cone's shape-key words (see [`ConeShapeKey`]) to `out`
+    /// and returns the appended range. The cone stays bound, so callers
+    /// can extend the key with further local references.
+    ///
+    /// The root needs no word of its own: it is always the cone's last
+    /// gate in ascending-signal order (every other gate feeds it
+    /// transitively and the network is topologically ordered). Returns
+    /// `None`, with `out` unchanged, when the root is not the last gate,
+    /// the cone cannot be bound, a cone gate is not a gate node, or a
+    /// gate's fanin escapes the cone.
+    pub fn append_key(
+        &mut self,
+        net: &Network,
+        cone: &Cone,
+        out: &mut Vec<u32>,
+    ) -> Option<Range<usize>> {
+        if cone.gates.last() != Some(&cone.root) || !self.bind(net, cone) {
+            return None;
         }
         let start = out.len();
         out.reserve(2 + cone.gates.len() * 3);
@@ -223,15 +181,19 @@ impl ShapeKeyScratch {
         out.push(cone.gates.len() as u32);
         for &g in &cone.gates {
             let NodeKind::Gate { op, fanin } = net.node(g) else {
-                unreachable!("cone gate {g} is not a gate node");
+                out.truncate(start);
+                return None;
             };
             out.push(op_tag(*op));
             for &f in fanin {
-                assert_eq!(self.stamp[f.index()], epoch, "fanin {f} escapes the cone");
-                out.push(self.local[f.index()]);
+                let Some(local) = self.local_ref(f) else {
+                    out.truncate(start);
+                    return None;
+                };
+                out.push(local);
             }
         }
-        start..out.len()
+        Some(start..out.len())
     }
 }
 
@@ -315,6 +277,33 @@ mod tests {
     use crate::{async_tech_decomp, partition, EquationSet};
     use asyncmap_cube::{Cover, VarTable};
 
+    /// One cone's key on a fresh scratch.
+    fn cone_shape_key(net: &Network, cone: &Cone) -> ConeShapeKey {
+        let mut words = Vec::new();
+        ShapeKeyScratch::new()
+            .append_key(net, cone, &mut words)
+            .expect("partition cones are keyable");
+        ConeShapeKey::from_words(words)
+    }
+
+    /// The documented encoding, position by linear search: the oracle the
+    /// scratch keyer is checked against.
+    fn reference_words(net: &Network, cone: &Cone) -> Vec<u32> {
+        let local = |s: SignalId| match cone.leaves.iter().position(|&l| l == s) {
+            Some(i) => (i as u32) << 1,
+            None => ((cone.gates.iter().position(|&g| g == s).unwrap() as u32) << 1) | 1,
+        };
+        let mut words = vec![cone.leaves.len() as u32, cone.gates.len() as u32];
+        for &g in &cone.gates {
+            let NodeKind::Gate { op, fanin } = net.node(g) else {
+                panic!("cone gate {g} is not a gate node");
+            };
+            words.push(op_tag(*op));
+            words.extend(fanin.iter().map(|&f| local(f)));
+        }
+        words
+    }
+
     fn eqs_of(pairs: &[(&str, &str)], names: &[&str]) -> EquationSet {
         let vars = VarTable::from_names(names.iter().copied());
         let equations = pairs
@@ -371,17 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn local_map_round_trips() {
+    fn local_refs_round_trip() {
         let eqs = eqs_of(&[("f", "ab + a'c + bc")], &["a", "b", "c"]);
         let net = async_tech_decomp(&eqs);
         let cones = partition(&net);
         let cone = &cones[0];
-        let map = ConeLocalMap::new(cone);
+        let mut scratch = ShapeKeyScratch::new();
+        assert!(scratch.bind(&net, cone));
         for &s in cone.leaves.iter().chain(&cone.gates) {
-            let local = map.local_ref(s).unwrap();
-            assert_eq!(ConeLocalMap::resolve(cone, local), s);
+            let local = scratch.local_ref(s).unwrap();
+            assert_eq!(cone.resolve_local(local), s);
         }
-        assert_eq!(map.local_ref(SignalId(usize::MAX - 1)), None);
+        assert_eq!(scratch.local_ref(SignalId(usize::MAX - 1)), None);
     }
 
     #[test]
@@ -420,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_matches_allocating_keyer() {
+    fn shared_scratch_matches_the_reference_encoding() {
         let eqs = eqs_of(
             &[("f", "ab + a'c + bc"), ("g", "a'd + bc'd")],
             &["a", "b", "c", "d"],
@@ -430,15 +420,39 @@ mod tests {
         let mut scratch = ShapeKeyScratch::new();
         let mut arena = Vec::new();
         for cone in &cones {
-            let range = scratch.append_key(&net, cone, &mut arena);
-            let key = cone_shape_key(&net, cone);
-            assert_eq!(&arena[range], key.as_slice());
+            let range = scratch.append_key(&net, cone, &mut arena).unwrap();
+            assert_eq!(arena[range], reference_words(&net, cone)[..]);
             // Slice probing must agree with key equality (Borrow contract).
-            use std::collections::HashMap;
-            let mut m = HashMap::new();
+            let key = cone_shape_key(&net, cone);
+            let mut m = std::collections::HashMap::new();
             m.insert(key.clone(), 1u8);
             assert_eq!(m.get(key.as_slice()), Some(&1));
         }
+    }
+
+    #[test]
+    fn malformed_cones_have_no_key() {
+        let eqs = eqs_of(&[("f", "ab + a'c + bc")], &["a", "b", "c"]);
+        let net = async_tech_decomp(&eqs);
+        let cone = partition(&net).remove(0);
+        let mut scratch = ShapeKeyScratch::new();
+        let mut arena = vec![7];
+        let mut escaping = cone.clone();
+        escaping.leaves.pop();
+        let mut repeated = cone.clone();
+        repeated.leaves.push(cone.gates[0]);
+        let mut outside = cone.clone();
+        outside.leaves.push(SignalId(net.len() + 5));
+        let mut inner_root = cone.clone();
+        inner_root.root = cone.gates[0];
+        for bad in [&escaping, &repeated, &outside, &inner_root] {
+            assert_eq!(scratch.append_key(&net, bad, &mut arena), None);
+            assert_eq!(arena, [7], "a refused key leaves the arena as it was");
+        }
+        // A refused bind leaves nothing resolvable behind.
+        assert!(!scratch.bind(&net, &repeated));
+        assert_eq!(scratch.local_ref(cone.root), None);
+        assert!(scratch.append_key(&net, &cone, &mut arena).is_some());
     }
 
     #[test]

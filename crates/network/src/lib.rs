@@ -46,10 +46,7 @@ pub use decomp::{
     async_tech_decomp, async_tech_decomp_traced, decompose_equation, decompose_expr,
     decompose_expr_demorgan, sync_tech_decomp, EquationSet,
 };
-pub use eco::{
-    build_partition_dag, cone_shape_key, cone_shape_key_with, propagate_dirty, ConeLocalMap,
-    ConeShapeKey, PartitionDag, ShapeKeyScratch,
-};
+pub use eco::{build_partition_dag, propagate_dirty, ConeShapeKey, PartitionDag, ShapeKeyScratch};
 pub use network::{Fanin, GateOp, Network, NodeKind, SignalId};
 pub use partition::{
     cone_at, is_partition_boundary, partition, partition_roots, partition_traced, Cone,

@@ -7,7 +7,7 @@ use crate::certificate::{CutCertificate, PartitionTrace};
 use crate::{Network, NodeKind, SignalId};
 use asyncmap_bff::Expr;
 use asyncmap_cube::{VarId, VarTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A single-output cone of logic: the tree of gates feeding `root`, cut at
 /// primary inputs and multi-fanout signals.
@@ -34,23 +34,18 @@ pub struct Cone {
 /// without going through [`partition`] itself.
 pub fn partition_roots(net: &Network) -> Vec<SignalId> {
     let fanout = net.fanout_counts();
-    let mut output_signals: HashSet<SignalId> = HashSet::new();
+    let mut is_output = vec![false; net.len()];
     for (_, s) in net.outputs() {
-        output_signals.insert(*s);
+        is_output[s.index()] = true;
     }
     // Cone roots: every output signal, plus every gate feeding ≥2 gates,
     // plus every gate that both feeds a gate and is an output.
-    let mut roots: Vec<SignalId> = Vec::new();
-    for s in net.signals() {
-        if matches!(net.node(s), NodeKind::Input) {
-            continue;
-        }
-        let is_output = output_signals.contains(&s);
-        if is_output || fanout[s.index()] >= 2 {
-            roots.push(s);
-        }
-    }
-    roots
+    net.signals()
+        .filter(|&s| {
+            !matches!(net.node(s), NodeKind::Input)
+                && (is_output[s.index()] || fanout[s.index()] >= 2)
+        })
+        .collect()
 }
 
 /// `true` iff `signal` is a legal partition boundary point of `net`: a
@@ -66,12 +61,7 @@ pub fn is_partition_boundary(net: &Network, signal: SignalId) -> bool {
 /// Splits the network into cones rooted at primary outputs and at internal
 /// multi-fanout gates. Every gate belongs to exactly one cone.
 pub fn partition(net: &Network) -> Vec<Cone> {
-    let roots = partition_roots(net);
-    let root_set: HashSet<SignalId> = roots.iter().copied().collect();
-    roots
-        .iter()
-        .map(|&root| cone_at(net, root, &root_set))
-        .collect()
+    cones_at(net, &partition_roots(net))
 }
 
 /// [`partition`], additionally emitting one [`CutCertificate`] per cone
@@ -103,61 +93,80 @@ pub fn partition_traced(net: &Network) -> (Vec<Cone>, PartitionTrace) {
                 .collect(),
         })
         .collect();
-    let root_set: HashSet<SignalId> = roots.iter().copied().collect();
-    let cones = roots
-        .iter()
-        .map(|&root| cone_at(net, root, &root_set))
-        .collect();
-    (cones, PartitionTrace { cuts })
+    (cones_at(net, &roots), PartitionTrace { cuts })
 }
 
-/// The cone [`partition`] builds at `root` when `root_set` is its cut set:
-/// the gates reached from `root` without passing a primary input or
-/// another member of `root_set`, which become its leaves. Exposed so
-/// that a checker auditing one equation of a larger design can cut its
-/// cone where the whole design's partition would.
-pub fn cone_at(net: &Network, root: SignalId, root_set: &HashSet<SignalId>) -> Cone {
-    let mut leaves = Vec::new();
-    let mut seen_leaves = HashSet::new();
-    let mut gates = Vec::new();
-    collect(
-        net,
-        root,
-        root,
-        root_set,
-        &mut leaves,
-        &mut seen_leaves,
-        &mut gates,
-    );
-    gates.sort();
-    Cone {
-        root,
-        leaves,
-        gates,
+/// The cone [`partition`] builds at `root` when `is_root` (indexed by
+/// signal; signals past its end count as `false`) marks its cut set: the
+/// gates reached from `root` without passing a primary input or another
+/// marked signal, which become its leaves. Exposed so that a checker
+/// auditing one equation of a larger design can cut its cone where the
+/// whole design's partition would.
+pub fn cone_at(net: &Network, root: SignalId, is_root: &[bool]) -> Cone {
+    ConeWalk::new(net, is_root).cone(root)
+}
+
+/// The cones at `roots`, cut at every one of them.
+fn cones_at(net: &Network, roots: &[SignalId]) -> Vec<Cone> {
+    let mut is_root = vec![false; net.len()];
+    for r in roots {
+        is_root[r.index()] = true;
     }
+    let mut walk = ConeWalk::new(net, &is_root);
+    roots.iter().map(|&root| walk.cone(root)).collect()
 }
 
-fn collect(
-    net: &Network,
-    signal: SignalId,
-    root: SignalId,
-    root_set: &HashSet<SignalId>,
-    leaves: &mut Vec<SignalId>,
-    seen_leaves: &mut HashSet<SignalId>,
-    gates: &mut Vec<SignalId>,
-) {
-    let is_leaf = matches!(net.node(signal), NodeKind::Input)
-        || (signal != root && root_set.contains(&signal));
-    if is_leaf {
-        if seen_leaves.insert(signal) {
-            leaves.push(signal);
+/// One depth-first walk shared by every cone of a partition: an explicit
+/// stack in place of recursion, and leaf deduplication by a per-signal
+/// stamp of the last cone that took the signal as a leaf, so a cone costs
+/// its own size and allocates only its result.
+struct ConeWalk<'a> {
+    net: &'a Network,
+    is_root: &'a [bool],
+    leaf_stamp: Vec<u32>,
+    cone: u32,
+    stack: Vec<SignalId>,
+}
+
+impl<'a> ConeWalk<'a> {
+    fn new(net: &'a Network, is_root: &'a [bool]) -> Self {
+        ConeWalk {
+            net,
+            is_root,
+            leaf_stamp: vec![0; net.len()],
+            cone: 0,
+            stack: Vec::new(),
         }
-        return;
     }
-    gates.push(signal);
-    if let NodeKind::Gate { fanin, .. } = net.node(signal) {
-        for &f in fanin {
-            collect(net, f, root, root_set, leaves, seen_leaves, gates);
+
+    /// The cone at `root`: leaves in first-visit order of a pre-order
+    /// walk taking fanins left to right, gates sorted.
+    fn cone(&mut self, root: SignalId) -> Cone {
+        self.cone += 1;
+        let mut leaves = Vec::new();
+        let mut gates = Vec::new();
+        self.stack.push(root);
+        while let Some(signal) = self.stack.pop() {
+            let node = self.net.node(signal);
+            let is_leaf = matches!(node, NodeKind::Input)
+                || (signal != root && self.is_root.get(signal.index()) == Some(&true));
+            if is_leaf {
+                if self.leaf_stamp[signal.index()] != self.cone {
+                    self.leaf_stamp[signal.index()] = self.cone;
+                    leaves.push(signal);
+                }
+                continue;
+            }
+            gates.push(signal);
+            if let NodeKind::Gate { fanin, .. } = node {
+                self.stack.extend(fanin.iter().rev());
+            }
+        }
+        gates.sort();
+        Cone {
+            root,
+            leaves,
+            gates,
         }
     }
 }
@@ -296,6 +305,65 @@ mod tests {
             .find(|c| c.outputs.is_empty())
             .expect("internal multi-fanout cut");
         assert_eq!(inv_cut.fanout, 2);
+    }
+
+    /// The recursive walk with a per-cone leaf set that the stack walk
+    /// replaced: the leaf order contract the shape keys depend on.
+    fn recursive_cone(net: &Network, root: SignalId, roots: &[SignalId]) -> Cone {
+        fn go(
+            net: &Network,
+            s: SignalId,
+            root: SignalId,
+            roots: &[SignalId],
+            leaves: &mut Vec<SignalId>,
+            gates: &mut Vec<SignalId>,
+        ) {
+            if matches!(net.node(s), NodeKind::Input) || (s != root && roots.contains(&s)) {
+                if !leaves.contains(&s) {
+                    leaves.push(s);
+                }
+                return;
+            }
+            gates.push(s);
+            if let NodeKind::Gate { fanin, .. } = net.node(s) {
+                for &f in fanin {
+                    go(net, f, root, roots, leaves, gates);
+                }
+            }
+        }
+        let (mut leaves, mut gates) = (Vec::new(), Vec::new());
+        go(net, root, root, roots, &mut leaves, &mut gates);
+        gates.sort();
+        Cone {
+            root,
+            leaves,
+            gates,
+        }
+    }
+
+    #[test]
+    fn stack_walk_keeps_the_recursive_leaf_order() {
+        let vars = VarTable::from_names(["a", "b", "c", "d", "e"]);
+        let eqs = EquationSet::new(
+            vars.clone(),
+            [
+                ("f", "ab'c + a'd + bce'"),
+                ("g", "a'b'd + c'e + ab"),
+                ("h", "d'e + a'c'"),
+            ]
+            .iter()
+            .map(|(n, t)| ((*n).to_owned(), Cover::parse(t, &vars).unwrap()))
+            .collect(),
+        );
+        let net = async_tech_decomp(&eqs);
+        let roots = partition_roots(&net);
+        let cones = partition(&net);
+        assert!(cones.len() > 3, "shared inverters make internal cuts");
+        for (cone, &root) in cones.iter().zip(&roots) {
+            let reference = recursive_cone(&net, root, &roots);
+            assert_eq!(cone.leaves, reference.leaves);
+            assert_eq!(cone.gates, reference.gates);
+        }
     }
 
     #[test]
