@@ -13,13 +13,14 @@
 //! decomposed alone, in its whole-design context, and audited by the
 //! step-level checks.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Cover, Phase, VarId};
 use asyncmap_network::{
     cone_at, decompose_equation, DecompTrace, EquationSet, GateOp, Network, RewriteRule, SignalId,
+    SignalName,
 };
 use asyncmap_report::Counters;
 
@@ -59,8 +60,10 @@ impl Site {
             Site::Step(i, rule) => format!("{name}:step{}:{}", layout.step_base + i, rule.name()),
             Site::Equation => format!("{name}:equation"),
             Site::Flatten => format!("{}:{FLATTEN_PATH}", Site::Cone.path(name, layout)),
-            // `_g{id}` is the name `Network::add_gate` gives gate `id`.
-            Site::Cone => format!("cone:_g{}", layout.gate_base + layout.gates - 1),
+            Site::Cone => format!(
+                "cone:{}",
+                SignalName::Gate(layout.gate_base + layout.gates - 1)
+            ),
         }
     }
 }
@@ -278,11 +281,11 @@ fn audit_one(
     let inputs: Vec<SignalId> = eqs.inputs.iter().map(|(_, n)| net.add_input(n)).collect();
     // The inverters earlier equations emit come first; the equation's own
     // gates then follow in whole-design order.
-    let mut inverters = HashMap::new();
+    let mut inverters = vec![None; nvars];
     for v in negated(cover) {
-        let input = inputs[v.index()];
-        if ctx.first_user[v.index()] != e && !inverters.contains_key(&input) {
-            inverters.insert(input, net.add_gate(GateOp::Inv, [input]));
+        let v = v.index();
+        if ctx.first_user[v] != e && inverters[v].is_none() {
+            inverters[v] = Some(net.add_gate(GateOp::Inv, [inputs[v]]));
         }
     }
     let first_gate = net.len();
@@ -312,9 +315,9 @@ fn audit_one(
     // inverters that are cone roots. The cut is re-derived independently.
     let cone_expr = if layout.has_cone {
         let mut cut = vec![false; net.len()];
-        for (input, &inv) in &inverters {
-            if ctx.root[input.index()] {
-                cut[inv.index()] = true;
+        for (v, inv) in inverters.iter().enumerate() {
+            if let Some(inv) = inv {
+                cut[inv.index()] = ctx.root[v];
             }
         }
         let cone = cone_at(&net, root, &cut);
@@ -324,9 +327,10 @@ fn audit_one(
         }
         report.counters.cut_points += 1;
         report.counters.cones += 1;
-        let (expr, vars) = cone.to_expr(&net);
-        audit_flatten(&mut report, Some(cache), &expr, vars.len(), String::new);
-        Some((expr, vars.len()))
+        let expr = cone.to_expr(&net);
+        let nvars = cone.leaves.len();
+        audit_flatten(&mut report, Some(cache), &expr, nvars, String::new);
+        Some((expr, nvars))
     } else {
         None
     };

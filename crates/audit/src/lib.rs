@@ -93,10 +93,14 @@ fn audit_cone_flattens_inner(
 ) -> AuditReport {
     let mut report = AuditReport::default();
     for cone in cones {
-        let (expr, vars) = cone.to_expr(net);
-        audit_flatten(&mut report, cache.as_deref_mut(), &expr, vars.len(), || {
-            format!("cone:{}", net.name(cone.root))
-        });
+        let expr = cone.to_expr(net);
+        audit_flatten(
+            &mut report,
+            cache.as_deref_mut(),
+            &expr,
+            cone.leaves.len(),
+            || format!("cone:{}", net.name(cone.root)),
+        );
     }
     report
 }

@@ -277,7 +277,7 @@ impl Cluster {
     /// A local variable table naming the cluster leaves after their network
     /// signals.
     pub fn local_vars(&self, net: &Network) -> VarTable {
-        VarTable::from_names(self.leaves.iter().map(|&s| net.name(s).to_owned()))
+        VarTable::from_names(self.leaves.iter().map(|&s| net.name(s).to_string()))
     }
 }
 

@@ -485,7 +485,7 @@ mod tests {
         let (net, cones) = setup("ab + a'c + bc", &["a", "b", "c"]);
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
         let cover = area_cover(&net, &cones[0], &matcher);
-        let (orig, _) = cones[0].to_expr(&net);
+        let orig = cones[0].to_expr(&net);
         let mapped = crate::design::mapped_cone_expr(&net, &cones[0], &cover, &lib);
         assert!(asyncmap_hazard::hazards_subset_exhaustive(
             &mapped,

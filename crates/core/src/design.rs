@@ -146,7 +146,7 @@ impl MappedDesign {
             if cone.leaves.len() > asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT {
                 return true;
             }
-            let (orig, _) = cone.to_expr(&self.subject);
+            let orig = cone.to_expr(&self.subject);
             let mapped = mapped_cone_expr(&self.subject, cone, cover, library);
             decide_containment(&mapped, &orig, cone.leaves.len()) == Containment::Holds
         })
@@ -238,7 +238,7 @@ pub fn verify_cone_function(
     cover: &ConeCover,
     library: &Library,
 ) -> bool {
-    let (orig, _) = cone.to_expr(net);
+    let orig = cone.to_expr(net);
     let mapped = mapped_cone_expr(net, cone, cover, library);
     let mut mgr = Manager::new(cone.leaves.len());
     bdd_of_expr(&mut mgr, &orig) == bdd_of_expr(&mut mgr, &mapped)

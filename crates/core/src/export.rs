@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 pub fn to_verilog(design: &MappedDesign, library: &Library, module_name: &str) -> String {
     let net = &design.subject;
     let mut out = String::new();
-    let inputs: Vec<&str> = net.inputs().iter().map(|&s| net.name(s)).collect();
+    let inputs: Vec<&str> = net.inputs().iter().map(|&s| net.input_name(s)).collect();
     let outputs: Vec<&str> = net.outputs().iter().map(|(n, _)| n.as_str()).collect();
     let _ = writeln!(
         out,

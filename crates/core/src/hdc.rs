@@ -72,7 +72,7 @@ pub fn cone_certified(
     library: &Library,
     transitions: &[Transition],
 ) -> bool {
-    let (orig, _) = cone.to_expr(net);
+    let orig = cone.to_expr(net);
     let mapped = mapped_cone_expr(net, cone, cover, library);
     for (from, to) in transitions {
         let values_from = net.eval(from);

@@ -45,8 +45,8 @@ pub(crate) fn check_cone(design: &MappedDesign, library: &Library, index: usize)
     };
 
     let n = cone.leaves.len();
-    let path = net.name(cone.root).to_owned();
-    let (subject, _) = cone.to_expr(net);
+    let path = || net.name(cone.root).to_string();
+    let subject = cone.to_expr(net);
     let mapped = mapped_cone_expr(net, cone, cover, library);
 
     out.exact = n <= EXHAUSTIVE_VAR_LIMIT;
@@ -56,7 +56,7 @@ pub(crate) fn check_cone(design: &MappedDesign, library: &Library, index: usize)
         Containment::Refuted(Some(witness)) => out.findings.push((
             Severity::Error,
             "boundary.containment",
-            path,
+            path(),
             format!(
                 "mapped cone can glitch on an input burst its subject function \
                  handles clean ({n} leaves, exhaustive waveform sweep): transition {} \
@@ -67,7 +67,7 @@ pub(crate) fn check_cone(design: &MappedDesign, library: &Library, index: usize)
         Containment::Refuted(None) => out.findings.push((
             Severity::Error,
             "boundary.static1-escape",
-            path,
+            path(),
             format!(
                 "wide cone ({n} leaves): a static-1 transition of the subject \
                  function has no single covering product in the mapped \

@@ -69,7 +69,7 @@ pub(crate) fn check_spec(
     // combined variables as primary inputs, in order, and one output per
     // specified function. Anything else means the spec does not describe
     // this design, and transition analysis would dereference garbage.
-    let input_names: Vec<&str> = net.inputs().iter().map(|&s| net.name(s)).collect();
+    let input_names: Vec<&str> = net.inputs().iter().map(|&s| net.input_name(s)).collect();
     if input_names.len() != flow.var_names.len()
         || input_names
             .iter()
@@ -315,7 +315,7 @@ fn wave_walk(
 /// on either side are `feedback.unpaired` warnings.
 fn check_feedback(design: &MappedDesign, spec: &BurstSpec, report: &mut FmaReport) -> usize {
     let net = &design.subject;
-    let inputs: Vec<&str> = net.inputs().iter().map(|&s| net.name(s)).collect();
+    let inputs: Vec<&str> = net.inputs().iter().map(|&s| net.input_name(s)).collect();
     let outputs: Vec<&str> = net.outputs().iter().map(|(n, _)| n.as_str()).collect();
     let mut pairs = 0;
     for k in 0..spec.num_states {

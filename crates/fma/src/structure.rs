@@ -58,7 +58,7 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
             report.push(
                 Severity::Error,
                 "cycle.multi-driver",
-                net.name(inst.output).to_owned(),
+                net.name(inst.output).to_string(),
                 "signal is driven by more than one cell instance".to_owned(),
             );
         }
@@ -78,7 +78,7 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
                 report.push(
                     Severity::Error,
                     "cycle.undriven",
-                    net.name(sig).to_owned(),
+                    net.name(sig).to_string(),
                     "instance input has no driver (not a primary input, not any cell's output)"
                         .to_owned(),
                 );
@@ -161,7 +161,7 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
             report.push(
                 Severity::Error,
                 "cycle.combinational",
-                net.name(instances[g].output).to_owned(),
+                net.name(instances[g].output).to_string(),
                 format!(
                     "cell instance sits on a combinational feedback loop of {loop_size} \
                      instance(s); feedback must close through a declared state variable, \
@@ -173,7 +173,7 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
             report.push(
                 Severity::Info,
                 "cycle.combinational",
-                net.name(instances[g].output).to_owned(),
+                net.name(instances[g].output).to_string(),
                 "instance never settles (downstream of a combinational cycle)".to_owned(),
             );
         }

@@ -17,7 +17,7 @@ use asyncmap_fma::{analyze_design, analyze_design_with_spec};
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::wave_eval;
 use asyncmap_library::{builtin, Library};
-use asyncmap_network::EquationSet;
+use asyncmap_network::{EquationSet, SignalName};
 use proptest::prelude::*;
 use std::sync::LazyLock;
 
@@ -151,7 +151,7 @@ fn glitch_capable_cover_is_flagged() {
         *design.cones[cone_idx]
             .leaves
             .iter()
-            .find(|&&s| design.subject.name(s) == name)
+            .find(|&&s| design.subject.name(s) == SignalName::Input(name))
             .unwrap_or_else(|| panic!("leaf {name}"))
     };
     let (a, b, c) = (leaf("a"), leaf("b"), leaf("c"));
@@ -192,7 +192,7 @@ fn glitch_capable_cover_is_flagged() {
     let n = cone.leaves.len();
     let (from, to) = (index_bits(n, parse(from)), index_bits(n, parse(to)));
     let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[cone_idx], &lib);
-    let (subject, _) = cone.to_expr(&design.subject);
+    let subject = cone.to_expr(&design.subject);
     assert!(wave_eval(&mapped, &from, &to).hazard, "{}", finding.message);
     assert!(
         !wave_eval(&subject, &from, &to).hazard,

@@ -52,7 +52,7 @@ fn cone_over_the_summed_replay_cap_is_partial() {
     assert_eq!(wide.len(), 1, "one wide cone");
     let index = wide[0];
     let cone = &design.cones[index];
-    let (subject, _) = cone.to_expr(&design.subject);
+    let subject = cone.to_expr(&design.subject);
     let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[index], &lib);
     let (s, m) = (product_estimate(&subject), product_estimate(&mapped));
     assert!(

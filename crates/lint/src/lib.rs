@@ -412,6 +412,9 @@ fn lint_inner(
     report.counters.cones = design.cones.len();
     report.counters.instances = design.num_instances();
 
+    if !structure::check_signal_ranges(design, &mut report) {
+        return report;
+    }
     structure::check_global(design, library, &mut report);
 
     // Hazardousness of each library cell, recomputed here (not read from
@@ -438,7 +441,7 @@ fn lint_inner(
         }
         let (findings_before, notes_before) = (report.findings.len(), report.notes.len());
         if !structure::check_instances_wellformed(design, library, cone, cover, &mut report) {
-            // Out-of-range cell or signal indices: the walks below would
+            // An out-of-range cell or a wrong arity: the walks below would
             // index out of bounds, so stop at the structural findings.
             continue;
         }
@@ -486,6 +489,9 @@ pub fn binding_obligations(design: &MappedDesign, library: &Library) -> Vec<(Exp
     let cell_hazardous = cell_hazardousness(library);
     let mut scratch = LintReport::default();
     let mut obligations = Vec::new();
+    if !structure::check_signal_ranges(design, &mut scratch) {
+        return obligations;
+    }
     for (idx, (cone, cover)) in design.cones.iter().zip(&design.covers).enumerate() {
         if !structure::check_instances_wellformed(design, library, cone, cover, &mut scratch) {
             continue;

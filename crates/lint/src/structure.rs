@@ -10,8 +10,55 @@ use std::collections::HashMap;
 
 const AREA_TOL: f64 = 1e-6;
 
+/// Range validity of every signal the design names: each cone's root,
+/// leaves and gates and each binding's output and inputs must lie inside
+/// the subject network. Returns `false` after reporting any that does
+/// not: every other check indexes the network by signal.
+pub(crate) fn check_signal_ranges(design: &MappedDesign, report: &mut LintReport) -> bool {
+    let net = &design.subject;
+    let before = report.num_errors();
+    let outside = |s: &&SignalId| s.index() >= net.len();
+    for cone in &design.cones {
+        let named = std::iter::once(&cone.root)
+            .chain(&cone.leaves)
+            .chain(&cone.gates);
+        for s in named.filter(outside) {
+            report.push(
+                Severity::Error,
+                "partition.signal-out-of-range",
+                path_of(net, cone, None),
+                format!(
+                    "cone names signal {s} outside the {}-signal subject network",
+                    net.len()
+                ),
+            );
+        }
+    }
+    for cover in &design.covers {
+        for inst in &cover.instances {
+            for s in std::iter::once(&inst.output)
+                .chain(&inst.inputs)
+                .filter(outside)
+            {
+                report.push(
+                    Severity::Error,
+                    "partition.signal-out-of-range",
+                    format!("cone {} / instance {s}", net.name(cover.root)),
+                    format!(
+                        "binding references signal {s} outside the {}-signal subject network",
+                        net.len()
+                    ),
+                );
+            }
+        }
+    }
+    report.num_errors() == before
+}
+
 /// Design-wide checks: cone/cover alignment, the partition boundary,
-/// gate partitioning, netlist acyclicity/drivenness and total area.
+/// gate partitioning, netlist acyclicity/drivenness and total area. Every
+/// signal the design names must already be in range
+/// ([`check_signal_ranges`]).
 pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mut LintReport) {
     let net = &design.subject;
     if design.cones.len() != design.covers.len() {
@@ -28,25 +75,15 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
         return;
     }
 
-    // Every table below is indexed by signal and spans every signal the
-    // cones name, so an out-of-range cone signal reads as "not a root,
-    // not an input, unowned" instead of indexing past the end.
-    let span = design
-        .cones
-        .iter()
-        .flat_map(|c| std::iter::once(&c.root).chain(&c.leaves).chain(&c.gates))
-        .map(|s| s.index() + 1)
-        .fold(net.len(), usize::max);
-
     // Partition boundary: cover roots must be exactly the legal cut points
     // re-derived from the subject network — primary outputs and
     // multi-fanout gates, nothing else (paper §3.1.2).
     let roots = partition_roots(net);
-    let mut expected = vec![false; span];
+    let mut expected = vec![false; net.len()];
     for r in &roots {
         expected[r.index()] = true;
     }
-    let mut seen_root = vec![false; span];
+    let mut seen_root = vec![false; net.len()];
     for (cone, cover) in design.cones.iter().zip(&design.covers) {
         if cone.root != cover.root {
             report.push(
@@ -91,12 +128,12 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
 
     // Cone leaves must be primary inputs or other cones' roots, and the
     // cones' gate sets must partition the network's gates.
-    let mut is_input = vec![false; span];
+    let mut is_input = vec![false; net.len()];
     for s in net.inputs() {
         is_input[s.index()] = true;
     }
     const UNOWNED: usize = usize::MAX;
-    let mut gate_owner = vec![UNOWNED; span];
+    let mut gate_owner = vec![UNOWNED; net.len()];
     for (idx, cone) in design.cones.iter().enumerate() {
         for &leaf in &cone.leaves {
             if !is_input[leaf.index()] && !expected[leaf.index()] {
@@ -149,18 +186,14 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
 /// Acyclicity and drivenness of the mapped netlist: every signal a binding
 /// consumes must be a primary input or some instance's output, and the
 /// instance dependency graph must be a DAG. `is_input` marks the primary
-/// inputs and spans at least the subject network.
+/// inputs.
 fn check_netlist_graph(design: &MappedDesign, is_input: &[bool], report: &mut LintReport) {
     let net = &design.subject;
-    let in_range = |s: SignalId| s.index() < net.len();
     // Per signal, the (cover, instance) that drives it last.
     const UNDRIVEN: (u32, u32) = (u32::MAX, u32::MAX);
     let mut driver = vec![UNDRIVEN; net.len()];
     for (ci, cover) in design.covers.iter().enumerate() {
         for (ii, inst) in cover.instances.iter().enumerate() {
-            if !in_range(inst.output) {
-                continue; // reported by the per-cover well-formedness pass
-            }
             let slot = &mut driver[inst.output.index()];
             if std::mem::replace(slot, (ci as u32, ii as u32)) != UNDRIVEN {
                 report.push(
@@ -183,9 +216,6 @@ fn check_netlist_graph(design: &MappedDesign, is_input: &[bool], report: &mut Li
     for (oname, oroot) in net.outputs() {
         let mut stack: Vec<(SignalId, bool)> = vec![(*oroot, false)];
         while let Some((s, leaving)) = stack.pop() {
-            if !in_range(s) {
-                continue;
-            }
             if leaving {
                 color[s.index()] = BLACK;
                 continue;
@@ -287,8 +317,8 @@ fn check_total_area(design: &MappedDesign, library: &Library, report: &mut LintR
     }
 }
 
-/// Index-range and arity validity of every binding in `cover`. Returns
-/// `false` when an out-of-range index or arity mismatch makes the deeper
+/// Cell-index and arity validity of every binding in `cover`. Returns
+/// `false` when an out-of-range cell or arity mismatch makes the deeper
 /// walks unsafe for this cover.
 pub(crate) fn check_instances_wellformed(
     design: &MappedDesign,
@@ -300,22 +330,6 @@ pub(crate) fn check_instances_wellformed(
     let net = &design.subject;
     let mut sound = true;
     for inst in &cover.instances {
-        let mut signals_ok = true;
-        for &s in std::iter::once(&inst.output).chain(&inst.inputs) {
-            if s.index() >= net.len() {
-                report.push(
-                    Severity::Error,
-                    "structure.signal-out-of-range",
-                    format!("cone {} / instance {s}", net.name(cone.root)),
-                    format!("binding references signal {s} outside the subject network"),
-                );
-                signals_ok = false;
-            }
-        }
-        if !signals_ok {
-            sound = false;
-            continue;
-        }
         let Some(cell) = library.cells().get(inst.cell_index) else {
             report.push(
                 Severity::Error,

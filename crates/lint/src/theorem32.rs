@@ -125,7 +125,7 @@ pub(crate) fn check_cover(
         return; // missing driver, already a structure finding
     };
     report.counters.cone_sweeps += 1;
-    let (orig, _) = cone.to_expr(net);
+    let orig = cone.to_expr(net);
     if let Containment::Refuted(Some(burst)) = decide_containment(&composed, &orig, n) {
         report.push(
             Severity::Error,

@@ -254,7 +254,11 @@ fn injected_mux_on_hazard_free_cluster_is_flagged() {
     // Bind the mux's pins to the primary inputs by name (its BFF is
     // s*a + s'*b over its own pin table).
     let net = &design.subject;
-    let by_name: HashMap<&str, SignalId> = net.inputs().iter().map(|&s| (net.name(s), s)).collect();
+    let by_name: HashMap<&str, SignalId> = net
+        .inputs()
+        .iter()
+        .map(|&s| (net.input_name(s), s))
+        .collect();
     let pin_signals: Vec<SignalId> = mux.pins().iter().map(|(_, name)| by_name[name]).collect();
 
     // Replace the output cone's entire cover with the single mux: same
@@ -307,7 +311,7 @@ fn injected_mux_on_hazard_free_cluster_is_flagged() {
     assert_witness_escapes(&binding, candidate, reference, *n);
     let cone = &design.cones[root_cone];
     let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[root_cone], &lib);
-    let (original, _) = cone.to_expr(&design.subject);
+    let original = cone.to_expr(&design.subject);
     let composed = message("theorem32.cone-containment");
     assert_witness_escapes(&composed, &mapped, &original, cone.leaves.len());
 }
@@ -352,8 +356,11 @@ fn wide_bindings_get_the_bounded_verdict() {
             .find(|(_, c)| c.name() == "MUX9")
             .expect("added cell");
         let net = &design.subject;
-        let by_name: HashMap<&str, SignalId> =
-            net.inputs().iter().map(|&s| (net.name(s), s)).collect();
+        let by_name: HashMap<&str, SignalId> = net
+            .inputs()
+            .iter()
+            .map(|&s| (net.input_name(s), s))
+            .collect();
         let inputs: Vec<SignalId> = cell.pins().iter().map(|(_, name)| by_name[name]).collect();
         let root_cone = design
             .cones
@@ -438,7 +445,11 @@ fn injected_mux4_is_flagged_by_cold_lint_without_annotation() {
         .expect("lsi9k has MUX4");
     assert!(!mux.bff().is_read_once());
     let net = &design.subject;
-    let by_name: HashMap<&str, SignalId> = net.inputs().iter().map(|&s| (net.name(s), s)).collect();
+    let by_name: HashMap<&str, SignalId> = net
+        .inputs()
+        .iter()
+        .map(|&s| (net.input_name(s), s))
+        .collect();
     let pin_signals: Vec<SignalId> = mux.pins().iter().map(|(_, name)| by_name[name]).collect();
     let root_cone = design
         .cones
@@ -737,4 +748,33 @@ fn pin_wired_to_its_own_root_is_flagged_as_cycle() {
             .expect("root instance");
         inst.inputs[0] = root;
     });
+}
+
+/// A cone root, leaf or gate or a binding past the end of the subject
+/// network is a range finding, and the pass stops there rather than
+/// index the network with it.
+#[test]
+fn signals_outside_the_network_are_flagged_as_out_of_range() {
+    let corruptions: [fn(&mut MappedDesign, SignalId); 4] = [
+        |d, s| d.cones[0].leaves.push(s),
+        |d, s| d.cones[0].gates.push(s),
+        |d, s| d.cones[0].root = s,
+        |d, s| d.covers[0].instances[0].inputs[0] = s,
+    ];
+    for corrupt in corruptions {
+        let (mut design, lib) = mapped_bench(3);
+        let past = SignalId(design.subject.len() + 5);
+        corrupt(&mut design, past);
+        let report = lint_mapped_design(&design, &lib);
+        assert!(
+            !report.findings.is_empty()
+                && report
+                    .findings
+                    .iter()
+                    .all(|f| f.code == "partition.signal-out-of-range"),
+            "{}",
+            report.render()
+        );
+        assert!(binding_obligations(&design, &lib).is_empty());
+    }
 }

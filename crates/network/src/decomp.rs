@@ -13,7 +13,6 @@ use crate::{GateOp, Network, SignalId};
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Cover, Phase, VarTable};
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// A technology-independent design: named output equations (two-level SOP
 /// covers) over a shared primary-input space. This is the shape a
@@ -106,13 +105,16 @@ pub fn sync_tech_decomp(eqs: &EquationSet) -> Network {
 }
 
 fn decompose(eqs: &EquationSet, simplify: bool, mut trace: Option<&mut DecompTrace>) -> Network {
-    let mut net = Network::new();
+    // Inputs, at most one inverter per input, and fewer AND/OR gates than
+    // literals: the network never outgrows this.
+    let nvars = eqs.inputs.len();
+    let mut net = Network::with_capacity(2 * nvars + eqs.num_literals() as usize);
     let input_ids: Vec<SignalId> = eqs
         .inputs
         .iter()
         .map(|(_, name)| net.add_input(name))
         .collect();
-    let mut inverters: HashMap<SignalId, SignalId> = HashMap::new();
+    let mut inverters = vec![None; nvars];
     for (name, cover) in &eqs.equations {
         let cover = if simplify {
             Cow::Owned(cover.irredundant())
@@ -133,37 +135,41 @@ fn decompose(eqs: &EquationSet, simplify: bool, mut trace: Option<&mut DecompTra
 
 /// Decomposes one equation into `net` with the associative law only and
 /// marks its root as output `name`: one balanced AND tree per cube, then a
-/// balanced OR tree over the cubes. A negative literal reads the inverter
-/// `inverters` maps its input to, and adds one (recorded there) only when
-/// there is none yet, so an equation's gates depend on its cover and on
-/// which inputs already have an inverter — nothing else. `inputs[i]` is
-/// the signal of cover variable `i`. With `trace`, appends the equation's
-/// rewrite steps and its end-to-end certificate. Returns the root.
+/// balanced OR tree over the cubes. `inputs[i]` is the signal of cover
+/// variable `i` and `inverters[i]` its inverter, if it has one yet. A
+/// negative literal reads that inverter, and adds one (recorded there)
+/// only when there is none yet, so an equation's gates depend on its
+/// cover and on which inputs already have an inverter — nothing else.
+/// With `trace`, appends the equation's rewrite steps and its end-to-end
+/// certificate. Returns the root.
 ///
 /// [`async_tech_decomp`] is this function applied to each equation in
-/// order over one shared inverter map.
+/// order over one shared inverter table.
 pub fn decompose_equation(
     net: &mut Network,
     inputs: &[SignalId],
-    inverters: &mut HashMap<SignalId, SignalId>,
+    inverters: &mut [Option<SignalId>],
     name: &str,
     cover: &Cover,
     mut trace: Option<&mut DecompTrace>,
 ) -> SignalId {
+    // One buffer for the cube roots (the OR tree) and one for a cube's
+    // literals (its AND tree), reused by every cube.
     let mut cube_signals = Vec::with_capacity(cover.len());
+    let mut literal_signals = Vec::new();
     let mut cube_exprs: Vec<Expr> = Vec::new();
     for cube in cover.cubes() {
-        let mut literal_signals = Vec::new();
+        literal_signals.clear();
         let mut literal_exprs: Vec<Expr> = Vec::new();
         for (v, phase) in cube.literals() {
             let sig = inputs[v.index()];
             let sig = match phase {
                 Phase::Pos => sig,
-                Phase::Neg => match inverters.get(&sig) {
-                    Some(&inv) => inv,
+                Phase::Neg => match inverters[v.index()] {
+                    Some(inv) => inv,
                     None => {
                         let inv = net.add_gate(GateOp::Inv, [sig]);
-                        inverters.insert(sig, inv);
+                        inverters[v.index()] = Some(inv);
                         if let Some(t) = trace.as_deref_mut() {
                             let lit = Expr::literal(v, Phase::Neg);
                             t.steps.push(RewriteStep {
@@ -184,7 +190,7 @@ pub fn decompose_equation(
             }
         }
         let arity = literal_signals.len();
-        let and_root = balanced_tree(net, GateOp::And, literal_signals);
+        let and_root = balanced_tree(net, GateOp::And, &mut literal_signals);
         if let Some(t) = trace.as_deref_mut() {
             let tree = balanced_tree_expr(literal_exprs.clone(), GateOp::And);
             if arity >= 2 {
@@ -201,7 +207,7 @@ pub fn decompose_equation(
         cube_signals.push(and_root);
     }
     let n_cubes = cube_signals.len();
-    let root = balanced_tree(net, GateOp::Or, cube_signals);
+    let root = balanced_tree(net, GateOp::Or, &mut cube_signals);
     if let Some(t) = trace {
         let tree = balanced_tree_expr(cube_exprs.clone(), GateOp::Or);
         if n_cubes >= 2 {
@@ -244,12 +250,12 @@ fn emit_expr(net: &mut Network, inputs: &[SignalId], expr: &Expr) -> SignalId {
             net.add_gate(GateOp::Inv, [inner])
         }
         Expr::And(es) => {
-            let signals: Vec<SignalId> = es.iter().map(|e| emit_expr(net, inputs, e)).collect();
-            balanced_tree(net, GateOp::And, signals)
+            let mut signals: Vec<SignalId> = es.iter().map(|e| emit_expr(net, inputs, e)).collect();
+            balanced_tree(net, GateOp::And, &mut signals)
         }
         Expr::Or(es) => {
-            let signals: Vec<SignalId> = es.iter().map(|e| emit_expr(net, inputs, e)).collect();
-            balanced_tree(net, GateOp::Or, signals)
+            let mut signals: Vec<SignalId> = es.iter().map(|e| emit_expr(net, inputs, e)).collect();
+            balanced_tree(net, GateOp::Or, &mut signals)
         }
     }
 }
@@ -280,7 +286,7 @@ pub fn decompose_expr_demorgan(
         steps: Vec::new(),
         equations: Vec::new(),
     };
-    let mut inverters: HashMap<SignalId, SignalId> = HashMap::new();
+    let mut inverters = vec![None; inputs.len()];
     let (root, result) = emit_demorgan(
         &mut net,
         &input_ids,
@@ -306,7 +312,7 @@ pub fn decompose_expr_demorgan(
 fn emit_demorgan(
     net: &mut Network,
     inputs: &[SignalId],
-    inverters: &mut HashMap<SignalId, SignalId>,
+    inverters: &mut [Option<SignalId>],
     trace: &mut DecompTrace,
     equation: &str,
     expr: &Expr,
@@ -320,11 +326,11 @@ fn emit_demorgan(
                 return (sig, Expr::Var(*v));
             }
             let lit = Expr::literal(*v, Phase::Neg);
-            let inv = match inverters.get(&sig) {
-                Some(&g) => g,
+            let inv = match inverters[v.index()] {
+                Some(g) => g,
                 None => {
                     let g = net.add_gate(GateOp::Inv, [sig]);
-                    inverters.insert(sig, g);
+                    inverters[v.index()] = Some(g);
                     trace.steps.push(RewriteStep {
                         rule: RewriteRule::InputInverter,
                         equation: equation.to_owned(),
@@ -385,7 +391,7 @@ fn emit_demorgan(
             }
             let op = if is_and { GateOp::And } else { GateOp::Or };
             let arity = signals.len();
-            let root = balanced_tree(net, op, signals);
+            let root = balanced_tree(net, op, &mut signals);
             let tree = balanced_tree_expr(realized.clone(), op);
             if arity >= 2 {
                 trace.steps.push(RewriteStep {
@@ -406,24 +412,24 @@ fn emit_demorgan(
 }
 
 /// Combines `signals` with a balanced tree of 2-input `op` gates (the
-/// associative law, applied repeatedly).
+/// associative law, applied repeatedly): each level pairs its signals left
+/// to right, an odd one out passing up. Each level is written over the
+/// front of `signals` in place, which is left holding the root alone.
 ///
 /// # Panics
 ///
 /// Panics if `signals` is empty.
-fn balanced_tree(net: &mut Network, op: GateOp, mut signals: Vec<SignalId>) -> SignalId {
+fn balanced_tree(net: &mut Network, op: GateOp, signals: &mut Vec<SignalId>) -> SignalId {
     assert!(!signals.is_empty(), "balanced_tree of zero signals");
     while signals.len() > 1 {
-        let mut next = Vec::with_capacity(signals.len().div_ceil(2));
-        let mut iter = signals.chunks(2);
-        for pair in &mut iter {
-            match pair {
-                [a, b] => next.push(net.add_gate(op, [*a, *b])),
-                [a] => next.push(*a),
-                _ => unreachable!(),
-            }
+        let len = signals.len();
+        for k in 0..len / 2 {
+            signals[k] = net.add_gate(op, [signals[2 * k], signals[2 * k + 1]]);
         }
-        signals = next;
+        if len % 2 == 1 {
+            signals[len / 2] = signals[len - 1];
+        }
+        signals.truncate(len.div_ceil(2));
     }
     signals[0]
 }

@@ -47,7 +47,7 @@ pub use decomp::{
     decompose_expr_demorgan, sync_tech_decomp, EquationSet,
 };
 pub use eco::{build_partition_dag, propagate_dirty, ConeShapeKey, PartitionDag, ShapeKeyScratch};
-pub use network::{Fanin, GateOp, Network, NodeKind, SignalId};
+pub use network::{is_reserved_gate_name, Fanin, GateOp, Network, NodeKind, SignalId, SignalName};
 pub use partition::{
     cone_at, is_partition_boundary, partition, partition_roots, partition_traced, Cone,
 };

@@ -2,7 +2,6 @@
 //! inputs and named outputs.
 
 use asyncmap_cube::{Bits, VarId, VarTable};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a signal (primary input or gate output) in a [`Network`].
@@ -133,11 +132,52 @@ pub enum NodeKind {
     },
 }
 
+/// The name of a signal, derived from the network rather than stored:
+/// formatting it (with [`fmt::Display`]) is the only time a gate name is
+/// spelled out.
+///
+/// # Examples
+///
+/// ```
+/// use asyncmap_network::{GateOp, Network, SignalName};
+/// let mut net = Network::new();
+/// let a = net.add_input("a");
+/// let g = net.add_gate(GateOp::Inv, [a]);
+/// assert_eq!(net.name(a), SignalName::Input("a"));
+/// assert_eq!(net.name(g).to_string(), "_g1");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SignalName<'a> {
+    /// A primary input's own name.
+    Input(&'a str),
+    /// A gate output, named `_g{index}` after its signal index.
+    Gate(usize),
+}
+
+impl fmt::Display for SignalName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SignalName::Input(name) => f.write_str(name),
+            SignalName::Gate(index) => write!(f, "_g{index}"),
+        }
+    }
+}
+
+/// `true` iff `name` has the form `_g<digits>` of a gate's
+/// [`SignalName`], which no primary input may take: an input so named
+/// would share its name with a gate.
+pub fn is_reserved_gate_name(name: &str) -> bool {
+    name.strip_prefix("_g")
+        .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
+}
+
 /// A combinational logic network of primitive gates.
 ///
 /// Nodes are append-only and topologically ordered by construction (a gate
 /// may only reference earlier signals), which keeps evaluation and
-/// traversal linear.
+/// traversal linear. Only primary inputs carry stored names; a gate's
+/// name is derived from its index ([`SignalName::Gate`]), so adding a gate
+/// is a plain array append.
 ///
 /// # Examples
 ///
@@ -152,13 +192,12 @@ pub enum NodeKind {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    names: VarTable,
+    /// Primary input names: variable `i` names `inputs[i]`.
+    input_names: VarTable,
     nodes: Vec<NodeKind>,
+    /// Primary inputs in creation order, so sorted by signal index.
     inputs: Vec<SignalId>,
     outputs: Vec<(String, SignalId)>,
-    /// Scratch for generated gate names; reused so `add_gate` does not
-    /// allocate a fresh `String` per gate.
-    name_buf: String,
 }
 
 impl Network {
@@ -167,25 +206,38 @@ impl Network {
         Self::default()
     }
 
+    /// Creates an empty network with room for `signals` signals.
+    pub fn with_capacity(signals: usize) -> Self {
+        Network {
+            nodes: Vec::with_capacity(signals),
+            ..Self::default()
+        }
+    }
+
     /// Adds a primary input named `name`.
     ///
     /// # Panics
     ///
-    /// Panics if the name is already used.
+    /// Panics if the name is already used or is a reserved gate name
+    /// ([`is_reserved_gate_name`]).
     pub fn add_input(&mut self, name: &str) -> SignalId {
         assert!(
-            self.names.lookup(name).is_none(),
+            self.input_names.lookup(name).is_none(),
             "duplicate signal name {name:?}"
         );
+        assert!(
+            !is_reserved_gate_name(name),
+            "input name {name:?} is reserved for gates"
+        );
         let id = SignalId(self.nodes.len());
-        let interned = self.names.intern(name);
-        debug_assert_eq!(interned.index(), id.0);
+        self.input_names.intern(name);
         self.nodes.push(NodeKind::Input);
         self.inputs.push(id);
         id
     }
 
-    /// Adds a primitive gate; the output signal gets a generated name.
+    /// Adds a primitive gate, named after its index
+    /// ([`SignalName::Gate`]).
     ///
     /// # Panics
     ///
@@ -198,11 +250,6 @@ impl Network {
             assert!(f.0 < self.nodes.len(), "undefined fanin signal {f}");
         }
         let id = SignalId(self.nodes.len());
-        use std::fmt::Write;
-        self.name_buf.clear();
-        write!(self.name_buf, "_g{}", id.0).expect("write to String");
-        let interned = self.names.intern(&self.name_buf);
-        debug_assert_eq!(interned.index(), id.0);
         self.nodes.push(NodeKind::Gate { op, fanin });
         id
     }
@@ -227,9 +274,27 @@ impl Network {
         &self.nodes[signal.0]
     }
 
-    /// The name of `signal`.
-    pub fn name(&self, signal: SignalId) -> &str {
-        self.names.name(VarId(signal.0))
+    /// The name of `signal`: an input's own name, otherwise the gate name
+    /// `_g{index}` (also for a signal outside the network). Allocates
+    /// nothing.
+    pub fn name(&self, signal: SignalId) -> SignalName<'_> {
+        match self.nodes.get(signal.0) {
+            Some(NodeKind::Input) => SignalName::Input(self.input_name(signal)),
+            _ => SignalName::Gate(signal.0),
+        }
+    }
+
+    /// The name of the primary input `signal`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` is not a primary input.
+    pub fn input_name(&self, signal: SignalId) -> &str {
+        let slot = self
+            .inputs
+            .binary_search(&signal)
+            .unwrap_or_else(|_| panic!("signal {signal} is not a primary input"));
+        self.input_names.name(VarId(slot))
     }
 
     /// Total number of signals (inputs + gates).
@@ -310,16 +375,6 @@ impl Network {
             .unwrap_or_else(|| panic!("no output named {name:?}"));
         self.eval(inputs)[sig.0]
     }
-
-    /// Renames primary input positions: maps each primary input signal to
-    /// its index in the input list.
-    pub fn input_positions(&self) -> HashMap<SignalId, usize> {
-        self.inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -382,6 +437,32 @@ mod tests {
         let mut net = Network::new();
         let a = net.add_input("a");
         net.add_gate(GateOp::And, vec![a]);
+    }
+
+    #[test]
+    fn names_are_derived_from_the_signal() {
+        let net = two_gate_net();
+        let names: Vec<String> = net.signals().map(|s| net.name(s).to_string()).collect();
+        assert_eq!(names, ["a", "b", "c", "_g3", "_g4", "_g5"]);
+        assert_eq!(net.input_name(SignalId(2)), "c");
+        assert_eq!(net.name(SignalId(99)), SignalName::Gate(99));
+    }
+
+    #[test]
+    fn reserved_gate_names() {
+        for name in ["_g0", "_g4", "_g123"] {
+            assert!(is_reserved_gate_name(name), "{name}");
+        }
+        for name in ["_g", "_gx", "_g4a", "g4", "a_g4", "_G4", "_g-1"] {
+            assert!(!is_reserved_gate_name(name), "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for gates")]
+    fn reserved_input_name_rejected() {
+        let mut net = Network::new();
+        net.add_input("_g4");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 use crate::certificate::{CutCertificate, PartitionTrace};
 use crate::{Network, NodeKind, SignalId};
 use asyncmap_bff::Expr;
-use asyncmap_cube::{VarId, VarTable};
-use std::collections::HashMap;
+use asyncmap_cube::VarId;
 
 /// A single-output cone of logic: the tree of gates feeding `root`, cut at
 /// primary inputs and multi-fanout signals.
@@ -177,24 +176,24 @@ impl Cone {
         self.gates.len()
     }
 
-    /// Builds the cone's logic as a BFF expression over a fresh variable
-    /// space in which variable `i` is `leaves[i]`, together with that
-    /// variable table (named after the underlying signals).
-    pub fn to_expr(&self, net: &Network) -> (Expr, VarTable) {
-        let mut vars = VarTable::new();
-        let position: HashMap<SignalId, VarId> = self
+    /// Builds the cone's logic as a BFF expression over
+    /// `leaves.len()` variables, in which variable `i` is `leaves[i]`.
+    pub fn to_expr(&self, net: &Network) -> Expr {
+        let mut position: Vec<(SignalId, VarId)> = self
             .leaves
             .iter()
-            .map(|&s| (s, vars.intern(net.name(s))))
+            .enumerate()
+            .map(|(i, &s)| (s, VarId(i)))
             .collect();
-        let expr = expr_of(net, self.root, &position);
-        (expr, vars)
+        position.sort_unstable();
+        expr_of(net, self.root, &position)
     }
 }
 
-fn expr_of(net: &Network, signal: SignalId, leaves: &HashMap<SignalId, VarId>) -> Expr {
-    if let Some(&v) = leaves.get(&signal) {
-        return Expr::Var(v);
+/// The expression of `signal`, cut at `leaves` (sorted by signal).
+fn expr_of(net: &Network, signal: SignalId, leaves: &[(SignalId, VarId)]) -> Expr {
+    if let Ok(k) = leaves.binary_search_by_key(&signal, |&(s, _)| s) {
+        return Expr::Var(leaves[k].1);
     }
     match net.node(signal) {
         NodeKind::Input => unreachable!("input signal must be a cone leaf"),
@@ -214,7 +213,7 @@ fn expr_of(net: &Network, signal: SignalId, leaves: &HashMap<SignalId, VarId>) -
 mod tests {
     use super::*;
     use crate::{async_tech_decomp, EquationSet, GateOp};
-    use asyncmap_cube::{Bits, Cover};
+    use asyncmap_cube::{Bits, Cover, VarTable};
 
     #[test]
     fn single_equation_single_cone() {
@@ -254,22 +253,20 @@ mod tests {
     fn cone_expr_matches_network() {
         let vars = VarTable::from_names(["a", "b", "c"]);
         let f = Cover::parse("ab + a'c + bc", &vars).unwrap();
-        let eqs = EquationSet::new(vars.clone(), vec![("f".to_owned(), f.clone())]);
+        let eqs = EquationSet::new(vars, vec![("f".to_owned(), f.clone())]);
         let net = async_tech_decomp(&eqs);
         let cones = partition(&net);
-        let (expr, local_vars) = cones[0].to_expr(&net);
-        assert_eq!(local_vars.len(), 3);
+        let expr = cones[0].to_expr(&net);
+        assert_eq!(cones[0].leaves.len(), 3);
         for m in 0..8usize {
             let mut bits = Bits::new(3);
             for v in 0..3 {
                 bits.set(v, (m >> v) & 1 == 1);
             }
-            // Local leaf order happens to match input order here (a,b,c
-            // are all direct leaves); map values through names to be safe.
+            // Local variable `i` is leaf `i`, here the input of that index.
             let mut local = Bits::new(3);
-            for (lv, name) in local_vars.iter() {
-                let global = vars.lookup(name).unwrap();
-                local.set(lv.index(), bits.get(global.index()));
+            for (i, leaf) in cones[0].leaves.iter().enumerate() {
+                local.set(i, bits.get(leaf.index()));
             }
             assert_eq!(expr.eval(&local), f.eval(&bits), "mismatch at {m}");
         }

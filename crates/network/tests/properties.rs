@@ -98,7 +98,7 @@ proptest! {
             let bits = assignment(m);
             let values = net.eval(&bits);
             for cone in &cones {
-                let (expr, _) = cone.to_expr(&net);
+                let expr = cone.to_expr(&net);
                 let mut local = Bits::new(cone.leaves.len());
                 for (i, leaf) in cone.leaves.iter().enumerate() {
                     local.set(i, values[leaf.index()]);

@@ -130,9 +130,28 @@ fn synthesize_spec(spec: &burst::BurstSpec, source: &str) -> Result<network::Equ
 /// read directly, anything else is tried as a `.bms` spec; a non-path is
 /// tried as a built-in benchmark name ([`burst::BENCHMARKS`]). Only the
 /// `.bms`/benchmark sources carry a spec.
+///
+/// A primary input named like a gate of the subject network (`_g`
+/// followed by digits, [`network::is_reserved_gate_name`]) is an error:
+/// it would share its name with that gate.
 pub fn load_design_with_spec(
     source: &str,
 ) -> Result<(network::EquationSet, Option<burst::BurstSpec>), String> {
+    let (eqs, spec) = load_source(source)?;
+    if let Some((_, name)) = eqs
+        .inputs
+        .iter()
+        .find(|(_, name)| network::is_reserved_gate_name(name))
+    {
+        return Err(format!(
+            "{source}: input {name:?} takes a reserved gate name (`_g` followed by digits)"
+        ));
+    }
+    Ok((eqs, spec))
+}
+
+/// [`load_design_with_spec`] before the input names are checked.
+fn load_source(source: &str) -> Result<(network::EquationSet, Option<burst::BurstSpec>), String> {
     if source.ends_with(".blif") {
         let text = std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?;
         let name = std::path::Path::new(source)

@@ -105,3 +105,27 @@ fn closed_stdout_stops_the_cli_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
+
+/// An input named like a subject-network gate (`_g<digits>`) is refused
+/// when the design loads: exit 1 with an error naming the input, not a
+/// panic.
+#[test]
+fn reserved_gate_name_input_is_a_load_error() {
+    let verilog = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("reserved_name.v");
+    let _ = std::fs::remove_file(&verilog);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_asyncmap"))
+        .arg("map")
+        .arg("tests/fixtures/reserved_name.blif")
+        .arg("lsi9k")
+        .arg("--verilog")
+        .arg(&verilog)
+        .output()
+        .expect("run asyncmap");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("input \"_g4\"") && stderr.contains("reserved gate name"),
+        "{stderr}"
+    );
+    assert!(!verilog.exists());
+}
