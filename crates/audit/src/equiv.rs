@@ -8,7 +8,7 @@
 //! variables are decided by 256-bit packed tables; anything wider falls
 //! back to BDDs from `asyncmap-bdd`.
 
-use asyncmap_bdd::{Manager, Ref};
+use asyncmap_bdd::{with_thread_manager, Manager, Ref};
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Phase, VarId};
 
@@ -116,17 +116,30 @@ pub fn compact_onto(expr: &Expr, support: &[VarId]) -> Expr {
 /// tables over the compacted shared support when it has at most
 /// [`TRUTH_VAR_LIMIT`] variables, BDDs otherwise.
 pub fn prove_equal(a: &Expr, b: &Expr, nvars: usize) -> (bool, EquivProof) {
-    let support = union_support(a, b);
-    if support.len() <= TRUTH_VAR_LIMIT {
-        let ca = compact_onto(a, &support);
-        let cb = compact_onto(b, &support);
-        (truth256(&ca) == truth256(&cb), EquivProof::Truth)
-    } else {
-        let mut mgr = Manager::new(nvars);
-        let ra = bdd_of(&mut mgr, a);
-        let rb = bdd_of(&mut mgr, b);
-        (ra == rb, EquivProof::Bdd)
-    }
+    let [proof] = prove_equal_each(a, [b], nvars);
+    proof
+}
+
+/// [`prove_equal`] of `a` against each of `bs`, building `a`'s BDD at most
+/// once (on this thread's reused manager).
+pub(crate) fn prove_equal_each<const N: usize>(
+    a: &Expr,
+    bs: [&Expr; N],
+    nvars: usize,
+) -> [(bool, EquivProof); N] {
+    with_thread_manager(nvars, |mgr| {
+        let mut ra = None;
+        bs.map(|b| {
+            let support = union_support(a, b);
+            if support.len() <= TRUTH_VAR_LIMIT {
+                let ca = compact_onto(a, &support);
+                let cb = compact_onto(b, &support);
+                return (truth256(&ca) == truth256(&cb), EquivProof::Truth);
+            }
+            let ra = *ra.get_or_insert_with(|| bdd_of(mgr, a));
+            (ra == bdd_of(mgr, b), EquivProof::Bdd)
+        })
+    })
 }
 
 #[cfg(test)]

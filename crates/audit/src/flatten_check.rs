@@ -23,7 +23,7 @@ use asyncmap_bff::{Expr, FlatSop, FlattenTrace};
 use asyncmap_cube::Phase;
 use asyncmap_hazard::{product_estimate, WaveProgram, BLOCK_BURSTS, EXHAUSTIVE_VAR_LIMIT};
 
-use crate::equiv::{compact_onto, prove_equal, union_support, EquivProof};
+use crate::equiv::{compact_onto, prove_equal_each, union_support, EquivProof};
 use crate::report::{AuditReport, Severity};
 
 /// Path of every diagnostic about a collapse as a whole.
@@ -74,9 +74,11 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         );
         return report;
     }
-    let (eq, proof) = prove_equal(&trace.source, &trace.nnf, nvars);
-    count_proof(&mut report, proof);
-    if !eq {
+    let image = image_expr(flat);
+    let [(nnf_eq, nnf_proof), (image_eq, image_proof)] =
+        prove_equal_each(&trace.source, [&trace.nnf, &image], nvars);
+    count_proof(&mut report, nnf_proof);
+    if !nnf_eq {
         report.push(
             Severity::Error,
             "flatten.nnf-divergence",
@@ -114,10 +116,8 @@ pub fn check_flatten(flat: &FlatSop, trace: &FlattenTrace, nvars: usize) -> Audi
         }
     }
 
-    let image = image_expr(flat);
-    let (eq, proof) = prove_equal(&trace.source, &image, nvars);
-    count_proof(&mut report, proof);
-    if !eq {
+    count_proof(&mut report, image_proof);
+    if !image_eq {
         report.push(
             Severity::Error,
             "flatten.not-equivalent",

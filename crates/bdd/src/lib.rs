@@ -14,9 +14,20 @@
 //!   whether a candidate hazard is sensitizable;
 //! * structural queries (`support`, `restrict`, `eval`).
 //!
-//! Nodes are never garbage collected: managers are created per analysis and
-//! dropped wholesale, which matches how the mapper uses them (one manager
-//! per cone / cell).
+//! The kernel is the classic one of Brace, Rudell & Bryant (DAC 1990):
+//! nodes live in an arena, the unique table is open-addressed under a
+//! multiplicative hash of `(var, lo, hi)`, and `and`/`or`/`xor`/`not`
+//! share one direct-mapped computed table of at most 2^14 entries whose
+//! collisions simply overwrite (a lost entry is recomputed, never wrong).
+//! The diagram has no complement edges and uses the natural variable
+//! order.
+//!
+//! Nodes are never garbage collected. A manager instead serves a sequence
+//! of independent checks: [`Manager::clear`] drops every node in constant
+//! time and keeps the tables' capacity, and [`with_thread_manager`] lends
+//! each thread one such manager, so the equivalence checkers (audit's
+//! proofs, `verify_function`, the s.i.c. analysis) allocate their tables
+//! once per thread rather than once per proof.
 //!
 //! # Examples
 //!
@@ -37,12 +48,14 @@
 #![warn(missing_docs)]
 
 use asyncmap_cube::{Bits, Cover, Cube, Phase, VarId};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::fmt;
 
 /// Reference to a BDD node inside a [`Manager`].
 ///
-/// Equality of `Ref`s obtained from the *same* manager is functional
-/// equality of the Boolean functions they denote.
+/// Equality of `Ref`s obtained from the *same* manager (since its last
+/// [`Manager::clear`]) is functional equality of the Boolean functions
+/// they denote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ref(u32);
 
@@ -56,56 +69,121 @@ impl Ref {
     pub fn is_const(self) -> bool {
         self.0 <= 1
     }
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     var: u32,
     lo: Ref,
     hi: Ref,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The operations cached in the computed table, as their tag values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
-    And,
-    Or,
-    Xor,
+    Not = 0,
+    And = 1,
+    Or = 2,
+    Xor = 3,
 }
 
-/// A BDD manager: node store, unique table and operation caches, over a
-/// fixed variable count with the natural variable order.
-#[derive(Debug, Default)]
+/// Bits of a computed-table tag that hold the [`Op`]; the rest hold the
+/// epoch.
+const OP_BITS: u32 = 2;
+
+/// Log2 of the computed table's largest entry count. The table is as
+/// large as the unique table up to this cap, so a small check keeps a
+/// small table, and no run of checks grows it further.
+const COMPUTED_MAX_BITS: u32 = 14;
+
+/// Unique-table slots of a fresh manager; the table doubles at 3/4 load.
+const UNIQUE_INITIAL_SLOTS: usize = 1 << 10;
+
+/// Epochs wrap here (the computed-table tag keeps [`OP_BITS`] for the
+/// operation); a wrap wipes both tables once.
+const EPOCH_LIMIT: u32 = u32::MAX >> OP_BITS;
+
+/// Odd 64-bit multipliers of the hash (Fibonacci hashing and two
+/// MurmurHash3 finalizer constants).
+const K0: u64 = 0x9E37_79B9_7F4A_7C15;
+const K1: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const K2: u64 = 0xFF51_AFD7_ED55_8CCD;
+
+/// Multiplicative hash of three words; callers take its top bits.
+fn hash3(a: u32, b: u32, c: u32) -> u64 {
+    (u64::from(a).wrapping_mul(K0) ^ u64::from(b).wrapping_mul(K1) ^ u64::from(c)).wrapping_mul(K2)
+}
+
+/// A BDD manager: node arena, unique table and computed table, over a
+/// variable count with the natural variable order.
+///
+/// Every table entry carries the manager's epoch; [`Manager::clear`]
+/// advances it, which empties both tables without touching them.
 pub struct Manager {
     nvars: usize,
+    /// Node arena. Slots 0 and 1 are the terminals, whose `var` is
+    /// `u32::MAX`, below every variable; every other node's children
+    /// precede it.
     nodes: Vec<Node>,
-    unique: HashMap<Node, Ref>,
-    apply_cache: HashMap<(Op, Ref, Ref), Ref>,
-    not_cache: HashMap<Ref, Ref>,
+    /// Open-addressed, linearly probed unique table. A slot holds
+    /// `epoch << 32 | node index`; a slot of another epoch is empty.
+    unique: Vec<u64>,
+    /// Direct-mapped computed table of `[f, g, epoch << OP_BITS | op,
+    /// result]`, allocated on first use and reallocated empty when the
+    /// unique table outgrows it; a tag of another epoch is empty.
+    computed: Vec<[u32; 4]>,
+    epoch: u32,
+}
+
+impl fmt::Debug for Manager {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Manager")
+            .field("nvars", &self.nvars)
+            .field("nodes", &self.nodes.len())
+            .field("unique_slots", &self.unique.len())
+            .finish()
+    }
+}
+
+impl Default for Manager {
+    fn default() -> Self {
+        Manager::new(0)
+    }
 }
 
 impl Manager {
     /// Creates a manager for functions of `nvars` variables.
     pub fn new(nvars: usize) -> Self {
-        let mut m = Manager {
-            nvars,
-            nodes: Vec::new(),
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+        let terminal = |r| Node {
+            var: u32::MAX,
+            lo: r,
+            hi: r,
         };
-        // Slots 0 and 1 are reserved for the terminals; their node contents
-        // are never inspected.
-        m.nodes.push(Node {
-            var: u32::MAX,
-            lo: Ref::ZERO,
-            hi: Ref::ZERO,
-        });
-        m.nodes.push(Node {
-            var: u32::MAX,
-            lo: Ref::ONE,
-            hi: Ref::ONE,
-        });
-        m
+        Manager {
+            nvars,
+            nodes: vec![terminal(Ref::ZERO), terminal(Ref::ONE)],
+            unique: vec![0; UNIQUE_INITIAL_SLOTS],
+            computed: Vec::new(),
+            epoch: 1,
+        }
+    }
+
+    /// Drops every node and re-targets the manager to functions of `nvars`
+    /// variables, keeping the capacity of its arena and tables. Every
+    /// [`Ref`] obtained before is invalidated (the constants stay valid).
+    pub fn clear(&mut self, nvars: usize) {
+        self.nvars = nvars;
+        self.nodes.truncate(2);
+        self.epoch += 1;
+        if self.epoch == EPOCH_LIMIT {
+            self.unique.fill(0);
+            self.computed.fill([0; 4]);
+            self.epoch = 1;
+        }
     }
 
     /// Number of variables the manager was created with.
@@ -118,34 +196,91 @@ impl Manager {
         self.nodes.len()
     }
 
+    fn node(&self, r: Ref) -> Node {
+        self.nodes[r.index()]
+    }
+
     fn mk(&mut self, var: u32, lo: Ref, hi: Ref) -> Ref {
         if lo == hi {
             return lo;
         }
         let node = Node { var, lo, hi };
-        if let Some(&r) = self.unique.get(&node) {
-            return r;
+        let mask = self.unique.len() - 1;
+        let shift = 64 - self.unique.len().trailing_zeros();
+        let mut slot = (hash3(var, lo.0, hi.0) >> shift) as usize;
+        loop {
+            let entry = self.unique[slot];
+            if (entry >> 32) as u32 != self.epoch {
+                break;
+            }
+            let r = Ref(entry as u32);
+            if self.node(r) == node {
+                return r;
+            }
+            slot = (slot + 1) & mask;
         }
-        let r = Ref(self.nodes.len() as u32);
+        let r = Ref(u32::try_from(self.nodes.len()).expect("BDD node count exceeds u32"));
         self.nodes.push(node);
-        self.unique.insert(node, r);
+        self.unique[slot] = u64::from(self.epoch) << 32 | u64::from(r.0);
+        // Grow at 3/4 load (the terminals are not in the table).
+        if 4 * (self.nodes.len() - 2) > 3 * self.unique.len() {
+            self.grow_unique();
+        }
         r
     }
 
-    fn var_of(&self, r: Ref) -> u32 {
-        if r.is_const() {
-            u32::MAX
-        } else {
-            self.nodes[r.0 as usize].var
+    /// Doubles the unique table and re-inserts every node of this epoch.
+    fn grow_unique(&mut self) {
+        let slots = 2 * self.unique.len();
+        self.unique.clear();
+        self.unique.resize(slots, 0);
+        let (mask, shift) = (slots - 1, 64 - slots.trailing_zeros());
+        let stamp = u64::from(self.epoch) << 32;
+        for (i, n) in self.nodes.iter().enumerate().skip(2) {
+            let mut slot = (hash3(n.var, n.lo.0, n.hi.0) >> shift) as usize;
+            while self.unique[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.unique[slot] = stamp | i as u64;
+        }
+        if self.computed.len() < slots.min(1 << COMPUTED_MAX_BITS) {
+            self.computed = Vec::new();
         }
     }
 
+    /// The computed-table slot of `(op, f, g)` and its tag, allocating
+    /// the table first if it is empty.
+    fn computed_slot(&mut self, op: Op, f: Ref, g: Ref) -> (usize, u32) {
+        if self.computed.is_empty() {
+            let entries = self.unique.len().min(1 << COMPUTED_MAX_BITS);
+            self.computed = vec![[0; 4]; entries];
+        }
+        let tag = self.epoch << OP_BITS | op as u32;
+        let shift = 64 - self.computed.len().trailing_zeros();
+        ((hash3(f.0, g.0, tag) >> shift) as usize, tag)
+    }
+
+    fn lookup(&mut self, op: Op, f: Ref, g: Ref) -> Option<Ref> {
+        let (slot, tag) = self.computed_slot(op, f, g);
+        match self.computed[slot] {
+            [ef, eg, et, r] if [ef, eg, et] == [f.0, g.0, tag] => Some(Ref(r)),
+            _ => None,
+        }
+    }
+
+    fn remember(&mut self, op: Op, f: Ref, g: Ref, r: Ref) {
+        let (slot, tag) = self.computed_slot(op, f, g);
+        self.computed[slot] = [f.0, g.0, tag, r.0];
+    }
+
+    /// `r`'s cofactors by `var`, which must not lie below `r`'s top
+    /// variable (a terminal's `u32::MAX` matches no variable).
     fn cofactors(&self, r: Ref, var: u32) -> (Ref, Ref) {
-        if r.is_const() || self.nodes[r.0 as usize].var != var {
-            (r, r)
-        } else {
-            let n = self.nodes[r.0 as usize];
+        let n = self.node(r);
+        if n.var == var {
             (n.lo, n.hi)
+        } else {
+            (r, r)
         }
     }
 
@@ -171,20 +306,17 @@ impl Manager {
 
     /// Logical complement.
     pub fn not(&mut self, f: Ref) -> Ref {
-        if f == Ref::ZERO {
-            return Ref::ONE;
+        if f.is_const() {
+            return Ref(1 - f.0);
         }
-        if f == Ref::ONE {
-            return Ref::ZERO;
-        }
-        if let Some(&r) = self.not_cache.get(&f) {
+        if let Some(r) = self.lookup(Op::Not, f, Ref::ZERO) {
             return r;
         }
-        let n = self.nodes[f.0 as usize];
+        let n = self.node(f);
         let lo = self.not(n.lo);
         let hi = self.not(n.hi);
         let r = self.mk(n.var, lo, hi);
-        self.not_cache.insert(f, r);
+        self.remember(Op::Not, f, Ref::ZERO, r);
         r
     }
 
@@ -199,23 +331,20 @@ impl Manager {
             _ => {}
         }
         if f == g {
-            return match op {
-                Op::And | Op::Or => f,
-                Op::Xor => Ref::ZERO,
-            };
+            return if op == Op::Xor { Ref::ZERO } else { f };
         }
         // Commutative ops: normalize operand order for the cache.
         let (f, g) = if f <= g { (f, g) } else { (g, f) };
-        if let Some(&r) = self.apply_cache.get(&(op, f, g)) {
+        if let Some(r) = self.lookup(op, f, g) {
             return r;
         }
-        let var = self.var_of(f).min(self.var_of(g));
+        let var = self.node(f).var.min(self.node(g).var);
         let (flo, fhi) = self.cofactors(f, var);
         let (glo, ghi) = self.cofactors(g, var);
         let lo = self.apply(op, flo, glo);
         let hi = self.apply(op, fhi, ghi);
         let r = self.mk(var, lo, hi);
-        self.apply_cache.insert((op, f, g), r);
+        self.remember(op, f, g, r);
         r
     }
 
@@ -275,7 +404,7 @@ impl Manager {
         if f.is_const() {
             return f;
         }
-        let n = self.nodes[f.0 as usize];
+        let n = self.node(f);
         let target = v.index() as u32;
         if n.var > target {
             return f;
@@ -300,7 +429,7 @@ impl Manager {
         debug_assert_eq!(assignment.len(), self.nvars);
         let mut cur = f;
         while !cur.is_const() {
-            let n = self.nodes[cur.0 as usize];
+            let n = self.node(cur);
             cur = if assignment.get(n.var as usize) {
                 n.hi
             } else {
@@ -312,11 +441,12 @@ impl Manager {
 
     /// Number of satisfying assignments over all `nvars` variables.
     pub fn sat_count(&self, f: Ref) -> u64 {
-        let mut memo: HashMap<Ref, u64> = HashMap::new();
+        // Per node: its count over the variables from its own onward.
+        let mut memo: Vec<Option<u64>> = vec![None; f.index() + 1];
         self.sat_count_rec(f, &mut memo, 0)
     }
 
-    fn sat_count_rec(&self, f: Ref, memo: &mut HashMap<Ref, u64>, from_var: u32) -> u64 {
+    fn sat_count_rec(&self, f: Ref, memo: &mut [Option<u64>], from_var: u32) -> u64 {
         // Count assignments of variables in [from_var, nvars).
         if f == Ref::ZERO {
             return 0;
@@ -324,15 +454,15 @@ impl Manager {
         if f == Ref::ONE {
             return 1u64 << (self.nvars as u32 - from_var);
         }
-        let n = self.nodes[f.0 as usize];
-        let below = if let Some(&c) = memo.get(&f) {
-            c
-        } else {
-            let lo = self.sat_count_rec(n.lo, memo, n.var + 1);
-            let hi = self.sat_count_rec(n.hi, memo, n.var + 1);
-            let c = lo + hi;
-            memo.insert(f, c);
-            c
+        let n = self.node(f);
+        let below = match memo[f.index()] {
+            Some(c) => c,
+            None => {
+                let lo = self.sat_count_rec(n.lo, memo, n.var + 1);
+                let hi = self.sat_count_rec(n.hi, memo, n.var + 1);
+                memo[f.index()] = Some(lo + hi);
+                lo + hi
+            }
         };
         below << (n.var - from_var)
     }
@@ -346,7 +476,7 @@ impl Manager {
         let mut a = Bits::new(self.nvars);
         let mut cur = f;
         while !cur.is_const() {
-            let n = self.nodes[cur.0 as usize];
+            let n = self.node(cur);
             if n.hi != Ref::ZERO {
                 a.set(n.var as usize, true);
                 cur = n.hi;
@@ -374,7 +504,7 @@ impl Manager {
             out.push(Cube::from_literals(self.nvars, prefix.iter().copied()));
             return;
         }
-        let n = self.nodes[f.0 as usize];
+        let n = self.node(f);
         prefix.push((VarId(n.var as usize), Phase::Neg));
         self.paths_rec(n.lo, prefix, out);
         prefix.pop();
@@ -386,13 +516,16 @@ impl Manager {
     /// The set of variables `f` actually depends on.
     pub fn support(&self, f: Ref) -> Vec<VarId> {
         let mut seen = vec![false; self.nvars];
+        // Children precede their parents in the arena, so `f` bounds
+        // every node it reaches.
+        let mut visited = vec![false; f.index() + 1];
         let mut stack = vec![f];
-        let mut visited: std::collections::HashSet<Ref> = std::collections::HashSet::new();
         while let Some(r) = stack.pop() {
-            if r.is_const() || !visited.insert(r) {
+            if r.is_const() || visited[r.index()] {
                 continue;
             }
-            let n = self.nodes[r.0 as usize];
+            visited[r.index()] = true;
+            let n = self.node(r);
             seen[n.var as usize] = true;
             stack.push(n.lo);
             stack.push(n.hi);
@@ -403,6 +536,30 @@ impl Manager {
             .map(|(i, _)| VarId(i))
             .collect()
     }
+}
+
+/// Runs `f` on this thread's reusable manager, cleared for `nvars`
+/// variables. The manager's tables outlive the call, so a checker that
+/// proves many small equivalences allocates them once per thread. A call
+/// that grew the unique table past its initial size frees the tables on
+/// return instead, so one large proof does not hold its memory through
+/// the rest of the run. A nested call (from inside `f`) gets a fresh
+/// manager of its own.
+pub fn with_thread_manager<R>(nvars: usize, f: impl FnOnce(&mut Manager) -> R) -> R {
+    thread_local! {
+        static MANAGER: RefCell<Manager> = RefCell::new(Manager::new(0));
+    }
+    MANAGER.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut mgr) => {
+            mgr.clear(nvars);
+            let result = f(&mut mgr);
+            if mgr.unique.len() > UNIQUE_INITIAL_SLOTS {
+                *mgr = Manager::new(0);
+            }
+            result
+        }
+        Err(_) => f(&mut Manager::new(nvars)),
+    })
 }
 
 #[cfg(test)]
@@ -550,6 +707,21 @@ mod tests {
         }
         assert!(m.to_cover(Ref::ZERO).is_empty());
         assert!(m.to_cover(Ref::ONE).cubes()[0].is_universe());
+    }
+
+    #[test]
+    fn clear_wipes_both_tables_when_the_epoch_wraps() {
+        let vars = vars3();
+        let mut m = Manager::new(3);
+        let f = build("ab + a'c", &mut m, &vars);
+        // Entries stamped with epoch 1 would come back to life after the
+        // wrap unless the tables are wiped.
+        m.epoch = EPOCH_LIMIT - 1;
+        m.clear(3);
+        assert_eq!(m.epoch, 1);
+        assert!(m.unique.iter().all(|&slot| slot == 0));
+        assert!(m.computed.iter().all(|&entry| entry == [0; 4]));
+        assert_eq!(build("ab + a'c", &mut m, &vars), f);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Mapped designs: cover assembly, area/delay reporting and verification.
 
 use crate::cover::{ConeCover, Instance};
-use asyncmap_bdd::{Manager, Ref};
+use asyncmap_bdd::{with_thread_manager, Manager, Ref};
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
 use asyncmap_hazard::{decide_containment, Containment};
@@ -240,8 +240,9 @@ pub fn verify_cone_function(
 ) -> bool {
     let orig = cone.to_expr(net);
     let mapped = mapped_cone_expr(net, cone, cover, library);
-    let mut mgr = Manager::new(cone.leaves.len());
-    bdd_of_expr(&mut mgr, &orig) == bdd_of_expr(&mut mgr, &mapped)
+    with_thread_manager(cone.leaves.len(), |mgr| {
+        bdd_of_expr(mgr, &orig) == bdd_of_expr(mgr, &mapped)
+    })
 }
 
 /// Assembles covers into a [`MappedDesign`]: totals area (adding a fanout

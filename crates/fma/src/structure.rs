@@ -13,6 +13,7 @@
 
 use crate::FmaReport;
 use asyncmap_core::{Instance, MappedDesign};
+use asyncmap_network::SignalId;
 use asyncmap_report::Severity;
 
 /// Runs the structural checks, appending findings to `report`.
@@ -21,8 +22,9 @@ use asyncmap_report::Severity;
 /// — the gate every downstream analysis waits on.
 ///
 /// Every table is a plain vector indexed by signal or by flat instance
-/// number; a binding outside the subject network is reported first and
-/// stops the checks, so every later index is in range.
+/// number; a cone signal or binding outside the subject network is
+/// reported first and stops the checks (and the per-cone analyses), so
+/// every later index is in range.
 pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> bool {
     let net = &design.subject;
     let before = report.num_errors();
@@ -30,19 +32,30 @@ pub(crate) fn check_structure(design: &MappedDesign, report: &mut FmaReport) -> 
     // Flat instance list, in (cover, instance) order.
     let instances: Vec<&Instance> = design.covers.iter().flat_map(|c| &c.instances).collect();
 
+    let mut out_of_range = |sig: SignalId, what: &str| {
+        if sig.index() >= net.len() {
+            report.push(
+                Severity::Error,
+                "structure.signal-out-of-range",
+                sig.to_string(),
+                format!(
+                    "{what} signal {sig} outside the {}-signal subject network",
+                    net.len()
+                ),
+            );
+        }
+    };
+    for cone in &design.cones {
+        for &sig in std::iter::once(&cone.root)
+            .chain(&cone.leaves)
+            .chain(&cone.gates)
+        {
+            out_of_range(sig, "cone names");
+        }
+    }
     for inst in &instances {
         for &sig in std::iter::once(&inst.output).chain(&inst.inputs) {
-            if sig.index() >= net.len() {
-                report.push(
-                    Severity::Error,
-                    "structure.signal-out-of-range",
-                    sig.to_string(),
-                    format!(
-                        "cell instance binds signal {sig} outside the {}-signal subject network",
-                        net.len()
-                    ),
-                );
-            }
+            out_of_range(sig, "cell instance binds");
         }
     }
     if report.num_errors() != before {

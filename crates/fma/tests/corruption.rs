@@ -8,7 +8,9 @@
 //! * forged spec bursts (the design no longer implements an edge) →
 //!   `boundary.burst-mismatch`;
 //! * a glitch-capable cover substituted for a hazard-free one →
-//!   `boundary.containment`, whose witness burst replays on `wave_eval`.
+//!   `boundary.containment`, whose witness burst replays on `wave_eval`;
+//! * a cone root, leaf or gate outside the subject network →
+//!   `structure.signal-out-of-range`.
 
 use asyncmap_burst::{benchmark, benchmark_spec, BurstSpec};
 use asyncmap_core::{async_tmap, mapped_cone_expr, Instance, MapOptions, MapStats, MappedDesign};
@@ -17,7 +19,7 @@ use asyncmap_fma::{analyze_design, analyze_design_with_spec};
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::wave_eval;
 use asyncmap_library::{builtin, Library};
-use asyncmap_network::{EquationSet, SignalName};
+use asyncmap_network::{EquationSet, SignalId, SignalName};
 use proptest::prelude::*;
 use std::sync::LazyLock;
 
@@ -243,4 +245,34 @@ fn dropped_inner_instance_is_flagged_as_undriven() {
         "{}",
         report.render()
     );
+}
+
+/// A cone that names a signal outside the subject network is reported,
+/// not analyzed: an out-of-range root used to panic in the boundary
+/// check, and an out-of-range leaf or gate used to pass unnoticed.
+#[test]
+fn out_of_range_cone_signals_are_flagged() {
+    let mut lib = builtin::actel();
+    lib.annotate_hazards();
+    let base = async_tmap(&benchmark("dme"), &lib, &MapOptions::default()).unwrap();
+    assert!(analyze_design(&base, &lib).is_clean());
+    let outside = SignalId(base.subject.len() + 5);
+    for what in ["root", "leaf", "gate"] {
+        let mut design = copy_design(&base);
+        let cone = &mut design.cones[0];
+        match what {
+            "root" => cone.root = outside,
+            "leaf" => cone.leaves.push(outside),
+            _ => cone.gates.push(outside),
+        }
+        let report = analyze_design(&design, &lib);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.code == "structure.signal-out-of-range"),
+            "out-of-range cone {what} not flagged:\n{}",
+            report.render()
+        );
+    }
 }

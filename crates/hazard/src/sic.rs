@@ -15,7 +15,7 @@
 //! reported as a cover.
 
 use crate::Hazard;
-use asyncmap_bdd::{Manager, Ref};
+use asyncmap_bdd::{with_thread_manager, Manager, Ref};
 use asyncmap_bff::{Expr, PathSop};
 use asyncmap_cube::{Cube, Phase, VarId};
 
@@ -113,7 +113,10 @@ fn confirm(
 /// conservative (may over-report) for factored ones. Exposed for the
 /// ablation benchmarks; [`find_sic_hazards`] is the confirmed form.
 pub fn find_sic_hazards_raw(ps: &PathSop, nvars: usize) -> SicAnalysis {
-    let mut mgr = Manager::new(nvars);
+    with_thread_manager(nvars, |mgr| sic_hazards_in(mgr, ps))
+}
+
+fn sic_hazards_in(mgr: &mut Manager, ps: &PathSop) -> SicAnalysis {
     let products = ps.cover.cubes();
     // Classify products once.
     let vacuous_vars: Vec<Vec<VarId>> = products.iter().map(|c| ps.vacuous_in(c)).collect();
@@ -122,7 +125,7 @@ pub fn find_sic_hazards_raw(ps: &PathSop, nvars: usize) -> SicAnalysis {
     for (ti, t) in products.iter().enumerate() {
         for &v in &vacuous_vars[ti] {
             // Condition: the non-v literals of t all at 1.
-            let cond_t = product_without_var(&mut mgr, ps, t, v);
+            let cond_t = product_without_var(mgr, ps, t, v);
             if cond_t == Ref::ZERO {
                 continue; // the rest of t clashes too; never sensitizable
             }
@@ -133,7 +136,7 @@ pub fn find_sic_hazards_raw(ps: &PathSop, nvars: usize) -> SicAnalysis {
                     continue; // vacuous products are never steadily 1
                 }
                 for value in [false, true] {
-                    let qv = product_with_var_fixed(&mut mgr, ps, q, v, value);
+                    let qv = product_with_var_fixed(mgr, ps, q, v, value);
                     let nqv = mgr.not(qv);
                     others_quiet = mgr.and(others_quiet, nqv);
                 }
@@ -155,7 +158,7 @@ pub fn find_sic_hazards_raw(ps: &PathSop, nvars: usize) -> SicAnalysis {
                 let Some(_u_phase) = single_phase_of(ps, u, v) else {
                     continue; // u does not depend on v
                 };
-                let cond_u = product_without_var(&mut mgr, ps, u, v);
+                let cond_u = product_without_var(mgr, ps, u, v);
                 if cond_u == Ref::ZERO {
                     continue;
                 }
@@ -165,7 +168,7 @@ pub fn find_sic_hazards_raw(ps: &PathSop, nvars: usize) -> SicAnalysis {
                         continue;
                     }
                     for value in [false, true] {
-                        let qv = product_with_var_fixed(&mut mgr, ps, q, v, value);
+                        let qv = product_with_var_fixed(mgr, ps, q, v, value);
                         let nqv = mgr.not(qv);
                         rest_quiet = mgr.and(rest_quiet, nqv);
                     }

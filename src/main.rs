@@ -10,7 +10,7 @@
 //!                [--lint] [--audit]
 //! asyncmap lint  <design> <library>           map, then independently verify
 //! asyncmap analyze <design> <library>         map, then whole-design
-//!                                             fundamental-mode analysis
+//!                [--sync]                     fundamental-mode analysis
 //! asyncmap preflight <design> <library>       static (library, design)
 //!                                             qualification, no mapping
 //! asyncmap gen   <gates>                      seeded large-design generator
@@ -617,7 +617,9 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
-/// The whole-design fundamental-mode analyzer gate: maps the design, then
+/// The whole-design fundamental-mode analyzer gate: maps the design
+/// (with the synchronous `tmap` under `--sync`, to show what the analyzer
+/// catches in a hazard-oblivious map), then
 /// statically checks instance-graph structure, cross-cone hazard
 /// containment and (when a burst-mode spec is available) spec-level race
 /// and feedback discipline. Notes are informational; the exit code is
@@ -630,6 +632,13 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         let lib_arg = args
             .get(1)
             .ok_or("analyze: missing library (.genlib, .lib path, or builtin name)")?;
+        let mut sync = false;
+        for flag in &args[2..] {
+            match flag.as_str() {
+                "--sync" => sync = true,
+                other => return Err(format!("analyze: unknown flag {other:?}")),
+            }
+        }
         let mut lib = asyncmap::load_library_auto(lib_arg)?;
         lib.annotate_hazards();
 
@@ -637,7 +646,8 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         // (full analysis); `.blif` netlists and equation dumps are
         // analyzed structurally, without a spec.
         let (eqs, spec) = asyncmap::load_design_with_spec(src_arg)?;
-        let design = async_tmap(&eqs, &lib, &MapOptions::default()).map_err(|e| e.to_string())?;
+        let map = if sync { tmap } else { async_tmap };
+        let design = map(&eqs, &lib, &MapOptions::default()).map_err(|e| e.to_string())?;
         Ok(match &spec {
             Some(spec) => analyze_design_with_spec(&design, &lib, spec),
             None => analyze_design(&design, &lib),

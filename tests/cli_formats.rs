@@ -129,3 +129,29 @@ fn reserved_gate_name_input_is_a_load_error() {
     );
     assert!(!verilog.exists());
 }
+
+/// `analyze` refuses a flag it does not know (exit 1 with an error),
+/// like `gen` and `map` do, instead of ignoring it.
+#[test]
+fn analyze_rejects_unknown_flags() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_asyncmap"))
+        .args(["analyze", "dme", "actel", "--bogus"])
+        .output()
+        .expect("run asyncmap");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag \"--bogus\""), "{stderr}");
+}
+
+/// `analyze --sync` maps with the hazard-oblivious `tmap`, and the
+/// analyzer catches the glitch that map lets through on dme × Actel.
+#[test]
+fn analyze_sync_map_reports_burst_glitch() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_asyncmap"))
+        .args(["analyze", "dme", "actel", "--sync"])
+        .output()
+        .expect("run asyncmap");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "{stdout}");
+    assert!(stdout.contains("boundary.burst-glitch"), "{stdout}");
+}
