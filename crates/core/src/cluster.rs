@@ -15,10 +15,8 @@
 //! * the interned-cut enumerator (default) — a bottom-up dynamic program in
 //!   the k-feasible-cut style: sorted leaf sets are interned in a per-cone
 //!   [`LeafArena`] (set equality is id equality), each gate's cut list is
-//!   computed once from its fanins' interned lists (over-wide unions —
-//!   the bulk of the cross product in wide cones — are rejected by a
-//!   one-word bloom popcount bound or an early-aborting merge before
-//!   anything is hashed), and the cuts are materialized by a single walk
+//!   computed once from its fanins' interned lists, and the cuts are
+//!   materialized by a single walk
 //!   that produces each cut's packed 4-word truth table directly — the
 //!   cluster `Expr` is only built lazily, when a hazard check first needs
 //!   it. Covering materializes every gate's list; root qualification
@@ -33,6 +31,27 @@
 //! (cross-product → lexicographic sort → dedup → trivial cut first →
 //! truncation at 200 cuts per gate → depth filter), so both yield equal
 //! cluster lists and the mapped designs are bit-identical.
+//!
+//! Most of a wide cone's cross product is over-wide: on dean-ctrl about 98%
+//! of the (a, b) pairs of fanin options have more than
+//! [`ClusterLimits::MAX_LEAVES`] leaves in their union. Three screens, each
+//! exact, drop them before anything is hashed:
+//!
+//! 1. **Size bound.** Each gate publishes its final cut ids for its users'
+//!    cross products sorted by set size, with per-size offsets. Pairing a
+//!    first-fanin option `a` with the cuts `b` of the second fanin, only
+//!    the members of `a` that occur in some cut of the second fanin can be
+//!    shared, so `|a ∪ b| ≥ |a| + |b| − ov(a)` with `ov(a)` the number of
+//!    such members, and the scan reads only the prefix of cuts with
+//!    `|b| ≤ MAX_LEAVES − |a| + ov(a)`. **Invariant:** every pair the
+//!    bound skips has a union wider than the bound, whatever the cone's
+//!    shape, so the cut lists are unchanged. The gate's own list (what
+//!    truncation keeps and materialization walks) stays in lexicographic
+//!    order; only the published copy for downstream scans is size-sorted.
+//! 2. **Bloom bound.** `popcount(sig(a) | sig(b))` is a lower bound on
+//!    `|a ∪ b|`, four candidates at a time.
+//! 3. **Bounded merge.** The sorted merge aborts as soon as the union
+//!    passes the bound.
 
 use crate::truth::MASKS;
 use asyncmap_bff::Expr;
@@ -526,6 +545,82 @@ impl ConeCuts {
             .expect("signal is a gate of the enumerated cone");
         &self.lists[i]
     }
+
+    /// The match-candidate clusters rooted at the cone's `k`-th gate (in
+    /// ascending gate order), trivial cut first.
+    pub(crate) fn list(&self, k: usize) -> &[CutCluster] {
+        &self.lists[k]
+    }
+}
+
+/// Dense cone-local gate index: the position of each gate in its cone's
+/// (ascending) gate list, in stamped arrays indexed by signal id, so a
+/// lookup is two loads instead of a binary search. Rebinding to the next
+/// cone costs one write per gate; the arrays keep their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct ConeIndex {
+    /// `stamp[s] == generation` iff `s` is a gate of the bound cone.
+    stamp: Vec<u32>,
+    /// Position of `s` in the bound cone's gate list, valid where `stamp`
+    /// matches.
+    dense: Vec<u32>,
+    generation: u32,
+}
+
+impl ConeIndex {
+    /// Binds the index to a cone's gate list (ascending signal ids).
+    pub(crate) fn bind(&mut self, gates: &[SignalId]) {
+        // A fresh generation invalidates the previous cone; on (u32)
+        // wraparound clear the stamps once.
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        let max_id = gates.last().map_or(0, |g| g.0 + 1);
+        if self.stamp.len() < max_id {
+            self.stamp.resize(max_id, 0);
+            self.dense.resize(max_id, 0);
+        }
+        for (k, &g) in gates.iter().enumerate() {
+            self.stamp[g.0] = self.generation;
+            self.dense[g.0] = k as u32;
+        }
+    }
+
+    /// The position of `s` in the bound cone's gate list, or `None` when
+    /// `s` is not one of its gates.
+    #[inline]
+    pub(crate) fn get(&self, s: SignalId) -> Option<usize> {
+        (self.stamp.get(s.0) == Some(&self.generation)).then(|| self.dense[s.0] as usize)
+    }
+}
+
+/// One gate's published cut ids in the enumerator's CSR storage, sorted
+/// by set size so that a cross-product scan reads only the prefix of the
+/// sizes that can still fit (see [`cross_pairs`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct CutRun {
+    /// Offset of the gate's first id in `cut_data`.
+    start: u32,
+    /// `size_ends[s]`: the number of the gate's cuts with at most `s`
+    /// leaves; `size_ends[MAX_LEAVES]` is the whole run.
+    size_ends: [u8; ClusterLimits::MAX_LEAVES + 1],
+}
+
+// Per-gate run lengths are counted in `u8`.
+const _: () = assert!(MAX_CUTS_PER_GATE <= u8::MAX as usize);
+
+impl CutRun {
+    /// The run's first `len` ids.
+    fn ids<'d>(&self, cut_data: &'d [u32], len: u8) -> &'d [u32] {
+        &cut_data[self.start as usize..self.start as usize + len as usize]
+    }
+
+    /// All of the run's ids.
+    fn all<'d>(&self, cut_data: &'d [u32]) -> &'d [u32] {
+        self.ids(cut_data, self.size_ends[ClusterLimits::MAX_LEAVES])
+    }
 }
 
 /// Reusable per-thread working state of the cut enumerator. Every buffer
@@ -537,20 +632,20 @@ impl ConeCuts {
 #[derive(Debug, Default)]
 struct EnumScratch {
     arena: LeafArena,
-    /// Cone-membership stamps, indexed by signal id: `stamp[s] == generation`
-    /// iff `s` is a gate of the current cone.
-    stamp: Vec<u32>,
-    /// Dense gate index (position in the cone's gate list) per signal id,
-    /// valid where `stamp` matches the current generation.
-    dense: Vec<u32>,
-    generation: u32,
     /// CSR storage of the per-gate post-truncation cut-id lists consumed
-    /// by downstream cross-products: `cut_spans[k]` is the `(start, len)`
-    /// of gate `k`'s ids in `cut_data`.
+    /// by downstream cross-products: `cut_runs[k]` locates gate `k`'s ids
+    /// in `cut_data`, where they are sorted by set size.
     cut_data: Vec<u32>,
-    cut_spans: Vec<(u32, u32)>,
-    /// The current gate's cut ids while being built, sorted and truncated.
+    cut_runs: Vec<CutRun>,
+    /// The current gate's cut ids while being built, sorted
+    /// lexicographically and truncated.
     gate_buf: Vec<u32>,
+    /// Per-signal-id marks of the members of the second fanin's cuts,
+    /// for the size bound: `shared[s] == shared_gen` iff `s` is in some
+    /// cut of the current gate's second fanin. One byte per signal; the
+    /// marks are cleared once per 255 gates.
+    shared: Vec<u8>,
+    shared_gen: u8,
     /// Output buffer of [`LeafArena::merge_bounded`].
     merge: Vec<SignalId>,
     /// Sorted/deduped trivial-cut buffer.
@@ -561,21 +656,22 @@ struct EnumScratch {
 /// allocation (capacity-growth) events per cone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ScratchCaps {
-    caps: [usize; 10],
+    caps: [usize; 11],
 }
 
 impl EnumScratch {
-    fn capacities(&self) -> ScratchCaps {
+    fn capacities(&self, index: &ConeIndex) -> ScratchCaps {
         ScratchCaps {
             caps: [
                 self.arena.data.capacity(),
                 self.arena.spans.capacity(),
                 self.arena.sigs.capacity(),
                 self.arena.slots.len(),
-                self.stamp.capacity(),
+                index.stamp.capacity(),
                 self.cut_data.capacity(),
-                self.cut_spans.capacity(),
+                self.cut_runs.capacity(),
                 self.gate_buf.capacity(),
+                self.shared.capacity(),
                 self.merge.capacity(),
                 self.trivial_buf.capacity(),
             ],
@@ -584,8 +680,8 @@ impl EnumScratch {
 
     /// Number of buffers that grew since `before` — each one is at least
     /// one heap (re)allocation.
-    fn growth_events(&self, before: &ScratchCaps) -> usize {
-        let now = self.capacities();
+    fn growth_events(&self, index: &ConeIndex, before: &ScratchCaps) -> usize {
+        let now = self.capacities(index);
         now.caps
             .iter()
             .zip(&before.caps)
@@ -600,6 +696,20 @@ thread_local! {
     /// capacity across cones (and across designs within a process).
     static SCRATCH: std::cell::RefCell<EnumScratch> =
         std::cell::RefCell::new(EnumScratch::default());
+    /// One [`ConeIndex`] per mapping thread, shared by the enumerator and
+    /// the cover DP (see [`with_cone_index`]).
+    static CONE_INDEX: std::cell::RefCell<ConeIndex> =
+        std::cell::RefCell::new(ConeIndex::default());
+}
+
+/// Runs `f` with this thread's [`ConeIndex`] bound to `gates`. Not
+/// re-entrant: `f` must not enumerate cuts or bind the index again.
+pub(crate) fn with_cone_index<R>(gates: &[SignalId], f: impl FnOnce(&ConeIndex) -> R) -> R {
+    CONE_INDEX.with(|index| {
+        let mut index = index.borrow_mut();
+        index.bind(gates);
+        f(&index)
+    })
 }
 
 /// Bottom-up cut enumeration over `cone`: one pass over the gates in
@@ -609,7 +719,7 @@ thread_local! {
 /// All working storage comes from the thread-local [`EnumScratch`], so in
 /// steady state the dynamic program allocates only its output.
 pub(crate) fn enumerate_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits) -> ConeCuts {
-    SCRATCH.with(|s| enumerate_cuts_in(&mut s.borrow_mut(), net, cone, limits, Materialize::Every))
+    enumerate(net, cone, limits, Materialize::Every)
 }
 
 /// [`enumerate_cuts`] for a caller that reads only the cone root's list:
@@ -617,7 +727,19 @@ pub(crate) fn enumerate_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits)
 /// (the root's cross-products consume them), but the materialization walk
 /// runs at the root alone. Every other gate's list is empty.
 pub(crate) fn enumerate_root_cuts(net: &Network, cone: &Cone, limits: &ClusterLimits) -> ConeCuts {
-    SCRATCH.with(|s| enumerate_cuts_in(&mut s.borrow_mut(), net, cone, limits, Materialize::Root))
+    enumerate(net, cone, limits, Materialize::Root)
+}
+
+fn enumerate(
+    net: &Network,
+    cone: &Cone,
+    limits: &ClusterLimits,
+    materialize: Materialize,
+) -> ConeCuts {
+    with_cone_index(&cone.gates, |index| {
+        SCRATCH
+            .with(|s| enumerate_cuts_in(&mut s.borrow_mut(), index, net, cone, limits, materialize))
+    })
 }
 
 /// Which gates' match-candidate lists [`enumerate_cuts_in`] materializes.
@@ -631,57 +753,44 @@ enum Materialize {
 
 fn enumerate_cuts_in(
     scr: &mut EnumScratch,
+    index: &ConeIndex,
     net: &Network,
     cone: &Cone,
     limits: &ClusterLimits,
     materialize: Materialize,
 ) -> ConeCuts {
-    let caps_before = scr.capacities();
+    let caps_before = scr.capacities(index);
     scr.arena.reset();
     scr.cut_data.clear();
-    scr.cut_spans.clear();
-    // Stamp the cone's gates with a fresh generation; on (u32) wraparound
-    // clear the stamps once.
-    scr.generation = scr.generation.wrapping_add(1);
-    if scr.generation == 0 {
-        scr.stamp.fill(0);
-        scr.generation = 1;
-    }
+    scr.cut_runs.clear();
+    // Every cut member precedes the cone's last gate.
     let max_id = cone.gates.last().map_or(0, |g| g.0 + 1);
-    if scr.stamp.len() < max_id {
-        scr.stamp.resize(max_id, 0);
-        scr.dense.resize(max_id, 0);
-    }
-    for (k, &g) in cone.gates.iter().enumerate() {
-        scr.stamp[g.0] = scr.generation;
-        scr.dense[g.0] = k as u32;
+    if scr.shared.len() < max_id {
+        scr.shared.resize(max_id, 0);
     }
     // Disjoint field borrows for the main loop.
     let EnumScratch {
         arena,
-        stamp,
-        dense,
-        generation,
         cut_data,
-        cut_spans,
+        cut_runs,
         gate_buf,
+        shared,
+        shared_gen,
         merge,
         trivial_buf,
     } = scr;
-    let generation = *generation;
-    // Sub-cut span of fanin `f`: its CSR range when `f` is a cone gate
-    // (always already processed — `cone.gates` is topological), else empty.
-    let sub_span = |f: SignalId, cut_spans: &[(u32, u32)], k: usize| -> (u32, u32) {
-        if f.0 < stamp.len() && stamp[f.0] == generation {
-            let d = dense[f.0] as usize;
+    // Sub-cut run of fanin `f`: its CSR run when `f` is a cone gate
+    // (always already processed — `cone.gates` is topological), else
+    // empty.
+    let sub_run = |f: SignalId, cut_runs: &[CutRun], k: usize| -> CutRun {
+        index.get(f).map_or(CutRun::default(), |d| {
             debug_assert!(d < k, "fanin gate follows its user in cone order");
-            cut_spans[d]
-        } else {
-            (0, 0)
-        }
+            cut_runs[d]
+        })
     };
     let mut lists: Vec<Vec<CutCluster>> = Vec::with_capacity(cone.gates.len());
     let mut truncations = 0usize;
+    let mut screens = 0u64;
     for (k, &g) in cone.gates.iter().enumerate() {
         let NodeKind::Gate { fanin, .. } = net.node(g) else {
             unreachable!("cone gate is not a gate")
@@ -690,54 +799,53 @@ fn enumerate_cuts_in(
         // then the fanin's own cuts), merging interned sets pairwise.
         // Arity is at most 2, so the product is two nested loops — no
         // recursion, no per-gate option vectors. Over-wide unions — the
-        // bulk of the product in wide cones — are rejected by a bloom
-        // popcount bound or an early-aborting merge before anything is
-        // hashed or interned.
+        // bulk of the product in wide cones — are skipped by a size bound
+        // or rejected by a bloom popcount bound or an early-aborting merge
+        // before anything is hashed or interned.
         gate_buf.clear();
         let f0 = fanin[0];
         let s0 = arena.intern(&[f0]);
-        let (r0_start, r0_len) = sub_span(f0, cut_spans, k);
+        let run0 = sub_run(f0, cut_runs, k);
+        let options0 = std::iter::once(s0).chain(run0.all(cut_data).iter().copied());
         match fanin.len() {
-            1 => {
-                for i in 0..=r0_len as usize {
-                    let choice = if i == 0 {
-                        s0
-                    } else {
-                        cut_data[r0_start as usize + i - 1]
-                    };
-                    if arena.len_of(choice) > ClusterLimits::MAX_LEAVES {
-                        continue;
-                    }
-                    gate_buf.push(choice);
-                }
-            }
+            // Every cut has at most `MAX_LEAVES` leaves, so each option
+            // of a single fanin is a cut of the gate.
+            1 => gate_buf.extend(options0),
             2 => {
                 let f1 = fanin[1];
                 let s1 = arena.intern(&[f1]);
-                let (r1_start, r1_len) = sub_span(f1, cut_spans, k);
-                for i in 0..=r0_len as usize {
-                    let a = if i == 0 {
-                        s0
-                    } else {
-                        cut_data[r0_start as usize + i - 1]
-                    };
-                    if arena.len_of(a) > ClusterLimits::MAX_LEAVES {
-                        continue;
+                let run1 = sub_run(f1, cut_runs, k);
+                // Mark the members of the second fanin's cuts: only those
+                // can be shared with a first-fanin option.
+                *shared_gen = shared_gen.wrapping_add(1);
+                if *shared_gen == 0 {
+                    shared.fill(0);
+                    *shared_gen = 1;
+                }
+                for &b in run1.all(cut_data) {
+                    for &m in arena.slice(b) {
+                        shared[m.0] = *shared_gen;
                     }
-                    cross_pairs(arena, a, s1, (r1_start, r1_len), cut_data, gate_buf, merge);
+                }
+                let is_shared = |m: SignalId| shared[m.0] == *shared_gen;
+                for a in options0 {
+                    let fit = fitting_size(arena.slice(a), is_shared);
+                    let subs = run1.ids(cut_data, run1.size_ends[fit]);
+                    screens += cross_pairs(arena, a, s1, subs, gate_buf, merge);
                 }
             }
             n => unreachable!("base-gate arity {n}"),
         }
         // Legacy pipeline order: sort lexicographically by set content,
         // dedup (same content ⇒ same id), pull the trivial cut to the
-        // front, truncate.
+        // front, truncate. Distinct ids have distinct contents, so an
+        // unstable sort orders them exactly as a stable one.
         trivial_buf.clear();
         trivial_buf.extend_from_slice(fanin);
         trivial_buf.sort();
         trivial_buf.dedup();
         let trivial = arena.intern(trivial_buf);
-        gate_buf.sort_by(|&a, &b| arena.slice(a).cmp(arena.slice(b)));
+        gate_buf.sort_unstable_by(|&a, &b| arena.slice(a).cmp(arena.slice(b)));
         gate_buf.dedup();
         gate_buf.retain(|&c| c != trivial);
         let cap = MAX_CUTS_PER_GATE - 1;
@@ -746,15 +854,13 @@ fn enumerate_cuts_in(
         }
         gate_buf.truncate(cap);
         gate_buf.insert(0, trivial);
-        // Publish the post-truncation ids for downstream cross-products.
-        let start = u32::try_from(cut_data.len()).expect("cut CSR overflow");
-        cut_data.extend_from_slice(gate_buf);
-        cut_spans.push((start, gate_buf.len() as u32));
+        cut_runs.push(publish_by_size(arena, gate_buf, cut_data));
         if materialize == Materialize::Root && g != cone.root {
             lists.push(Vec::new());
             continue;
         }
-        // Materialize; the depth filter happens in the walk.
+        // Materialize in lexicographic order; the depth filter happens in
+        // the walk.
         let mut list: Vec<CutCluster> = Vec::with_capacity(gate_buf.len());
         for &id in gate_buf.iter() {
             let mut leaves = Vec::with_capacity(arena.len_of(id));
@@ -781,8 +887,8 @@ fn enumerate_cuts_in(
         }
         lists.push(list);
     }
-    let grown = scr.growth_events(&caps_before);
-    crate::profile::record_enum_cone(grown as u64);
+    let grown = scr.growth_events(index, &caps_before);
+    crate::profile::record_enum_cone(screens, grown as u64);
     ConeCuts {
         gates: cone.gates.clone(),
         lists,
@@ -790,23 +896,65 @@ fn enumerate_cuts_in(
     }
 }
 
+/// Publishes a gate's final cut ids (`ids`, lexicographic) to the CSR
+/// storage for downstream cross-products, counting-sorted by set size
+/// (stable, so ids of one size keep their lexicographic order), and
+/// returns the run with its size offsets.
+fn publish_by_size(arena: &LeafArena, ids: &[u32], cut_data: &mut Vec<u32>) -> CutRun {
+    let start = u32::try_from(cut_data.len()).expect("cut CSR overflow");
+    // Histogram of sizes, then its running sum: `size_ends[s]` counts the
+    // cuts of at most `s` leaves, and `next[s]` is where the next cut of
+    // size `s` goes.
+    let mut size_ends = [0u8; ClusterLimits::MAX_LEAVES + 1];
+    for &id in ids {
+        size_ends[arena.len_of(id)] += 1;
+    }
+    let mut next = [0u8; ClusterLimits::MAX_LEAVES + 1];
+    let mut total = 0u8;
+    for (end, slot) in size_ends.iter_mut().zip(&mut next) {
+        *slot = total;
+        total += *end;
+        *end = total;
+    }
+    cut_data.resize(start as usize + ids.len(), 0);
+    for &id in ids {
+        let slot = &mut next[arena.len_of(id)];
+        cut_data[start as usize + *slot as usize] = id;
+        *slot += 1;
+    }
+    CutRun { start, size_ends }
+}
+
+/// The size bound of a cross-product scan: the largest size of a second
+/// fanin's cut `b` whose union with the first-fanin option `a` can still
+/// fit in [`ClusterLimits::MAX_LEAVES`] leaves. Only the members of `a`
+/// that occur in some cut of the second fanin (`is_shared`) can be in
+/// `b`, so with `ov(a)` their number, `|a ∪ b| ≥ |a| + |b| − ov(a)`, and
+/// only `|b| ≤ MAX_LEAVES − |a| + ov(a)` can fit. The bound is exact: it
+/// assumes nothing about the cone's shape.
+fn fitting_size(a: &[SignalId], is_shared: impl Fn(SignalId) -> bool) -> usize {
+    let ov = a.iter().filter(|&&m| is_shared(m)).count();
+    (ClusterLimits::MAX_LEAVES + ov - a.len()).min(ClusterLimits::MAX_LEAVES)
+}
+
 /// Inner cross-product loop: pairs the accumulated set `a` with every
-/// option of the second fanin (trivial leaf `s1` first, then the CSR span
-/// `r1` of its own cuts), pushing each in-bound union's interned id.
+/// option of the second fanin — the trivial leaf `s1` first, then `subs`,
+/// the prefix of its size-sorted cuts that [`fitting_size`] lets through
+/// — pushing each in-bound union's interned id. Returns the number of
+/// pairs screened.
 ///
 /// The bloom popcount lower bound on the union size (distinct signals can
-/// only collide in the bloom word, never split) rejects most over-wide
-/// pairs before the merge; the sub-cut spans are screened four candidates
-/// at a time so the filter runs word-parallel.
+/// only collide in the bloom word, never split) rejects most remaining
+/// over-wide pairs before the merge; the candidates are screened four at a
+/// time so the filter runs word-parallel.
 fn cross_pairs(
     arena: &mut LeafArena,
     a: u32,
     s1: u32,
-    r1: (u32, u32),
-    cut_data: &[u32],
+    subs: &[u32],
     out: &mut Vec<u32>,
     merge: &mut Vec<SignalId>,
-) {
+) -> u64 {
     let max_leaves = ClusterLimits::MAX_LEAVES;
     let sa = arena.sigs[a as usize];
     // The trivial second option first (legacy option order).
@@ -814,7 +962,6 @@ fn cross_pairs(
     if lb as usize <= max_leaves && arena.merge_bounded(a, s1, max_leaves, merge) {
         out.push(arena.intern(merge));
     }
-    let subs = &cut_data[r1.0 as usize..(r1.0 + r1.1) as usize];
     for chunk in subs.chunks(4) {
         // Gather the candidates' bloom words; padding lanes get all ones
         // (popcount 64, never under any real leaf bound).
@@ -831,6 +978,7 @@ fn cross_pairs(
             out.push(arena.intern(merge));
         }
     }
+    subs.len() as u64
 }
 
 /// Leaf masks for the 4-word (256-minterm, 8-variable) packed tables:
@@ -937,7 +1085,7 @@ fn not4(a: [u64; 4]) -> [u64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asyncmap_cube::Cover;
+    use asyncmap_cube::{Cover, Cube, Phase};
     use asyncmap_network::{async_tech_decomp, partition, EquationSet};
 
     fn cone_of(text: &str, names: &[&str]) -> (Network, Cone) {
@@ -1112,6 +1260,196 @@ mod tests {
             assert!(list.len() <= MAX_CUTS_PER_GATE);
             assert_eq!(list[0].num_gates, 1, "trivial cut survives first");
         }
+    }
+
+    /// One gate's list in comparable form: leaves in order, gate count,
+    /// packed table.
+    type ListView = Vec<(Vec<SignalId>, usize, [u64; 4])>;
+
+    /// Checks every gate list of `cone` against the legacy enumerator and
+    /// returns the number of gates whose list was truncated.
+    fn assert_cone_equals_legacy(
+        net: &Network,
+        cone: &Cone,
+        max_depth: usize,
+        what: &str,
+    ) -> usize {
+        let limits = ClusterLimits { max_depth };
+        let cuts = enumerate_cuts(net, cone, &limits);
+        let legacy = enumerate_clusters_legacy(net, cone, &limits);
+        for &g in &cone.gates {
+            let got: ListView = cuts
+                .clusters(g)
+                .iter()
+                .map(|c| (c.leaves.clone(), c.num_gates, c.table))
+                .collect();
+            let want: ListView = legacy[&g]
+                .iter()
+                .map(|c| {
+                    let t = crate::truth::truth_table_words(&c.expr, ClusterLimits::MAX_LEAVES);
+                    let table = t.words().try_into().expect("4 words");
+                    (c.leaves.clone(), c.num_gates, table)
+                })
+                .collect();
+            assert_eq!(got, want, "{what}: gate {g} (depth {max_depth})");
+        }
+        cuts.truncations
+    }
+
+    /// A seeded single-output SOP design over 16 inputs whose cubes draw
+    /// their literals from a few hot inputs, so that cone leaves are
+    /// shared between the two fanins of many gates.
+    fn shared_leaf_sop(seed: u64) -> Option<(Network, Vec<Cone>)> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let names: Vec<String> = (0..16).map(|i| format!("x{i}")).collect();
+        let vars = VarTable::from_names(names.iter().map(String::as_str));
+        let cubes = (0..8 + next(8))
+            .map(|_| {
+                let mut used = 0u32;
+                let mut lits = Vec::new();
+                for _ in 0..2 + next(4) {
+                    // Half of the literals come from four hot inputs.
+                    let v = if next(2) == 0 { next(4) } else { next(16) } as usize;
+                    if used & 1 << v == 0 {
+                        used |= 1 << v;
+                        let phase = if next(2) == 0 { Phase::Neg } else { Phase::Pos };
+                        lits.push((VarId(v), phase));
+                    }
+                }
+                Cube::from_literals(16, lits)
+            })
+            .collect();
+        let f = Cover::from_cubes(16, cubes);
+        if f.is_tautology() {
+            return None;
+        }
+        let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
+        let net = async_tech_decomp(&eqs);
+        let cones = partition(&net);
+        Some((net, cones))
+    }
+
+    /// On the cones of the 11 Table 5 benchmarks — dean-ctrl's truncated
+    /// gates included — and on seeded shared-leaf SOP designs, every gate
+    /// list equals the legacy enumerator's.
+    #[test]
+    fn real_cones_equal_legacy() {
+        let mut truncated = 0;
+        for (name, eqs) in asyncmap_burst::all_benchmarks() {
+            let net = async_tech_decomp(&eqs);
+            for cone in partition(&net) {
+                truncated += assert_cone_equals_legacy(&net, &cone, 5, name);
+            }
+        }
+        assert!(truncated > 0, "some benchmark gate hits the cut cap");
+        for (seed, (net, cones)) in (0..6).filter_map(|seed| Some((seed, shared_leaf_sop(seed)?))) {
+            for cone in &cones {
+                assert_cone_equals_legacy(&net, cone, 5, &format!("sop seed {seed}"));
+            }
+        }
+    }
+
+    /// [`real_cones_equal_legacy`] at a larger scale: every depth bound
+    /// from 2 to 6 on the benchmarks and 96 seeded SOP designs. Run in
+    /// release: `cargo test --release -p asyncmap-core --lib
+    /// real_cones_equal_legacy_at_ci_scale -- --ignored`.
+    #[test]
+    #[ignore]
+    fn real_cones_equal_legacy_at_ci_scale() {
+        let benchmarks: Vec<(Network, Vec<Cone>)> = asyncmap_burst::all_benchmarks()
+            .into_iter()
+            .map(|(_, eqs)| {
+                let net = async_tech_decomp(&eqs);
+                let cones = partition(&net);
+                (net, cones)
+            })
+            .collect();
+        for max_depth in 2..=6 {
+            for (net, cones) in &benchmarks {
+                for cone in cones {
+                    assert_cone_equals_legacy(net, cone, max_depth, "benchmark");
+                }
+            }
+        }
+        for (seed, (net, cones)) in (0..96).filter_map(|seed| Some((seed, shared_leaf_sop(seed)?)))
+        {
+            for cone in &cones {
+                assert_cone_equals_legacy(&net, cone, 5, &format!("sop seed {seed}"));
+            }
+        }
+    }
+
+    /// Every pair the size bound skips is over-wide, and the bound does
+    /// skip pairs — also where the two fanins share leaves (`ov(a) > 0`).
+    /// Reads the published runs the enumerator leaves in its scratch.
+    #[test]
+    fn size_bound_skips_only_over_wide_pairs() {
+        let mut designs: Vec<(Network, Vec<Cone>)> = (0..6).filter_map(shared_leaf_sop).collect();
+        let eqs = asyncmap_burst::benchmark("abcs");
+        let net = async_tech_decomp(&eqs);
+        let cones = partition(&net);
+        designs.push((net, cones));
+        let (mut skipped, mut skipped_with_overlap) = (0usize, 0usize);
+        for (net, cones) in &designs {
+            for cone in cones {
+                let _ = enumerate_cuts(net, cone, &ClusterLimits::default());
+                let index = CONE_INDEX.with(|i| std::mem::take(&mut *i.borrow_mut()));
+                SCRATCH.with(|scr| {
+                    let scr = scr.borrow();
+                    let run_of = |f: SignalId| index.get(f).map(|d| scr.cut_runs[d]);
+                    for &g in &cone.gates {
+                        let NodeKind::Gate { fanin, .. } = net.node(g) else {
+                            unreachable!()
+                        };
+                        let [f0, f1] = fanin[..] else { continue };
+                        let Some(run1) = run_of(f1) else { continue };
+                        let subs = run1.all(&scr.cut_data);
+                        let sizes: Vec<usize> = subs.iter().map(|&b| scr.arena.len_of(b)).collect();
+                        assert!(
+                            sizes.windows(2).all(|w| w[0] <= w[1]),
+                            "run not size-sorted"
+                        );
+                        let members: HashSet<SignalId> = subs
+                            .iter()
+                            .flat_map(|&b| scr.arena.slice(b).iter().copied())
+                            .collect();
+                        let mut options0 = vec![vec![f0]];
+                        if let Some(run0) = run_of(f0) {
+                            options0.extend(
+                                run0.all(&scr.cut_data)
+                                    .iter()
+                                    .map(|&a| scr.arena.slice(a).to_vec()),
+                            );
+                        }
+                        for a in &options0 {
+                            let fit = fitting_size(a, |m| members.contains(&m));
+                            let ov = a.iter().filter(|m| members.contains(m)).count();
+                            for &b in &subs[run1.size_ends[fit] as usize..] {
+                                let b_slice = scr.arena.slice(b);
+                                let shared = a.iter().filter(|m| b_slice.contains(m)).count();
+                                assert!(
+                                    a.len() + b_slice.len() - shared > ClusterLimits::MAX_LEAVES,
+                                    "skipped a fitting pair {a:?} + {:?}",
+                                    scr.arena.slice(b)
+                                );
+                                skipped += 1;
+                                skipped_with_overlap += usize::from(ov > 0);
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        assert!(
+            skipped > 0 && skipped_with_overlap > 0,
+            "{skipped} {skipped_with_overlap}"
+        );
     }
 
     /// The walk's 4-word tables equal the tables of the lazily built

@@ -8,7 +8,8 @@
 //! match's gate leaves.
 
 use crate::cluster::{
-    enumerate_clusters_legacy, enumerate_cuts, enumerate_root_cuts, ClusterLimits, CutCluster,
+    enumerate_clusters_legacy, enumerate_cuts, enumerate_root_cuts, with_cone_index, ClusterLimits,
+    ConeCuts, ConeIndex, CutCluster,
 };
 use crate::matcher::Matcher;
 use crate::profile::{self, MapPhase};
@@ -60,6 +61,7 @@ impl fmt::Display for CoverError {
 
 impl Error for CoverError {}
 
+/// A gate's solution in the legacy reference DP ([`cover_cone_legacy`]).
 #[derive(Debug, Clone)]
 struct Choice {
     cell_index: usize,
@@ -83,6 +85,24 @@ impl Choice {
     }
 }
 
+/// The winning match of one gate in [`cover_cone_with`]'s dynamic
+/// program: an index into the gate's cluster list and the pin binding, so
+/// scoring a gate allocates nothing.
+#[derive(Debug, Clone, Copy)]
+struct Winner {
+    /// Position of the cluster in its gate's list.
+    cluster: usize,
+    cell_index: usize,
+    /// `pins[p]` = index of the cluster leaf bound to cell pin `p`.
+    pins: [u8; ClusterLimits::MAX_LEAVES],
+    npins: usize,
+    cell_area: f64,
+    /// Total cell area of the sub-solution rooted here.
+    total_area: f64,
+    /// Critical-path cell delay of the sub-solution rooted here.
+    total_delay: f64,
+}
+
 /// Covers `cone` by the given objective (minimum total cell area, or
 /// minimum critical-path cell delay with area as the tie-break), using
 /// `matcher` to find acceptable matches under its hazard policy.
@@ -102,36 +122,45 @@ pub fn cover_cone_with(
         let _t = profile::timer(MapPhase::ClusterEnum);
         enumerate_cuts(net, cone, limits)
     };
-    // Cover-select time excludes the matcher (paused around each call),
-    // which accounts itself under the match / hazard-check phases.
-    let mut t_select = profile::timer(MapPhase::CoverSelect);
-    // Dense DP table aligned with the cone's (ascending) gate order; cone
-    // membership and solution lookup are a binary search over the sorted
-    // gate list — no per-cone hash containers. A `Choice` (with its pin
-    // and gate-leaf vectors) is only built for the winner of each gate,
-    // after all its candidates have been scored.
-    let gate_idx = |s: SignalId| cone.gates.binary_search(&s).ok();
-    let mut best: Vec<Option<Choice>> = Vec::with_capacity(cone.gates.len());
-    best.resize_with(cone.gates.len(), || None);
-    // The winning pin binding of the current gate, copied out of the
-    // matcher's visitor buffer; reused across gates.
-    let mut winner_pins: Vec<usize> = Vec::new();
-    for &g in &cone.gates {
-        // Winner so far: (cluster, cell_index, cell_area, total_area,
-        // total_delay); its pin binding is in `winner_pins`.
-        let mut best_here: Option<(&CutCluster, usize, f64, f64, f64)> = None;
+    let _t_select = profile::timer(MapPhase::CoverSelect);
+    with_cone_index(&cone.gates, |index| {
+        cover_dp(net, cone, &cuts, index, matcher, objective)
+    })
+}
+
+/// The dynamic program of [`cover_cone_with`] over a cone's enumerated
+/// cuts. The table is dense, aligned with the cone's (ascending) gate
+/// order, and `index` maps a leaf to its gate's row in two loads.
+///
+/// Each gate's candidate scan — the leaf-cost sums, the matcher and the
+/// scoring of its matches — is one batched [`MapPhase::Match`] lap
+/// counting one call per matched cluster; cover selection is the rest
+/// (the table, the winners and the reconstruction).
+fn cover_dp(
+    net: &Network,
+    cone: &Cone,
+    cuts: &ConeCuts,
+    index: &ConeIndex,
+    matcher: &Matcher<'_>,
+    objective: Objective,
+) -> Result<ConeCover, CoverError> {
+    let cells = matcher.library().cells();
+    let mut best: Vec<Option<Winner>> = vec![None; cone.gates.len()];
+    for (k, &g) in cone.gates.iter().enumerate() {
+        let mut best_here: Option<Winner> = None;
         let mut best_score = (f64::INFINITY, f64::INFINITY);
-        for cluster in cuts.clusters(g) {
+        let mut t_match = profile::batch_timer(MapPhase::Match);
+        for (c, cluster) in cuts.list(k).iter().enumerate() {
             // All gate leaves must already have solutions (they precede g
             // topologically).
             let mut leaf_area = 0.0f64;
             let mut leaf_delay = 0.0f64;
             for &l in &cluster.leaves {
-                let Some(i) = gate_idx(l) else { continue };
+                let Some(i) = index.get(l) else { continue };
                 match &best[i] {
-                    Some(c) => {
-                        leaf_area += c.total_area;
-                        leaf_delay = leaf_delay.max(c.total_delay);
+                    Some(w) => {
+                        leaf_area += w.total_area;
+                        leaf_delay = leaf_delay.max(w.total_delay);
                     }
                     None => {
                         leaf_area = f64::INFINITY;
@@ -142,9 +171,9 @@ pub fn cover_cone_with(
             if !leaf_area.is_finite() {
                 continue;
             }
-            t_select.pause();
+            t_match.add_call();
             matcher.visit_cut(cluster, net, |cell_index, pin_to_leaf| {
-                let cell = &matcher.library().cells()[cell_index];
+                let cell = &cells[cell_index];
                 let total_area = cell.area() + leaf_area;
                 let total_delay = cell.delay() + leaf_delay;
                 let score = match objective {
@@ -152,38 +181,57 @@ pub fn cover_cone_with(
                     Objective::Delay => (total_delay, total_area),
                 };
                 if best_here.is_none() || score < best_score {
-                    best_here = Some((cluster, cell_index, cell.area(), total_area, total_delay));
+                    let mut pins = [0u8; ClusterLimits::MAX_LEAVES];
+                    for (p, &l) in pins.iter_mut().zip(pin_to_leaf) {
+                        *p = l as u8;
+                    }
+                    best_here = Some(Winner {
+                        cluster: c,
+                        cell_index,
+                        pins,
+                        npins: pin_to_leaf.len(),
+                        cell_area: cell.area(),
+                        total_area,
+                        total_delay,
+                    });
                     best_score = score;
-                    winner_pins.clear();
-                    winner_pins.extend_from_slice(pin_to_leaf);
                 }
                 ControlFlow::Continue(())
             });
-            t_select.resume();
         }
+        drop(t_match);
         match best_here {
-            Some((cluster, cell_index, cell_area, total_area, total_delay)) => {
-                let k = gate_idx(g).expect("gate is in its own cone");
-                best[k] = Some(Choice {
-                    cell_index,
-                    pin_signals: winner_pins.iter().map(|&l| cluster.leaves[l]).collect(),
-                    gate_leaves: cluster
-                        .leaves
-                        .iter()
-                        .copied()
-                        .filter(|&l| gate_idx(l).is_some())
-                        .collect(),
-                    cell_area,
-                    total_area,
-                    total_delay,
-                });
-            }
+            Some(w) => best[k] = Some(w),
             None => return Err(CoverError { gate: g }),
         }
     }
-    let cover = reconstruct(cone, &gate_idx, &best, cuts.truncations);
-    drop(t_select);
-    Ok(cover)
+    // Reconstruct from the root, depth first: each instance's gate leaves
+    // are covered below it.
+    let mut instances = Vec::new();
+    let mut area = 0.0;
+    let mut work = vec![cone.root];
+    while let Some(g) = work.pop() {
+        let k = index.get(g).expect("cover gate is in the cone");
+        let w = best[k].expect("every cone gate was covered");
+        let cluster = &cuts.list(k)[w.cluster];
+        area += w.cell_area;
+        instances.push(Instance {
+            cell_index: w.cell_index,
+            output: g,
+            inputs: w.pins[..w.npins]
+                .iter()
+                .map(|&l| cluster.leaves[l as usize])
+                .collect(),
+        });
+        work.extend(cluster.leaves.iter().filter(|&&l| index.get(l).is_some()));
+    }
+    instances.reverse();
+    Ok(ConeCover {
+        root: cone.root,
+        instances,
+        area,
+        cut_truncations: cuts.truncations,
+    })
 }
 
 /// What [`qualify_cone_root`] found at a cone root.
@@ -224,7 +272,9 @@ pub fn qualify_cone_root(
         functional: false,
         hazard_ok: false,
     };
+    let mut t_match = profile::batch_timer(MapPhase::Match);
     for cluster in clusters {
+        t_match.add_call();
         q.functional |= matcher.visit_cut(cluster, net, |_, _| {
             q.hazard_ok = true;
             ControlFlow::Break(())
@@ -256,7 +306,7 @@ pub fn cover_cone_legacy(
         let _t = profile::timer(MapPhase::ClusterEnum);
         enumerate_clusters_legacy(net, cone, limits)
     };
-    let mut t_select = profile::timer(MapPhase::CoverSelect);
+    let _t_select = profile::timer(MapPhase::CoverSelect);
     let cone_gates: HashSet<SignalId> = cone.gates.iter().copied().collect();
     let mut best: HashMap<SignalId, Choice> = HashMap::new();
     for &g in &cone.gates {
@@ -279,9 +329,7 @@ pub fn cover_cone_legacy(
                 .iter()
                 .map(|l| best[l].total_delay)
                 .fold(0.0, f64::max);
-            t_select.pause();
             let matches = matcher.find_matches(cluster);
-            t_select.resume();
             for m in matches {
                 let cell = &matcher.library().cells()[m.cell_index];
                 let candidate = Choice {
@@ -307,9 +355,7 @@ pub fn cover_cone_legacy(
             None => return Err(CoverError { gate: g }),
         }
     }
-    let cover = reconstruct_map(cone, &best, 0);
-    drop(t_select);
-    Ok(cover)
+    Ok(reconstruct(cone, &best))
 }
 
 /// A "designer-style" structural cover used as the hand-mapped baseline of
@@ -326,7 +372,7 @@ pub fn hand_cover(
         let _t = profile::timer(MapPhase::ClusterEnum);
         enumerate_cuts(net, cone, limits)
     };
-    let mut t_select = profile::timer(MapPhase::CoverSelect);
+    let _t_select = profile::timer(MapPhase::CoverSelect);
     let in_cone = |s: SignalId| cone.gates.binary_search(&s).is_ok();
     let mut instances = Vec::new();
     let mut area = 0.0;
@@ -336,8 +382,9 @@ pub fn hand_cover(
     let mut chosen_pins: Vec<usize> = Vec::new();
     while let Some(g) = work.pop() {
         let mut chosen: Option<(&CutCluster, usize, f64)> = None;
+        let mut t_match = profile::batch_timer(MapPhase::Match);
         for cluster in cuts.clusters(g) {
-            t_select.pause();
+            t_match.add_call();
             matcher.visit_cut(cluster, net, |cell_index, pin_to_leaf| {
                 let cell_area = matcher.library().cells()[cell_index].area();
                 let better = match &chosen {
@@ -354,8 +401,8 @@ pub fn hand_cover(
                 }
                 ControlFlow::Continue(())
             });
-            t_select.resume();
         }
+        drop(t_match);
         let Some((cluster, cell_index, cell_area)) = chosen else {
             return Err(CoverError { gate: g });
         };
@@ -380,41 +427,8 @@ pub fn hand_cover(
     })
 }
 
-fn reconstruct(
-    cone: &Cone,
-    gate_idx: &impl Fn(SignalId) -> Option<usize>,
-    best: &[Option<Choice>],
-    cut_truncations: usize,
-) -> ConeCover {
-    let mut instances = Vec::new();
-    let mut area = 0.0;
-    let mut work = vec![cone.root];
-    while let Some(g) = work.pop() {
-        let k = gate_idx(g).expect("cover gate is in the cone");
-        let choice = best[k].as_ref().expect("every cone gate was covered");
-        area += choice.cell_area;
-        instances.push(Instance {
-            cell_index: choice.cell_index,
-            output: g,
-            inputs: choice.pin_signals.clone(),
-        });
-        work.extend(choice.gate_leaves.iter().copied());
-    }
-    instances.reverse();
-    ConeCover {
-        root: cone.root,
-        instances,
-        area,
-        cut_truncations,
-    }
-}
-
-/// Map-keyed variant of [`reconstruct`] for the legacy reference DP.
-fn reconstruct_map(
-    cone: &Cone,
-    best: &HashMap<SignalId, Choice>,
-    cut_truncations: usize,
-) -> ConeCover {
+/// Reconstructs the legacy reference DP's cover from the root.
+fn reconstruct(cone: &Cone, best: &HashMap<SignalId, Choice>) -> ConeCover {
     let mut instances = Vec::new();
     let mut area = 0.0;
     let mut work = vec![cone.root];
@@ -433,7 +447,7 @@ fn reconstruct_map(
         root: cone.root,
         instances,
         area,
-        cut_truncations,
+        cut_truncations: 0,
     }
 }
 

@@ -6,7 +6,7 @@ use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
 use asyncmap_hazard::{decide_containment, Containment};
 use asyncmap_library::Library;
-use asyncmap_network::{Cone, Network, SignalId};
+use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
 use std::collections::HashMap;
 
 /// Counters describing one mapping run (the overhead decomposition behind
@@ -52,6 +52,11 @@ pub struct MapStats {
     /// at least one heap allocation; cold-start sizing plus any later
     /// regrowth).
     pub enum_alloc_events: usize,
+    /// Pairs of a first-fanin option and a second-fanin cut that the cut
+    /// enumerator screened for the leaf bound (the pairs its size bound
+    /// did not skip; the pairing with the second fanin itself is not
+    /// counted).
+    pub enum_pair_screens: usize,
     /// Cones mapped.
     pub cones: usize,
     /// Cones whose cover was reused from an [`crate::EcoSession`] store
@@ -204,18 +209,28 @@ fn substitute_exprs(bff: &Expr, args: &[Expr]) -> Expr {
 
 /// BDD of an expression over `mgr`'s variable space.
 pub fn bdd_of_expr(mgr: &mut Manager, expr: &Expr) -> Ref {
+    bdd_of(mgr, expr, &|mgr, v| mgr.var(v))
+}
+
+/// BDD of an expression with variable `i` replaced by the function
+/// `args[i]` (a cell's BFF applied to the BDDs of its input signals).
+pub fn bdd_of_expr_over(mgr: &mut Manager, expr: &Expr, args: &[Ref]) -> Ref {
+    bdd_of(mgr, expr, &|_, v| args[v.index()])
+}
+
+fn bdd_of(mgr: &mut Manager, expr: &Expr, var: &impl Fn(&mut Manager, VarId) -> Ref) -> Ref {
     match expr {
         Expr::Const(true) => Ref::ONE,
         Expr::Const(false) => Ref::ZERO,
-        Expr::Var(v) => mgr.var(*v),
+        Expr::Var(v) => var(mgr, *v),
         Expr::Not(e) => {
-            let inner = bdd_of_expr(mgr, e);
+            let inner = bdd_of(mgr, e, var);
             mgr.not(inner)
         }
         Expr::And(es) => {
             let mut acc = Ref::ONE;
             for e in es {
-                let r = bdd_of_expr(mgr, e);
+                let r = bdd_of(mgr, e, var);
                 acc = mgr.and(acc, r);
             }
             acc
@@ -223,7 +238,7 @@ pub fn bdd_of_expr(mgr: &mut Manager, expr: &Expr) -> Ref {
         Expr::Or(es) => {
             let mut acc = Ref::ZERO;
             for e in es {
-                let r = bdd_of_expr(mgr, e);
+                let r = bdd_of(mgr, e, var);
                 acc = mgr.or(acc, r);
             }
             acc
@@ -231,17 +246,122 @@ pub fn bdd_of_expr(mgr: &mut Manager, expr: &Expr) -> Ref {
     }
 }
 
-/// `true` iff the cover computes exactly the cone's function.
+/// The cone's leaves with their variables (`cone.leaves[i]` = variable
+/// `i`), sorted by signal for binary search.
+fn leaf_vars(cone: &Cone) -> Vec<(SignalId, VarId)> {
+    let mut leaves: Vec<(SignalId, VarId)> = cone
+        .leaves
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (s, VarId(i)))
+        .collect();
+    leaves.sort_unstable();
+    leaves
+}
+
+/// BDD of the subject cone's function over `mgr`'s variables
+/// (`cone.leaves[i]` = variable `i`): one pass over the cone's gates in
+/// their (topological) order, each gate's AND/OR/INV/BUF applied to its
+/// fanins' BDDs. Equal to [`bdd_of_expr`] of [`Cone::to_expr`], without
+/// building the expression.
+pub fn subject_cone_bdd(mgr: &mut Manager, net: &Network, cone: &Cone) -> Ref {
+    let leaves = leaf_vars(cone);
+    let mut refs: Vec<Ref> = Vec::with_capacity(cone.gates.len());
+    for &g in &cone.gates {
+        let NodeKind::Gate { op, fanin } = net.node(g) else {
+            unreachable!("cone gate {g} is not a gate")
+        };
+        let arg = |mgr: &mut Manager, f: SignalId| match leaves.binary_search_by_key(&f, |l| l.0) {
+            Ok(k) => mgr.var(leaves[k].1),
+            Err(_) => {
+                let k = cone
+                    .gates
+                    .binary_search(&f)
+                    .unwrap_or_else(|_| panic!("fanin {f} of {g} neither leaf nor cone gate"));
+                assert!(k < refs.len(), "fanin {f} follows its user {g}");
+                refs[k]
+            }
+        };
+        let r = match op {
+            GateOp::And => fanin.iter().fold(Ref::ONE, |acc, &f| {
+                let x = arg(mgr, f);
+                mgr.and(acc, x)
+            }),
+            GateOp::Or => fanin.iter().fold(Ref::ZERO, |acc, &f| {
+                let x = arg(mgr, f);
+                mgr.or(acc, x)
+            }),
+            GateOp::Inv => {
+                let x = arg(mgr, fanin[0]);
+                mgr.not(x)
+            }
+            GateOp::Buf => arg(mgr, fanin[0]),
+        };
+        refs.push(r);
+    }
+    let root = cone
+        .gates
+        .binary_search(&cone.root)
+        .expect("the root is a cone gate");
+    refs[root]
+}
+
+/// BDD of the mapped cone's function over `mgr`'s variables
+/// (`cone.leaves[i]` = variable `i`): one pass over the cover's
+/// instances, leaves to root, each cell's BFF applied to the BDDs of its
+/// input signals ([`bdd_of_expr_over`]). Equal to [`bdd_of_expr`] of
+/// [`mapped_cone_expr`], without building the expression.
+///
+/// # Panics
+///
+/// Panics if an instance reads a signal that is neither a cone leaf nor
+/// the output of an earlier instance, or drives a signal that is not a
+/// cone gate (every cover the mapper builds lists its instances leaves to
+/// root).
+pub fn mapped_cone_bdd(
+    mgr: &mut Manager,
+    cone: &Cone,
+    cover: &ConeCover,
+    library: &Library,
+) -> Ref {
+    let leaves = leaf_vars(cone);
+    // Instance outputs are cone gates: one slot per gate, in gate order.
+    let mut driven: Vec<Option<Ref>> = vec![None; cone.gates.len()];
+    let gate = |s: SignalId| cone.gates.binary_search(&s).ok();
+    let mut args: Vec<Ref> = Vec::new();
+    for inst in &cover.instances {
+        args.clear();
+        for &s in &inst.inputs {
+            let r = match leaves.binary_search_by_key(&s, |l| l.0) {
+                Ok(k) => mgr.var(leaves[k].1),
+                Err(_) => gate(s).and_then(|k| driven[k]).unwrap_or_else(|| {
+                    panic!("signal {s} neither leaf nor the output of an earlier instance")
+                }),
+            };
+            args.push(r);
+        }
+        let cell = &library.cells()[inst.cell_index];
+        let r = bdd_of_expr_over(mgr, cell.bff(), &args);
+        let k = gate(inst.output)
+            .unwrap_or_else(|| panic!("instance output {} is not a cone gate", inst.output));
+        driven[k] = Some(r);
+    }
+    gate(cover.root)
+        .and_then(|k| driven[k])
+        .unwrap_or_else(|| panic!("no instance drives the cone root {}", cover.root))
+}
+
+/// `true` iff the cover computes exactly the cone's function: the BDDs of
+/// the subject cone and of the mapped cone, built in one manager, are the
+/// same node.
 pub fn verify_cone_function(
     net: &Network,
     cone: &Cone,
     cover: &ConeCover,
     library: &Library,
 ) -> bool {
-    let orig = cone.to_expr(net);
-    let mapped = mapped_cone_expr(net, cone, cover, library);
     with_thread_manager(cone.leaves.len(), |mgr| {
-        bdd_of_expr(mgr, &orig) == bdd_of_expr(mgr, &mapped)
+        subject_cone_bdd(mgr, net, cone) == mapped_cone_bdd(mgr, cone, cover, library)
     })
 }
 

@@ -67,7 +67,8 @@ pub use cover::{
     RootQualification,
 };
 pub use design::{
-    assemble, bdd_of_expr, mapped_cone_expr, verify_cone_function, MapStats, MappedDesign,
+    assemble, bdd_of_expr, bdd_of_expr_over, mapped_cone_bdd, mapped_cone_expr, subject_cone_bdd,
+    verify_cone_function, MapStats, MappedDesign,
 };
 pub use eco::{CleanCones, CoverKeys, EcoOutcome, EcoSession, EcoStats};
 pub use export::to_verilog;

@@ -261,6 +261,7 @@ impl<'lib> Matcher<'lib> {
             .try_into()
             .expect("an 8-variable table is 4 words");
         let mut out = Vec::new();
+        let _t_match = profile::timer(MapPhase::Match);
         self.visit_matches(
             table,
             nleaves,
@@ -278,7 +279,9 @@ impl<'lib> Matcher<'lib> {
 
     /// [`Matcher::find_matches`] on an arena-backed [`CutCluster`], in
     /// visitor form: builds the cluster `Expr` only if a hazard check
-    /// needs it. See [`Matcher::visit_matches`].
+    /// needs it. See [`Matcher::visit_matches`]. The caller times the
+    /// match: the covering loops batch one [`MapPhase::Match`] lap over a
+    /// gate's whole candidate scan.
     pub(crate) fn visit_cut(
         &self,
         cluster: &CutCluster,
@@ -296,7 +299,9 @@ impl<'lib> Matcher<'lib> {
     /// cluster expression. Hazard checks run only for the candidates
     /// visited before a break. Returns whether the cluster had any
     /// candidate before the filter, i.e. whether it matches some cell
-    /// functionally.
+    /// functionally. Untimed: callers run it inside a
+    /// [`MapPhase::Match`] timer, which excludes the nested
+    /// [`MapPhase::HazardCheck`] laps.
     fn visit_matches<'e>(
         &self,
         table: [u64; 4],
@@ -304,7 +309,6 @@ impl<'lib> Matcher<'lib> {
         expr: impl Fn() -> &'e Expr,
         mut f: impl FnMut(usize, &[usize]) -> ControlFlow<()>,
     ) -> bool {
-        let mut t_match = profile::timer(MapPhase::Match);
         let (bindings, leaf_of) = self.candidates(table, nleaves);
         // Interned lazily: only clusters that reach a hazard check pay it.
         let mut cluster_id: Option<u32> = None;
@@ -315,14 +319,10 @@ impl<'lib> Matcher<'lib> {
                 *pin = leaf_of[v as usize];
             }
             let pin_to_leaf = &pins[..entry.ninputs];
-            if self.checks_hazards(entry) {
-                t_match.pause();
-                let ok =
-                    self.hazard_verdict(entry.index, pin_to_leaf, nleaves, &expr, &mut cluster_id);
-                t_match.resume();
-                if !ok {
-                    continue;
-                }
+            if self.checks_hazards(entry)
+                && !self.hazard_verdict(entry.index, pin_to_leaf, nleaves, &expr, &mut cluster_id)
+            {
+                continue;
             }
             if f(entry.index, pin_to_leaf).is_break() {
                 break;
@@ -371,18 +371,26 @@ impl<'lib> Matcher<'lib> {
             return (Arc::default(), support); // constant cluster: nothing to match
         }
         let t = truth::project6(full, &support[..n]);
-        let mut sigs = [0u32; 6];
-        for (v, s) in sigs.iter_mut().enumerate().take(n) {
-            *s = truth::input_signature6(t, n, v);
-        }
-        let sigs = &sigs[..n];
+        // The input signatures are needed only past the raw-truth level,
+        // which answers nearly every lookup of a mapping run.
+        let signatures = || -> [u32; 6] {
+            std::array::from_fn(|v| {
+                if v < n {
+                    truth::input_signature6(t, n, v)
+                } else {
+                    0
+                }
+            })
+        };
         let Some(memo) = &self.memo else {
-            return (Arc::new(self.scan6(t, sigs, n)), support);
+            return (Arc::new(self.scan6(t, &signatures()[..n], n)), support);
         };
         if let Some(list) = memo.raw_get(n, t) {
             memo.note_hit();
             return (list, support);
         }
+        let sigs = signatures();
+        let sigs = &sigs[..n];
         let c = truth::canon6(t, n);
         let list = if let Some(cells) = memo.class_get(n, c.canon, c.phase) {
             memo.note_hit();

@@ -385,6 +385,7 @@ impl RunMeter {
             cut_truncations: covers.iter().map(|c| c.cut_truncations).sum(),
             enum_warm_cones: run.warm_cones as usize,
             enum_alloc_events: run.alloc_events as usize,
+            enum_pair_screens: run.pair_screens as usize,
             phases: run.phases,
             ..MapStats::default()
         };

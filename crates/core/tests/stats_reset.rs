@@ -203,3 +203,46 @@ fn concurrent_runs_report_exactly_their_own_counts() {
         }
     }
 }
+
+/// Batched match timing keeps the per-call counts: mapping dean-ctrl to
+/// Actel reports the same call count per phase as timing every matched
+/// cluster separately did (197,966 matched clusters in 51 cones), and the
+/// cut enumerator's size bound leaves few cross-product pairs to screen
+/// (13,032,225 without it).
+#[test]
+fn dean_ctrl_phase_call_counts_are_per_call() {
+    let mut lib = builtin::actel();
+    lib.annotate_hazards();
+    let options = MapOptions {
+        threads: 1,
+        ..MapOptions::default()
+    };
+    let cache = Arc::new(HazardCache::new());
+    let eqs = asyncmap_burst::benchmark("dean-ctrl");
+    let stats = async_tmap_cached(&eqs, &lib, &options, &cache)
+        .expect("dean-ctrl maps")
+        .stats;
+    let calls: Vec<(&str, u64)> = stats
+        .phases
+        .entries()
+        .map(|(phase, _, calls)| (phase, calls))
+        .collect();
+    assert_eq!(
+        calls,
+        [
+            ("decompose", 1),
+            ("partition", 1),
+            ("cluster_enum", 51),
+            ("match", 197_966),
+            ("hazard_check", 46),
+            ("cover_select", 51),
+            ("dirty_mark", 0),
+            ("reuse_stitch", 0),
+        ]
+    );
+    assert!(
+        stats.enum_pair_screens < 400_000,
+        "{} pair screens",
+        stats.enum_pair_screens
+    );
+}

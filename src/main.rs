@@ -118,8 +118,9 @@ fn main() -> ExitCode {
 /// verdict-cache and NPN match-memo hit/miss splits (which depend on
 /// scheduling when several cover workers share them, so they stay out of
 /// stdout), cut-list truncations (silent pruning that can cost cover
-/// quality) and the enumeration-scratch allocation accounting (warm cones
-/// allocate nothing beyond their output).
+/// quality), the enumeration-scratch allocation accounting (warm cones
+/// allocate nothing beyond their output) and the number of cut pairs the
+/// enumerator screened.
 fn print_profile(stats: &MapStats) {
     let phases = &stats.phases;
     if !phases.is_zero() {
@@ -153,6 +154,10 @@ fn print_profile(stats: &MapStats) {
             stats.enum_warm_cones,
             stats.enum_warm_cones as f64 / enumerated as f64 * 100.0,
             stats.enum_alloc_events
+        );
+        eprintln!(
+            "asyncmap cut pairs: {} screened for the leaf bound",
+            stats.enum_pair_screens
         );
     }
 }
