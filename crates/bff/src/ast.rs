@@ -179,6 +179,22 @@ impl Expr {
         }
     }
 
+    /// Replaces variable `i` with `args[i]`: a cell's BFF applied to the
+    /// expressions on its pins (positive-phase pin substitution).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable has no entry in `args`.
+    pub fn compose(&self, args: &[Expr]) -> Expr {
+        match self {
+            Expr::Const(b) => Expr::Const(*b),
+            Expr::Var(v) => args[v.index()].clone(),
+            Expr::Not(e) => e.compose(args).not(),
+            Expr::And(es) => Expr::and(es.iter().map(|e| e.compose(args)).collect()),
+            Expr::Or(es) => Expr::or(es.iter().map(|e| e.compose(args)).collect()),
+        }
+    }
+
     /// Negation-normal form: pushes every inverter to the leaves using only
     /// DeMorgan's law and double-negation elimination — both
     /// hazard-preserving transformations (Unger; paper §3.1.1).

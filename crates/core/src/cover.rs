@@ -500,7 +500,7 @@ mod tests {
         let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
         let cover = area_cover(&net, &cones[0], &matcher);
         let orig = cones[0].to_expr(&net);
-        let mapped = crate::design::mapped_cone_expr(&net, &cones[0], &cover, &lib);
+        let mapped = crate::design::mapped_cone_expr(&cones[0], &cover, &lib).unwrap();
         assert!(asyncmap_hazard::hazards_subset_exhaustive(
             &mapped,
             &orig,

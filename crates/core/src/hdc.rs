@@ -72,8 +72,10 @@ pub fn cone_certified(
     library: &Library,
     transitions: &[Transition],
 ) -> bool {
+    let Ok(mapped) = mapped_cone_expr(cone, cover, library) else {
+        return false;
+    };
     let orig = cone.to_expr(net);
-    let mapped = mapped_cone_expr(net, cone, cover, library);
     for (from, to) in transitions {
         let values_from = net.eval(from);
         let values_to = net.eval(to);

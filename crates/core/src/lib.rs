@@ -49,6 +49,7 @@ mod design;
 mod eco;
 mod export;
 mod fxhash;
+mod graph;
 mod hcache;
 mod hdc;
 mod matcher;
@@ -67,11 +68,12 @@ pub use cover::{
     RootQualification,
 };
 pub use design::{
-    assemble, bdd_of_expr, bdd_of_expr_over, mapped_cone_bdd, mapped_cone_expr, subject_cone_bdd,
-    verify_cone_function, MapStats, MappedDesign,
+    assemble, bdd_of_expr, bdd_of_expr_over, decide_cone, mapped_cone_bdd, mapped_cone_expr,
+    subject_cone_bdd, verify_cone_function, MapStats, MappedDesign,
 };
 pub use eco::{CleanCones, CoverKeys, EcoOutcome, EcoSession, EcoStats};
 pub use export::to_verilog;
+pub use graph::{validate_instance_graph, GraphFault};
 pub use hcache::HazardCache;
 pub use hdc::{cone_certified, hdc_tmap, Transition};
 #[doc(hidden)]

@@ -6,23 +6,21 @@
 //! severity codes, in the same [`asyncmap_report`] shape the lint and
 //! audit passes use.
 //!
-//! Where the per-cone lint pass re-proves each cone against its *own*
-//! subject function, this crate checks the properties that only exist at
-//! whole-network scope:
+//! It checks three things:
 //!
-//! * **structure** — combinational cycles, multiply-driven and undriven
-//!   signals (`cycle.*`): the fundamental-mode assumption needs the block
-//!   to settle combinationally, with feedback closed only through the
-//!   declared state variables; a binding outside the subject network
-//!   (`structure.signal-out-of-range`) stops the analysis there;
-//! * **cone boundaries** — every cone's input bursts must be covered by
-//!   upstream cones' verified-monotonic output transitions
-//!   (`boundary.containment`, `boundary.static1-escape`), decided by
-//!   [`asyncmap_hazard::decide_containment`]: the exhaustive waveform
-//!   sweep up to [`asyncmap_hazard::EXHAUSTIVE_VAR_LIMIT`] leaves and its
-//!   bounded flattening fallback above;
-//! * **spec conformance** — 8-valued waveform propagation of every
-//!   specified burst through the whole netlist
+//! * **structure** — core's instance-graph validator
+//!   ([`asyncmap_core::validate_instance_graph`], shared with lint): every
+//!   signal in range, one driver each, nothing read undriven and no
+//!   combinational cycle (`structure.*`). Fundamental mode needs the block
+//!   to settle combinationally, and every later phase walks the instance
+//!   graph, so an error here stops the analysis;
+//! * **cone boundaries**, per cone — no cone adds a hazard its subject
+//!   function lacks (`boundary.containment`, `boundary.static1-escape`),
+//!   decided at every width by core's per-cone verdict
+//!   [`asyncmap_core::decide_cone`], which lint's whole-cone sweep shares;
+//!   a cover that does not compose is reported under its fault's code;
+//! * **spec conformance**, at whole-network scope — 8-valued waveform
+//!   propagation of every specified burst through the whole netlist
 //!   (`boundary.burst-glitch`, `boundary.burst-mismatch`), interior-point
 //!   race sweeps (`race.premature-transition`, `race.state-burst`),
 //!   feedback pairing (`feedback.unpaired`) and essential-hazard
@@ -36,15 +34,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod boundary;
 mod interfere;
 pub mod kernel;
-mod structure;
 
 pub use asyncmap_report::{Finding, Severity};
 
 use asyncmap_burst::{expand, BurstSpec};
-use asyncmap_core::{par_indexed, CleanCones, CoverKeys, MappedDesign};
+use asyncmap_core::{
+    decide_cone, par_indexed, validate_instance_graph, CleanCones, CoverKeys, GraphFault,
+    MappedDesign,
+};
+use asyncmap_hazard::{transition_text, Containment, EXHAUSTIVE_VAR_LIMIT};
 use asyncmap_library::Library;
 use asyncmap_report::{Report, Totals};
 use std::fmt::Write as _;
@@ -88,7 +88,7 @@ impl asyncmap_report::Counters for FmaCounters {
         let _ = writeln!(
             out,
             "analyzed {} cone(s), {} instance(s): {} exact boundary sweep(s), \
-             {} wide ladder run(s) ({} partial)",
+             {} wide fallback run(s) ({} partial)",
             self.cones,
             self.instances,
             self.containment_exact,
@@ -210,8 +210,12 @@ fn analyze_inner(
     report.counters.instances = design.num_instances();
 
     // Structure first: every later phase walks the instance graph and
-    // needs it acyclic and fully driven.
-    if !structure::check_structure(design, &mut report) {
+    // needs it in range, acyclic and fully driven.
+    let faults = validate_instance_graph(design, library);
+    faults
+        .iter()
+        .for_each(|f| f.push_to(&design.subject, &mut report));
+    if report.num_errors() > 0 {
         return report;
     }
 
@@ -232,17 +236,22 @@ fn analyze_inner(
     report.counters.cones_reused = design.cones.len() - todo.len();
     // Per-cone checks on the shared worker pool, merged in partition order
     // so reports are identical across thread counts.
-    let outcomes = par_indexed(todo.len(), threads, |k| {
-        boundary::check_cone(design, library, todo[k])
+    let verdicts = par_indexed(todo.len(), threads, |k| {
+        let i = todo[k];
+        decide_cone(
+            &design.subject,
+            &design.cones[i],
+            &design.covers[i],
+            library,
+        )
     });
-    for (&i, outcome) in todo.iter().zip(outcomes) {
-        report.counters.containment_exact += usize::from(outcome.exact);
-        report.counters.containment_wide += usize::from(!outcome.exact);
-        report.counters.containment_partial += usize::from(outcome.partial);
-        let quiet = outcome.findings.is_empty();
-        for (sev, code, path, msg) in outcome.findings {
-            report.push(sev, code, path, msg);
-        }
+    for (&i, verdict) in todo.iter().zip(verdicts) {
+        let exact = design.cones[i].leaves.len() <= EXHAUSTIVE_VAR_LIMIT;
+        report.counters.containment_exact += usize::from(exact);
+        report.counters.containment_wide += usize::from(!exact);
+        report.counters.containment_partial +=
+            usize::from(matches!(verdict, Ok(Containment::Partial(_))));
+        let quiet = report_verdict(design, i, verdict, &mut report);
         if let (true, Some((keys, clean))) = (quiet, reuse.as_mut()) {
             if let Some(key) = keys.get(i) {
                 clean.insert(key);
@@ -271,6 +280,46 @@ fn analyze_inner(
     }
 
     report
+}
+
+/// Reports the boundary verdict of cone `index`: a refutation is an error,
+/// a partial verdict only a counter, because an inconclusive bound is not
+/// evidence of a defect. `true` when it raised no finding.
+fn report_verdict(
+    design: &MappedDesign,
+    index: usize,
+    verdict: Result<Containment, GraphFault>,
+    report: &mut FmaReport,
+) -> bool {
+    let cone = &design.cones[index];
+    let n = cone.leaves.len();
+    let (code, message) = match verdict {
+        Ok(Containment::Holds | Containment::Partial(_)) => return true,
+        Err(fault) => {
+            fault.push_to(&design.subject, report);
+            return false;
+        }
+        Ok(Containment::Refuted(Some(witness))) => (
+            "boundary.containment",
+            format!(
+                "mapped cone can glitch on an input burst its subject function \
+                 handles clean ({n} leaves, exhaustive waveform sweep): transition {} \
+                 — upstream monotone transitions no longer cover this cone's bursts",
+                transition_text(witness, |i| i)
+            ),
+        ),
+        Ok(Containment::Refuted(None)) => (
+            "boundary.static1-escape",
+            format!(
+                "wide cone ({n} leaves): a static-1 transition of the subject \
+                 function has no single covering product in the mapped \
+                 structure's flattening — the cone can glitch while holding 1"
+            ),
+        ),
+    };
+    let path = design.subject.name(cone.root).to_string();
+    report.push(Severity::Error, code, path, message);
+    false
 }
 
 #[cfg(test)]
@@ -338,10 +387,7 @@ mod tests {
         let out = cover.instances[0].output;
         cover.instances[0].inputs[0] = out;
         let report = analyze_design(&design, &lib);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.code == "cycle.combinational"));
+        assert!(report.findings.iter().any(|f| f.code == "structure.cycle"));
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //! must be caught with its expected severity code when deliberately
 //! introduced into a clean design (or its spec).
 //!
-//! * instance-graph cycles → `cycle.combinational`;
-//! * an instance copied into a second cover → `cycle.multi-driver`;
-//! * a dropped inner instance → `cycle.undriven`;
+//! * instance-graph cycles → `structure.cycle`;
+//! * an instance copied into a second cover → `structure.multiply-driven`;
+//! * a dropped inner instance → `structure.undriven`;
 //! * forged spec bursts (the design no longer implements an edge) →
 //!   `boundary.burst-mismatch`;
 //! * a glitch-capable cover substituted for a hazard-free one →
 //!   `boundary.containment`, whose witness burst replays on `wave_eval`;
 //! * a cone root, leaf or gate outside the subject network →
-//!   `structure.signal-out-of-range`.
+//!   `structure.signal-out-of-range`;
+//! * a binding that reads another cone's inner signal →
+//!   `function.unbound-pin`.
 
 use asyncmap_burst::{benchmark, benchmark_spec, BurstSpec};
 use asyncmap_core::{async_tmap, mapped_cone_expr, Instance, MapOptions, MapStats, MappedDesign};
 use asyncmap_cube::{Bits, Cover, VarTable};
-use asyncmap_fma::{analyze_design, analyze_design_with_spec};
+use asyncmap_fma::{analyze_design, analyze_design_with_spec, Severity};
 use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::wave_eval;
 use asyncmap_library::{builtin, Library};
@@ -71,7 +73,7 @@ proptest! {
         inst.inputs[p] = root_out;
         let report = analyze_design(&design, lib);
         prop_assert!(
-            report.findings.iter().any(|f| f.code == "cycle.combinational"),
+            report.findings.iter().any(|f| f.code == "structure.cycle"),
             "cycle not classified:\n{}",
             report.render()
         );
@@ -193,7 +195,7 @@ fn glitch_capable_cover_is_flagged() {
     let cone = &design.cones[cone_idx];
     let n = cone.leaves.len();
     let (from, to) = (index_bits(n, parse(from)), index_bits(n, parse(to)));
-    let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[cone_idx], &lib);
+    let mapped = mapped_cone_expr(cone, &design.covers[cone_idx], &lib).unwrap();
     let subject = cone.to_expr(&design.subject);
     assert!(wave_eval(&mapped, &from, &to).hazard, "{}", finding.message);
     assert!(
@@ -215,7 +217,7 @@ fn instance_in_two_covers_is_flagged_as_multi_driver() {
         report
             .findings
             .iter()
-            .any(|f| f.code == "cycle.multi-driver"),
+            .any(|f| f.code == "structure.multiply-driven"),
         "{}",
         report.render()
     );
@@ -241,7 +243,10 @@ fn dropped_inner_instance_is_flagged_as_undriven() {
     cover.instances.remove(inner);
     let report = analyze_design(&design, lib);
     assert!(
-        report.findings.iter().any(|f| f.code == "cycle.undriven"),
+        report
+            .findings
+            .iter()
+            .any(|f| f.code == "structure.undriven"),
         "{}",
         report.render()
     );
@@ -272,6 +277,31 @@ fn out_of_range_cone_signals_are_flagged() {
                 .iter()
                 .any(|f| f.code == "structure.signal-out-of-range"),
             "out-of-range cone {what} not flagged:\n{}",
+            report.render()
+        );
+    }
+}
+
+/// An instance reading another cone's inner signal keeps the instance
+/// graph acyclic and fully driven, so only the cone builder sees it: fma
+/// reports it under lint's code instead of panicking. dme × Actel rebinds
+/// cone 7 to `n13` of cone 6; scsi × LSI9K cone 23 to `n38` of cone 22.
+#[test]
+fn binding_into_another_cone_is_flagged_as_unbound_pin() {
+    let (scsi, lsi9k, _) = &*BASE;
+    let mut actel = builtin::actel();
+    actel.annotate_hazards();
+    let dme = async_tmap(&benchmark("dme"), &actel, &MapOptions::default()).unwrap();
+    for (base, lib, cone, signal) in [(&dme, &actel, 7, 13), (scsi, lsi9k, 23, 38)] {
+        let mut design = copy_design(base);
+        design.covers[cone].instances[0].inputs[0] = SignalId(signal);
+        let report = analyze_design(&design, lib);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.code == "function.unbound-pin" && f.severity == Severity::Error),
+            "{}",
             report.render()
         );
     }

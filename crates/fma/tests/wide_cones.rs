@@ -53,7 +53,7 @@ fn cone_over_the_summed_replay_cap_is_partial() {
     let index = wide[0];
     let cone = &design.cones[index];
     let subject = cone.to_expr(&design.subject);
-    let mapped = mapped_cone_expr(&design.subject, cone, &design.covers[index], &lib);
+    let mapped = mapped_cone_expr(cone, &design.covers[index], &lib).unwrap();
     let (s, m) = (product_estimate(&subject), product_estimate(&mapped));
     assert!(
         s <= FLATTEN_REPLAY_CAP && m <= FLATTEN_REPLAY_CAP,

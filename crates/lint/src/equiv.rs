@@ -7,14 +7,11 @@
 //! depends on computes a different function, and projecting onto the
 //! bound pins alone would hide that.
 
-use crate::{
-    path_of, subnetwork_expr, substitute, truth_equal, InstanceView, LintReport, Severity,
-};
-use asyncmap_bff::Expr;
+use crate::{path_of, truth_equal, InstanceView, LintReport, Severity};
 use asyncmap_core::MappedDesign;
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, SignalId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Widest cut space the packed truth tables handle comfortably.
 const SUPPORT_LIMIT: usize = 20;
@@ -48,36 +45,20 @@ pub(crate) fn check_cover(
             continue;
         }
         report.counters.function_checks += 1;
-        let var_of: HashMap<SignalId, usize> = view
-            .cut_signals
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
-        let mut args_ok = true;
-        let args: Vec<Expr> = inst
-            .inputs
-            .iter()
-            .map(|s| match var_of.get(s) {
-                Some(&v) => Expr::Var(asyncmap_cube::VarId(v)),
-                None => {
-                    report.push(
-                        Severity::Error,
-                        "function.unbound-pin",
-                        path_of(net, cone, Some(inst)),
-                        format!(
-                            "pin bound to signal {} which the covered subnetwork never reaches",
-                            net.name(*s)
-                        ),
-                    );
-                    args_ok = false;
-                    Expr::Const(false)
-                }
-            })
-            .collect();
-        if !args_ok {
+        let Some(args) = view.pin_vars() else {
+            for s in inst.inputs.iter().filter(|s| !view.cut_signals.contains(s)) {
+                report.push(
+                    Severity::Error,
+                    "function.unbound-pin",
+                    path_of(net, cone, Some(inst)),
+                    format!(
+                        "pin bound to signal {} which the covered subnetwork never reaches",
+                        net.name(*s)
+                    ),
+                );
+            }
             continue;
-        }
+        };
         let n = view.cut_signals.len();
         if n > SUPPORT_LIMIT {
             report.push(
@@ -88,9 +69,9 @@ pub(crate) fn check_cover(
             );
             continue;
         }
-        let subnet = subnetwork_expr(net, inst.output, &var_of);
+        let subnet = view.subnetwork(net);
         let cell = &library.cells()[inst.cell_index];
-        let mapped = substitute(cell.bff(), &args);
+        let mapped = cell.bff().compose(&args);
         if !truth_equal(&mapped, &subnet, n) {
             report.push(
                 Severity::Error,

@@ -8,15 +8,20 @@
 //! re-derives all three from the finished [`MappedDesign`] alone — it
 //! shares no code with the matcher, the covering DP, the cluster
 //! enumerators or the hazard-verdict cache, so a bug in any of those
-//! fast paths cannot hide from it.
+//! fast paths cannot hide from it. With fma it shares three pieces of
+//! core: the instance-graph validator
+//! ([`asyncmap_core::validate_instance_graph`]), the cone builder
+//! ([`asyncmap_core::mapped_cone_expr`]) and the per-cone verdict
+//! ([`asyncmap_core::decide_cone`]).
 //!
 //! [`lint_mapped_design`] runs three check families:
 //!
-//! * **structure** — the mapped netlist is acyclic and fully driven, every
-//!   pin binding is in range and of the right arity, every cone gate is
-//!   covered by exactly one instance, cover roots coincide with the
-//!   re-derived partition boundary (cuts only at primary outputs and
-//!   multi-fanout gates), and reported areas re-add;
+//! * **structure** — the validator's instance-graph faults (`structure.*`:
+//!   signals out of range, multiply driven or undriven, cycles), every
+//!   binding of the right cell and arity, every cone gate covered by
+//!   exactly one instance, cover roots on the re-derived partition
+//!   boundary (primary outputs and multi-fanout gates), and reported
+//!   areas re-adding;
 //! * **function** — each instance's cell function, instantiated on its pin
 //!   bindings, is truth-table equal to the covered subnetwork's function
 //!   over the full reached cut space (so a binding that silently ignores
@@ -24,8 +29,8 @@
 //! * **Theorem 3.2** — each binding of a hazardous cell is re-verified by
 //!   [`asyncmap_hazard::decide_containment`]: exactly by the exhaustive
 //!   transition sweep when it has at most 8 cut signals, by its bounded
-//!   fallback otherwise; plus a whole-cone containment sweep where the
-//!   cone is narrow enough.
+//!   fallback otherwise; plus the per-cone verdict where the cone has at
+//!   most 8 leaves (wider ones are counted as skipped).
 //!
 //! Findings carry a severity, a human-readable gate path and a stable
 //! machine-readable code (`family.kind`). Info-level notes (dead
@@ -59,12 +64,14 @@ mod structure;
 mod theorem32;
 
 use asyncmap_bff::Expr;
-use asyncmap_core::{CleanCones, ConeCover, CoverKeys, Instance, MappedDesign};
+use asyncmap_core::{
+    validate_instance_graph, CleanCones, ConeCover, CoverKeys, GraphFault, Instance, MappedDesign,
+};
 use asyncmap_library::Library;
-use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
+use asyncmap_network::{Cone, Network, NodeKind, SignalId};
 pub use asyncmap_report::{Finding, Severity};
 use asyncmap_report::{Report, Totals};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// What the lint pass looked at, for report context.
 #[derive(Debug, Clone, Copy, Default)]
@@ -139,6 +146,29 @@ pub(crate) struct InstanceView<'a> {
     /// `false` when the walk found a structural violation; deeper checks
     /// skip the instance.
     pub structurally_sound: bool,
+}
+
+impl InstanceView<'_> {
+    /// The instance's pins as variables of its cut space; `None` when a
+    /// pin reads a signal the covered subnetwork never reaches.
+    pub(crate) fn pin_vars(&self) -> Option<Vec<Expr>> {
+        let var = |s: &SignalId| self.cut_signals.iter().position(|c| c == s);
+        let pins = self.inst.inputs.iter().map(var);
+        pins.map(|v| v.map(|v| Expr::Var(asyncmap_cube::VarId(v))))
+            .collect()
+    }
+
+    /// The covered subnetwork as an expression over the cut space.
+    pub(crate) fn subnetwork(&self, net: &Network) -> Expr {
+        let leaves = self.cut_signals.clone();
+        let gates = Vec::new();
+        Cone {
+            root: self.inst.output,
+            leaves,
+            gates,
+        }
+        .to_expr(net)
+    }
 }
 
 pub(crate) fn path_of(net: &Network, cone: &Cone, inst: Option<&Instance>) -> String {
@@ -228,98 +258,6 @@ pub(crate) fn view_cover<'a>(
             view_instance(net, cone, cone_idx, inst, &cut_set, &cone_gates, report)
         })
         .collect()
-}
-
-/// Builds the subnetwork expression rooted at `root` over the local
-/// variable space `var_of` (signal → variable index), cutting wherever
-/// `var_of` has an entry. Every reachable non-cut signal must be a gate.
-pub(crate) fn subnetwork_expr(
-    net: &Network,
-    root: SignalId,
-    var_of: &HashMap<SignalId, usize>,
-) -> Expr {
-    fn go(net: &Network, s: SignalId, root: SignalId, var_of: &HashMap<SignalId, usize>) -> Expr {
-        if s != root {
-            if let Some(&v) = var_of.get(&s) {
-                return Expr::Var(asyncmap_cube::VarId(v));
-            }
-        }
-        match net.node(s) {
-            NodeKind::Input => unreachable!("input signal must be a cut signal"),
-            NodeKind::Gate { op, fanin } => {
-                let args: Vec<Expr> = fanin.iter().map(|&f| go(net, f, root, var_of)).collect();
-                match op {
-                    GateOp::And => Expr::and(args),
-                    GateOp::Or => Expr::or(args),
-                    GateOp::Inv => args.into_iter().next().expect("inverter fanin").not(),
-                    GateOp::Buf => args.into_iter().next().expect("buffer fanin"),
-                }
-            }
-        }
-    }
-    go(net, root, root, var_of)
-}
-
-/// Substitutes `args[i]` for variable `i` of `bff` — the lint crate's own
-/// copy of positive-phase pin substitution, deliberately independent of
-/// the matcher's.
-pub(crate) fn substitute(bff: &Expr, args: &[Expr]) -> Expr {
-    match bff {
-        Expr::Const(b) => Expr::Const(*b),
-        Expr::Var(v) => args[v.index()].clone(),
-        Expr::Not(e) => substitute(e, args).not(),
-        Expr::And(es) => Expr::and(es.iter().map(|e| substitute(e, args)).collect()),
-        Expr::Or(es) => Expr::or(es.iter().map(|e| substitute(e, args)).collect()),
-    }
-}
-
-/// Composes the mapped cone's structure from its instances' cell BFFs,
-/// over the cone's local leaf variables (`cone.leaves[i]` = variable `i`).
-/// Returns `None` when some needed signal is neither a leaf nor an
-/// instance output, or when the bindings loop (both reported elsewhere
-/// as structure findings).
-pub(crate) fn composed_cover_expr(
-    cone: &Cone,
-    cover: &ConeCover,
-    library: &Library,
-) -> Option<Expr> {
-    let leaf_var: HashMap<SignalId, usize> = cone
-        .leaves
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i))
-        .collect();
-    let by_output: HashMap<SignalId, &Instance> =
-        cover.instances.iter().map(|i| (i.output, i)).collect();
-    // An acyclic chain of bindings passes each instance at most once, so
-    // `depth` left over after every instance means the bindings loop.
-    fn go(
-        s: SignalId,
-        depth: usize,
-        leaf_var: &HashMap<SignalId, usize>,
-        by_output: &HashMap<SignalId, &Instance>,
-        library: &Library,
-    ) -> Option<Expr> {
-        if let Some(&v) = leaf_var.get(&s) {
-            return Some(Expr::Var(asyncmap_cube::VarId(v)));
-        }
-        let inst = by_output.get(&s)?;
-        let depth = depth.checked_sub(1)?;
-        let cell = library.cells().get(inst.cell_index)?;
-        let args: Vec<Expr> = inst
-            .inputs
-            .iter()
-            .map(|&i| go(i, depth, leaf_var, by_output, library))
-            .collect::<Option<_>>()?;
-        Some(substitute(cell.bff(), &args))
-    }
-    go(
-        cover.root,
-        cover.instances.len(),
-        &leaf_var,
-        &by_output,
-        library,
-    )
 }
 
 /// Truth-table equality of two expressions over an `n`-variable space,
@@ -412,7 +350,9 @@ fn lint_inner(
     report.counters.cones = design.cones.len();
     report.counters.instances = design.num_instances();
 
-    if !structure::check_signal_ranges(design, &mut report) {
+    // Every other check indexes the network by signal, so a signal out of
+    // range stops the pass.
+    if !check_instance_graph(design, library, &mut report) {
         return report;
     }
     structure::check_global(design, library, &mut report);
@@ -440,9 +380,7 @@ fn lint_inner(
             }
         }
         let (findings_before, notes_before) = (report.findings.len(), report.notes.len());
-        if !structure::check_instances_wellformed(design, library, cone, cover, &mut report) {
-            // An out-of-range cell or a wrong arity: the walks below would
-            // index out of bounds, so stop at the structural findings.
+        if !cells_sound(library, cover) {
             continue;
         }
         let views = view_cover(&design.subject, cone, idx, cover, &mut report);
@@ -469,6 +407,27 @@ fn lint_inner(
     report
 }
 
+/// Reports the faults of [`validate_instance_graph`]; `false` when a
+/// signal lies outside the subject network.
+fn check_instance_graph(design: &MappedDesign, library: &Library, report: &mut LintReport) -> bool {
+    let faults = validate_instance_graph(design, library);
+    faults
+        .iter()
+        .for_each(|f| f.push_to(&design.subject, report));
+    !faults
+        .iter()
+        .any(|f| matches!(f, GraphFault::OutOfRange(_)))
+}
+
+/// Every instance of `cover` names a library cell and binds its pins. The
+/// validator reports the instances that do not; the walks over them would
+/// index out of bounds.
+fn cells_sound(library: &Library, cover: &ConeCover) -> bool {
+    let cell = |i: &Instance| library.cells().get(i.cell_index);
+    let sound = |i: &Instance| cell(i).is_some_and(|c| c.num_inputs() == i.inputs.len());
+    cover.instances.iter().all(sound)
+}
+
 /// Per library cell, whether it has any hazard, with each distinct cell
 /// structure characterized once.
 fn cell_hazardousness(library: &Library) -> Vec<bool> {
@@ -486,25 +445,18 @@ fn cell_hazardousness(library: &Library) -> Vec<bool> {
 /// through other containment methods.
 #[doc(hidden)]
 pub fn binding_obligations(design: &MappedDesign, library: &Library) -> Vec<(Expr, Expr, usize)> {
-    let cell_hazardous = cell_hazardousness(library);
+    let (net, hazardous) = (&design.subject, cell_hazardousness(library));
     let mut scratch = LintReport::default();
     let mut obligations = Vec::new();
-    if !structure::check_signal_ranges(design, &mut scratch) {
+    if !check_instance_graph(design, library, &mut scratch) {
         return obligations;
     }
     for (idx, (cone, cover)) in design.cones.iter().zip(&design.covers).enumerate() {
-        if !structure::check_instances_wellformed(design, library, cone, cover, &mut scratch) {
-            continue;
-        }
-        for view in view_cover(&design.subject, cone, idx, cover, &mut scratch) {
-            if view.structurally_sound {
-                obligations.extend(theorem32::binding_obligation(
-                    &design.subject,
-                    library,
-                    &view,
-                    &cell_hazardous,
-                ));
-            }
+        if cells_sound(library, cover) {
+            let views = view_cover(net, cone, idx, cover, &mut scratch);
+            let sound = views.iter().filter(|v| v.structurally_sound);
+            let obligation = |v| theorem32::binding_obligation(net, library, v, &hazardous);
+            obligations.extend(sound.filter_map(obligation));
         }
     }
     obligations

@@ -1,5 +1,5 @@
-//! Structural well-formedness: netlist acyclicity and drivenness, pin
-//! binding arity and index validity, exactly-once cover completeness,
+//! Structural well-formedness beyond the instance graph (which core's
+//! `validate_instance_graph` checks): exactly-once cover completeness,
 //! partition boundaries only at legal cut points, and area re-addition.
 
 use crate::{path_of, InstanceView, LintReport, Severity};
@@ -10,55 +10,9 @@ use std::collections::HashMap;
 
 const AREA_TOL: f64 = 1e-6;
 
-/// Range validity of every signal the design names: each cone's root,
-/// leaves and gates and each binding's output and inputs must lie inside
-/// the subject network. Returns `false` after reporting any that does
-/// not: every other check indexes the network by signal.
-pub(crate) fn check_signal_ranges(design: &MappedDesign, report: &mut LintReport) -> bool {
-    let net = &design.subject;
-    let before = report.num_errors();
-    let outside = |s: &&SignalId| s.index() >= net.len();
-    for cone in &design.cones {
-        let named = std::iter::once(&cone.root)
-            .chain(&cone.leaves)
-            .chain(&cone.gates);
-        for s in named.filter(outside) {
-            report.push(
-                Severity::Error,
-                "partition.signal-out-of-range",
-                path_of(net, cone, None),
-                format!(
-                    "cone names signal {s} outside the {}-signal subject network",
-                    net.len()
-                ),
-            );
-        }
-    }
-    for cover in &design.covers {
-        for inst in &cover.instances {
-            for s in std::iter::once(&inst.output)
-                .chain(&inst.inputs)
-                .filter(outside)
-            {
-                report.push(
-                    Severity::Error,
-                    "partition.signal-out-of-range",
-                    format!("cone {} / instance {s}", net.name(cover.root)),
-                    format!(
-                        "binding references signal {s} outside the {}-signal subject network",
-                        net.len()
-                    ),
-                );
-            }
-        }
-    }
-    report.num_errors() == before
-}
-
 /// Design-wide checks: cone/cover alignment, the partition boundary,
-/// gate partitioning, netlist acyclicity/drivenness and total area. Every
-/// signal the design names must already be in range
-/// ([`check_signal_ranges`]).
+/// gate partitioning and total area. Every signal the design names must
+/// already be in range.
 pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mut LintReport) {
     let net = &design.subject;
     if design.cones.len() != design.covers.len() {
@@ -179,86 +133,7 @@ pub(crate) fn check_global(design: &MappedDesign, library: &Library, report: &mu
         );
     }
 
-    check_netlist_graph(design, &is_input, report);
     check_total_area(design, library, report);
-}
-
-/// Acyclicity and drivenness of the mapped netlist: every signal a binding
-/// consumes must be a primary input or some instance's output, and the
-/// instance dependency graph must be a DAG. `is_input` marks the primary
-/// inputs.
-fn check_netlist_graph(design: &MappedDesign, is_input: &[bool], report: &mut LintReport) {
-    let net = &design.subject;
-    // Per signal, the (cover, instance) that drives it last.
-    const UNDRIVEN: (u32, u32) = (u32::MAX, u32::MAX);
-    let mut driver = vec![UNDRIVEN; net.len()];
-    for (ci, cover) in design.covers.iter().enumerate() {
-        for (ii, inst) in cover.instances.iter().enumerate() {
-            let slot = &mut driver[inst.output.index()];
-            if std::mem::replace(slot, (ci as u32, ii as u32)) != UNDRIVEN {
-                report.push(
-                    Severity::Error,
-                    "structure.multiply-driven",
-                    format!("signal {}", net.name(inst.output)),
-                    "two instances drive the same signal".to_owned(),
-                );
-            }
-        }
-    }
-
-    // Tri-color DFS over signals through instance bindings, from every
-    // primary output.
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; net.len()];
-    let mut undriven_reported = vec![false; net.len()];
-    for (oname, oroot) in net.outputs() {
-        let mut stack: Vec<(SignalId, bool)> = vec![(*oroot, false)];
-        while let Some((s, leaving)) = stack.pop() {
-            if leaving {
-                color[s.index()] = BLACK;
-                continue;
-            }
-            match color[s.index()] {
-                BLACK => continue,
-                GRAY => {
-                    report.push(
-                        Severity::Error,
-                        "structure.cycle",
-                        format!("signal {}", net.name(s)),
-                        format!(
-                            "combinational cycle through the mapped netlist reaches output {oname}"
-                        ),
-                    );
-                    continue;
-                }
-                _ => {}
-            }
-            if is_input[s.index()] {
-                color[s.index()] = BLACK;
-                continue;
-            }
-            let (ci, ii) = driver[s.index()];
-            if (ci, ii) == UNDRIVEN {
-                if !std::mem::replace(&mut undriven_reported[s.index()], true) {
-                    report.push(
-                        Severity::Error,
-                        "structure.undriven",
-                        format!("signal {}", net.name(s)),
-                        format!("signal is consumed on the path to output {oname} but no instance drives it"),
-                    );
-                }
-                color[s.index()] = BLACK;
-                continue;
-            }
-            color[s.index()] = GRAY;
-            stack.push((s, true));
-            for &f in &design.covers[ci as usize].instances[ii as usize].inputs {
-                stack.push((f, false));
-            }
-        }
-    }
 }
 
 /// Re-adds the reported areas: per-cover area must equal the sum of its
@@ -315,51 +190,6 @@ fn check_total_area(design: &MappedDesign, library: &Library, report: &mut LintR
             ),
         );
     }
-}
-
-/// Cell-index and arity validity of every binding in `cover`. Returns
-/// `false` when an out-of-range cell or arity mismatch makes the deeper
-/// walks unsafe for this cover.
-pub(crate) fn check_instances_wellformed(
-    design: &MappedDesign,
-    library: &Library,
-    cone: &Cone,
-    cover: &ConeCover,
-    report: &mut LintReport,
-) -> bool {
-    let net = &design.subject;
-    let mut sound = true;
-    for inst in &cover.instances {
-        let Some(cell) = library.cells().get(inst.cell_index) else {
-            report.push(
-                Severity::Error,
-                "structure.cell-out-of-range",
-                path_of(net, cone, Some(inst)),
-                format!(
-                    "cell index {} outside the {}-cell library",
-                    inst.cell_index,
-                    library.cells().len()
-                ),
-            );
-            sound = false;
-            continue;
-        };
-        if inst.inputs.len() != cell.num_inputs() {
-            report.push(
-                Severity::Error,
-                "structure.arity-mismatch",
-                path_of(net, cone, Some(inst)),
-                format!(
-                    "cell {} has {} pin(s) but {} signal(s) are bound",
-                    cell.name(),
-                    cell.num_inputs(),
-                    inst.inputs.len()
-                ),
-            );
-            sound = false;
-        }
-    }
-    sound
 }
 
 /// Exactly-once coverage: the instances' covered-gate sets must partition

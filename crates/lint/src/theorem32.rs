@@ -5,21 +5,18 @@
 //! decided it (at most [`EXHAUSTIVE_VAR_LIMIT`] cut signals), names its
 //! escaping burst; a partial verdict on a wider binding is an info note
 //! `theorem32.partial` naming the reason. Where the cone is narrow
-//! enough, the composed cone structure is additionally swept against the
-//! original cone — the composition the paper's Lemma 4.5 licenses,
-//! checked rather than assumed.
+//! enough, core's per-cone verdict (`decide_cone`) additionally sweeps the
+//! composed cone structure against the original cone — the composition
+//! the paper's Lemma 4.5 licenses, checked rather than assumed.
 
-use crate::{
-    composed_cover_expr, path_of, subnetwork_expr, substitute, InstanceView, LintReport, Severity,
-};
+use crate::{path_of, InstanceView, LintReport, Severity};
 use asyncmap_bff::Expr;
-use asyncmap_core::{ConeCover, MappedDesign};
+use asyncmap_core::{decide_cone, ConeCover, MappedDesign};
 use asyncmap_hazard::{
     decide_containment, transition_text, Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
 };
 use asyncmap_library::Library;
-use asyncmap_network::{Cone, Network, SignalId};
-use std::collections::HashMap;
+use asyncmap_network::{Cone, Network};
 
 /// The Theorem 3.2 obligation of one structurally sound binding: the
 /// cell's BFF over the binding's cut signals, the covered subnetwork over
@@ -40,20 +37,10 @@ pub(crate) fn binding_obligation(
     {
         return None;
     }
-    let var_of: HashMap<SignalId, usize> = view
-        .cut_signals
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i))
-        .collect();
-    let args = inst
-        .inputs
-        .iter()
-        .map(|s| var_of.get(s).map(|&v| Expr::Var(asyncmap_cube::VarId(v))))
-        .collect::<Option<Vec<Expr>>>()?;
-    let candidate = substitute(library.cells()[inst.cell_index].bff(), &args);
-    let reference = subnetwork_expr(net, inst.output, &var_of);
-    Some((candidate, reference, view.cut_signals.len()))
+    let candidate = library.cells()[inst.cell_index]
+        .bff()
+        .compose(&view.pin_vars()?);
+    Some((candidate, view.subnetwork(net), view.cut_signals.len()))
 }
 
 pub(crate) fn check_cover(
@@ -121,12 +108,13 @@ pub(crate) fn check_cover(
     if !all_sound {
         return; // composition is meaningless on a structurally broken cover
     }
-    let Some(composed) = composed_cover_expr(cone, cover, library) else {
-        return; // missing driver, already a structure finding
+    // A cover that does not compose is already a structure or function
+    // finding.
+    let Ok(verdict) = decide_cone(net, cone, cover, library) else {
+        return;
     };
     report.counters.cone_sweeps += 1;
-    let orig = cone.to_expr(net);
-    if let Containment::Refuted(Some(burst)) = decide_containment(&composed, &orig, n) {
+    if let Containment::Refuted(Some(burst)) = verdict {
         report.push(
             Severity::Error,
             "theorem32.cone-containment",
