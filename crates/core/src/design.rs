@@ -2,13 +2,13 @@
 
 use crate::cover::{ConeCover, Instance};
 use crate::graph::{cone_signals, GraphFault};
+use crate::walk::NetlistWalk;
 use asyncmap_bdd::{with_thread_manager, Manager, Ref};
 use asyncmap_bff::Expr;
 use asyncmap_cube::VarId;
 use asyncmap_hazard::{decide_containment, Containment, EXHAUSTIVE_VAR_LIMIT};
 use asyncmap_library::Library;
 use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
-use std::collections::HashMap;
 
 /// Counters describing one mapping run (the overhead decomposition behind
 /// Tables 2 and 4).
@@ -104,32 +104,20 @@ impl MappedDesign {
     /// not the subject gates) at a primary-input assignment, returning the
     /// value of every primary output in declaration order.
     pub fn eval_mapped(&self, library: &Library, inputs: &asyncmap_cube::Bits) -> Vec<bool> {
-        let net = &self.subject;
-        debug_assert_eq!(inputs.len(), net.inputs().len());
-        let mut values: HashMap<SignalId, bool> = HashMap::new();
-        for (i, &s) in net.inputs().iter().enumerate() {
-            values.insert(s, inputs.get(i));
-        }
-        // Covers in topological order of their roots; instances are
-        // leaves-to-root within each cover.
-        let mut order: Vec<usize> = (0..self.covers.len()).collect();
-        order.sort_by_key(|&i| self.covers[i].root);
-        for i in order {
-            for inst in &self.covers[i].instances {
-                let cell = &library.cells()[inst.cell_index];
-                let mut pins = asyncmap_cube::Bits::new(cell.num_inputs());
-                for (p, sig) in inst.inputs.iter().enumerate() {
-                    let v = *values
-                        .get(sig)
-                        .unwrap_or_else(|| panic!("undriven signal {sig} in mapped netlist"));
-                    pins.set(p, v);
-                }
-                values.insert(inst.output, cell.bff().eval(&pins));
+        debug_assert_eq!(inputs.len(), self.subject.inputs().len());
+        let walk = NetlistWalk::new(self);
+        let mut values = vec![false; walk.signals()];
+        let cell = |inst: &Instance, pins: &[bool]| {
+            let cell = &library.cells()[inst.cell_index];
+            let mut bits = asyncmap_cube::Bits::new(cell.num_inputs());
+            for (p, &v) in pins.iter().enumerate() {
+                bits.set(p, v);
             }
-        }
-        net.outputs()
-            .iter()
-            .map(|(_, s)| values.get(s).copied().unwrap_or(false))
+            cell.bff().eval(&bits)
+        };
+        walk.run(&mut values, &mut Vec::new(), |i| inputs.get(i), cell);
+        (0..walk.num_outputs())
+            .map(|o| walk.output(&values, o).unwrap_or(false))
             .collect()
     }
 

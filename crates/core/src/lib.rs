@@ -57,6 +57,7 @@ pub mod profile;
 mod report;
 mod tmap;
 pub mod truth;
+mod walk;
 
 #[doc(hidden)]
 pub use cluster::enumerate_clusters_legacy;
@@ -84,6 +85,7 @@ pub use matcher::{instantiate, truth_table_of, HazardPolicy, Match, Matcher, Mat
 pub use profile::{MapPhase, PhaseTimes};
 pub use report::{cell_usage, render_report, CellUsage};
 pub use tmap::{
-    async_tmap, async_tmap_cached, hand_map, par_indexed, threads_from_env_capped, tmap,
-    MapOptions, Objective,
+    async_tmap, async_tmap_cached, hand_map, par_indexed, par_indexed_with,
+    threads_from_env_capped, tmap, MapOptions, Objective,
 };
+pub use walk::NetlistWalk;

@@ -96,21 +96,36 @@ pub fn threads_from_env_capped() -> usize {
 /// until the scope joins, so none blocks another. Runs inline when
 /// `threads <= 1` or `jobs <= 1`; re-raises the panic of any `f` call.
 pub fn par_indexed<R: Send>(jobs: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    par_indexed_with(jobs, threads, || (), |_, i| f(i))
+}
+
+/// [`par_indexed`] with per-worker scratch: each worker (or the inline
+/// run) makes one `S` by `init` and passes it to every `f` call it makes,
+/// so scratch sized to the design is allocated once per worker, not once
+/// per index.
+pub fn par_indexed_with<S, R: Send>(
+    jobs: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
     if threads <= 1 || jobs <= 1 {
-        return (0..jobs).map(f).collect();
+        let mut scratch = init();
+        return (0..jobs).map(|i| f(&mut scratch, i)).collect();
     }
     let next = AtomicUsize::new(0);
     let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads.min(jobs))
             .map(|_| {
                 scope.spawn(|| {
+                    let mut scratch = init();
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs {
                             break local;
                         }
-                        local.push((i, f(i)));
+                        local.push((i, f(&mut scratch, i)));
                     }
                 })
             })

@@ -28,14 +28,12 @@
 //! exactly Unger's essential hazard, where the second change of a signal
 //! races the state feedback it triggered.
 
-use crate::kernel::{eval_design_packed, wave_of_expr};
+use crate::kernel::{eval_design_packed, eval_design_waves, WalkScratch};
 use crate::FmaReport;
 use asyncmap_burst::{BurstSpec, FlowTable, TransKind};
-use asyncmap_core::{par_indexed, MappedDesign};
+use asyncmap_core::{par_indexed_with, MappedDesign, NetlistWalk};
 use asyncmap_cube::Bits;
-use asyncmap_hazard::Wave;
 use asyncmap_library::Library;
-use asyncmap_network::SignalId;
 use asyncmap_report::Severity;
 use std::collections::HashMap;
 
@@ -132,11 +130,15 @@ pub(crate) fn check_spec(
         }
     }
 
-    // Per-pair analysis on the shared worker pool; merged in pair order
-    // for a deterministic report.
-    let results = par_indexed(pairs.len(), threads, |i| {
+    // Per-pair analysis on the shared worker pool, every pair one run of
+    // the same instance order over its worker's scratch; merged in pair
+    // order for a deterministic report.
+    let walk = NetlistWalk::new(design);
+    let scratch = || WalkScratch::new(&walk);
+    let results = par_indexed_with(pairs.len(), threads, scratch, |scratch, i| {
         let (start, end, users) = &pairs[i];
-        check_pair(design, library, flow, start, end, users, &func_output)
+        let pair = Pair { start, end, users };
+        check_pair(&walk, library, flow, pair, &func_output, scratch)
     });
     for pair in results {
         out.race_points += pair.race_points;
@@ -155,20 +157,26 @@ struct PairOutcome {
     capped: bool,
 }
 
-/// Analyzes one distinct `(start, end)` transition pair for every
-/// function that specifies it.
+/// One distinct `(start, end)` transition pair with the (function,
+/// transition) indexes that specify it.
+struct Pair<'a> {
+    start: &'a Bits,
+    end: &'a Bits,
+    users: &'a [(usize, usize)],
+}
+
+/// Analyzes one distinct transition pair for every function that
+/// specifies it: one waveform run and at most one packed sweep of `walk`.
 fn check_pair(
-    design: &MappedDesign,
+    walk: &NetlistWalk<'_>,
     library: &Library,
     flow: &FlowTable,
-    start: &Bits,
-    end: &Bits,
-    users: &[(usize, usize)],
+    Pair { start, end, users }: Pair<'_>,
     func_output: &[Option<usize>],
+    scratch: &mut WalkScratch,
 ) -> PairOutcome {
     let mut out = PairOutcome::default();
-    let net = &design.subject;
-    let waves = wave_walk(design, library, start, end);
+    let waves = eval_design_waves(walk, library, start, end, scratch);
     let changing: Vec<usize> = start.xor(end).iter_ones().collect();
     let state_burst = changing.iter().any(|&v| v >= flow.num_inputs);
     let burst = render_burst(flow, start, end, &changing);
@@ -197,15 +205,14 @@ fn check_pair(
     let rows = if points.is_empty() {
         Vec::new()
     } else {
-        eval_design_packed(design, library, &points)
+        eval_design_packed(walk, library, &points, scratch)
     };
 
     for &(fi, ti) in users {
         let f = &flow.functions[fi];
         let t = &f.transitions[ti];
         let o = func_output[fi].expect("checked by caller");
-        let (_, sig) = &net.outputs()[o];
-        let w = waves.get(sig).copied().unwrap_or(Wave::C0);
+        let w = waves[o];
         let (want_start, want_end) = match t.kind {
             TransKind::Static1 => (true, true),
             TransKind::Static0 => (false, false),
@@ -274,41 +281,6 @@ fn check_pair(
         }
     }
     out
-}
-
-/// Propagates waveform classes for the transition `start → end` through
-/// every cell instance in topological order.
-fn wave_walk(
-    design: &MappedDesign,
-    library: &Library,
-    start: &Bits,
-    end: &Bits,
-) -> HashMap<SignalId, Wave> {
-    let net = &design.subject;
-    let mut waves: HashMap<SignalId, Wave> = HashMap::new();
-    for (i, &s) in net.inputs().iter().enumerate() {
-        waves.insert(
-            s,
-            match (start.get(i), end.get(i)) {
-                (false, false) => Wave::C0,
-                (true, true) => Wave::C1,
-                (false, true) => Wave::RISE,
-                (true, false) => Wave::FALL,
-            },
-        );
-    }
-    let mut order: Vec<usize> = (0..design.covers.len()).collect();
-    order.sort_by_key(|&i| design.covers[i].root);
-    let mut pins: Vec<Wave> = Vec::new();
-    for c in order {
-        for inst in &design.covers[c].instances {
-            let cell = &library.cells()[inst.cell_index];
-            pins.clear();
-            pins.extend(inst.inputs.iter().map(|s| waves[s]));
-            waves.insert(inst.output, wave_of_expr(cell.bff(), &pins));
-        }
-    }
-    waves
 }
 
 /// Pairs every `st{k}` input with its `y{k}` excitation output; orphans

@@ -8,20 +8,25 @@
 //! * a **waveform** evaluator that propagates arbitrary 8-valued
 //!   [`Wave`] classes through a cell's factored form
 //!   ([`wave_of_expr`]), the primitive behind the cross-cone
-//!   interference walk. Unlike [`asyncmap_hazard::wave_eval`], the leaf
-//!   classes are supplied by the caller, so an upstream cone's (possibly
-//!   hazardous) output wave can be fed into a downstream cone's pins.
+//!   interference walk ([`eval_design_waves`]). Unlike
+//!   [`asyncmap_hazard::wave_eval`], the leaf classes are supplied by the
+//!   caller, so an upstream cone's (possibly hazardous) output wave can be
+//!   fed into a downstream cone's pins.
 //!
-//! Both kernels are pure bit manipulation over caller-owned slices, which
-//! keeps them cheap enough for Miri to interpret — they are part of the
-//! `asyncmap-fma` Miri gate in CI.
+//! Both whole-design evaluators are runs of core's one [`NetlistWalk`]
+//! over a [`WalkScratch`]: the instance order is fixed once per analysis
+//! and the values live in signal-indexed vectors allocated once per
+//! worker, so each transition pair costs O(instances + pins).
+//!
+//! The cell kernels are pure bit manipulation over caller-owned slices,
+//! which keeps them cheap enough for Miri to interpret — they are part of
+//! the `asyncmap-fma` Miri gate in CI.
 
 use asyncmap_bff::Expr;
-use asyncmap_core::MappedDesign;
+use asyncmap_core::{Instance, NetlistWalk};
 use asyncmap_cube::Bits;
 use asyncmap_hazard::Wave;
 use asyncmap_library::Library;
-use std::collections::HashMap;
 
 /// Evaluates `expr` over word-valued pins: bit `j` of the result is the
 /// value of `expr` at assignment `j`, where bit `j` of `pins[v]` is the
@@ -71,12 +76,35 @@ pub fn wave_of_expr(expr: &Expr, pins: &[Wave]) -> Wave {
     }
 }
 
+/// Signal-indexed value vectors for the walks of one worker, sized once
+/// to a [`NetlistWalk`] and reused by every walk that worker runs.
+pub struct WalkScratch {
+    words: Vec<u64>,
+    waves: Vec<Wave>,
+    word_pins: Vec<u64>,
+    wave_pins: Vec<Wave>,
+}
+
+impl WalkScratch {
+    /// Scratch for the walks of `walk`.
+    pub fn new(walk: &NetlistWalk<'_>) -> Self {
+        WalkScratch {
+            words: vec![0; walk.signals()],
+            waves: vec![Wave::C0; walk.signals()],
+            word_pins: Vec::new(),
+            wave_pins: Vec::new(),
+        }
+    }
+}
+
 /// Evaluates the mapped netlist (through the chosen cells, like
-/// [`MappedDesign::eval_mapped`]) at every assignment in `points`,
-/// 64 assignments per pass.
+/// [`MappedDesign::eval_mapped`](asyncmap_core::MappedDesign::eval_mapped))
+/// at every assignment in `points`, 64 assignments per [`NetlistWalk`]
+/// run over `scratch`.
 ///
 /// Returns one row per primary output in declaration order; bit `j` of
-/// word `j / 64` in a row is the output's value at `points[j]`.
+/// word `j / 64` in a row is the output's value at `points[j]` (0 for an
+/// output nothing drives).
 ///
 /// # Panics
 ///
@@ -84,52 +112,64 @@ pub fn wave_of_expr(expr: &Expr, pins: &[Wave]) -> Wave {
 /// an instance reads an undriven signal (structurally unsound designs are
 /// rejected before any kernel runs).
 pub fn eval_design_packed(
-    design: &MappedDesign,
+    walk: &NetlistWalk<'_>,
     library: &Library,
     points: &[Bits],
+    scratch: &mut WalkScratch,
 ) -> Vec<Vec<u64>> {
-    let net = &design.subject;
-    let num_outputs = net.outputs().len();
+    let num_inputs = walk.design().subject.inputs().len();
     let words = points.len().div_ceil(64);
-    let mut rows = vec![vec![0u64; words]; num_outputs];
-
-    // Covers in topological order of their roots, once for all chunks.
-    let mut order: Vec<usize> = (0..design.covers.len()).collect();
-    order.sort_by_key(|&i| design.covers[i].root);
-
-    let mut values: HashMap<asyncmap_network::SignalId, u64> = HashMap::new();
-    let mut pins: Vec<u64> = Vec::new();
+    let mut rows = vec![vec![0u64; words]; walk.num_outputs()];
     for (w, chunk) in points.chunks(64).enumerate() {
-        values.clear();
-        for (i, &s) in net.inputs().iter().enumerate() {
+        let input = |i: usize| {
             let mut word = 0u64;
             for (j, p) in chunk.iter().enumerate() {
-                assert_eq!(p.len(), net.inputs().len(), "point width mismatch");
+                assert_eq!(p.len(), num_inputs, "point width mismatch");
                 if p.get(i) {
                     word |= 1 << j;
                 }
             }
-            values.insert(s, word);
-        }
-        for &c in &order {
-            for inst in &design.covers[c].instances {
-                let cell = &library.cells()[inst.cell_index];
-                pins.clear();
-                for sig in &inst.inputs {
-                    pins.push(
-                        *values
-                            .get(sig)
-                            .unwrap_or_else(|| panic!("undriven signal {sig} in mapped netlist")),
-                    );
-                }
-                values.insert(inst.output, eval_expr_words(cell.bff(), &pins));
-            }
-        }
-        for (o, (_, s)) in net.outputs().iter().enumerate() {
-            rows[o][w] = values.get(s).copied().unwrap_or(0);
+            word
+        };
+        let cell = |inst: &Instance, pins: &[u64]| {
+            eval_expr_words(library.cells()[inst.cell_index].bff(), pins)
+        };
+        walk.run(&mut scratch.words, &mut scratch.word_pins, input, cell);
+        for (o, row) in rows.iter_mut().enumerate() {
+            row[w] = walk.output(&scratch.words, o).unwrap_or(0);
         }
     }
     rows
+}
+
+/// Propagates waveform classes for the transition `start → end` (over the
+/// primary inputs) through every cell instance in one [`NetlistWalk`] run
+/// over `scratch`, each cell's pins taking the waves of their driving
+/// signals. Returns one wave per primary output in declaration order
+/// ([`Wave::C0`] for an output nothing drives).
+///
+/// # Panics
+///
+/// Panics if an instance reads an undriven signal.
+pub fn eval_design_waves(
+    walk: &NetlistWalk<'_>,
+    library: &Library,
+    start: &Bits,
+    end: &Bits,
+    scratch: &mut WalkScratch,
+) -> Vec<Wave> {
+    let input = |i: usize| match (start.get(i), end.get(i)) {
+        (false, false) => Wave::C0,
+        (true, true) => Wave::C1,
+        (false, true) => Wave::RISE,
+        (true, false) => Wave::FALL,
+    };
+    let cell =
+        |inst: &Instance, pins: &[Wave]| wave_of_expr(library.cells()[inst.cell_index].bff(), pins);
+    walk.run(&mut scratch.waves, &mut scratch.wave_pins, input, cell);
+    (0..walk.num_outputs())
+        .map(|o| walk.output(&scratch.waves, o).unwrap_or(Wave::C0))
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! severity codes, in the same [`asyncmap_report`] shape the lint and
 //! audit passes use.
 //!
-//! It checks three things:
+//! It checks three things, the first and last over the whole design and
+//! the cone boundaries one cone at a time:
 //!
 //! * **structure** — core's instance-graph validator
 //!   ([`asyncmap_core::validate_instance_graph`], shared with lint): every
@@ -19,8 +20,8 @@
 //!   decided at every width by core's per-cone verdict
 //!   [`asyncmap_core::decide_cone`], which lint's whole-cone sweep shares;
 //!   a cover that does not compose is reported under its fault's code;
-//! * **spec conformance**, at whole-network scope — 8-valued waveform
-//!   propagation of every specified burst through the whole netlist
+//! * **spec conformance**, over the whole netlist — 8-valued waveform
+//!   propagation of every specified burst through every instance
 //!   (`boundary.burst-glitch`, `boundary.burst-mismatch`), interior-point
 //!   race sweeps (`race.premature-transition`, `race.state-burst`),
 //!   feedback pairing (`feedback.unpaired`) and essential-hazard

@@ -7,11 +7,10 @@
 //! depends on computes a different function, and projecting onto the
 //! bound pins alone would hide that.
 
-use crate::{path_of, truth_equal, InstanceView, LintReport, Severity};
+use crate::{path_of, truth_equal, ConeMarks, InstanceView, LintReport, Role, Severity};
 use asyncmap_core::MappedDesign;
 use asyncmap_library::Library;
-use asyncmap_network::{Cone, SignalId};
-use std::collections::HashSet;
+use asyncmap_network::Cone;
 
 /// Widest cut space the packed truth tables handle comfortably.
 const SUPPORT_LIMIT: usize = 20;
@@ -21,19 +20,22 @@ pub(crate) fn check_cover(
     library: &Library,
     cone: &Cone,
     views: &[InstanceView<'_>],
+    marks: &mut ConeMarks,
     report: &mut LintReport,
 ) {
     let net = &design.subject;
     // An instance is live if its output is the cover root or feeds some
     // other instance of the cover; anything else contributes area without
     // function.
-    let mut live: HashSet<SignalId> = HashSet::new();
     for view in views {
-        live.extend(view.inst.inputs.iter().copied());
+        view.inst
+            .inputs
+            .iter()
+            .for_each(|&s| marks.set(s, Role::Read));
     }
     for view in views {
         let inst = view.inst;
-        if inst.output != design.covers[view.cone_idx].root && !live.contains(&inst.output) {
+        if inst.output != design.covers[view.cone_idx].root && !marks.has(inst.output, Role::Read) {
             report.push(
                 Severity::Info,
                 "function.dead-instance",

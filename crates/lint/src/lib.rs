@@ -71,7 +71,6 @@ use asyncmap_library::Library;
 use asyncmap_network::{Cone, Network, NodeKind, SignalId};
 pub use asyncmap_report::{Finding, Severity};
 use asyncmap_report::{Report, Totals};
-use std::collections::HashSet;
 
 /// What the lint pass looked at, for report context.
 #[derive(Debug, Clone, Copy, Default)]
@@ -182,16 +181,109 @@ pub(crate) fn path_of(net: &Network, cone: &Cone, inst: Option<&Instance>) -> St
     }
 }
 
-/// Walks the subnetwork under `inst`, cutting at `cut_set` (the cone's
-/// leaves plus the other instances' outputs). Reports escape violations
-/// into `report` and marks the view unsound on any.
+/// Signal-indexed marks for the per-cone walks, allocated once per lint
+/// call and re-stamped per cone and per instance, so no walk clears or
+/// hashes anything: a cone mark is current iff its stamp equals the
+/// cone's, an instance mark iff it equals the instance's. Stamps count
+/// the cones and instances of one call, far below `u32::MAX`.
+pub(crate) struct ConeMarks {
+    cone: u32,
+    inst: u32,
+    /// Per signal, the stamp of the cone `role` was last set for.
+    stamp: Vec<u32>,
+    /// Per signal, its [`Role`] bits in the cone stamped in `stamp`.
+    role: Vec<u8>,
+    seen_cut: Vec<u32>,
+    seen_gate: Vec<u32>,
+    /// Per signal, the instances covering it; zero outside
+    /// `check_coverage`.
+    count: Vec<u32>,
+}
+
+/// The roles a signal plays in the cone being linted, as bits.
+#[derive(Clone, Copy)]
+pub(crate) enum Role {
+    /// A gate of the cone.
+    Gate = 1,
+    /// A leaf of the cone.
+    Leaf = 2,
+    /// The output of some instance of the cover.
+    Output = 4,
+    /// Read by some instance of the cover.
+    Read = 8,
+}
+
+impl ConeMarks {
+    /// Unset marks over the signals of `net`.
+    pub(crate) fn new(net: &Network) -> Self {
+        ConeMarks {
+            cone: 0,
+            inst: 0,
+            stamp: vec![0; net.len()],
+            role: vec![0; net.len()],
+            seen_cut: vec![0; net.len()],
+            seen_gate: vec![0; net.len()],
+            count: vec![0; net.len()],
+        }
+    }
+
+    /// Marks the gates, leaves and instance outputs of a new cone.
+    fn bind(&mut self, cone: &Cone, cover: &ConeCover) {
+        self.cone += 1;
+        cone.gates.iter().for_each(|&g| self.set(g, Role::Gate));
+        cone.leaves.iter().for_each(|&l| self.set(l, Role::Leaf));
+        let outputs = cover.instances.iter().map(|i| i.output);
+        outputs.for_each(|o| self.set(o, Role::Output));
+    }
+
+    /// Gives `s` `role` in the bound cone.
+    pub(crate) fn set(&mut self, s: SignalId, role: Role) {
+        let i = s.index();
+        if self.stamp[i] != self.cone {
+            self.stamp[i] = self.cone;
+            self.role[i] = 0;
+        }
+        self.role[i] |= role as u8;
+    }
+
+    /// Whether `s` has `role` in the bound cone.
+    pub(crate) fn has(&self, s: SignalId, role: Role) -> bool {
+        self.stamp[s.index()] == self.cone && self.role[s.index()] & role as u8 != 0
+    }
+
+    /// Whether `s` is a cut signal of the instance driving `output`: a
+    /// cone leaf, or another instance's output. Exactly `leaves ∪
+    /// (outputs − {output})`, also when two instances drive one signal or
+    /// a leaf is an instance output.
+    fn is_cut(&self, s: SignalId, output: SignalId) -> bool {
+        self.has(s, Role::Leaf) || (s != output && self.has(s, Role::Output))
+    }
+
+    /// Adds one covering instance to gate `g`'s count.
+    pub(crate) fn cover(&mut self, g: SignalId) {
+        self.count[g.index()] += 1;
+    }
+
+    /// The covering instances counted for `g`.
+    pub(crate) fn covered(&self, g: SignalId) -> u32 {
+        self.count[g.index()]
+    }
+
+    /// Clears the count of `g`.
+    pub(crate) fn uncover(&mut self, g: SignalId) {
+        self.count[g.index()] = 0;
+    }
+}
+
+/// Walks the subnetwork under `inst`, cutting at the cut signals the bound
+/// `marks` give it. Reports escape violations into `report` and marks the
+/// view unsound on any.
 fn view_instance<'a>(
     net: &Network,
     cone: &Cone,
     cone_idx: usize,
     inst: &'a Instance,
-    cut_set: &HashSet<SignalId>,
-    cone_gates: &HashSet<SignalId>,
+    marks: &mut ConeMarks,
     report: &mut LintReport,
 ) -> InstanceView<'a> {
     let mut view = InstanceView {
@@ -201,17 +293,17 @@ fn view_instance<'a>(
         covered_gates: Vec::new(),
         structurally_sound: true,
     };
-    let mut seen_cut: HashSet<SignalId> = HashSet::new();
-    let mut seen_gate: HashSet<SignalId> = HashSet::new();
+    marks.inst += 1;
+    let stamp = marks.inst;
     let mut stack = vec![(inst.output, true)];
     while let Some((s, is_root)) = stack.pop() {
-        if !is_root && cut_set.contains(&s) {
-            if seen_cut.insert(s) {
+        if !is_root && marks.is_cut(s, inst.output) {
+            if std::mem::replace(&mut marks.seen_cut[s.index()], stamp) != stamp {
                 view.cut_signals.push(s);
             }
             continue;
         }
-        if !cone_gates.contains(&s) {
+        if !marks.has(s, Role::Gate) {
             report.push(
                 Severity::Error,
                 "coverage.escapes-cone",
@@ -224,7 +316,7 @@ fn view_instance<'a>(
             view.structurally_sound = false;
             continue;
         }
-        if !seen_gate.insert(s) {
+        if std::mem::replace(&mut marks.seen_gate[s.index()], stamp) == stamp {
             continue;
         }
         view.covered_gates.push(s);
@@ -239,24 +331,25 @@ fn view_instance<'a>(
 
 /// Builds the views of every instance of `cover`. The cut set for each
 /// instance is the cone's leaf set plus every *other* instance's output.
+///
+/// **Cost contract.** Linear in the cone: binding `marks` to the cone is
+/// O(gates + leaves + instances), and each instance's walk is
+/// O(covered gates + their fanins), with every membership test one
+/// signal-indexed lookup. Nothing per cone is hashed, cleared or sized to
+/// the network: `marks` is allocated once per lint call.
 pub(crate) fn view_cover<'a>(
     net: &Network,
     cone: &Cone,
     cone_idx: usize,
     cover: &'a ConeCover,
+    marks: &mut ConeMarks,
     report: &mut LintReport,
 ) -> Vec<InstanceView<'a>> {
-    let cone_gates: HashSet<SignalId> = cone.gates.iter().copied().collect();
-    let outputs: HashSet<SignalId> = cover.instances.iter().map(|i| i.output).collect();
-    let leaves: HashSet<SignalId> = cone.leaves.iter().copied().collect();
+    marks.bind(cone, cover);
     cover
         .instances
         .iter()
-        .map(|inst| {
-            let mut cut_set: HashSet<SignalId> = leaves.clone();
-            cut_set.extend(outputs.iter().copied().filter(|&o| o != inst.output));
-            view_instance(net, cone, cone_idx, inst, &cut_set, &cone_gates, report)
-        })
+        .map(|inst| view_instance(net, cone, cone_idx, inst, marks, report))
         .collect()
 }
 
@@ -371,6 +464,7 @@ fn lint_inner(
     // Per-cone walks: build the instance views once, then feed them to the
     // coverage, function and Theorem 3.2 checks.
     let keys = cache.as_ref().map(|_| CoverKeys::new(design));
+    let mut marks = ConeMarks::new(&design.subject);
     for (idx, (cone, cover)) in design.cones.iter().zip(&design.covers).enumerate() {
         let key = keys.as_ref().and_then(|k| k.get(idx));
         if let (Some(c), Some(key)) = (cache.as_deref(), key) {
@@ -383,9 +477,9 @@ fn lint_inner(
         if !cells_sound(library, cover) {
             continue;
         }
-        let views = view_cover(&design.subject, cone, idx, cover, &mut report);
-        structure::check_coverage(design, cone, cover, &views, &mut report);
-        equiv::check_cover(design, library, cone, &views, &mut report);
+        let views = view_cover(&design.subject, cone, idx, cover, &mut marks, &mut report);
+        structure::check_coverage(design, cone, cover, &views, &mut marks, &mut report);
+        equiv::check_cover(design, library, cone, &views, &mut marks, &mut report);
         theorem32::check_cover(
             design,
             library,
@@ -451,9 +545,10 @@ pub fn binding_obligations(design: &MappedDesign, library: &Library) -> Vec<(Exp
     if !check_instance_graph(design, library, &mut scratch) {
         return obligations;
     }
+    let mut marks = ConeMarks::new(net);
     for (idx, (cone, cover)) in design.cones.iter().zip(&design.covers).enumerate() {
         if cells_sound(library, cover) {
-            let views = view_cover(net, cone, idx, cover, &mut scratch);
+            let views = view_cover(net, cone, idx, cover, &mut marks, &mut scratch);
             let sound = views.iter().filter(|v| v.structurally_sound);
             let obligation = |v| theorem32::binding_obligation(net, library, v, &hazardous);
             obligations.extend(sound.filter_map(obligation));
@@ -461,3 +556,6 @@ pub fn binding_obligations(design: &MappedDesign, library: &Library) -> Vec<(Exp
     }
     obligations
 }
+
+#[cfg(test)]
+mod view_tests;

@@ -2,11 +2,10 @@
 //! `validate_instance_graph` checks): exactly-once cover completeness,
 //! partition boundaries only at legal cut points, and area re-addition.
 
-use crate::{path_of, InstanceView, LintReport, Severity};
+use crate::{path_of, ConeMarks, InstanceView, LintReport, Severity};
 use asyncmap_core::{ConeCover, MappedDesign};
 use asyncmap_library::Library;
-use asyncmap_network::{partition_roots, Cone, NodeKind, SignalId};
-use std::collections::HashMap;
+use asyncmap_network::{partition_roots, Cone, NodeKind};
 
 const AREA_TOL: f64 = 1e-6;
 
@@ -199,6 +198,7 @@ pub(crate) fn check_coverage(
     cone: &Cone,
     cover: &ConeCover,
     views: &[InstanceView<'_>],
+    marks: &mut ConeMarks,
     report: &mut LintReport,
 ) {
     let net = &design.subject;
@@ -210,14 +210,10 @@ pub(crate) fn check_coverage(
             "no instance produces the cone root".to_owned(),
         );
     }
-    let mut count: HashMap<SignalId, usize> = HashMap::new();
-    for view in views {
-        for &g in &view.covered_gates {
-            *count.entry(g).or_insert(0) += 1;
-        }
-    }
+    let covered = || views.iter().flat_map(|v| &v.covered_gates);
+    covered().for_each(|&g| marks.cover(g));
     for &g in &cone.gates {
-        match count.get(&g).copied().unwrap_or(0) {
+        match marks.covered(g) {
             0 => report.push(
                 Severity::Error,
                 "coverage.gate-uncovered",
@@ -233,4 +229,5 @@ pub(crate) fn check_coverage(
             ),
         }
     }
+    covered().for_each(|&g| marks.uncover(g));
 }
