@@ -633,7 +633,7 @@ mod tests {
             .expect("a from → to witness");
         let [from, to] = [from, to].map(|b| {
             let index = usize::from_str_radix(b.trim_start_matches("0b"), 2).unwrap();
-            asyncmap_hazard::oracle::index_bits(7, index)
+            asyncmap_cube::Bits::from_index(7, index)
         });
         let source = &trace.equations[0].source;
         assert!(asyncmap_hazard::wave_eval(&forged, &from, &to).hazard);

@@ -299,7 +299,7 @@ mod tests {
             .expect("a from → to witness");
         let [from, to] = [witness.0, witness.1].map(|b| {
             let index = usize::from_str_radix(b.trim_start_matches("0b"), 2).unwrap();
-            asyncmap_hazard::oracle::index_bits(nvars, index)
+            asyncmap_cube::Bits::from_index(nvars, index)
         });
         let source = asyncmap_hazard::wave_eval(&trace.source, &from, &to);
         let sop = asyncmap_hazard::wave_eval(&image_expr(&flat), &from, &to);

@@ -17,22 +17,8 @@ use asyncmap_cube::{Cover, Cube, Phase, VarId, VarTable};
 use asyncmap_network::{
     async_tech_decomp, async_tech_decomp_traced, partition_traced, EquationSet, RewriteRule,
 };
+use asyncmap_oracle::gen::{arb_cube, NVARS};
 use proptest::prelude::*;
-
-const NVARS: usize = 4;
-
-prop_compose! {
-    fn arb_cube()(used in 1u8..16, phase in 0u8..16) -> Cube {
-        let mut lits = Vec::new();
-        for v in 0..NVARS {
-            if (used >> v) & 1 == 1 {
-                let p = if (phase >> v) & 1 == 1 { Phase::Pos } else { Phase::Neg };
-                lits.push((VarId(v), p));
-            }
-        }
-        Cube::from_literals(NVARS, lits)
-    }
-}
 
 prop_compose! {
     /// A non-constant cover: `EquationSet` rejects empty and tautological

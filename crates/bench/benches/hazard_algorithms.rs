@@ -3,10 +3,10 @@
 
 use asyncmap_bff::Expr;
 use asyncmap_cube::{Cover, VarTable};
-use asyncmap_hazard::oracle::{brute_mic_dynamic_transitions, brute_static1_transitions};
 use asyncmap_hazard::{
     analyze_expr, find_mic_dyn_haz_2level, static_1_analysis, static_1_complete,
 };
+use asyncmap_oracle::{brute_mic_dynamic_transitions, brute_static1_transitions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

@@ -20,14 +20,15 @@ use asyncmap_bench::{generate, GenSpec};
 use asyncmap_bff::Expr;
 use asyncmap_core::truth;
 use asyncmap_core::{
-    cover_cone_legacy, cover_cone_with, truth_table_of, truth_table_of_generic, ClusterLimits,
-    HazardPolicy, Matcher, Objective,
+    cover_cone_with, truth_table_of, ClusterLimits, HazardPolicy, Matcher, Objective,
 };
-use asyncmap_cube::{Cover, Cube, Phase, VarId};
-use asyncmap_hazard::oracle::index_bits;
+use asyncmap_cube::{Bits, Cover, Cube, Phase, VarId};
 use asyncmap_hazard::{find_mic_dyn_haz_2level, hazards_subset_exhaustive, wave_eval};
 use asyncmap_library::builtin;
 use asyncmap_network::{async_tech_decomp, async_tech_decomp_traced, partition, RewriteRule};
+use asyncmap_oracle::{
+    apply_perm6_generic, apply_perm_wide_generic, cover_cone_legacy, truth_table_of_generic,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,7 +132,7 @@ fn bench_truth_tables(c: &mut Criterion) {
             let t: u64 = rng.random::<u64>() & truth::full_mask(n);
             assert_eq!(
                 truth::apply_perm6(t, &perm, n),
-                truth::apply_perm6_generic(t, &perm, n),
+                apply_perm6_generic(t, &perm, n),
                 "delta-swap/minterm divergence in apply_perm6 at n={n}"
             );
         } else {
@@ -141,7 +142,7 @@ fn bench_truth_tables(c: &mut Criterion) {
             }
             assert_eq!(
                 truth::apply_perm_wide(t, &perm, n),
-                truth::apply_perm_wide_generic(t, &perm, n),
+                apply_perm_wide_generic(t, &perm, n),
                 "delta-swap/minterm divergence in apply_perm_wide at n={n}"
             );
         }
@@ -211,12 +212,12 @@ fn bench_hazard_search(c: &mut Criterion) {
 /// time: the reference the bit-sliced sweep is gated against.
 fn subset_per_transition(candidate: &Expr, reference: &Expr, nvars: usize) -> bool {
     for a in 0..1usize << nvars {
-        let from = index_bits(nvars, a);
+        let from = Bits::from_index(nvars, a);
         for b in 0..1usize << nvars {
             if a == b {
                 continue;
             }
-            let to = index_bits(nvars, b);
+            let to = Bits::from_index(nvars, b);
             if wave_eval(candidate, &from, &to).hazard && !wave_eval(reference, &from, &to).hazard {
                 return false;
             }

@@ -10,27 +10,23 @@
 //! and the widest support on which the hazard filter's transition sweep
 //! is exact.
 //!
-//! Two enumerators live here:
+//! The enumerator is a bottom-up dynamic program in the k-feasible-cut
+//! style: sorted leaf sets are interned in a per-cone [`LeafArena`] (set
+//! equality is id equality), each gate's cut list is computed once from
+//! its fanins' interned lists, and the cuts are materialized by a single
+//! walk that produces each cut's packed 4-word truth table directly — the
+//! cluster `Expr` is only built lazily, when a hazard check first needs
+//! it. Covering materializes every gate's list; root qualification
+//! ([`crate::qualify_cone_root`]) only the cone root's.
+//! [`enumerate_clusters`] is its eager public view, with an `Expr` per
+//! cluster, for tests.
 //!
-//! * the interned-cut enumerator (default) — a bottom-up dynamic program in
-//!   the k-feasible-cut style: sorted leaf sets are interned in a per-cone
-//!   [`LeafArena`] (set equality is id equality), each gate's cut list is
-//!   computed once from its fanins' interned lists, and the cuts are
-//!   materialized by a single walk
-//!   that produces each cut's packed 4-word truth table directly — the
-//!   cluster `Expr` is only built lazily, when a hazard check first needs
-//!   it. Covering materializes every gate's list; root qualification
-//!   ([`crate::qualify_cone_root`]) only the cone root's.
-//!   [`enumerate_clusters`] is its eager public view, with an `Expr` per
-//!   cluster, for tests.
-//! * [`enumerate_clusters_legacy`] — the original per-root recursive
-//!   enumerator, kept verbatim as the reference semantics for the
-//!   equivalence proptests and the `kernels` bench's per-cone gate.
-//!
-//! The new enumerator reproduces the legacy pipeline order exactly
-//! (cross-product → lexicographic sort → dedup → trivial cut first →
-//! truncation at 200 cuts per gate → depth filter), so both yield equal
-//! cluster lists and the mapped designs are bit-identical.
+//! The lists follow the original per-root recursive enumerator's pipeline
+//! order exactly (cross-product → lexicographic sort → dedup → trivial cut
+//! first → truncation at 200 cuts per gate → depth filter); that
+//! enumerator is kept as the reference in the development-only
+//! `asyncmap-oracle` crate, and the differential tests require equal
+//! cluster lists.
 //!
 //! Most of a wide cone's cross product is over-wide: on dean-ctrl about 98%
 //! of the (a, b) pairs of fanin options have more than
@@ -58,7 +54,7 @@ use asyncmap_bff::Expr;
 use asyncmap_cube::{VarId, VarTable};
 use asyncmap_network::{Cone, GateOp, Network, NodeKind, SignalId};
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A candidate subnetwork for matching.
 #[derive(Debug, Clone)]
@@ -103,9 +99,8 @@ impl Default for ClusterLimits {
 /// Enumerates the clusters rooted at every gate of `cone`, keyed by root
 /// signal.
 ///
-/// Uses the interned-cut enumerator. Clusters come in a deterministic
-/// order (trivial cut first, then lexicographic by sorted leaf set), and
-/// the lists equal [`enumerate_clusters_legacy`]'s.
+/// Clusters come in a deterministic order (trivial cut first, then
+/// lexicographic by sorted leaf set).
 ///
 /// This is the eager view: it builds an `Expr` for every cut of every
 /// gate. The mapper ([`crate::cover_cone_with`]) and root qualification
@@ -137,118 +132,8 @@ pub fn enumerate_clusters(
         .collect()
 }
 
-/// The original recursive enumerator, kept as the reference semantics for
-/// equivalence tests and the `kernels` bench's per-cone gate.
-#[doc(hidden)]
-pub fn enumerate_clusters_legacy(
-    net: &Network,
-    cone: &Cone,
-    limits: &ClusterLimits,
-) -> HashMap<SignalId, Vec<Cluster>> {
-    let cone_gates: HashSet<SignalId> = cone.gates.iter().copied().collect();
-    // cuts[g] = leaf sets of clusters rooted at g, each sorted.
-    let mut cuts: HashMap<SignalId, Vec<Vec<SignalId>>> = HashMap::new();
-    for &g in &cone.gates {
-        // cone.gates is in topological (ascending id) order.
-        let NodeKind::Gate { fanin, .. } = net.node(g) else {
-            unreachable!("cone gate is not a gate")
-        };
-        let mut gate_cuts: Vec<Vec<SignalId>> = Vec::new();
-        let fanin_options: Vec<Vec<Vec<SignalId>>> = fanin
-            .iter()
-            .map(|&f| {
-                let mut options = vec![vec![f]]; // stop at the fanin signal
-                if cone_gates.contains(&f) {
-                    if let Some(sub) = cuts.get(&f) {
-                        options.extend(sub.iter().cloned());
-                    }
-                }
-                options
-            })
-            .collect();
-        cross_product(&fanin_options, &mut gate_cuts);
-        // The trivial cut (the gate's own fanin) must always survive the
-        // cap: it guarantees every gate is coverable by a base cell.
-        let mut trivial: Vec<SignalId> = fanin.to_vec();
-        trivial.sort();
-        trivial.dedup();
-        gate_cuts.sort();
-        gate_cuts.dedup();
-        gate_cuts.retain(|c| *c != trivial);
-        gate_cuts.truncate(MAX_CUTS_PER_GATE - 1);
-        gate_cuts.insert(0, trivial);
-        cuts.insert(g, gate_cuts);
-    }
-    // Materialize clusters and apply the depth bound.
-    let mut out: HashMap<SignalId, Vec<Cluster>> = HashMap::new();
-    for &g in &cone.gates {
-        let mut clusters = Vec::new();
-        for cut in &cuts[&g] {
-            // Cuts are sorted and deduplicated, so membership is a binary
-            // search — no per-cluster hash set.
-            if let Some(cluster) = build_cluster(net, g, cut, limits) {
-                clusters.push(cluster);
-            }
-        }
-        out.insert(g, clusters);
-    }
-    out
-}
-
-fn cross_product(options: &[Vec<Vec<SignalId>>], out: &mut Vec<Vec<SignalId>>) {
-    fn rec(
-        options: &[Vec<Vec<SignalId>>],
-        idx: usize,
-        acc: &mut Vec<SignalId>,
-        out: &mut Vec<Vec<SignalId>>,
-    ) {
-        if idx == options.len() {
-            let mut cut = acc.clone();
-            cut.sort();
-            cut.dedup();
-            if cut.len() <= ClusterLimits::MAX_LEAVES {
-                out.push(cut);
-            }
-            return;
-        }
-        for choice in &options[idx] {
-            let mark = acc.len();
-            acc.extend(choice.iter().copied());
-            rec(options, idx + 1, acc, out);
-            acc.truncate(mark);
-        }
-    }
-    let mut acc = Vec::new();
-    rec(options, 0, &mut acc, out);
-}
-
-/// Builds the cluster for a given cut (sorted ascending), returning `None`
-/// when the depth bound is exceeded.
-fn build_cluster(
-    net: &Network,
-    root: SignalId,
-    cut: &[SignalId],
-    limits: &ClusterLimits,
-) -> Option<Cluster> {
-    let mut leaves: Vec<SignalId> = Vec::new();
-    let mut num_gates = 0usize;
-    let expr = walk(
-        net,
-        root,
-        cut,
-        0,
-        limits.max_depth,
-        &mut leaves,
-        &mut num_gates,
-    )?;
-    Some(Cluster {
-        root,
-        leaves,
-        expr,
-        num_gates,
-    })
-}
-
+/// The cluster structure from `signal` down to the sorted `cut`, leaves
+/// numbered in first-visit order, or `None` past the depth bound.
 #[allow(clippy::too_many_arguments)]
 fn walk(
     net: &Network,
@@ -1085,8 +970,9 @@ fn not4(a: [u64; 4]) -> [u64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asyncmap_cube::{Cover, Cube, Phase};
+    use asyncmap_cube::Cover;
     use asyncmap_network::{async_tech_decomp, partition, EquationSet};
+    use std::collections::HashSet;
 
     fn cone_of(text: &str, names: &[&str]) -> (Network, Cone) {
         let vars = VarTable::from_names(names.iter().copied());
@@ -1125,10 +1011,7 @@ mod tests {
         let local = full.local_vars(&net);
         let want = Cover::parse_tokens("a*b + a'*c", &local).unwrap();
         for m in 0..8usize {
-            let mut bits = asyncmap_cube::Bits::new(3);
-            for v in 0..3 {
-                bits.set(v, (m >> v) & 1 == 1);
-            }
+            let bits = asyncmap_cube::Bits::from_index(3, m);
             assert_eq!(full.expr.eval(&bits), want.eval(&bits));
         }
     }
@@ -1193,28 +1076,6 @@ mod tests {
         );
     }
 
-    /// The interned-cut enumerator yields exactly the legacy clusters, in
-    /// the legacy order.
-    #[test]
-    fn enumeration_equals_legacy() {
-        for (text, names) in [
-            ("ab + a'c + bc", vec!["a", "b", "c"]),
-            ("ab' + cd + a'd'", vec!["a", "b", "c", "d"]),
-            ("ab + ab'", vec!["a", "b"]),
-        ] {
-            let (net, cone) = cone_of(text, &names);
-            let limits = ClusterLimits::default();
-            let new = enumerate_clusters(&net, &cone, &limits);
-            let legacy = enumerate_clusters_legacy(&net, &cone, &limits);
-            for g in &cone.gates {
-                let key = |c: &Cluster| (c.leaves.clone(), c.num_gates, format!("{:?}", c.expr));
-                let new_keys: Vec<_> = new[g].iter().map(key).collect();
-                let legacy_keys: Vec<_> = legacy[g].iter().map(key).collect();
-                assert_eq!(new_keys, legacy_keys, "{text}: gate {g}");
-            }
-        }
-    }
-
     /// Root-only materialization gives the root exactly the list full
     /// materialization gives it, and nothing elsewhere.
     #[test]
@@ -1262,127 +1123,13 @@ mod tests {
         }
     }
 
-    /// One gate's list in comparable form: leaves in order, gate count,
-    /// packed table.
-    type ListView = Vec<(Vec<SignalId>, usize, [u64; 4])>;
-
-    /// Checks every gate list of `cone` against the legacy enumerator and
-    /// returns the number of gates whose list was truncated.
-    fn assert_cone_equals_legacy(
-        net: &Network,
-        cone: &Cone,
-        max_depth: usize,
-        what: &str,
-    ) -> usize {
-        let limits = ClusterLimits { max_depth };
-        let cuts = enumerate_cuts(net, cone, &limits);
-        let legacy = enumerate_clusters_legacy(net, cone, &limits);
-        for &g in &cone.gates {
-            let got: ListView = cuts
-                .clusters(g)
-                .iter()
-                .map(|c| (c.leaves.clone(), c.num_gates, c.table))
-                .collect();
-            let want: ListView = legacy[&g]
-                .iter()
-                .map(|c| {
-                    let t = crate::truth::truth_table_words(&c.expr, ClusterLimits::MAX_LEAVES);
-                    let table = t.words().try_into().expect("4 words");
-                    (c.leaves.clone(), c.num_gates, table)
-                })
-                .collect();
-            assert_eq!(got, want, "{what}: gate {g} (depth {max_depth})");
-        }
-        cuts.truncations
-    }
-
-    /// A seeded single-output SOP design over 16 inputs whose cubes draw
-    /// their literals from a few hot inputs, so that cone leaves are
-    /// shared between the two fanins of many gates.
+    /// The cones of the seeded 16-input shared-leaf SOP design `seed`.
     fn shared_leaf_sop(seed: u64) -> Option<(Network, Vec<Cone>)> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = |n: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % n
-        };
-        let names: Vec<String> = (0..16).map(|i| format!("x{i}")).collect();
-        let vars = VarTable::from_names(names.iter().map(String::as_str));
-        let cubes = (0..8 + next(8))
-            .map(|_| {
-                let mut used = 0u32;
-                let mut lits = Vec::new();
-                for _ in 0..2 + next(4) {
-                    // Half of the literals come from four hot inputs.
-                    let v = if next(2) == 0 { next(4) } else { next(16) } as usize;
-                    if used & 1 << v == 0 {
-                        used |= 1 << v;
-                        let phase = if next(2) == 0 { Phase::Neg } else { Phase::Pos };
-                        lits.push((VarId(v), phase));
-                    }
-                }
-                Cube::from_literals(16, lits)
-            })
-            .collect();
-        let f = Cover::from_cubes(16, cubes);
-        if f.is_tautology() {
-            return None;
-        }
-        let eqs = EquationSet::new(vars, vec![("f".to_owned(), f)]);
-        let net = async_tech_decomp(&eqs);
+        let f = asyncmap_oracle::gen::shared_leaf_sop(seed)?;
+        let vars = VarTable::from_names((0..16).map(|i| format!("x{i}")));
+        let net = async_tech_decomp(&EquationSet::new(vars, vec![("f".to_owned(), f)]));
         let cones = partition(&net);
         Some((net, cones))
-    }
-
-    /// On the cones of the 11 Table 5 benchmarks — dean-ctrl's truncated
-    /// gates included — and on seeded shared-leaf SOP designs, every gate
-    /// list equals the legacy enumerator's.
-    #[test]
-    fn real_cones_equal_legacy() {
-        let mut truncated = 0;
-        for (name, eqs) in asyncmap_burst::all_benchmarks() {
-            let net = async_tech_decomp(&eqs);
-            for cone in partition(&net) {
-                truncated += assert_cone_equals_legacy(&net, &cone, 5, name);
-            }
-        }
-        assert!(truncated > 0, "some benchmark gate hits the cut cap");
-        for (seed, (net, cones)) in (0..6).filter_map(|seed| Some((seed, shared_leaf_sop(seed)?))) {
-            for cone in &cones {
-                assert_cone_equals_legacy(&net, cone, 5, &format!("sop seed {seed}"));
-            }
-        }
-    }
-
-    /// [`real_cones_equal_legacy`] at a larger scale: every depth bound
-    /// from 2 to 6 on the benchmarks and 96 seeded SOP designs. Run in
-    /// release: `cargo test --release -p asyncmap-core --lib
-    /// real_cones_equal_legacy_at_ci_scale -- --ignored`.
-    #[test]
-    #[ignore]
-    fn real_cones_equal_legacy_at_ci_scale() {
-        let benchmarks: Vec<(Network, Vec<Cone>)> = asyncmap_burst::all_benchmarks()
-            .into_iter()
-            .map(|(_, eqs)| {
-                let net = async_tech_decomp(&eqs);
-                let cones = partition(&net);
-                (net, cones)
-            })
-            .collect();
-        for max_depth in 2..=6 {
-            for (net, cones) in &benchmarks {
-                for cone in cones {
-                    assert_cone_equals_legacy(net, cone, max_depth, "benchmark");
-                }
-            }
-        }
-        for (seed, (net, cones)) in (0..96).filter_map(|seed| Some((seed, shared_leaf_sop(seed)?)))
-        {
-            for cone in &cones {
-                assert_cone_equals_legacy(&net, cone, 5, &format!("sop seed {seed}"));
-            }
-        }
     }
 
     /// Every pair the size bound skips is over-wide, and the bound does
@@ -1454,10 +1201,12 @@ mod tests {
 
     /// The walk's 4-word tables equal the tables of the lazily built
     /// expressions at every width, 7–8 leaves included (the matcher's memo
-    /// keys on these words, so any divergence would corrupt matching).
+    /// keys on these words, so any divergence would corrupt matching), on
+    /// every cone of the 11 Table 5 benchmarks — dean-ctrl's truncated
+    /// gates included — and of seeded shared-leaf SOP designs.
     #[test]
     fn cut_tables_match_lazy_expr() {
-        let mut widths = HashSet::new();
+        let mut designs: Vec<(String, Network, Vec<Cone>)> = Vec::new();
         for (text, names) in [
             ("ab + a'c + bc", vec!["a", "b", "c"]),
             (
@@ -1466,15 +1215,31 @@ mod tests {
             ),
         ] {
             let (net, cone) = cone_of(text, &names);
-            let cuts = enumerate_cuts(&net, &cone, &ClusterLimits::default());
-            for &g in &cone.gates {
-                for c in cuts.clusters(g) {
-                    let want = crate::truth::truth_table_words(c.expr(&net), 8);
-                    assert_eq!(c.table, want.words(), "{text}: walk table diverges");
-                    widths.insert(c.leaves.len());
+            designs.push((text.to_owned(), net, vec![cone]));
+        }
+        for (name, eqs) in asyncmap_burst::all_benchmarks() {
+            let net = async_tech_decomp(&eqs);
+            let cones = partition(&net);
+            designs.push((name.to_owned(), net, cones));
+        }
+        for (seed, (net, cones)) in (0..6).filter_map(|seed| Some((seed, shared_leaf_sop(seed)?))) {
+            designs.push((format!("sop seed {seed}"), net, cones));
+        }
+        let (mut widths, mut truncated) = (HashSet::new(), 0);
+        for (what, net, cones) in &designs {
+            for cone in cones {
+                let cuts = enumerate_cuts(net, cone, &ClusterLimits::default());
+                truncated += cuts.truncations;
+                for &g in &cone.gates {
+                    for c in cuts.clusters(g) {
+                        let want = crate::truth::truth_table_words(c.expr(net), 8);
+                        assert_eq!(c.table, want.words(), "{what}: walk table diverges");
+                        widths.insert(c.leaves.len());
+                    }
                 }
             }
         }
         assert!(widths.contains(&7) && widths.contains(&8), "{widths:?}");
+        assert!(truncated > 0, "some benchmark gate hits the cut cap");
     }
 }

@@ -8,14 +8,13 @@
 //! match's gate leaves.
 
 use crate::cluster::{
-    enumerate_clusters_legacy, enumerate_cuts, enumerate_root_cuts, with_cone_index, ClusterLimits,
-    ConeCuts, ConeIndex, CutCluster,
+    enumerate_cuts, enumerate_root_cuts, with_cone_index, ClusterLimits, ConeCuts, ConeIndex,
+    CutCluster,
 };
 use crate::matcher::Matcher;
 use crate::profile::{self, MapPhase};
 use crate::tmap::Objective;
 use asyncmap_network::{Cone, Network, SignalId};
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -41,8 +40,7 @@ pub struct ConeCover {
     /// Total cell area of the cover.
     pub area: f64,
     /// Number of gates in this cone whose cut list was truncated at the
-    /// per-gate cap of 200 cuts (0 on the legacy enumerator, which does not
-    /// count them).
+    /// per-gate cap of 200 cuts.
     pub cut_truncations: usize,
 }
 
@@ -60,30 +58,6 @@ impl fmt::Display for CoverError {
 }
 
 impl Error for CoverError {}
-
-/// A gate's solution in the legacy reference DP ([`cover_cone_legacy`]).
-#[derive(Debug, Clone)]
-struct Choice {
-    cell_index: usize,
-    /// Subject signals bound to the cell pins, in pin order.
-    pin_signals: Vec<SignalId>,
-    /// Gate leaves of the winning cluster (sub-problems to recurse into).
-    gate_leaves: Vec<SignalId>,
-    cell_area: f64,
-    /// Total cell area of the sub-solution rooted here.
-    total_area: f64,
-    /// Critical-path cell delay of the sub-solution rooted here.
-    total_delay: f64,
-}
-
-impl Choice {
-    fn score(&self, objective: Objective) -> (f64, f64) {
-        match objective {
-            Objective::Area => (self.total_area, self.total_delay),
-            Objective::Delay => (self.total_delay, self.total_area),
-        }
-    }
-}
 
 /// The winning match of one gate in [`cover_cone_with`]'s dynamic
 /// program: an index into the gate's cluster list and the pin binding, so
@@ -286,78 +260,6 @@ pub fn qualify_cone_root(
     q
 }
 
-/// The reference DP over the legacy enumerator's eager clusters, kept as
-/// the oracle for [`cover_cone_with`]: the cut-enumeration equivalence
-/// proptests and the `kernels` bench's per-cone divergence gate compare
-/// its covers against the cut-based path's.
-///
-/// # Errors
-///
-/// Returns [`CoverError`] if some gate admits no match.
-#[doc(hidden)]
-pub fn cover_cone_legacy(
-    net: &Network,
-    cone: &Cone,
-    matcher: &Matcher<'_>,
-    limits: &ClusterLimits,
-    objective: Objective,
-) -> Result<ConeCover, CoverError> {
-    let clusters = {
-        let _t = profile::timer(MapPhase::ClusterEnum);
-        enumerate_clusters_legacy(net, cone, limits)
-    };
-    let _t_select = profile::timer(MapPhase::CoverSelect);
-    let cone_gates: HashSet<SignalId> = cone.gates.iter().copied().collect();
-    let mut best: HashMap<SignalId, Choice> = HashMap::new();
-    for &g in &cone.gates {
-        let mut best_here: Option<Choice> = None;
-        for cluster in &clusters[&g] {
-            let gate_leaves: Vec<SignalId> = cluster
-                .leaves
-                .iter()
-                .copied()
-                .filter(|l| cone_gates.contains(l))
-                .collect();
-            let leaf_area: f64 = gate_leaves
-                .iter()
-                .map(|l| best.get(l).map_or(f64::INFINITY, |c| c.total_area))
-                .sum();
-            if !leaf_area.is_finite() {
-                continue;
-            }
-            let leaf_delay: f64 = gate_leaves
-                .iter()
-                .map(|l| best[l].total_delay)
-                .fold(0.0, f64::max);
-            let matches = matcher.find_matches(cluster);
-            for m in matches {
-                let cell = &matcher.library().cells()[m.cell_index];
-                let candidate = Choice {
-                    cell_index: m.cell_index,
-                    pin_signals: m.pin_to_leaf.iter().map(|&l| cluster.leaves[l]).collect(),
-                    gate_leaves: gate_leaves.clone(),
-                    cell_area: cell.area(),
-                    total_area: cell.area() + leaf_area,
-                    total_delay: cell.delay() + leaf_delay,
-                };
-                if best_here
-                    .as_ref()
-                    .is_none_or(|b| candidate.score(objective) < b.score(objective))
-                {
-                    best_here = Some(candidate);
-                }
-            }
-        }
-        match best_here {
-            Some(choice) => {
-                best.insert(g, choice);
-            }
-            None => return Err(CoverError { gate: g }),
-        }
-    }
-    Ok(reconstruct(cone, &best))
-}
-
 /// A "designer-style" structural cover used as the hand-mapped baseline of
 /// Table 3: at each gate, greedily take the match covering the most gates
 /// (ties broken by larger area — a designer picking big familiar cells),
@@ -425,30 +327,6 @@ pub fn hand_cover(
         area,
         cut_truncations: cuts.truncations,
     })
-}
-
-/// Reconstructs the legacy reference DP's cover from the root.
-fn reconstruct(cone: &Cone, best: &HashMap<SignalId, Choice>) -> ConeCover {
-    let mut instances = Vec::new();
-    let mut area = 0.0;
-    let mut work = vec![cone.root];
-    while let Some(g) = work.pop() {
-        let choice = &best[&g];
-        area += choice.cell_area;
-        instances.push(Instance {
-            cell_index: choice.cell_index,
-            output: g,
-            inputs: choice.pin_signals.clone(),
-        });
-        work.extend(choice.gate_leaves.iter().copied());
-    }
-    instances.reverse();
-    ConeCover {
-        root: cone.root,
-        instances,
-        area,
-        cut_truncations: 0,
-    }
 }
 
 #[cfg(test)]

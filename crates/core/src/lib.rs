@@ -59,11 +59,7 @@ mod tmap;
 pub mod truth;
 mod walk;
 
-#[doc(hidden)]
-pub use cluster::enumerate_clusters_legacy;
 pub use cluster::{enumerate_clusters, Cluster, ClusterLimits};
-#[doc(hidden)]
-pub use cover::cover_cone_legacy;
 pub use cover::{
     cover_cone_with, hand_cover, qualify_cone_root, ConeCover, CoverError, Instance,
     RootQualification,
@@ -77,10 +73,6 @@ pub use export::to_verilog;
 pub use graph::{validate_instance_graph, GraphFault};
 pub use hcache::HazardCache;
 pub use hdc::{cone_certified, hdc_tmap, Transition};
-#[doc(hidden)]
-pub use matcher::{
-    depends_on, depends_on_words, input_signature, input_signature_words, truth_table_of_generic,
-};
 pub use matcher::{instantiate, truth_table_of, HazardPolicy, Match, Matcher, MatcherCounters};
 pub use profile::{MapPhase, PhaseTimes};
 pub use report::{cell_usage, render_report, CellUsage};

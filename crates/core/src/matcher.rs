@@ -105,11 +105,10 @@ pub struct Matcher<'lib> {
     cache: Arc<HazardCache>,
     hazard_checks: AtomicUsize,
     hazard_rejects: AtomicUsize,
-    /// P-class match memo (`None` only when a test turns it off through
-    /// [`Matcher::set_npn_memo_enabled`]). Memoizes the pre-hazard-filter
-    /// match list per projected truth table and per canonical class, so
-    /// structurally repeated clusters skip the permutation search entirely.
-    memo: Option<MatchMemo>,
+    /// P-class match memo: the pre-hazard-filter match list per projected
+    /// truth table and per canonical class, so structurally repeated
+    /// clusters skip the permutation search entirely.
+    memo: MatchMemo,
 }
 
 impl<'lib> Matcher<'lib> {
@@ -155,7 +154,7 @@ impl<'lib> Matcher<'lib> {
                     ninputs,
                     onset: truth.count_ones(),
                     input_sigs: (0..ninputs)
-                        .map(|v| input_signature(&truth, ninputs, v))
+                        .map(|v| input_signature_words(&truth, v))
                         .collect(),
                     truth6: truth.words()[0],
                     truth,
@@ -182,7 +181,7 @@ impl<'lib> Matcher<'lib> {
             cache,
             hazard_checks: AtomicUsize::new(0),
             hazard_rejects: AtomicUsize::new(0),
-            memo: Some(MatchMemo::new()),
+            memo: MatchMemo::new(),
         }
     }
 
@@ -198,17 +197,16 @@ impl<'lib> Matcher<'lib> {
 
     /// Snapshot of every counter: hazard-containment checks and rejects
     /// (counted before any cache lookup, so independent of cache warmth
-    /// and thread count) and match-memo hits and misses (zero when the
-    /// memo is disabled). The counters accumulate over the matcher's
-    /// lifetime, until [`Matcher::reset_counters`]; a mapping run's
-    /// [`crate::MapStats`] are its own, whatever matcher it used.
+    /// and thread count) and match-memo hits and misses. The counters
+    /// accumulate over the matcher's lifetime, until
+    /// [`Matcher::reset_counters`]; a mapping run's [`crate::MapStats`]
+    /// are its own, whatever matcher it used.
     pub fn counters(&self) -> MatcherCounters {
-        let memo = |count: fn(&MatchMemo) -> usize| self.memo.as_ref().map_or(0, count);
         MatcherCounters {
             hazard_checks: self.hazard_checks.load(Ordering::Relaxed),
             hazard_rejects: self.hazard_rejects.load(Ordering::Relaxed),
-            npn_hits: memo(MatchMemo::hits),
-            npn_misses: memo(MatchMemo::misses),
+            npn_hits: self.memo.hits(),
+            npn_misses: self.memo.misses(),
         }
     }
 
@@ -218,17 +216,7 @@ impl<'lib> Matcher<'lib> {
     pub fn reset_counters(&self) {
         self.hazard_checks.store(0, Ordering::Relaxed);
         self.hazard_rejects.store(0, Ordering::Relaxed);
-        if let Some(memo) = &self.memo {
-            memo.reset_counters();
-        }
-    }
-
-    /// Test hook: turn the memo on or off (it is on for every matcher the
-    /// library builds). The memo-off matcher is the reference the memo
-    /// equivalence tests compare against.
-    #[doc(hidden)]
-    pub fn set_npn_memo_enabled(&mut self, enabled: bool) {
-        self.memo = enabled.then(MatchMemo::new);
+        self.memo.reset_counters();
     }
 
     /// Finds all acceptable matches for `cluster` (paper
@@ -241,8 +229,7 @@ impl<'lib> Matcher<'lib> {
     /// The cluster's expression is evaluated into the same packed 4-word
     /// table the cut enumerator computes, and matched by the same two
     /// stages the mapper runs on every cut: the memoized Boolean match,
-    /// then the hazard filter. The match list equals the scalar reference
-    /// implementation's (`find_matches_generic`).
+    /// then the hazard filter.
     ///
     /// # Panics
     ///
@@ -341,20 +328,16 @@ impl<'lib> Matcher<'lib> {
     /// support positions. Wider tables are looked up whole in the wide
     /// memo level before [`Matcher::scan_wide`]; bindings target leaves.
     fn candidates(&self, table: [u64; 4], nleaves: usize) -> (Arc<Vec<MemoBinding>>, [usize; 8]) {
+        let memo = &self.memo;
         if nleaves > 6 {
-            let list = match &self.memo {
-                Some(memo) => {
-                    if let Some(list) = memo.wide_get(nleaves, table) {
-                        memo.note_hit();
-                        list
-                    } else {
-                        memo.note_miss();
-                        let list = Arc::new(self.scan_wide(table, nleaves));
-                        memo.wide_put(nleaves, table, Arc::clone(&list));
-                        list
-                    }
-                }
-                None => Arc::new(self.scan_wide(table, nleaves)),
+            let list = if let Some(list) = memo.wide_get(nleaves, table) {
+                memo.note_hit();
+                list
+            } else {
+                memo.note_miss();
+                let list = Arc::new(self.scan_wide(table, nleaves));
+                memo.wide_put(nleaves, table, Arc::clone(&list));
+                list
             };
             return (list, [0, 1, 2, 3, 4, 5, 6, 7]);
         }
@@ -381,9 +364,6 @@ impl<'lib> Matcher<'lib> {
                     0
                 }
             })
-        };
-        let Some(memo) = &self.memo else {
-            return (Arc::new(self.scan6(t, &signatures()[..n], n)), support);
         };
         if let Some(list) = memo.raw_get(n, t) {
             memo.note_hit();
@@ -497,7 +477,7 @@ impl<'lib> Matcher<'lib> {
             let sigs: Vec<u32> = (0..n).map(|v| truth::input_signature6(t, n, v)).collect();
             return self.scan6(t, &sigs, n).into_iter().map(to_leaves).collect();
         }
-        let t = project(&full, nleaves, &support);
+        let t = project(&full, &support);
         let sigs: Vec<u32> = (0..n).map(|v| input_signature_words(&t, v)).collect();
         let Some(bucket) = self.sig_index.get(&sig_key(n, t.count_ones(), &sigs)) else {
             return Vec::new();
@@ -508,57 +488,6 @@ impl<'lib> Matcher<'lib> {
                 .map(|pin_to_local| to_leaves((e as u32, pack_binding(&pin_to_local))))
         });
         matches.collect()
-    }
-
-    /// The original scalar matching path, kept verbatim as the reference
-    /// implementation for the fast-path equivalence proptests. Performs
-    /// the same hazard filtering (and counter updates) as
-    /// [`Matcher::find_matches`].
-    #[doc(hidden)]
-    pub fn find_matches_generic(&self, cluster: &Cluster) -> Vec<Match> {
-        let nleaves = cluster.leaves.len();
-        let full_truth = truth_table_of_generic(&cluster.expr, nleaves);
-        let support: Vec<usize> = (0..nleaves)
-            .filter(|&v| depends_on(&full_truth, nleaves, v))
-            .collect();
-        if support.is_empty() {
-            return Vec::new(); // constant cluster: nothing to match
-        }
-        let truth = project(&full_truth, nleaves, &support);
-        let n = support.len();
-        let onset = truth.count_ones();
-        let sigs: Vec<u32> = (0..n).map(|v| input_signature(&truth, n, v)).collect();
-        let Some(bucket) = self.sig_index.get(&sig_key(n, onset, &sigs)) else {
-            return Vec::new();
-        };
-        let mut cluster_id: Option<u32> = None;
-        let mut out = Vec::new();
-        for &e in bucket {
-            let entry = &self.entries[e];
-            let Some(pin_to_local) =
-                permute_match(&entry.truth, &entry.input_sigs, &truth, &sigs, n)
-            else {
-                continue;
-            };
-            let cell_index = entry.index;
-            let pin_to_leaf: Vec<usize> = pin_to_local.iter().map(|&l| support[l]).collect();
-            if self.checks_hazards(entry)
-                && !self.hazard_verdict(
-                    cell_index,
-                    &pin_to_leaf,
-                    nleaves,
-                    || &cluster.expr,
-                    &mut cluster_id,
-                )
-            {
-                continue;
-            }
-            out.push(Match {
-                cell_index,
-                pin_to_leaf,
-            });
-        }
-        out
     }
 }
 
@@ -592,36 +521,9 @@ pub fn truth_table_of(expr: &Expr, n: usize) -> Bits {
     truth::truth_table_words(expr, n)
 }
 
-/// Scalar one-assignment-at-a-time truth table: the reference
-/// implementation the word-parallel kernels are tested against.
-#[doc(hidden)]
-pub fn truth_table_of_generic(expr: &Expr, n: usize) -> Bits {
-    let size = 1usize << n;
-    let mut out = Bits::new(size);
-    let mut assignment = Bits::new(n);
-    for m in 0..size {
-        for v in 0..n {
-            assignment.set(v, (m >> v) & 1 == 1);
-        }
-        if expr.eval(&assignment) {
-            out.set(m, true);
-        }
-    }
-    out
-}
-
-/// Scalar dependence test (reference implementation).
-#[doc(hidden)]
-pub fn depends_on(truth: &Bits, n: usize, v: usize) -> bool {
-    let size = 1usize << n;
-    let bit = 1usize << v;
-    (0..size).any(|m| m & bit == 0 && truth.get(m) != truth.get(m | bit))
-}
-
 /// Word-parallel dependence test for tables wider than one word (every
 /// storage word is full because the table has ≥ 128 entries).
-#[doc(hidden)]
-pub fn depends_on_words(truth: &Bits, v: usize) -> bool {
+fn depends_on_words(truth: &Bits, v: usize) -> bool {
     let words = truth.words();
     if v < 6 {
         let shift = 1usize << v;
@@ -652,7 +554,7 @@ fn project_to_u64(truth: &Bits, support: &[usize]) -> u64 {
 
 /// Projects a truth table onto a support subset (the function must not
 /// depend on dropped variables).
-fn project(truth: &Bits, n: usize, support: &[usize]) -> Bits {
+fn project(truth: &Bits, support: &[usize]) -> Bits {
     let k = support.len();
     let mut out = Bits::new(1 << k);
     for m in 0..(1usize << k) {
@@ -662,7 +564,6 @@ fn project(truth: &Bits, n: usize, support: &[usize]) -> Bits {
                 full |= 1 << v;
             }
         }
-        let _ = n;
         if truth.get(full) {
             out.set(m, true);
         }
@@ -671,29 +572,9 @@ fn project(truth: &Bits, n: usize, support: &[usize]) -> Bits {
 }
 
 /// Signature of input `v`: the number of onset minterms with `v = 1`
-/// packed with the number with `v = 0` (permutation-invariant). Scalar
-/// reference implementation.
-#[doc(hidden)]
-pub fn input_signature(truth: &Bits, n: usize, v: usize) -> u32 {
-    let size = 1usize << n;
-    let bit = 1usize << v;
-    let mut with = 0u32;
-    let mut without = 0u32;
-    for m in 0..size {
-        if truth.get(m) {
-            if m & bit != 0 {
-                with += 1;
-            } else {
-                without += 1;
-            }
-        }
-    }
-    (with << 16) | without
-}
-
-/// Word-parallel [`input_signature`] for tables wider than one word.
-#[doc(hidden)]
-pub fn input_signature_words(truth: &Bits, v: usize) -> u32 {
+/// packed with the number with `v = 0` (permutation-invariant), counted a
+/// word at a time. Bits past the table's end must be zero.
+fn input_signature_words(truth: &Bits, v: usize) -> u32 {
     let words = truth.words();
     let mut with = 0u32;
     let mut without = 0u32;
@@ -715,8 +596,9 @@ pub fn input_signature_words(truth: &Bits, v: usize) -> u32 {
     (with << 16) | without
 }
 
-/// Backtracking pin-permutation search: find `pin_to_local` such that
-/// `cell(x_{σ(0)}, …) = cluster(x_0, …)`.
+/// Backtracking pin-permutation search on 7–8-variable tables: find
+/// `pin_to_local` such that `cell(x_{σ(0)}, …) = cluster(x_0, …)`, pins
+/// ascending, locals ascending.
 fn permute_match(
     cell_truth: &Bits,
     cell_sigs: &[u32],
@@ -785,10 +667,9 @@ fn backtrack(
     false
 }
 
-/// [`permute_match`] on packed `u64` truth tables (`n ≤ 6`). Identical
-/// search order (pins ascending, locals ascending), so the first
-/// permutation found — and therefore the returned binding — matches the
-/// generic path exactly.
+/// [`permute_match`] on packed `u64` truth tables (`n ≤ 6`), in the same
+/// search order, so the first permutation found — and therefore the
+/// returned binding — is the one a minterm-at-a-time search finds.
 fn permute_match6(
     cell_truth: u64,
     cell_sigs: &[u32],
@@ -868,41 +749,23 @@ fn verify_permutation6(
     truth::apply_perm6(cell_truth & mask, assignment, n) == cluster_truth & mask
 }
 
+/// Complete-assignment check on 7–8-variable tables: permutes the cell
+/// table with the 4-word delta-swap network and compares whole words.
 fn verify_permutation(
     cell_truth: &Bits,
     cluster_truth: &Bits,
     assignment: &[Option<usize>],
     n: usize,
 ) -> bool {
-    if (7..=8).contains(&n) {
-        // Wide-cluster fast path: both tables are ≤ 4 words; permute the
-        // cell table with the 4-lane delta-swap network and compare
-        // whole words.
-        let mut perm = [0usize; 8];
-        for (p, local) in assignment.iter().enumerate() {
-            perm[p] = local.expect("complete assignment");
-        }
-        let mut cw = [0u64; 4];
-        cw[..cell_truth.words().len()].copy_from_slice(cell_truth.words());
-        let permuted = truth::apply_perm_wide(cw, &perm, n);
-        return permuted[..cluster_truth.words().len()] == *cluster_truth.words();
+    debug_assert!((7..=8).contains(&n));
+    let mut perm = [0usize; 8];
+    for (p, local) in assignment.iter().enumerate() {
+        perm[p] = local.expect("complete assignment");
     }
-    let size = 1usize << n;
-    for m in 0..size {
-        // Build the cell-input index corresponding to cluster minterm m:
-        // pin p reads local variable assignment[p].
-        let mut cell_m = 0usize;
-        for (p, local) in assignment.iter().enumerate() {
-            let local = local.expect("complete assignment");
-            if (m >> local) & 1 == 1 {
-                cell_m |= 1 << p;
-            }
-        }
-        if cell_truth.get(cell_m) != cluster_truth.get(m) {
-            return false;
-        }
-    }
-    true
+    let mut cw = [0u64; 4];
+    cw[..cell_truth.words().len()].copy_from_slice(cell_truth.words());
+    let permuted = truth::apply_perm_wide(cw, &perm, n);
+    permuted[..cluster_truth.words().len()] == *cluster_truth.words()
 }
 
 #[cfg(test)]
@@ -912,6 +775,167 @@ mod tests {
     use asyncmap_cube::{Cover, VarTable};
     use asyncmap_library::builtin;
     use asyncmap_network::{async_tech_decomp, partition, EquationSet};
+    use asyncmap_oracle::gen::{arb_cover, arb_expr, arb_wide_cover};
+    use asyncmap_oracle::{
+        depends_on, input_signature, permute_match_generic, truth_table_of_generic,
+    };
+    use proptest::prelude::*;
+
+    impl Matcher<'_> {
+        /// The matcher without memo or packed kernels: minterm-at-a-time
+        /// truth table, dependence tests, signatures and permutation search
+        /// from `asyncmap-oracle`, then the same hazard filter (and counter
+        /// updates) as [`Matcher::find_matches`].
+        fn find_matches_generic(&self, cluster: &Cluster) -> Vec<Match> {
+            let nleaves = cluster.leaves.len();
+            let full_truth = truth_table_of_generic(&cluster.expr, nleaves);
+            let support: Vec<usize> = (0..nleaves)
+                .filter(|&v| depends_on(&full_truth, nleaves, v))
+                .collect();
+            let n = support.len();
+            let truth = project(&full_truth, &support);
+            let sigs: Vec<u32> = (0..n).map(|v| input_signature(&truth, n, v)).collect();
+            let bucket = match self.sig_index.get(&sig_key(n, truth.count_ones(), &sigs)) {
+                Some(bucket) if n > 0 => bucket.as_slice(),
+                _ => &[], // constant cluster, or no cell of its signature
+            };
+            let mut cluster_id: Option<u32> = None;
+            let mut out = Vec::new();
+            for &e in bucket {
+                let entry = &self.entries[e];
+                let Some(pin_to_local) = permute_match_generic(&entry.truth, &truth, n) else {
+                    continue;
+                };
+                let pin_to_leaf: Vec<usize> = pin_to_local.iter().map(|&l| support[l]).collect();
+                if self.checks_hazards(entry)
+                    && !self.hazard_verdict(
+                        entry.index,
+                        &pin_to_leaf,
+                        nleaves,
+                        || &cluster.expr,
+                        &mut cluster_id,
+                    )
+                {
+                    continue;
+                }
+                out.push(Match {
+                    cell_index: entry.index,
+                    pin_to_leaf,
+                });
+            }
+            out
+        }
+    }
+
+    /// The cones of the single-output design `cover` (variables a, b, …),
+    /// or nothing for a tautology.
+    fn cones_of(cover: &Cover) -> Option<(Network, Vec<asyncmap_network::Cone>)> {
+        if cover.is_tautology() {
+            return None;
+        }
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let vars = VarTable::from_names(names[..cover.nvars()].iter().copied());
+        let net = async_tech_decomp(&EquationSet::new(
+            vars,
+            vec![("f".to_owned(), cover.clone())],
+        ));
+        let cones = partition(&net);
+        Some((net, cones))
+    }
+
+    /// Matches every cluster of every cone twice through one matcher per
+    /// library — the second pass replays the raw-truth, class and wide
+    /// memo levels — and compares each list with the memo-free
+    /// [`Matcher::find_matches_generic`]. Returns the number of clusters
+    /// with more than six leaves.
+    fn lists_equal_the_reference(
+        cover: &Cover,
+        libraries: [asyncmap_library::Library; 2],
+    ) -> Result<usize, TestCaseError> {
+        let Some((net, cones)) = cones_of(cover) else {
+            return Ok(0);
+        };
+        let mut wide = 0;
+        for mut lib in libraries {
+            lib.annotate_hazards();
+            let matcher = Matcher::new(&lib, HazardPolicy::SubsetCheck);
+            for cone in &cones {
+                let clusters = enumerate_clusters(&net, cone, &ClusterLimits::default());
+                for pass in 0..2 {
+                    for cluster in clusters.values().flatten() {
+                        wide += usize::from(pass == 0 && cluster.leaves.len() > 6);
+                        prop_assert_eq!(
+                            matcher.find_matches(cluster),
+                            matcher.find_matches_generic(cluster),
+                            "match lists diverge in {} (pass {})",
+                            lib.name(),
+                            pass
+                        );
+                    }
+                }
+                prop_assert!(matcher.counters().npn_hits > 0, "no memo replay");
+            }
+        }
+        Ok(wide)
+    }
+
+    /// On GDT and Actel under the hazard filter, with a 7–8-leaf cluster
+    /// in every case.
+    fn wide_case(cover: &Cover) -> Result<(), TestCaseError> {
+        let wide = lists_equal_the_reference(cover, [builtin::gdt(), builtin::actel()])?;
+        prop_assert!(
+            cover.is_tautology() || wide > 0,
+            "no 7–8-leaf cluster in {:?}",
+            cover
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn match_lists_equal_the_reference(cover in arb_cover()) {
+            // Actel's mux modules exercise the hazard-containment
+            // verdicts; LSI9K covers the plain-gate bulk.
+            lists_equal_the_reference(&cover, [builtin::lsi9k(), builtin::actel()])?;
+        }
+
+        #[test]
+        fn dependence_and_signatures_agree(e in arb_expr(5)) {
+            let n = 5;
+            let table = truth_table_of_generic(&e, n);
+            let packed = truth::truth6_of(&e, n);
+            for v in 0..n {
+                let dep = depends_on(&table, n, v);
+                prop_assert_eq!(depends_on_words(&table, v), dep, "depends_on_words var {}", v);
+                prop_assert_eq!(truth::depends6(packed, n, v), dep, "depends6 var {}", v);
+                let sig = input_signature(&table, n, v);
+                prop_assert_eq!(input_signature_words(&table, v), sig, "sig_words var {}", v);
+                prop_assert_eq!(truth::input_signature6(packed, n, v), sig, "sig6 var {}", v);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn wide_match_lists_equal_the_reference(cover in arb_wide_cover()) {
+            wide_case(&cover)?;
+        }
+    }
+
+    proptest! {
+        // The CI case count: run with `--ignored` in release mode.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        #[ignore = "long; CI runs it in release mode"]
+        fn wide_match_lists_equal_the_reference_at_ci_scale(cover in arb_wide_cover()) {
+            wide_case(&cover)?;
+        }
+    }
 
     fn root_clusters(text: &str, names: &[&str]) -> (asyncmap_network::Network, Vec<Cluster>) {
         let vars = VarTable::from_names(names.iter().copied());

@@ -123,8 +123,6 @@ pub fn input_signature6(truth: u64, n: usize, v: usize) -> u32 {
 /// transpositions, each applied to the whole table at once as a
 /// delta swap (§4.1.1's word-parallel trick applied to table
 /// reindexing) — O(n) word ops instead of a bit-gather per set minterm.
-/// [`apply_perm6_generic`] is the minterm-loop oracle it is tested
-/// against.
 pub fn apply_perm6(truth: u64, perm: &[usize], n: usize) -> u64 {
     debug_assert!(n <= 6 && perm.len() >= n);
     let mut t = truth & full_mask(n);
@@ -151,25 +149,6 @@ pub fn apply_perm6(truth: u64, perm: &[usize], n: usize) -> u64 {
     t
 }
 
-/// Minterm-loop reference for [`apply_perm6`]: a bit gather per set
-/// minterm. Kept as the equivalence-test oracle.
-#[doc(hidden)]
-pub fn apply_perm6_generic(truth: u64, perm: &[usize], n: usize) -> u64 {
-    debug_assert!(n <= 6 && perm.len() >= n);
-    let mut out = 0u64;
-    let mut rest = truth & full_mask(n);
-    while rest != 0 {
-        let m = rest.trailing_zeros() as usize;
-        rest &= rest - 1;
-        let mut m2 = 0usize;
-        for (i, &p) in perm[..n].iter().enumerate() {
-            m2 |= ((m >> i) & 1) << p;
-        }
-        out |= 1u64 << m2;
-    }
-    out
-}
-
 /// Exchanges the roles of variables `a < b < 6` across a packed table:
 /// entries at minterms with `x_a = 1, x_b = 0` swap with their partners
 /// at `x_a = 0, x_b = 1`, all 64 at once via a delta swap.
@@ -187,8 +166,7 @@ fn swap_vars6(t: u64, a: usize, b: usize) -> u64 {
 /// delta swap applied to every block, a low↔high transposition is a
 /// masked cross-word exchange, and a high↔high transposition swaps whole
 /// blocks. Only the first `2^(n-6)` words are meaningful; the rest must be
-/// zero and stay zero. [`apply_perm_wide_generic`] is the minterm-loop
-/// oracle it is tested against.
+/// zero and stay zero.
 pub fn apply_perm_wide(words: [u64; 4], perm: &[usize], n: usize) -> [u64; 4] {
     debug_assert!((7..=8).contains(&n) && perm.len() >= n);
     let mut t = words;
@@ -213,24 +191,6 @@ pub fn apply_perm_wide(words: [u64; 4], perm: &[usize], n: usize) -> [u64; 4] {
         pos_of[v] = target;
     }
     t
-}
-
-/// Minterm-loop reference for [`apply_perm_wide`].
-#[doc(hidden)]
-pub fn apply_perm_wide_generic(words: [u64; 4], perm: &[usize], n: usize) -> [u64; 4] {
-    debug_assert!((7..=8).contains(&n) && perm.len() >= n);
-    let mut out = [0u64; 4];
-    for m in 0..(1usize << n) {
-        if (words[m >> 6] >> (m & 63)) & 1 == 0 {
-            continue;
-        }
-        let mut m2 = 0usize;
-        for (i, &p) in perm[..n].iter().enumerate() {
-            m2 |= ((m >> i) & 1) << p;
-        }
-        out[m2 >> 6] |= 1u64 << (m2 & 63);
-    }
-    out
 }
 
 /// Variable transposition `a < b` on a wide 4-word table.
@@ -382,11 +342,8 @@ mod tests {
         let e = Expr::parse("(a + b') * (c + a') + b * c'", &mut vars).unwrap();
         let n = 3;
         let packed = truth6_of(&e, n);
-        let mut assignment = Bits::new(n);
         for m in 0..(1usize << n) {
-            for v in 0..n {
-                assignment.set(v, (m >> v) & 1 == 1);
-            }
+            let assignment = Bits::from_index(n, m);
             assert_eq!((packed >> m) & 1 == 1, e.eval(&assignment), "minterm {m}");
         }
     }
@@ -397,11 +354,8 @@ mod tests {
         let e = Expr::parse("(a*b + c'*d) * (e + f') + g*h'", &mut vars).unwrap();
         let n = 8;
         let table = truth_table_words(&e, n);
-        let mut assignment = Bits::new(n);
         for m in 0..(1usize << n) {
-            for v in 0..n {
-                assignment.set(v, (m >> v) & 1 == 1);
-            }
+            let assignment = Bits::from_index(n, m);
             assert_eq!(table.get(m), e.eval(&assignment), "minterm {m}");
         }
     }
@@ -438,7 +392,7 @@ mod tests {
                 }
                 assert_eq!(
                     apply_perm6(t, &perm, n),
-                    apply_perm6_generic(t, &perm, n),
+                    asyncmap_oracle::apply_perm6_generic(t, &perm, n),
                     "n={n} perm={perm:?} t={t:#x}"
                 );
             }
@@ -455,7 +409,7 @@ mod tests {
                 }
                 assert_eq!(
                     apply_perm_wide(words, &perm, n),
-                    apply_perm_wide_generic(words, &perm, n),
+                    asyncmap_oracle::apply_perm_wide_generic(words, &perm, n),
                     "n={n} perm={perm:?}"
                 );
             }

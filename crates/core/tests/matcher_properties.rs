@@ -7,31 +7,11 @@ use asyncmap_core::{
     cover_cone_with, enumerate_clusters, instantiate, truth_table_of, ClusterLimits, HazardPolicy,
     Matcher, Objective,
 };
-use asyncmap_cube::{Cover, Cube, Phase, VarId, VarTable};
+use asyncmap_cube::{Cover, VarTable};
 use asyncmap_library::builtin;
 use asyncmap_network::{async_tech_decomp, partition, EquationSet};
+use asyncmap_oracle::gen::arb_cover;
 use proptest::prelude::*;
-
-const NVARS: usize = 4;
-
-prop_compose! {
-    fn arb_cube()(used in 1u8..16, phase in 0u8..16) -> Cube {
-        let mut lits = Vec::new();
-        for v in 0..NVARS {
-            if (used >> v) & 1 == 1 {
-                let p = if (phase >> v) & 1 == 1 { Phase::Pos } else { Phase::Neg };
-                lits.push((VarId(v), p));
-            }
-        }
-        Cube::from_literals(NVARS, lits)
-    }
-}
-
-prop_compose! {
-    fn arb_cover()(cubes in prop::collection::vec(arb_cube(), 1..5)) -> Cover {
-        Cover::from_cubes(NVARS, cubes)
-    }
-}
 
 fn design_of(cover: &Cover) -> Option<(asyncmap_network::Network, Vec<asyncmap_network::Cone>)> {
     if cover.is_tautology() {

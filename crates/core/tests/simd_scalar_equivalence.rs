@@ -1,8 +1,11 @@
-//! Equivalence of the delta-swap truth-table permuters the match memo
-//! canonicalizes with against their minterm-loop oracles, on one-word
-//! (≤ 6 variable) and four-word (7–8 variable) tables.
+//! Equivalence of the word-parallel truth-table kernels against their
+//! minterm-loop references in `asyncmap-oracle`: the blocked truth-table
+//! builder, and the delta-swap permuters the match memo canonicalizes
+//! with, on one-word (≤ 6 variable) and four-word (7–8 variable) tables.
 
-use asyncmap_core::truth;
+use asyncmap_core::{truth, truth_table_of};
+use asyncmap_oracle::gen::arb_expr;
+use asyncmap_oracle::{apply_perm6_generic, apply_perm_wide_generic, truth_table_of_generic};
 use proptest::prelude::*;
 
 /// Permutation of `0..n` driven by a proptest byte stream (Fisher–Yates).
@@ -26,7 +29,7 @@ proptest! {
         let perm = perm_from_stream(n, &stream);
         prop_assert_eq!(
             truth::apply_perm6(t, &perm, n),
-            truth::apply_perm6_generic(t, &perm, n)
+            apply_perm6_generic(t, &perm, n)
         );
     }
 
@@ -49,7 +52,24 @@ proptest! {
         let perm = perm_from_stream(n, &stream);
         prop_assert_eq!(
             truth::apply_perm_wide(t, &perm, n),
-            truth::apply_perm_wide_generic(t, &perm, n)
+            apply_perm_wide_generic(t, &perm, n)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn truth_tables_agree_small(e in arb_expr(5)) {
+        let fast = truth_table_of(&e, 5);
+        prop_assert_eq!(&fast, &truth_table_of_generic(&e, 5));
+        // The packed u64 table must agree with both.
+        prop_assert_eq!(fast.words()[0], truth::truth6_of(&e, 5));
+    }
+
+    #[test]
+    fn truth_tables_agree_wide(e in arb_expr(8)) {
+        prop_assert_eq!(truth_table_of(&e, 8), truth_table_of_generic(&e, 8));
     }
 }

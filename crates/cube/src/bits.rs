@@ -135,6 +135,20 @@ impl Bits {
         out
     }
 
+    /// The assignment of `nvars` variables numbered `m` in truth-table
+    /// order: bit `v` is bit `v` of `m` (bits of `m` at `nvars` and above
+    /// are dropped).
+    ///
+    /// ```
+    /// use asyncmap_cube::Bits;
+    /// let b = Bits::from_index(3, 0b110);
+    /// assert!(!b.get(0) && b.get(1) && b.get(2));
+    /// ```
+    #[inline]
+    pub fn from_index(nvars: usize, m: usize) -> Bits {
+        Bits::from_words_fn(nvars, |w| if w == 0 { m as u64 } else { 0 })
+    }
+
     /// Returns bit `i`.
     ///
     /// # Panics
@@ -454,6 +468,19 @@ mod tests {
         c.set(5, true);
         assert!(a.is_disjoint(&c));
         assert!(!a.is_disjoint(&b));
+    }
+
+    #[test]
+    fn from_index_unpacks_truth_table_order() {
+        for nvars in [0, 1, 3, 64, 65, 130] {
+            for m in [0usize, 1, 0b1011, usize::MAX] {
+                let b = Bits::from_index(nvars, m);
+                assert_eq!(b.len(), nvars);
+                for v in 0..nvars {
+                    assert_eq!(b.get(v), v < 64 && (m >> v) & 1 == 1, "{nvars} {m} {v}");
+                }
+            }
+        }
     }
 
     #[test]

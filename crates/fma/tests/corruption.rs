@@ -18,7 +18,6 @@ use asyncmap_burst::{benchmark, benchmark_spec, BurstSpec};
 use asyncmap_core::{async_tmap, mapped_cone_expr, Instance, MapOptions, MapStats, MappedDesign};
 use asyncmap_cube::{Bits, Cover, VarTable};
 use asyncmap_fma::{analyze_design, analyze_design_with_spec, Severity};
-use asyncmap_hazard::oracle::index_bits;
 use asyncmap_hazard::wave_eval;
 use asyncmap_library::{builtin, Library};
 use asyncmap_network::{EquationSet, SignalId, SignalName};
@@ -194,7 +193,10 @@ fn glitch_capable_cover_is_flagged() {
     };
     let cone = &design.cones[cone_idx];
     let n = cone.leaves.len();
-    let (from, to) = (index_bits(n, parse(from)), index_bits(n, parse(to)));
+    let (from, to) = (
+        Bits::from_index(n, parse(from)),
+        Bits::from_index(n, parse(to)),
+    );
     let mapped = mapped_cone_expr(cone, &design.covers[cone_idx], &lib).unwrap();
     let subject = cone.to_expr(&design.subject);
     assert!(wave_eval(&mapped, &from, &to).hazard, "{}", finding.message);

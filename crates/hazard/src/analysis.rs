@@ -15,7 +15,6 @@ use crate::compare::EXHAUSTIVE_VAR_LIMIT;
 use crate::dynamic2l::find_mic_dyn_haz_2level;
 use crate::function::{disjoint, dynamic_function_hazard_free};
 use crate::multilevel::find_mic_dyn_haz_multilevel;
-use crate::oracle::index_bits;
 use crate::sic::find_sic_hazards;
 use crate::static1::{static_1_analysis, static_1_complete};
 use crate::wave::{WaveProgram, BLOCK_BURSTS};
@@ -97,9 +96,9 @@ fn sweep_residual(expr: &Expr, nvars: usize, report: &mut HazardReport) {
             let burst = BLOCK_BURSTS * block + lane;
             let (a, b) = (burst >> nvars, burst & ((1 << nvars) - 1));
             if b > a {
-                let ba = index_bits(nvars, a);
+                let ba = Bits::from_index(nvars, a);
                 let fa = report.flat.eval(&ba);
-                classify_residual(report, &ba, fa, &index_bits(nvars, b), nvars);
+                classify_residual(report, &ba, fa, &Bits::from_index(nvars, b), nvars);
             }
         }
     }

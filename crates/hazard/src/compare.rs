@@ -5,19 +5,14 @@
 //! is the one decision of this condition on production paths.
 
 use crate::static1::{product_estimate, static1_subset, FLATTEN_REPLAY_CAP};
-use crate::wave::{wave_eval, Lanes, Lanes256, WaveProgram, BLOCK_BURSTS};
-use crate::HazardReport;
+use crate::wave::{Lanes, Lanes256, WaveProgram, BLOCK_BURSTS};
 use asyncmap_bff::{flatten, Expr};
-use asyncmap_cube::Cube;
 use std::fmt;
 
 /// Variable-count limit for the exhaustive transition sweep
 /// ([`hazards_subset_exhaustive`]): all `4^n` ordered transition pairs are
 /// decided, in `⌈4^n / 256⌉` runs of a compiled [`WaveProgram`].
 pub const EXHAUSTIVE_VAR_LIMIT: usize = 8;
-
-/// Per-descriptor minterm-pair cap for the guided comparison.
-const GUIDED_PAIR_CAP: u64 = 4096;
 
 /// Exhaustive form: sweeps every ordered transition pair `(α, β)` and
 /// requires that whenever `candidate` can glitch, `reference` can glitch on
@@ -157,82 +152,6 @@ pub fn transition_text((from, to): (usize, usize), var: impl Fn(usize) -> usize)
     format!("{} → {}", binary(from), binary(to))
 }
 
-/// Descriptor-guided form: checks each hazard descriptor of `candidate`
-/// against `reference`, rejecting conservatively when enumeration limits
-/// are exceeded.
-pub fn hazards_subset_guided(
-    candidate_report: &HazardReport,
-    candidate: &Expr,
-    reference: &Expr,
-    nvars: usize,
-) -> bool {
-    // Static-1: exact containment via the flattened covers.
-    let ref_flat = flatten(reference, nvars).cover;
-    if !static1_subset(&candidate_report.flat, &ref_flat) {
-        return false;
-    }
-    // m.i.c. dynamic: every hazardous endpoint pair of the candidate must
-    // glitch the reference too.
-    for h in &candidate_report.dynamic_mic {
-        let crate::Hazard::DynamicMic {
-            zero_end, one_end, ..
-        } = h
-        else {
-            continue;
-        };
-        if !pairs_subset(candidate, reference, zero_end, one_end) {
-            return false;
-        }
-    }
-    // Static-0 and s.i.c. dynamic: sweep the sensitizing conditions.
-    for h in candidate_report
-        .static0
-        .iter()
-        .chain(&candidate_report.dynamic_sic)
-    {
-        let (var, condition) = match h {
-            crate::Hazard::Static0 { var, condition } => (var, condition),
-            crate::Hazard::DynamicSic { var, condition, .. } => (var, condition),
-            _ => continue,
-        };
-        for cube in condition.cubes() {
-            if cube.num_minterms() > GUIDED_PAIR_CAP {
-                return false; // conservative
-            }
-            for ctx in cube.minterms() {
-                let mut from = ctx.clone();
-                from.set(var.index(), false);
-                let mut to = ctx;
-                to.set(var.index(), true);
-                let wc = wave_eval(candidate, &from, &to);
-                if wc.hazard && !wave_eval(reference, &from, &to).hazard {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-fn pairs_subset(candidate: &Expr, reference: &Expr, zero_end: &Cube, one_end: &Cube) -> bool {
-    if zero_end
-        .num_minterms()
-        .saturating_mul(one_end.num_minterms())
-        > GUIDED_PAIR_CAP
-    {
-        return false; // conservative
-    }
-    for alpha in zero_end.minterms() {
-        for beta in one_end.minterms() {
-            let wc = wave_eval(candidate, &alpha, &beta);
-            if wc.hazard && !wave_eval(reference, &alpha, &beta).hazard {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,33 +218,5 @@ mod tests {
         let tree = Expr::parse("a*(b + c)", &mut vars).unwrap();
         let sop = Expr::parse_in("a*b + a*c", &vars).unwrap();
         assert!(hazards_subset_exhaustive(&tree, &sop, vars.len()));
-    }
-
-    #[test]
-    fn guided_agrees_with_exhaustive() {
-        let mut vars = VarTable::new();
-        let pairs = [
-            ("w*x + x'*y", "(w + x')*(x + y)"),
-            ("a*b + a'*c", "a*b + a'*c + b*c"),
-            ("s*a + s'*b", "s*a + s'*b + a*b"),
-            ("a*(b + c)", "a*b + a*c"),
-        ];
-        for (left, right) in pairs {
-            let l = Expr::parse(left, &mut vars).unwrap();
-            let r = Expr::parse(right, &mut vars).unwrap();
-            let n = vars.len();
-            let report_l = crate::analyze_expr(&l, n);
-            let report_r = crate::analyze_expr(&r, n);
-            assert_eq!(
-                hazards_subset_exhaustive(&l, &r, n),
-                hazards_subset_guided(&report_l, &l, &r, n),
-                "guided/exhaustive disagree on ({left}) ⊆ ({right})"
-            );
-            assert_eq!(
-                hazards_subset_exhaustive(&r, &l, n),
-                hazards_subset_guided(&report_r, &r, &l, n),
-                "guided/exhaustive disagree on ({right}) ⊆ ({left})"
-            );
-        }
     }
 }

@@ -279,7 +279,7 @@ mod tests {
         let vars = VarTable::from_names(["a", "b", "c", "d"]);
         let f = cover("b + a' + a'bc", &vars);
         assert!(find_mic_dyn_haz_2level(&f).is_empty());
-        let brute = crate::oracle::brute_mic_dynamic_transitions(&f);
+        let brute = asyncmap_oracle::brute_mic_dynamic_transitions(&f);
         // α = ab'c (a=1, c=1 → index 0b0101), β = a'bc' (b=1 → 0b0010).
         assert!(brute.contains(&(0b0101, 0b0010)));
     }

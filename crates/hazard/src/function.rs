@@ -80,14 +80,6 @@ mod tests {
     use super::*;
     use asyncmap_cube::VarTable;
 
-    fn bits(vars: usize, m: usize) -> Bits {
-        let mut b = Bits::new(vars);
-        for v in 0..vars {
-            b.set(v, (m >> v) & 1 == 1);
-        }
-        b
-    }
-
     #[test]
     fn static_hazard_free_on_covered_space() {
         let vars = VarTable::from_names(["a", "b", "c"]);
@@ -108,8 +100,8 @@ mod tests {
         let vars = VarTable::from_names(["w", "x", "y", "z"]);
         let f = Cover::parse("w'xz + w'xy + xyz", &vars).unwrap();
         // β = w'x'y'z (f=0) → γ = w'xyz' (f=1): x,y,z all change.
-        let beta = bits(4, 0b1000); // z=1 only
-        let gamma = bits(4, 0b0110); // x=1,y=1
+        let beta = Bits::from_index(4, 0b1000); // z=1 only
+        let gamma = Bits::from_index(4, 0b0110); // x=1,y=1
         assert!(!f.eval(&beta));
         assert!(f.eval(&gamma));
         // Path x↑ then z↓ then y↑ goes 0→1→0→1: function hazard.
@@ -121,14 +113,22 @@ mod tests {
         let vars = VarTable::from_names(["a", "b"]);
         let f = Cover::parse("a + b", &vars).unwrap();
         // 00 → 11 : f goes 0 then 1 and stays 1 along any order.
-        assert!(dynamic_function_hazard_free(&f, &bits(2, 0), &bits(2, 3)));
+        assert!(dynamic_function_hazard_free(
+            &f,
+            &Bits::from_index(2, 0),
+            &Bits::from_index(2, 3)
+        ));
     }
 
     #[test]
     fn orientation_is_symmetric() {
         let vars = VarTable::from_names(["a", "b"]);
         let f = Cover::parse("a + b", &vars).unwrap();
-        assert!(dynamic_function_hazard_free(&f, &bits(2, 3), &bits(2, 0)));
+        assert!(dynamic_function_hazard_free(
+            &f,
+            &Bits::from_index(2, 3),
+            &Bits::from_index(2, 0)
+        ));
     }
 
     #[test]
@@ -139,15 +139,15 @@ mod tests {
         // disjoint from b' → hazard-free.
         assert!(transition_function_hazard_free(
             &f,
-            &bits(2, 0),
-            &bits(2, 1)
+            &Bits::from_index(2, 0),
+            &Bits::from_index(2, 1)
         ));
         // XOR has a function hazard on the double change 00 → 11.
         let x = Cover::parse("ab' + a'b", &vars).unwrap();
         assert!(!transition_function_hazard_free(
             &x,
-            &bits(2, 0),
-            &bits(2, 3)
+            &Bits::from_index(2, 0),
+            &Bits::from_index(2, 3)
         ));
     }
 
@@ -156,6 +156,6 @@ mod tests {
     fn dynamic_requires_differing_endpoints() {
         let vars = VarTable::from_names(["a"]);
         let f = Cover::parse("a", &vars).unwrap();
-        dynamic_function_hazard_free(&f, &bits(1, 1), &bits(1, 1));
+        dynamic_function_hazard_free(&f, &Bits::from_index(1, 1), &Bits::from_index(1, 1));
     }
 }

@@ -12,7 +12,6 @@
 //! | `findMicDynHaz2level` (§4.2.1) | [`find_mic_dyn_haz_2level`] |
 //! | `findMicDynHazMultiLevel` (§4.2.2) | [`find_mic_dyn_haz_multilevel`] |
 //! | s.i.c. dynamic hazards (§4.2.3) | [`find_sic_hazards`] (path labeling) |
-//! | ternary simulation (the paper's ref. 9) | [`ternary_transition`] |
 //!
 //! plus two ingredients the matching step needs:
 //!
@@ -26,10 +25,11 @@
 //! The eight-valued waveform algebra ([`wave_eval`]) acts as the exact
 //! per-transition oracle for tree-structured expressions under the
 //! arbitrary pure-delay model; the fast algorithms are cross-validated
-//! against it (and against the brute-force [`oracle`] module) in the test
-//! suite. Its bit-sliced form ([`WaveProgram`]) compiles an expression
-//! once into a flat program that evaluates 256 bursts per run, and
-//! carries every exhaustive sweep.
+//! against it in the test suite, and against the brute-force minterm-pair
+//! enumerators and ternary simulation of the development-only
+//! `asyncmap-oracle` crate. Its bit-sliced form ([`WaveProgram`]) compiles
+//! an expression once into a flat program that evaluates 256 bursts per
+//! run, and carries every exhaustive sweep.
 //!
 //! # Examples
 //!
@@ -65,18 +65,14 @@ mod dynamic2l;
 mod function;
 mod kinds;
 mod multilevel;
-pub mod oracle;
-mod repair;
-mod reverify;
 mod sic;
 mod static1;
-mod ternary_sim;
 mod wave;
 
 pub use analysis::{analyze_cover, analyze_cover_fast, analyze_expr, analyze_expr_fast};
 pub use compare::{
-    containment_witness, decide_containment, hazards_subset_exhaustive, hazards_subset_guided,
-    transition_text, Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
+    containment_witness, decide_containment, hazards_subset_exhaustive, transition_text,
+    Containment, PartialReason, EXHAUSTIVE_VAR_LIMIT,
 };
 pub use dynamic2l::{find_mic_dyn_haz_2level, irredundant_intersections, mic_dynamic_hazard_on};
 pub use function::{
@@ -87,14 +83,11 @@ pub use kinds::{DisplayHazard, Hazard, HazardKind, HazardReport};
 pub use multilevel::{
     confirm_on_structure, dynamic_hazard_on_structure, find_mic_dyn_haz_multilevel,
 };
-pub use repair::{prune_pulsing_redundancy, repair_static1, Repair};
-pub use reverify::{reverify_containment, ContainmentReverification, ORACLE_VAR_LIMIT};
 pub use sic::{find_sic_hazards, find_sic_hazards_raw, SicAnalysis};
 pub use static1::{
     is_static_1_hazard_free, product_estimate, static1_subset, static_1_analysis,
     static_1_complete, static_1_free_on, FLATTEN_REPLAY_CAP,
 };
-pub use ternary_sim::{has_static_hazard, ternary_transition, TernaryOutcome};
 pub use wave::{
     sweep_words, wave_eval, wave_eval_word, Lanes, Lanes256, Wave, WaveBlock, WavePlanes,
     WaveProgram, BLOCK_BURSTS,

@@ -592,14 +592,6 @@ mod tests {
     use super::*;
     use asyncmap_cube::VarTable;
 
-    fn bits(n: usize, m: usize) -> Bits {
-        let mut b = Bits::new(n);
-        for v in 0..n {
-            b.set(v, (m >> v) & 1 == 1);
-        }
-        b
-    }
-
     #[test]
     fn algebra_basic_masking() {
         assert_eq!(Wave::C0.and(Wave::RISE), Wave::C0);
@@ -647,8 +639,8 @@ mod tests {
         let mut vars = VarTable::new();
         let e = Expr::parse("w*x + x'*y", &mut vars).unwrap();
         // vars: w=0, x=1, y=2. α = (w=1, x=0, y=1), β = (w=0, x=1, y=1).
-        let alpha = bits(3, 0b101);
-        let beta = bits(3, 0b110);
+        let alpha = Bits::from_index(3, 0b101);
+        let beta = Bits::from_index(3, 0b110);
         let w = wave_eval(&e, &alpha, &beta);
         assert!(w.is_dynamic_hazard());
         assert_eq!(w.to_string(), "F*");
@@ -661,8 +653,8 @@ mod tests {
         // is held at 1 by y: no hazard.
         let mut vars = VarTable::new();
         let e = Expr::parse("(w + x')*(x + y)", &mut vars).unwrap();
-        let alpha = bits(3, 0b101);
-        let beta = bits(3, 0b110);
+        let alpha = Bits::from_index(3, 0b101);
+        let beta = Bits::from_index(3, 0b110);
         let w = wave_eval(&e, &alpha, &beta);
         assert_eq!(w, Wave::FALL);
         assert!(!w.hazard);
@@ -673,8 +665,8 @@ mod tests {
         // ab + a'b with b=1 and a changing: classic static-1 hazard.
         let mut vars = VarTable::new();
         let e = Expr::parse("a*b + a'*b", &mut vars).unwrap();
-        let alpha = bits(2, 0b10); // a=0 b=1
-        let beta = bits(2, 0b11);
+        let alpha = Bits::from_index(2, 0b10); // a=0 b=1
+        let beta = Bits::from_index(2, 0b11);
         let w = wave_eval(&e, &alpha, &beta);
         assert!(w.is_static_hazard());
         // The consensus gate removes it.
@@ -688,8 +680,8 @@ mod tests {
         let mut vars = VarTable::new();
         let e = Expr::parse("(w + x)*(x' + z)", &mut vars).unwrap();
         // vars w=0,x=1,x... z=2? Parse order: w, x, z.
-        let alpha = bits(3, 0b000);
-        let beta = bits(3, 0b010); // x rises
+        let alpha = Bits::from_index(3, 0b000);
+        let beta = Bits::from_index(3, 0b010); // x rises
         let w = wave_eval(&e, &alpha, &beta);
         assert!(w.is_static_hazard());
         assert!(!w.start && !w.end);
@@ -799,7 +791,7 @@ mod tests {
                     let burst = BLOCK_BURSTS * block + l;
                     let want = if burst < 1 << (2 * n) {
                         let (from, to) = (burst >> n, burst & ((1 << n) - 1));
-                        wave_eval(e, &bits(n, from), &bits(n, to))
+                        wave_eval(e, &Bits::from_index(n, from), &Bits::from_index(n, to))
                     } else {
                         Wave::C0
                     };
@@ -830,7 +822,7 @@ mod tests {
                     for j in 0..64 {
                         let to = 64 * word + j;
                         let want = if to < 1 << n {
-                            wave_eval(e, &bits(n, from), &bits(n, to))
+                            wave_eval(e, &Bits::from_index(n, from), &Bits::from_index(n, to))
                         } else {
                             Wave::C0
                         };
@@ -845,8 +837,8 @@ mod tests {
     fn clean_single_gate_transition() {
         let mut vars = VarTable::new();
         let e = Expr::parse("a*b*c", &mut vars).unwrap();
-        let alpha = bits(3, 0b011);
-        let beta = bits(3, 0b111);
+        let alpha = Bits::from_index(3, 0b011);
+        let beta = Bits::from_index(3, 0b111);
         assert_eq!(wave_eval(&e, &alpha, &beta), Wave::RISE);
     }
 }

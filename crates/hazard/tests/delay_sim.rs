@@ -118,14 +118,6 @@ fn minimal_transitions(expr: &Expr, from: &Bits, to: &Bits) -> usize {
     usize::from(expr.eval(from) != expr.eval(to))
 }
 
-fn index_bits(n: usize, m: usize) -> Bits {
-    let mut b = Bits::new(n);
-    for v in 0..n {
-        b.set(v, (m >> v) & 1 == 1);
-    }
-    b
-}
-
 #[test]
 fn clean_wave_verdicts_are_sound_under_simulation() {
     // Random small expressions; for every transition the algebra calls
@@ -139,7 +131,7 @@ fn clean_wave_verdicts_are_sound_under_simulation() {
                 if a == b {
                     continue;
                 }
-                let (from, to) = (index_bits(*n, a), index_bits(*n, b));
+                let (from, to) = (Bits::from_index(*n, a), Bits::from_index(*n, b));
                 let w = wave_eval(expr, &from, &to);
                 if w.hazard {
                     continue;
@@ -188,7 +180,7 @@ fn hazard_wave_verdicts_have_witnesses_on_figures() {
     ];
     for (expr, a, b) in cases {
         let n = expr.support().last().map_or(0, |v| v.index() + 1);
-        let (from, to) = (index_bits(n, a), index_bits(n, b));
+        let (from, to) = (Bits::from_index(n, a), Bits::from_index(n, b));
         let w = wave_eval(&expr, &from, &to);
         assert!(w.hazard, "expected a hazardous verdict");
         let want = minimal_transitions(&expr, &from, &to);

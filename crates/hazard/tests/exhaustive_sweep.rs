@@ -6,14 +6,13 @@
 //! the sweep below its limit and the independent analyses above it.
 
 use asyncmap_bff::Expr;
-use asyncmap_cube::VarId;
-use asyncmap_hazard::oracle::index_bits;
+use asyncmap_cube::{Bits, VarId};
 use asyncmap_hazard::{
     analyze_expr, containment_witness, decide_containment, hazards_subset_exhaustive,
-    hazards_subset_guided, product_estimate, reverify_containment, sweep_words, wave_eval,
-    wave_eval_word, Containment, Lanes, Lanes256, PartialReason, Wave, WaveProgram, BLOCK_BURSTS,
-    EXHAUSTIVE_VAR_LIMIT, FLATTEN_REPLAY_CAP,
+    product_estimate, sweep_words, wave_eval, wave_eval_word, Containment, Lanes, Lanes256,
+    PartialReason, Wave, WaveProgram, BLOCK_BURSTS, EXHAUSTIVE_VAR_LIMIT, FLATTEN_REPLAY_CAP,
 };
+use asyncmap_oracle::{hazards_subset_guided, reverify_containment};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,12 +20,12 @@ use rand::{Rng, SeedableRng};
 /// `hazards(candidate) ⊆ hazards(reference)`, one transition at a time.
 fn subset_per_transition(candidate: &Expr, reference: &Expr, nvars: usize) -> bool {
     for a in 0..1usize << nvars {
-        let from = index_bits(nvars, a);
+        let from = Bits::from_index(nvars, a);
         for b in 0..1usize << nvars {
             if a == b {
                 continue;
             }
-            let to = index_bits(nvars, b);
+            let to = Bits::from_index(nvars, b);
             if wave_eval(candidate, &from, &to).hazard && !wave_eval(reference, &from, &to).hazard {
                 return false;
             }
@@ -114,11 +113,11 @@ proptest! {
     fn word_lanes_match_wave_eval(nvars in 1usize..9, seed: u64, from_seed: u64) {
         let (expr, _) = random_pair(nvars, seed);
         let from = (from_seed as usize) % (1 << nvars);
-        let from_bits = index_bits(nvars, from);
+        let from_bits = Bits::from_index(nvars, from);
         for word in 0..sweep_words(nvars) {
             let planes = wave_eval_word(&expr, nvars, from, word);
             for lane in 0..64.min(1 << nvars) {
-                let to = index_bits(nvars, 64 * word + lane);
+                let to = Bits::from_index(nvars, 64 * word + lane);
                 prop_assert_eq!(planes.lane(lane), wave_eval(&expr, &from_bits, &to));
             }
         }
@@ -174,7 +173,7 @@ proptest! {
             let burst = BLOCK_BURSTS * block + lane;
             let want = if burst < 1 << (2 * nvars) {
                 let (from, to) = (burst >> nvars, burst & ((1 << nvars) - 1));
-                wave_eval(&expr, &index_bits(nvars, from), &index_bits(nvars, to))
+                wave_eval(&expr, &Bits::from_index(nvars, from), &Bits::from_index(nvars, to))
             } else {
                 Wave::C0
             };

@@ -2,31 +2,16 @@
 //! oracles and the eight-valued waveform algebra on random small functions.
 
 use asyncmap_bff::Expr;
-use asyncmap_cube::{Cover, Cube, Phase, VarId};
-use asyncmap_hazard::oracle::{
-    brute_mic_dynamic_transitions, brute_static1_transitions, index_bits, is_static1_induced,
-};
+use asyncmap_cube::{Bits, Cover, Cube};
 use asyncmap_hazard::{
-    analyze_expr, find_mic_dyn_haz_2level, has_static_hazard, hazards_subset_exhaustive,
-    is_static_1_hazard_free, static1_subset, static_1_analysis, static_1_complete, wave_eval,
-    Hazard,
+    analyze_expr, find_mic_dyn_haz_2level, hazards_subset_exhaustive, is_static_1_hazard_free,
+    static1_subset, static_1_analysis, static_1_complete, wave_eval, Hazard,
+};
+use asyncmap_oracle::gen::{arb_cube, NVARS};
+use asyncmap_oracle::{
+    brute_mic_dynamic_transitions, brute_static1_transitions, has_static_hazard, is_static1_induced,
 };
 use proptest::prelude::*;
-
-const NVARS: usize = 4;
-
-prop_compose! {
-    fn arb_cube()(used in 1u8..16, phase in 0u8..16) -> Cube {
-        let mut lits = Vec::new();
-        for v in 0..NVARS {
-            if (used >> v) & 1 == 1 {
-                let p = if (phase >> v) & 1 == 1 { Phase::Pos } else { Phase::Neg };
-                lits.push((VarId(v), p));
-            }
-        }
-        Cube::from_literals(NVARS, lits)
-    }
-}
 
 prop_compose! {
     fn arb_cover()(cubes in prop::collection::vec(arb_cube(), 1..6)) -> Cover {
@@ -47,8 +32,8 @@ proptest! {
             .map(|h| match h { Hazard::Static1 { span } => span, _ => unreachable!() })
             .collect();
         for (a, b) in brute {
-            let span = Cube::minterm(&index_bits(NVARS, a))
-                .supercube(&Cube::minterm(&index_bits(NVARS, b)));
+            let span = Cube::minterm(&Bits::from_index(NVARS, a))
+                .supercube(&Cube::minterm(&Bits::from_index(NVARS, b)));
             prop_assert!(
                 spans.iter().any(|s| s.contains(&span)),
                 "uncaptured static-1 span {:?}", span
@@ -74,7 +59,7 @@ proptest! {
         let brute = brute_static1_transitions(&f);
         for a in 0..(1usize << NVARS) {
             for b in (a + 1)..(1usize << NVARS) {
-                let (ba, bb) = (index_bits(NVARS, a), index_bits(NVARS, b));
+                let (ba, bb) = (Bits::from_index(NVARS, a), Bits::from_index(NVARS, b));
                 if !f.eval(&ba) || !f.eval(&bb) {
                     continue;
                 }
@@ -122,7 +107,7 @@ proptest! {
         let descriptors = find_mic_dyn_haz_2level(&f);
         let intersections = asyncmap_hazard::irredundant_intersections(&f);
         for (a, b) in brute_mic_dynamic_transitions(&f) {
-            let (ba, bb) = (index_bits(NVARS, a), index_bits(NVARS, b));
+            let (ba, bb) = (Bits::from_index(NVARS, a), Bits::from_index(NVARS, b));
             if is_static1_induced(&f, &ba, &bb) {
                 continue;
             }
@@ -151,7 +136,7 @@ proptest! {
         'outer: for a in 0..(1usize << NVARS) {
             for b in 0..(1usize << NVARS) {
                 if a == b { continue; }
-                let (ba, bb) = (index_bits(NVARS, a), index_bits(NVARS, b));
+                let (ba, bb) = (Bits::from_index(NVARS, a), Bits::from_index(NVARS, b));
                 if !asyncmap_hazard::transition_function_hazard_free(&f, &ba, &bb) {
                     continue;
                 }

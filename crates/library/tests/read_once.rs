@@ -5,8 +5,7 @@
 //! function itself has one.
 
 use asyncmap_bff::Expr;
-use asyncmap_cube::{VarId, VarTable};
-use asyncmap_hazard::oracle::index_bits;
+use asyncmap_cube::{Bits, VarId, VarTable};
 use asyncmap_hazard::{analyze_expr, sweep_words, transition_function_hazard_free, wave_eval_word};
 use asyncmap_library::Cell;
 use proptest::prelude::*;
@@ -88,8 +87,8 @@ fn certificate_matches_the_full_analysis(seed: u64) -> Result<(), TestCaseError>
                 prop_assert!(
                     !transition_function_hazard_free(
                         &full.flat,
-                        &index_bits(n, a),
-                        &index_bits(n, b)
+                        &Bits::from_index(n, a),
+                        &Bits::from_index(n, b)
                     ),
                     "logic hazard {a:#b} -> {b:#b} on read-once {expr:?}"
                 );

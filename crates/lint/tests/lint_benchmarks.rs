@@ -9,8 +9,7 @@
 
 use asyncmap_bff::Expr;
 use asyncmap_core::{async_tmap, mapped_cone_expr, truth, Instance, MapOptions, MappedDesign};
-use asyncmap_cube::{Cover, VarId, VarTable};
-use asyncmap_hazard::oracle::index_bits;
+use asyncmap_cube::{Bits, Cover, VarId, VarTable};
 use asyncmap_hazard::{hazards_subset_exhaustive, wave_eval};
 use asyncmap_library::{builtin, Cell, Library};
 use asyncmap_lint::{binding_obligations, lint_mapped_design};
@@ -409,7 +408,7 @@ fn witness(message: &str) -> (usize, usize) {
 /// burst, `reference` does not.
 fn assert_witness_escapes(message: &str, candidate: &Expr, reference: &Expr, n: usize) {
     let (from, to) = witness(message);
-    let (from, to) = (index_bits(n, from), index_bits(n, to));
+    let (from, to) = (Bits::from_index(n, from), Bits::from_index(n, to));
     assert!(wave_eval(candidate, &from, &to).hazard, "{message}");
     assert!(!wave_eval(reference, &from, &to).hazard, "{message}");
 }

@@ -2,24 +2,10 @@
 //! output function, partitioning covers every gate exactly once, and cone
 //! expressions match the network they abstract.
 
-use asyncmap_cube::{Bits, Cover, Cube, Phase, VarId, VarTable};
+use asyncmap_cube::{Bits, Cover, VarTable};
 use asyncmap_network::{async_tech_decomp, partition, sync_tech_decomp, EquationSet, NodeKind};
+use asyncmap_oracle::gen::{arb_cube, NVARS};
 use proptest::prelude::*;
-
-const NVARS: usize = 4;
-
-prop_compose! {
-    fn arb_cube()(used in 1u8..16, phase in 0u8..16) -> Cube {
-        let mut lits = Vec::new();
-        for v in 0..NVARS {
-            if (used >> v) & 1 == 1 {
-                let p = if (phase >> v) & 1 == 1 { Phase::Pos } else { Phase::Neg };
-                lits.push((VarId(v), p));
-            }
-        }
-        Cube::from_literals(NVARS, lits)
-    }
-}
 
 prop_compose! {
     fn arb_equations()(covers in prop::collection::vec(

@@ -21,22 +21,22 @@
 //! lint bindings that hold. Every lint refutation's witness burst is replayed
 //! on `wave_eval`: the candidate glitches on it and the reference does
 //! not. Run in release:
-//! `cargo test --release -p asyncmap-bench --test containment_oracle -- --ignored`.
+//! `cargo test --release -p asyncmap-oracle --test containment_oracle -- --ignored`.
 
 use asyncmap_audit::equiv::{compact_onto, union_support};
 use asyncmap_audit::recheck_monotone;
 use asyncmap_bench::{generate, GenSpec};
 use asyncmap_bff::Expr;
 use asyncmap_core::{async_tmap, tmap, MapOptions};
-use asyncmap_cube::{Cover, VarTable};
-use asyncmap_hazard::oracle::index_bits;
+use asyncmap_cube::{Bits, Cover, VarTable};
 use asyncmap_hazard::{
-    decide_containment, hazards_subset_exhaustive, reverify_containment, wave_eval, Containment,
-    PartialReason, EXHAUSTIVE_VAR_LIMIT,
+    decide_containment, hazards_subset_exhaustive, wave_eval, Containment, PartialReason,
+    EXHAUSTIVE_VAR_LIMIT,
 };
 use asyncmap_library::{builtin, Library};
 use asyncmap_lint::binding_obligations;
 use asyncmap_network::{async_tech_decomp_traced, EquationSet, RewriteRule};
+use asyncmap_oracle::reverify_containment;
 
 const BENCHMARKS: [&str; 4] = ["scsi", "abcs", "pe-send-ifc", "dme"];
 
@@ -160,7 +160,7 @@ fn replay_lint(name: &str, eqs: &EquationSet, lib: &Library, tally: &mut Tally) 
             let holds = verdict == Containment::Holds;
             replay(candidate, reference, *n, holds, &what);
             if let Containment::Refuted(Some((from, to))) = verdict {
-                let (from, to) = (index_bits(*n, from), index_bits(*n, to));
+                let (from, to) = (Bits::from_index(*n, from), Bits::from_index(*n, to));
                 assert!(
                     wave_eval(candidate, &from, &to).hazard
                         && !wave_eval(reference, &from, &to).hazard,

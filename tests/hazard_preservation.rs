@@ -3,23 +3,8 @@
 //! function — the end-to-end statement of the paper's Theorem 3.2.
 
 use asyncmap::prelude::*;
-use asyncmap_cube::{Cube, Phase, VarId};
+use asyncmap_oracle::gen::{arb_cube, NVARS};
 use proptest::prelude::*;
-
-const NVARS: usize = 4;
-
-prop_compose! {
-    fn arb_cube()(used in 1u8..16, phase in 0u8..16) -> Cube {
-        let mut lits = Vec::new();
-        for v in 0..NVARS {
-            if (used >> v) & 1 == 1 {
-                let p = if (phase >> v) & 1 == 1 { Phase::Pos } else { Phase::Neg };
-                lits.push((VarId(v), p));
-            }
-        }
-        Cube::from_literals(NVARS, lits)
-    }
-}
 
 prop_compose! {
     fn arb_equations()(covers in prop::collection::vec(
