@@ -21,7 +21,7 @@
 //! lint bindings that hold. Every lint refutation's witness burst is replayed
 //! on `wave_eval`: the candidate glitches on it and the reference does
 //! not. Run in release:
-//! `cargo test --release -p asyncmap-oracle --test containment_oracle -- --ignored`.
+//! `cargo test --release -p asyncmap-bench --test containment_oracle -- --ignored`.
 
 use asyncmap_audit::equiv::{compact_onto, union_support};
 use asyncmap_audit::recheck_monotone;

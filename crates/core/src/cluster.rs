@@ -1199,6 +1199,55 @@ mod tests {
         );
     }
 
+    /// Asserts that every cut the walk keeps for a gate of `cone` under
+    /// depth bound `max_depth` carries the table of its lazily built
+    /// expression, and records each cut's width in `widths`. Returns the
+    /// cone's truncation count.
+    fn assert_cone_tables_match(
+        net: &Network,
+        cone: &Cone,
+        max_depth: usize,
+        what: &str,
+        widths: &mut HashSet<usize>,
+    ) -> usize {
+        let cuts = enumerate_cuts(net, cone, &ClusterLimits { max_depth });
+        for &g in &cone.gates {
+            for c in cuts.clusters(g) {
+                let want = crate::truth::truth_table_words(c.expr(net), 8);
+                assert_eq!(
+                    c.table,
+                    want.words(),
+                    "{what}: gate {g} (depth {max_depth}): walk table diverges"
+                );
+                widths.insert(c.leaves.len());
+            }
+        }
+        cuts.truncations
+    }
+
+    /// The cones of the 11 Table 5 benchmarks, each with its name.
+    fn benchmark_designs() -> Vec<(String, Network, Vec<Cone>)> {
+        asyncmap_burst::all_benchmarks()
+            .into_iter()
+            .map(|(name, eqs)| {
+                let net = async_tech_decomp(&eqs);
+                let cones = partition(&net);
+                (name.to_owned(), net, cones)
+            })
+            .collect()
+    }
+
+    /// The cones of the shared-leaf SOP designs with seeds `seeds`, each
+    /// with a label.
+    fn sop_designs(seeds: std::ops::Range<u64>) -> Vec<(String, Network, Vec<Cone>)> {
+        seeds
+            .filter_map(|seed| {
+                let (net, cones) = shared_leaf_sop(seed)?;
+                Some((format!("sop seed {seed}"), net, cones))
+            })
+            .collect()
+    }
+
     /// The walk's 4-word tables equal the tables of the lazily built
     /// expressions at every width, 7–8 leaves included (the matcher's memo
     /// keys on these words, so any divergence would corrupt matching), on
@@ -1206,7 +1255,7 @@ mod tests {
     /// gates included — and of seeded shared-leaf SOP designs.
     #[test]
     fn cut_tables_match_lazy_expr() {
-        let mut designs: Vec<(String, Network, Vec<Cone>)> = Vec::new();
+        let mut designs = Vec::new();
         for (text, names) in [
             ("ab + a'c + bc", vec!["a", "b", "c"]),
             (
@@ -1217,29 +1266,39 @@ mod tests {
             let (net, cone) = cone_of(text, &names);
             designs.push((text.to_owned(), net, vec![cone]));
         }
-        for (name, eqs) in asyncmap_burst::all_benchmarks() {
-            let net = async_tech_decomp(&eqs);
-            let cones = partition(&net);
-            designs.push((name.to_owned(), net, cones));
-        }
-        for (seed, (net, cones)) in (0..6).filter_map(|seed| Some((seed, shared_leaf_sop(seed)?))) {
-            designs.push((format!("sop seed {seed}"), net, cones));
-        }
+        designs.extend(benchmark_designs());
+        designs.extend(sop_designs(0..6));
         let (mut widths, mut truncated) = (HashSet::new(), 0);
         for (what, net, cones) in &designs {
             for cone in cones {
-                let cuts = enumerate_cuts(net, cone, &ClusterLimits::default());
-                truncated += cuts.truncations;
-                for &g in &cone.gates {
-                    for c in cuts.clusters(g) {
-                        let want = crate::truth::truth_table_words(c.expr(net), 8);
-                        assert_eq!(c.table, want.words(), "{what}: walk table diverges");
-                        widths.insert(c.leaves.len());
-                    }
-                }
+                truncated += assert_cone_tables_match(net, cone, 5, what, &mut widths);
             }
         }
         assert!(widths.contains(&7) && widths.contains(&8), "{widths:?}");
         assert!(truncated > 0, "some benchmark gate hits the cut cap");
+    }
+
+    /// [`cut_tables_match_lazy_expr`] at a larger scale: every depth bound
+    /// from 2 to 6 on the benchmarks and 96 seeded SOP designs. Run in
+    /// release: `cargo test --release -p asyncmap-core --lib
+    /// cut_tables_match_lazy_expr_at_ci_scale -- --ignored`.
+    #[test]
+    #[ignore]
+    fn cut_tables_match_lazy_expr_at_ci_scale() {
+        let mut widths = HashSet::new();
+        let benchmarks = benchmark_designs();
+        for max_depth in 2..=6 {
+            for (what, net, cones) in &benchmarks {
+                for cone in cones {
+                    assert_cone_tables_match(net, cone, max_depth, what, &mut widths);
+                }
+            }
+        }
+        for (what, net, cones) in &sop_designs(0..96) {
+            for cone in cones {
+                assert_cone_tables_match(net, cone, 5, what, &mut widths);
+            }
+        }
+        assert!(widths.contains(&7) && widths.contains(&8), "{widths:?}");
     }
 }
